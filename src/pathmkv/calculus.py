@@ -27,10 +27,10 @@ from .errors import (
     DomainError,
     UnsupportedFunctionalError,
 )
-from .hilbert import HilbertVec
+from .hilbert import GENERATOR, HilbertVec, SpaceSpec, SpectralOperator
 from .measure import EmpiricalPathMeasure, stopped_measure
 from .paths import PathGrid, bump
-from .sde import EnsembleLaw, InitialLaw, ModelSpec, PathBatch, integrate
+from .sde import InitialLaw, ModelSpec, StoppedView, _exp_euler_steps, _recorded_args, integrate
 
 
 @dataclass
@@ -469,58 +469,33 @@ class ItoReport:
         )
 
 
-def _simulate_ito(process, init, grid, d, dk, t, s, n_particles, seed):
-    j0, j1 = grid.node(t), grid.node(s)
-    values = np.empty((n_particles, grid.steps + 1, d))
-    values[:, : j0 + 1] = init.sample(seed, n_particles, grid, d)[:, : j0 + 1]
-    noise = _rng.brownian_increments(seed, n_particles, grid.steps, dk, grid.dt)
-    for j in range(j0, j1):
-        tt = grid.time_at(j)
-        x = values[:, j, :]
-        new = x.copy()
-        if process.F is not None:
-            new = new + grid.dt * np.asarray(process.F(tt, x), dtype=float)
-        if process.G is not None:
-            g = np.asarray(process.G(tt, x), dtype=float)
-            ns = g.shape[1]
-            new[:, :ns] += g * noise[:, j, :ns]
-        values[:, j + 1, :] = new
-    if j1 < grid.steps:
-        values[:, j1 + 1 :, :] = values[:, j1 : j1 + 1, :]
-    return values, noise
+def _process_model(process: ItoProcessSpec, grid, d: int) -> ModelSpec:
+    """The plain Ito process as a state equation with A = 0, whose coefficients
+    F and G read the current node of the paths."""
+
+    def lift(fn):
+        return None if fn is None else (lambda t, xs, mu, u, nu: fn(t, xs.values_now))
+
+    return ModelSpec(
+        space=SpaceSpec(d),
+        grid=grid,
+        A=SpectralOperator(np.zeros(d), kind=GENERATOR),
+        drift=lift(process.F),
+        diffusion=lift(process.G),
+        tag=process.tag,
+    )
 
 
-def _precompute_coefficients(grid, values, j0, j1, process=None, model=None, controls=None):
-    """Per-node F and G (with the A-eigenvalue row for the mild variant),
-    evaluated once on the full ensemble so that every particle batch sees the
-    processes that actually drove it."""
-    n, d = values.shape[0], values.shape[2]
+def _precompute_coefficients(model, values, j0, j1, controls=None):
+    """Per-node drift and diffusion (None where the model has none), evaluated
+    once on the full ensemble so that every particle batch sees the processes
+    that actually drove it."""
     f_arr = {}
     g_arr = {}
-    from .measure import EmpiricalControlMeasure
-
     for j in range(j0, j1):
-        tt = grid.time_at(j)
-        x = values[:, j, :]
-        if model is not None:
-            xs = PathBatch(grid, values, j)
-            law = EnsembleLaw(grid, values, j)
-            if controls is None:
-                u = nu = None
-            else:
-                u = controls[:, j, :]
-                nu = EmpiricalControlMeasure(u)
-            f_arr[j] = model.drift_at(tt, xs, law, u, nu)
-            g_arr[j] = (
-                model.diffusion_at(tt, xs, law, u, nu) if model.diffusion is not None else None
-            )
-        else:
-            f_arr[j] = (
-                np.asarray(process.F(tt, x), dtype=float) if process.F is not None else None
-            )
-            g_arr[j] = (
-                np.asarray(process.G(tt, x), dtype=float) if process.G is not None else None
-            )
+        args = _recorded_args(model.grid, values, controls, j)
+        f_arr[j] = model.drift_at(*args) if model.drift is not None else None
+        g_arr[j] = model.diffusion_at(*args) if model.diffusion is not None else None
     return f_arr, g_arr
 
 
@@ -530,7 +505,7 @@ def _rhs_quadrature(phi, grid, values, j0, j1, idx, f_arr, g_arr, a_eigs=None):
     sub = values[idx]
     for j in range(j0, j1):
         tt = grid.time_at(j)
-        law = EnsembleLaw(grid, sub, j)
+        law = StoppedView(grid, sub, j)
         x = sub[:, j, :]
         term = phi.dt(tt, law)
         dmu = None
@@ -588,28 +563,32 @@ def ito_verify(
 
     if model is not None:
         grid = model.grid
-        d = model.space.d
+    j0, j1 = grid.node(t), grid.node(s)
+    if model is not None:
         ens = integrate(model, init, policy, t0=t, n_particles=n_particles, seed=seed)
         values = ens.values
         controls = ens.controls
         a_eigs = model.A.eigenvalues
         tag = f"mild:{model.tag}"
     else:
-        values, _ = _simulate_ito(process, init, grid, d, d, t, s, n_particles, seed)
+        # X = xi + int F dr + int G dB: the step kernel with e^{dt*A} = 1.
+        model = _process_model(process, grid, d)
+        values = np.empty((n_particles, grid.steps + 1, d))
+        values[:, : j0 + 1] = init.sample(seed, n_particles, grid, d)[:, : j0 + 1]
+        noise = _rng.brownian_increments(seed, n_particles, grid.steps, d, grid.dt)
+        _exp_euler_steps(model, values, values, noise, j0, j1, 1.0)
+        values[:, j1 + 1 :, :] = values[:, j1 : j1 + 1, :]
         controls = None
         a_eigs = None
         tag = process.tag
 
-    j0, j1 = grid.node(t), grid.node(s)
-    f_arr, g_arr = _precompute_coefficients(
-        grid, values, j0, j1, process=process, model=model, controls=controls
-    )
+    f_arr, g_arr = _precompute_coefficients(model, values, j0, j1, controls)
     all_idx = np.arange(n_particles)
 
     def lhs_rhs(idx):
         sub = values[idx]
-        lhs = phi.eval(grid.time_at(j1), EnsembleLaw(grid, sub, j1)) - phi.eval(
-            grid.time_at(j0), EnsembleLaw(grid, sub, j0)
+        lhs = phi.eval(grid.time_at(j1), StoppedView(grid, sub, j1)) - phi.eval(
+            grid.time_at(j0), StoppedView(grid, sub, j0)
         )
         rhs = _rhs_quadrature(phi, grid, values, j0, j1, idx, f_arr, g_arr, a_eigs)
         return lhs, rhs

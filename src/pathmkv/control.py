@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .measure import EmpiricalControlMeasure
 from .sde import (
-    EnsembleLaw,
     InitialLaw,
     ModelSpec,
     ParticleEnsemble,
-    PathBatch,
+    StoppedView,
+    _recorded_args,
     integrate,
 )
 
@@ -125,7 +124,7 @@ class OpenLoopPolicy:
             self._fn = u_of_t
             self.tag = tag
 
-    def actions(self, t, xs: PathBatch, mu, randomizers) -> np.ndarray:
+    def actions(self, t, xs: StoppedView, mu, randomizers) -> np.ndarray:
         u = np.atleast_1d(np.asarray(self._fn(t), dtype=float))
         return np.broadcast_to(u, (xs.n, u.size)).copy()
 
@@ -198,31 +197,23 @@ def _per_particle_reward(model: ModelSpec, ensemble: ParticleEnsemble, t0, t_end
     running = np.zeros(n)
     if model.running_cost is not None:
         for j in range(j0, j1):
-            t = grid.time_at(j)
-            xs = PathBatch(grid, ensemble.values, j)
-            mu = EnsembleLaw(grid, ensemble.values, j)
-            if ensemble.controls is None:
-                u = nu = None
-            else:
-                u = ensemble.controls[:, j, :]
-                nu = EmpiricalControlMeasure(u)
-            f_now = model.running_cost_at(t, xs, mu, u, nu)
-            _growth_check(model, f_now, mu, xs, t, kind="f")
+            t, view, _, u, nu = _recorded_args(grid, ensemble.values, ensemble.controls, j)
+            f_now = model.running_cost_at(t, view, view, u, nu)
+            _growth_check(model, f_now, view, t, kind="f")
             running += f_now * grid.dt
     terminal = np.zeros(n)
     if t_end is None and model.terminal_cost is not None:
-        xs = PathBatch(grid, ensemble.values, grid.steps)
-        mu = EnsembleLaw(grid, ensemble.values, grid.steps)
-        terminal = model.terminal_cost_at(xs, mu)
-        _growth_check(model, terminal, mu, xs, grid.T, kind="g")
+        view = StoppedView(grid, ensemble.values, grid.steps)
+        terminal = model.terminal_cost_at(view, view)
+        _growth_check(model, terminal, view, grid.T, kind="g")
     return running, terminal
 
 
-def _growth_check(model, values, mu, xs, t, kind):
+def _growth_check(model, values, view, t, kind):
     if model.growth_h is None:
         return
-    h_val = float(model.growth_h(mu.w2_to_zero()))
-    bound = h_val * (1.0 + xs.seminorm_sq(t))
+    h_val = float(model.growth_h(view.w2_to_zero()))
+    bound = h_val * (1.0 + view.seminorm_sq_at(t))
     if np.any(np.abs(values) > bound * (1.0 + 1e-9)):
         warnings.warn(
             f"declared growth envelope violated by {kind} at t={t:.4g} "

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .hilbert import HilbertVec, SpectralOperator
 from .measure import EmpiricalControlMeasure, EmpiricalPathMeasure
-from .sde import ModelSpec, PathBatch
+from .sde import ModelSpec, StoppedView
 
 ENUMERATION_CAP = 10**6
 
@@ -295,21 +295,26 @@ def hamiltonian_from_model(
     model: ModelSpec, w: CandidateSolution, t: float, mu: EmpiricalPathMeasure
 ) -> HamiltonianIntegrand:
     """F(x, u, nu) = f + <b, d_mu w(x)> + (1/2) Tr(sigma sigma* sym d2 w(x))
-    at the fixed (t, mu), with the symmetrized second derivative in the trace."""
+    at the fixed (t, mu), with the symmetrized second derivative in the trace.
+
+    mu is stopped at t: the coefficients and the candidate's derivative fields
+    receive StoppedView.of(mu, t), the view integrate hands them at (t, mu)."""
     w.require_fields()
     grid = model.grid
+    j = grid.node(t)
+    law = StoppedView.of(mu, t)
 
     def fn(path, u, nu):
-        xs_t = path.values[grid.node(t)][None, :]
-        batch = PathBatch(grid, path.values[None, :, :], grid.node(t))
+        xs_t = path.values[j][None, :]
+        batch = StoppedView(grid, path.values[None, :, :], j)
         u_arr = None if u is None else np.atleast_2d(np.asarray(u, dtype=float))
-        f_val = float(model.running_cost_at(t, batch, mu, u_arr, nu)[0])
-        b_val = model.drift_at(t, batch, mu, u_arr, nu)[0]
-        dmu = np.asarray(w.functional.dmu_fn(t, mu, xs_t), dtype=float)[0]
+        f_val = float(model.running_cost_at(t, batch, law, u_arr, nu)[0])
+        b_val = model.drift_at(t, batch, law, u_arr, nu)[0]
+        dmu = np.asarray(w.functional.dmu_fn(t, law, xs_t), dtype=float)[0]
         total = f_val + float(np.dot(b_val, dmu))
         if model.diffusion is not None:
-            s_val = model.diffusion_at(t, batch, mu, u_arr, nu)[0]
-            d2 = np.asarray(w.functional.dxdmu_fn(t, mu, xs_t), dtype=float)
+            s_val = model.diffusion_at(t, batch, law, u_arr, nu)[0]
+            d2 = np.asarray(w.functional.dxdmu_fn(t, law, xs_t), dtype=float)
             d2 = d2[0] if d2.ndim == 3 else d2
             sym = 0.5 * (d2 + d2.T)
             ns = s_val.shape[0]
@@ -353,18 +358,20 @@ def hjb_residual(
 
     plus the terminal gap |w(T, mu) - E g|.  Both are reported without a
     pass/fail verdict; this is a verification tool for supplied candidates.
+    Every term reads mu stopped at its time, as in hamiltonian_from_model.
     """
     w.require_fields()
     grid = model.grid
-    dt_term = w.functional.dt(t, mu)
-    a_field = w.a_star_field(model, t, mu)
-    xi_t = mu.values_at(t)
-    a_star_term = float(mu.weights @ (xi_t * a_field).sum(axis=1))
+    law = StoppedView.of(mu, t)
+    dt_term = w.functional.dt(t, law)
+    a_field = w.a_star_field(model, t, law)
+    xi_t = law.values_at(t)
+    a_star_term = float(law.weights @ (xi_t * a_field).sum(axis=1))
     F = hamiltonian_from_model(model, w, t, mu)
     ham = hamiltonian_sup_finite(F, mu, action_set, form="esssup")
     residual = dt_term + a_star_term + ham
 
-    batch = PathBatch(grid, mu.atoms, grid.steps)
-    g_vals = model.terminal_cost_at(batch, mu)
-    terminal_gap = abs(w.functional.eval(grid.T, mu) - float(mu.weights @ g_vals))
+    end = StoppedView.of(mu, grid.T)
+    g_vals = model.terminal_cost_at(end, end)
+    terminal_gap = abs(w.functional.eval(grid.T, end) - float(end.weights @ g_vals))
     return HjbResidualReport(residual, terminal_gap, dt_term, a_star_term, ham)

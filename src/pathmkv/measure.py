@@ -13,6 +13,7 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import CapacityError, ConfigurationError, DomainError
@@ -159,20 +160,16 @@ def exact_ot_cost(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray) -> flo
     if uniform:
         rows, cols = linear_sum_assignment(cost)
         return float(cost[rows, cols].sum() / n)
-    a_eq = []
-    b_eq = []
-    for i in range(n):
-        row = np.zeros((n, m))
-        row[i, :] = 1.0
-        a_eq.append(row.ravel())
-        b_eq.append(w_row[i])
-    for j in range(m - 1):
-        col = np.zeros((n, m))
-        col[:, j] = 1.0
-        a_eq.append(col.ravel())
-        b_eq.append(w_col[j])
-    res = linprog(cost.ravel(), A_eq=np.asarray(a_eq), b_eq=np.asarray(b_eq),
-                  bounds=(0, None), method="highs")
+    # Row sums, then every column sum but the last: nm + n(m-1) nonzeros.
+    a_eq = sparse.vstack(
+        [
+            sparse.kron(sparse.eye(n), np.ones((1, m))),
+            sparse.kron(np.ones((1, n)), sparse.eye(m - 1, m)),
+        ],
+        format="csr",
+    )
+    b_eq = np.concatenate([w_row, w_col[: m - 1]])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         raise ConfigurationError(f"transport LP failed: {res.message}")
     return float(res.fun)

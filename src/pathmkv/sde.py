@@ -22,10 +22,11 @@ Coefficients are batched over particles:
     running_cost(t, xs, mu, u, nu) -> (N,)
     terminal_cost(xs, mu)          -> (N,)
 
-where xs is a PathBatch (per-particle stopped-path view) and mu is an
-EnsembleLaw (stopped empirical law view).  Both clamp reads to the current
-node, so coefficients built on their API are non-anticipative by construction;
-validation additionally spot-checks raw-array access.
+where xs and mu are StoppedView objects: the particle paths and their
+empirical law, stopped at the current node.  Every read clamps to that node,
+so coefficients built on the view's API are non-anticipative by construction;
+validation additionally spot-checks raw-array access.  The HJB residual hands
+coefficients and candidate derivative fields the same view, stopped at t.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -45,80 +47,72 @@ from .errors import (
     IntegrationBlowupError,
     NonConvergenceError,
 )
-from .hilbert import GENERATOR, SpaceSpec, SpectralOperator
-from .measure import EmpiricalPathMeasure, wasserstein2
+from .hilbert import GENERATOR, HilbertVec, SpaceSpec, SpectralOperator
+from .measure import EmpiricalControlMeasure, EmpiricalPathMeasure, wasserstein2
 from .paths import PathGrid, TimeGrid, path_to_csv, stop_values, sup_seminorm_sq_values
 
 
-class PathBatch:
-    """Read-only view of N particle paths, stopped at the current node."""
+class StoppedView:
+    """Paths and their empirical law, stopped at grid node `node`.
 
-    def __init__(self, grid: TimeGrid, values: np.ndarray, node: int):
+    The one argument type coefficients receive, as the path batch xs and as
+    the law mu: every read clamps to the node.  Without weights it is the
+    uniform law of a particle ensemble, reduced by plain means in particle
+    order; with weights it is the law of a weighted EmpiricalPathMeasure.
+    """
+
+    def __init__(self, grid: TimeGrid, values: np.ndarray, node: int, weights=None):
         self.grid = grid
         self._values = values
         self.node = node
+        self._weights = weights
+
+    @classmethod
+    def of(cls, mu: EmpiricalPathMeasure, t: float) -> "StoppedView":
+        """The weighted measure mu, stopped at the node of t."""
+        return cls(mu.grid, mu.atoms, mu.grid.node(t), mu.weights)
 
     @property
     def n(self) -> int:
         return self._values.shape[0]
 
+    n_atoms = n
+
     @property
     def dim(self) -> int:
         return self._values.shape[2]
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return np.full(self.n, 1.0 / self.n) if self._weights is None else self._weights
+
     def values_at(self, t: float) -> np.ndarray:
         """(N, d) values at the node of min(t, current time)."""
-        j = min(self.grid.node(t), self.node)
-        return self._values[:, j, :]
+        return self._values[:, min(self.grid.node(t), self.node), :]
 
     @property
     def values_now(self) -> np.ndarray:
         return self._values[:, self.node, :]
 
-    def seminorm_sq(self, t: float) -> np.ndarray:
-        j = min(self.grid.node(t), self.node)
-        return sup_seminorm_sq_values(self._values, j)
-
-    def stopped_block(self) -> np.ndarray:
-        return stop_values(self._values, self.node)
-
-
-class EnsembleLaw:
-    """Empirical law of the particles stopped at the current node.
-
-    Exposes the cheap summaries coefficients actually use (means, moments,
-    per-atom node values); materialize() yields a full EmpiricalPathMeasure
-    when an exact Wasserstein computation is genuinely needed.
-    """
-
-    def __init__(self, grid: TimeGrid, values: np.ndarray, node: int):
-        self.grid = grid
-        self._values = values
-        self.node = node
-        self.n_atoms = values.shape[0]
-        self.weights = np.full(self.n_atoms, 1.0 / self.n_atoms)
-
-    def values_at(self, t: float) -> np.ndarray:
-        j = min(self.grid.node(t), self.node)
-        return self._values[:, j, :]
-
     def seminorm_sq_at(self, t: float) -> np.ndarray:
-        j = min(self.grid.node(t), self.node)
-        return sup_seminorm_sq_values(self._values, j)
+        """||x||_t^2 per path, shape (N,), with t clamped to the current time."""
+        return sup_seminorm_sq_values(self._values, min(self.grid.node(t), self.node))
 
-    def mean_at(self, t: float):
-        from .hilbert import HilbertVec
+    def _average(self, a: np.ndarray):
+        return a.mean(axis=0) if self._weights is None else self._weights @ a
 
-        return HilbertVec(self.values_at(t).mean(axis=0))
+    def mean_at(self, t: float) -> HilbertVec:
+        return HilbertVec(self._average(self.values_at(t)))
 
     def second_moment(self) -> float:
-        return float(sup_seminorm_sq_values(self._values, self.node).mean())
+        return float(self._average(sup_seminorm_sq_values(self._values, self.node)))
 
     def w2_to_zero(self) -> float:
         return float(np.sqrt(self.second_moment()))
 
     def materialize(self) -> EmpiricalPathMeasure:
-        return EmpiricalPathMeasure(self.grid, stop_values(self._values, self.node), None)
+        """The stopped law as an EmpiricalPathMeasure, for exact Wasserstein computations."""
+        return EmpiricalPathMeasure(self.grid, stop_values(self._values, self.node), self._weights)
 
 
 @dataclass
@@ -319,7 +313,6 @@ def _validate_model(model, seed, n_pairs):
     grid, d = model.grid, model.space.d
     n = 3
     m_nodes = grid.steps
-    from .measure import EmpiricalControlMeasure
 
     for _ in range(n_pairs):
         j = int(rand.integers(1, m_nodes))
@@ -331,13 +324,12 @@ def _validate_model(model, seed, n_pairs):
         perturbed[:, j + 1 :, :] += rand.normal(size=(n, grid.steps - j, d))
         outs = []
         for block in (vals, perturbed):
-            xs = PathBatch(grid, block, j)
-            mu = EnsembleLaw(grid, block, j)
+            view = StoppedView(grid, block, j)
             outs.append(
                 (
-                    model.drift_at(t, xs, mu, u, nu),
-                    model.diffusion_at(t, xs, mu, u, nu),
-                    model.running_cost_at(t, xs, mu, u, nu),
+                    model.drift_at(t, view, view, u, nu),
+                    model.diffusion_at(t, view, view, u, nu),
+                    model.running_cost_at(t, view, view, u, nu),
                 )
             )
         for a, b in zip(outs[0], outs[1]):
@@ -348,18 +340,15 @@ def _validate_model(model, seed, n_pairs):
 
         # Lipschitz spot check against the declared constant, 5% slack.
         other = rand.normal(size=(n, grid.steps + 1, d))
-        xs1, xs2 = PathBatch(grid, vals, j), PathBatch(grid, other, j)
-        mu1, mu2 = EnsembleLaw(grid, vals, j), EnsembleLaw(grid, other, j)
-        w2 = wasserstein2(mu1.materialize(), mu2.materialize(), mode="exact")
-        seminorms = np.sqrt(
-            sup_seminorm_sq_values(vals - other, j)
-        )
+        v1, v2 = StoppedView(grid, vals, j), StoppedView(grid, other, j)
+        w2 = wasserstein2(v1.materialize(), v2.materialize(), mode="exact")
+        seminorms = np.sqrt(sup_seminorm_sq_values(vals - other, j))
         bound = 1.05 * model.lipschitz * (seminorms + w2) + 1e-12
         db = np.linalg.norm(
-            model.drift_at(t, xs1, mu1, u, nu) - model.drift_at(t, xs2, mu2, u, nu), axis=1
+            model.drift_at(t, v1, v1, u, nu) - model.drift_at(t, v2, v2, u, nu), axis=1
         )
         ds = np.linalg.norm(
-            model.diffusion_at(t, xs1, mu1, u, nu) - model.diffusion_at(t, xs2, mu2, u, nu),
+            model.diffusion_at(t, v1, v1, u, nu) - model.diffusion_at(t, v2, v2, u, nu),
             axis=1,
         )
         if np.any(db > bound) or np.any(ds > bound):
@@ -476,6 +465,61 @@ def _check_policy_growth(model, policy):
             )
 
 
+def _recorded_args(grid: TimeGrid, values: np.ndarray, controls, j: int):
+    """Coefficient arguments (t, xs, mu, u, nu) at node j of finished paths and
+    the controls recorded with them; xs and mu are one StoppedView."""
+    view = StoppedView(grid, values, j)
+    u = None if controls is None else controls[:, j, :]
+    nu = None if u is None else EmpiricalControlMeasure(u)
+    return grid.time_at(j), view, view, u, nu
+
+
+def _exp_euler_steps(model, values, law, noise, j0, j_end, exp_dt, policy=None, randomizers=None):
+    """Advance `values` in place from node j0 to node j_end by
+
+        X_{j+1} = e^{dt*A} [ X_j + b_j dt + sigma_j dB_j ],
+
+    with b_j and sigma_j reading the paths of `values` and the law of the block
+    `law`, both stopped at node j.  `law is values` is the self-consistent
+    scheme; a frozen block is one Picard pass.  The noise width is the
+    diffusion's.  Returns the (N, M, m) actions the policy emitted, or None.
+    """
+    grid, dt = model.grid, model.grid.dt
+    controls = None
+    for j in range(j0, j_end):
+        t = grid.time_at(j)
+        xs = StoppedView(grid, values, j)
+        mu = xs if law is values else StoppedView(grid, law, j)
+        u = nu = None
+        if policy is not None:
+            u = np.asarray(policy.actions(t, xs, mu, randomizers), dtype=float)
+            if u.ndim == 1:
+                u = u[:, None]
+            nu = EmpiricalControlMeasure(u)
+            if controls is None:
+                if model.actions is not None and not model.actions.contains_batch(u):
+                    raise ConfigurationError(
+                        f"policy {getattr(policy, 'tag', policy)!r} emitted actions "
+                        "outside the declared action set"
+                    )
+                controls = np.zeros((values.shape[0], grid.steps, u.shape[1]))
+            controls[:, j, :] = u
+        if model.drift is None:
+            incr = values[:, j, :].copy()
+        else:
+            incr = values[:, j, :] + dt * model.drift_at(t, xs, mu, u, nu)
+        if model.diffusion is not None:
+            s = model.diffusion_at(t, xs, mu, u, nu)
+            ns = s.shape[1]
+            incr[:, :ns] += s * noise[:, j, :ns]
+        new = exp_dt * incr
+        if not np.all(np.isfinite(new)):
+            bad = int(np.where(~np.isfinite(new).all(axis=1))[0][0])
+            raise IntegrationBlowupError(j + 1, grid.time_at(j + 1), bad)
+        values[:, j + 1, :] = new
+    return controls
+
+
 def integrate(
     model: ModelSpec,
     init: InitialLaw,
@@ -504,7 +548,6 @@ def integrate(
     j_end = grid.steps if t_end is None else grid.node(t_end)
     if j_end < j0:
         raise DomainError(f"t_end {t_end} precedes t0 {t0}")
-    n_sigma = model.n_sigma
     dt = grid.dt
 
     values = np.empty((n_particles, grid.steps + 1, d))
@@ -523,41 +566,9 @@ def integrate(
     exp_dt = np.exp(gen.eigenvalues * dt)
 
     randomizers = _policy_randomizers(policy, seed, n_particles)
-    controls = None
-    control_sq_sum = 0.0
-
-    from .measure import EmpiricalControlMeasure
-
-    for j in range(j0, j_end):
-        t = grid.time_at(j)
-        xs = PathBatch(grid, values, j)
-        mu = EnsembleLaw(grid, values, j)
-        if policy is None:
-            u = nu = None
-        else:
-            u = np.asarray(policy.actions(t, xs, mu, randomizers), dtype=float)
-            if u.ndim == 1:
-                u = u[:, None]
-            nu = EmpiricalControlMeasure(u)
-            if controls is None:
-                if model.actions is not None and not model.actions.contains_batch(u):
-                    raise ConfigurationError(
-                        f"policy {getattr(policy, 'tag', policy)!r} emitted actions "
-                        "outside the declared action set"
-                    )
-                controls = np.zeros((n_particles, grid.steps, u.shape[1]))
-            controls[:, j, :] = u
-            control_sq_sum += float((u**2).sum(axis=1).mean()) * dt
-        b = model.drift_at(t, xs, mu, u, nu)
-        incr = values[:, j, :] + dt * b
-        if model.diffusion is not None:
-            s = model.diffusion_at(t, xs, mu, u, nu)
-            incr[:, :n_sigma] += s * noise[:, j, :n_sigma]
-        new = exp_dt * incr
-        if not np.all(np.isfinite(new)):
-            bad = int(np.where(~np.isfinite(new).all(axis=1))[0][0])
-            raise IntegrationBlowupError(j + 1, grid.time_at(j + 1), bad)
-        values[:, j + 1, :] = new
+    controls = _exp_euler_steps(
+        model, values, values, noise, j0, j_end, exp_dt, policy, randomizers
+    )
 
     if j_end < grid.steps:
         values[:, j_end + 1 :, :] = values[:, j_end : j_end + 1, :]
@@ -571,6 +582,10 @@ def integrate(
         xi_norm = float(np.sqrt(sup_seminorm_sq_values(segment, j0).mean()))
         bound = 3.0 * c * (1.0 + xi_norm)
         if model.control_growth is not None:
+            control_sq_sum = 0.0
+            if controls is not None:
+                for j in range(j0, j_end):
+                    control_sq_sum += float((controls[:, j, :] ** 2).sum(axis=1).mean()) * dt
             bound = 3.0 * c * (1.0 + xi_norm + control_sq_sum)
         if math.isfinite(bound) and ens.s2_norm() > bound:
             raise ContractError(
@@ -605,36 +620,6 @@ class PicardResult:
     iterations: int
     gaps: list
     windows: int = 1
-
-
-def _solve_against(model, values, frozen, policy, randomizers, noise, j0, j_end, exp_dt):
-    """One Picard pass: advance `values` reading the law from the `frozen` block."""
-    grid = model.grid
-    dt = grid.dt
-    n_sigma = model.n_sigma
-    from .measure import EmpiricalControlMeasure
-
-    for j in range(j0, j_end):
-        t = grid.time_at(j)
-        xs = PathBatch(grid, values, j)
-        mu = EnsembleLaw(grid, frozen, j)
-        if policy is None:
-            u = nu = None
-        else:
-            u = np.asarray(policy.actions(t, xs, mu, randomizers), dtype=float)
-            if u.ndim == 1:
-                u = u[:, None]
-            nu = EmpiricalControlMeasure(u)
-        b = model.drift_at(t, xs, mu, u, nu)
-        incr = values[:, j, :] + dt * b
-        if model.diffusion is not None:
-            s = model.diffusion_at(t, xs, mu, u, nu)
-            incr[:, :n_sigma] += s * noise[:, j, :n_sigma]
-        new = exp_dt * incr
-        if not np.all(np.isfinite(new)):
-            bad = int(np.where(~np.isfinite(new).all(axis=1))[0][0])
-            raise IntegrationBlowupError(j + 1, grid.time_at(j + 1), bad)
-        values[:, j + 1, :] = new
 
 
 def integrate_picard(
@@ -684,19 +669,19 @@ def integrate_picard(
         step_nodes = max(1, int(round(window / dt)))
         boundaries = list(range(j0, grid.steps, step_nodes)) + [grid.steps]
 
+    skeleton = replace(model, drift=None, diffusion=None)
     total_iters = 0
     all_gaps = []
     for a, b_node in zip(boundaries[:-1], boundaries[1:]):
-        # Seed the window's law sequence with the semigroup skeleton.
-        for j in range(a, b_node):
-            values[:, j + 1, :] = exp_dt * values[:, j, :]
+        # Seed the window's law sequence with the semigroup skeleton (b = sigma = 0).
+        _exp_euler_steps(skeleton, values, values, noise, a, b_node, exp_dt)
         prev = values.copy()
-        _solve_against(model, values, prev, policy, randomizers, noise, a, b_node, exp_dt)
+        _exp_euler_steps(model, values, prev, noise, a, b_node, exp_dt, policy, randomizers)
         prev = values.copy()
         gaps = []
         converged = False
         for _ in range(max_iter):
-            _solve_against(model, values, prev, policy, randomizers, noise, a, b_node, exp_dt)
+            _exp_euler_steps(model, values, prev, noise, a, b_node, exp_dt, policy, randomizers)
             diff = values[:, a : b_node + 1] - prev[:, a : b_node + 1]
             gap = float(np.sqrt((diff**2).sum(axis=2).max(axis=1).mean()))
             gaps.append(gap)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pathmkv.calculus import CylindricalFunctional
+from pathmkv.calculus import CylindricalFunctional, linear_mean
 from pathmkv.control import BoxActionSet, FiniteActionSet
 from pathmkv.errors import (
     CapacityError,
@@ -28,7 +28,7 @@ from pathmkv.measure import (
     wasserstein2_controls,
 )
 from pathmkv.paths import TimeGrid, constant_path
-from pathmkv.sde import ModelSpec, constant_initial, integrate
+from pathmkv.sde import InitialLaw, ModelSpec, constant_initial, integrate
 from pathmkv.control import reward
 
 
@@ -451,3 +451,50 @@ def test_candidate_membership_validation():
     )
     with pytest.raises(ContractError):
         bad.validate_membership(model, [(0.5, mu)])
+
+
+def test_hjb_reads_the_law_stopped_at_t_like_integrate():
+    # At the same (t, mu), the Hamiltonian integrand and the residual hand the
+    # coefficients the law stopped at t, the view integrate and reward use.
+    grid = TimeGrid(1.0, 10)
+    t = 0.3
+    cloud = np.cumsum(np.random.default_rng(23).normal(size=(6, grid.steps + 1, 1)), axis=1)
+    calls = {"b": [], "f": []}
+
+    def drift(s, xs, mu, u, nu):
+        out = 0.5 * (mu.mean_at(s).coords[None, :] - xs.values_now)
+        calls["b"].append(out)
+        return out
+
+    def running(s, xs, mu, u, nu):
+        out = mu.second_moment() + xs.values_now[:, 0]
+        calls["f"].append(out)
+        return out
+
+    model = ModelSpec(
+        space=SpaceSpec(1),
+        grid=grid,
+        A=SpectralOperator([0.0], kind=GENERATOR),
+        drift=drift,
+        running_cost=running,
+        lipschitz=1.0,
+        tag="law_reader",
+    )
+    model.validate()
+    calls["b"].clear()
+    calls["f"].clear()
+    ens = integrate(model, InitialLaw.from_values(cloud), t0=t, n_particles=6, t_end=t + grid.dt)
+    reward(model, ens, t)
+    # first calls: the step and the running cost at the node of t
+    via_integrate = calls["f"][0] + calls["b"][0][:, 0]
+
+    mu = EmpiricalPathMeasure(grid, cloud, None)
+    stopped_moment = calls["f"][0][0] - cloud[0, grid.node(t), 0]
+    assert mu.second_moment() > stopped_moment + 1.0  # stopping matters here
+    w = CandidateSolution(linear_mean([1.0]))  # d_mu w = 1, so F = f + b
+    F = hamiltonian_from_model(model, w, t, mu)
+    via_hjb = np.array([F.value(mu.atom_path(i), None) for i in range(6)])
+    np.testing.assert_allclose(via_hjb, via_integrate, rtol=1e-12, atol=1e-12)
+    rep = hjb_residual(w, model, t, mu, FiniteActionSet([[0.0]]))
+    assert rep.hamiltonian == pytest.approx(float(via_integrate.mean()), rel=1e-12)
+    assert rep.residual == pytest.approx(float(via_integrate.mean()), rel=1e-12)

@@ -220,3 +220,43 @@ def test_measure_csv_dump():
     text = measure_to_csv(mu)
     assert text.count("atom,") == 2
     assert "weight,0.5" in text
+
+
+def test_transport_lp_matches_dense_linprog_reference():
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(31)
+    n, m = 7, 5
+    cost = rng.random((n, m))
+    w_row = rng.uniform(0.5, 1.5, n)
+    w_row /= w_row.sum()
+    w_col = rng.uniform(0.5, 1.5, m)
+    w_col /= w_col.sum()
+    a_eq = np.zeros((n + m, n * m))
+    for i in range(n):
+        a_eq[i, i * m : (i + 1) * m] = 1.0
+    for j in range(m):
+        a_eq[n + j, j::m] = 1.0
+    ref = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([w_row, w_col]),
+                  bounds=(0, None), method="highs")
+    assert ref.success
+    assert exact_ot_cost(cost, w_row, w_col) == pytest.approx(ref.fun, rel=1e-12, abs=1e-15)
+
+
+def test_weighted_exact_w2_runs_in_bounded_memory():
+    # The transport LP's equality matrix has 2nm nonzeros; a dense one would
+    # need (n+m-1) x nm doubles, about 100 MB here, and twice that to build.
+    import tracemalloc
+
+    g = TimeGrid(1.0, 10)
+    rng = np.random.default_rng(192)
+    mu = random_measure(g, 2, 192, rng, weighted=True)
+    nu = random_measure(g, 2, 176, rng, weighted=True)
+    tracemalloc.start()
+    try:
+        value = wasserstein2(mu, nu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value) and value > 0.0
+    assert peak < 64 * 2**20

@@ -98,10 +98,10 @@ def test_ou_terminal_variance_oracle():
 
 
 def test_coefficient_calls_match_on_stopped_paths():
-    # b_t(x, ...) and b_t(stop(x, t), ...) agree bit for bit: the batch and
-    # law views clamp reads at the node of t.
+    # b_t(x, ...) and b_t(stop(x, t), ...) agree bit for bit: the stopped
+    # view clamps reads at the node of t, for uniform and weighted laws alike.
     from pathmkv.paths import stop_values
-    from pathmkv.sde import EnsembleLaw, PathBatch
+    from pathmkv.sde import StoppedView
 
     grid = TimeGrid(1.0, 40)
     model = make_meanfield_ou(grid, theta=1.3, s0=0.2)
@@ -109,9 +109,11 @@ def test_coefficient_calls_match_on_stopped_paths():
     vals = rng.normal(size=(8, grid.steps + 1, 1))
     j = grid.node(0.4)
     stopped = stop_values(vals, j)
-    for block_a, block_b in ((vals, stopped),):
-        b1 = model.drift_at(0.4, PathBatch(grid, block_a, j), EnsembleLaw(grid, block_a, j), None, None)
-        b2 = model.drift_at(0.4, PathBatch(grid, block_b, j), EnsembleLaw(grid, block_b, j), None, None)
+    weights = rng.uniform(0.5, 1.5, size=8)
+    weights /= weights.sum()
+    for block_a, block_b, w in ((vals, stopped, None), (vals, stopped, weights)):
+        b1 = model.drift_at(0.4, StoppedView(grid, block_a, j), StoppedView(grid, block_a, j, w), None, None)
+        b2 = model.drift_at(0.4, StoppedView(grid, block_b, j), StoppedView(grid, block_b, j, w), None, None)
         assert np.array_equal(b1, b2)
 
 
