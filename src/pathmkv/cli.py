@@ -144,6 +144,9 @@ CONFIG_SCHEMA = {
     ),
 }
 
+# Lower bounds on numeric keys, by dotted path.
+CONFIG_MINIMA = {"particles_converge.projections": 1, "particles_converge.n_seeds": 1}
+
 
 def validate_config(cfg, schema=None, path="") -> None:
     schema = CONFIG_SCHEMA if schema is None else schema
@@ -160,6 +163,8 @@ def validate_config(cfg, schema=None, path="") -> None:
             raise ConfigurationError(
                 f"config key {here!r} has type {type(value).__name__}, expected {spec}"
             )
+        elif here in CONFIG_MINIMA and value < CONFIG_MINIMA[here]:
+            raise ConfigurationError(f"config key {here!r} must be >= {CONFIG_MINIMA[here]}, got {value}")
     for key, (spec, required) in schema.items():
         if required and key not in cfg:
             raise ConfigurationError(f"missing required config key {path + '.' + key if path else key!r}")

@@ -4,7 +4,8 @@ A measure is a weighted cloud of path atoms on one shared grid.  The exact
 W2 uses the sup-norm ground cost ||x - y||_T: equal-weight clouds of equal
 size go through the assignment problem, general weights through the discrete
 optimal-transport LP.  Both are exact at desk scale (atom counts <= 512);
-larger clouds must use the sliced surrogate.
+larger clouds must use the sliced surrogate, whose 1-d transports are solved
+exactly by a vectorized quantile coupling on the merged CDF cut points.
 """
 
 from __future__ import annotations
@@ -187,10 +188,11 @@ def wasserstein2(
     exact mode solves the discrete OT problem over c_ij = ||x_i - y_j||_T^2
     and returns the square root.  sliced mode draws seeded random rank-one
     directions (a probability profile over nodes tensor a unit coordinate
-    direction), solves the 1-d transport by quantile coupling, and returns
-    sqrt(d * mean of the 1-d squared costs).  The sliced value is a cheap
-    surrogate, not a bound; its mean reproduces the exact value on isotropic
-    Gaussian clouds of time-constant paths.
+    direction), solves each 1-d transport exactly by the quantile coupling on
+    the merged cut points of both CDFs (no residual threshold), and returns
+    sqrt(d * mean of the 1-d squared costs).  projections must be >= 1.  The
+    sliced value is a cheap surrogate, not a bound; its mean reproduces the
+    exact value on isotropic Gaussian clouds of time-constant paths.
     """
     if mu.grid.steps != nu.grid.steps or abs(mu.grid.T - nu.grid.T) > 1e-15 * max(mu.grid.T, 1.0):
         raise ConfigurationError("measures live on different grids; resample first")
@@ -206,34 +208,41 @@ def wasserstein2(
         cost = _sup_cost_matrix(mu, nu)
         return float(np.sqrt(exact_ot_cost(cost, mu.weights, nu.weights)))
     if mode == "sliced":
+        if projections < 1:
+            raise DomainError(f"sliced W2 needs at least one projection, got {projections}")
         return _sliced_w2(mu, nu, projections, seed)
     raise DomainError(f"unknown W2 mode {mode!r}")
 
 
+def _cut_points(w: np.ndarray) -> np.ndarray:
+    """Cumulative weights of sorted atoms: the right ends of their quantile intervals.
+
+    Equal weights get the exact cut points k/n; a running sum of 1/n drifts
+    by ~1e-13 at n = 4000, which would pair the wrong tail atoms.
+    """
+    n = len(w)
+    if np.all(w == w[0]):
+        return np.arange(1, n + 1) / n
+    return np.cumsum(w)
+
+
 def _quantile_ot_sq(z1, w1, z2, w2) -> float:
-    """Exact squared 1-d W2 between weighted point sets via the quantile coupling."""
+    """Exact squared 1-d W2 between weighted point sets via the quantile coupling.
+
+    The merged cut points of both CDFs split [0, 1] into intervals on which
+    both quantile functions are constant; each interval couples one atom of
+    either side with the interval's length as mass.  The coupling stops where
+    the first side's total weight ends.
+    """
     o1, o2 = np.argsort(z1, kind="stable"), np.argsort(z2, kind="stable")
-    z1, w1 = z1[o1], w1[o1]
-    z2, w2 = z2[o2], w2[o2]
-    i = j = 0
-    r1, r2 = w1[0], w2[0]
-    cost = 0.0
-    while True:
-        m = min(r1, r2)
-        cost += m * (z1[i] - z2[j]) ** 2
-        r1 -= m
-        r2 -= m
-        if r1 <= 1e-15:
-            i += 1
-            if i == len(z1):
-                break
-            r1 = w1[i]
-        if r2 <= 1e-15:
-            j += 1
-            if j == len(z2):
-                break
-            r2 = w2[j]
-    return cost
+    z1, c1 = z1[o1], _cut_points(w1[o1])
+    z2, c2 = z2[o2], _cut_points(w2[o2])
+    cuts = np.union1d(c1, c2)
+    cuts = cuts[cuts <= min(c1[-1], c2[-1])]
+    left = np.concatenate(([0.0], cuts[:-1]))
+    i = np.searchsorted(c1, left, side="right")
+    j = np.searchsorted(c2, left, side="right")
+    return float((cuts - left) @ (z1[i] - z2[j]) ** 2)
 
 
 def _sliced_w2(mu, nu, projections, seed) -> float:

@@ -6,9 +6,18 @@ and (step, coordinate) index into its counter space in C order.  Regenerating
 any particle's stream is therefore independent of evaluation order and thread
 count, which is what makes flow-property restarts, Yosida ladders and
 common-random-number policy comparisons bit-exact.
+
+`particle_generator` is the reference construction of one particle's stream.
+The bulk samplers build one Philox per call instead and re-key it per particle
+(`particle_generators`): the state they reset to is the state a fresh
+`particle_generator` starts in, so the addressing and every value drawn are
+the same, without one generator construction (and OS entropy pull) per
+particle.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -17,17 +26,40 @@ STREAM_INITIAL = 1
 STREAM_POLICY = 2
 
 
+def _key(seed: int, stream: int, particle: int) -> np.ndarray:
+    return np.array([np.uint64(seed), np.uint64((stream << 32) ^ particle)], dtype=np.uint64)
+
+
 def particle_generator(seed: int, stream: int, particle: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed), np.uint64((stream << 32) ^ particle)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, stream, particle)))
+
+
+def particle_generators(seed: int, stream: int, n_particles: int) -> Iterator[np.random.Generator]:
+    """One generator re-keyed for particles 0..N-1 in turn.
+
+    Each yielded generator is in the state `particle_generator(seed, stream, i)`
+    starts in: key [seed, (stream << 32) ^ i], counter 0 and an empty buffer.
+    The same object is yielded every time, so draw from it before advancing.
+    """
+    key = _key(seed, stream, 0)
+    bit_gen = np.random.Philox(key=key)
+    gen = np.random.Generator(bit_gen)
+    state = bit_gen.state  # copied once; only the key changes per particle
+    state["state"]["key"] = key
+    state["state"]["counter"][:] = 0
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+    tag = stream << 32
+    for i in range(n_particles):
+        key[1] = tag ^ i
+        bit_gen.state = state
+        yield gen
 
 
 def brownian_increments(seed: int, n_particles: int, n_steps: int, dk: int, dt: float) -> np.ndarray:
     """iid N(0, dt) increments, shape (N, M, dK), keyed by (seed, particle)."""
     out = np.empty((n_particles, n_steps, dk))
     root = np.sqrt(dt)
-    for i in range(n_particles):
-        g = particle_generator(seed, STREAM_BROWNIAN, i)
+    for i, g in enumerate(particle_generators(seed, STREAM_BROWNIAN, n_particles)):
         out[i] = root * g.standard_normal((n_steps, dk))
     return out
 
@@ -48,6 +80,6 @@ def refine_increments(fine: np.ndarray, factor: int) -> np.ndarray:
 def uniforms(seed: int, stream: int, n_particles: int, count: int = 1) -> np.ndarray:
     """Per-particle uniforms on [0,1), shape (N, count); used by randomized policies."""
     out = np.empty((n_particles, count))
-    for i in range(n_particles):
-        out[i] = particle_generator(seed, stream, i).random(count)
+    for i, g in enumerate(particle_generators(seed, stream, n_particles)):
+        out[i] = g.random(count)
     return out

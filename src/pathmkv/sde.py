@@ -186,8 +186,7 @@ def two_point_mapped(a=-1.0, b=1.0, flipped=False) -> InitialLaw:
 def gaussian_initial(mean=0.0, std=1.0) -> InitialLaw:
     def sampler(seed, n, grid, d):
         out = np.empty((n, grid.steps + 1, d))
-        for i in range(n):
-            g = rng.particle_generator(seed, rng.STREAM_INITIAL, i)
+        for i, g in enumerate(rng.particle_generators(seed, rng.STREAM_INITIAL, n)):
             out[i] = mean + std * g.standard_normal(d)
         return out
 
@@ -199,8 +198,8 @@ def ramp_initial(scale=1.0, std=1.0) -> InitialLaw:
 
     def sampler(seed, n, grid, d):
         z = np.empty((n, d))
-        for i in range(n):
-            z[i] = rng.particle_generator(seed, rng.STREAM_INITIAL, i).standard_normal(d)
+        for i, g in enumerate(rng.particle_generators(seed, rng.STREAM_INITIAL, n)):
+            z[i] = g.standard_normal(d)
         times = grid.times[None, :, None]
         return scale * times * (std * z)[:, None, :]
 

@@ -50,6 +50,15 @@ def test_missing_required_subkey(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("key, value", [("projections", 0), ("projections", -3), ("n_seeds", 0)])
+def test_particles_converge_rejects_counts_below_one(tmp_path, key, value):
+    path = write_cfg(tmp_path, {"particles_converge": {key: value}})
+    with pytest.raises(ConfigurationError, match=f"particles_converge.{key}"):
+        load_config(path)
+    assert run("particles-converge", path, str(tmp_path / "out")) == 2
+    assert not os.path.exists(tmp_path / "out" / "report.json")
+
+
 def test_bad_json_exits_2(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

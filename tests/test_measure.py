@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from pathmkv.errors import CapacityError, ConfigurationError
+from pathmkv.errors import CapacityError, ConfigurationError, DomainError
 from pathmkv.measure import (
     EmpiricalControlMeasure,
+    _quantile_ot_sq,
     EmpiricalPathMeasure,
     dirac,
     exact_ot_cost,
@@ -260,3 +261,83 @@ def test_weighted_exact_w2_runs_in_bounded_memory():
         tracemalloc.stop()
     assert np.isfinite(value) and value > 0.0
     assert peak < 64 * 2**20
+
+
+def loop_quantile_ot_sq(z1, w1, z2, w2):
+    """Reference: the walk over both sorted sides, moving min(r1, r2) at a time."""
+    o1, o2 = np.argsort(z1, kind="stable"), np.argsort(z2, kind="stable")
+    z1, w1 = z1[o1], w1[o1]
+    z2, w2 = z2[o2], w2[o2]
+    i = j = 0
+    r1, r2 = w1[0], w2[0]
+    cost = 0.0
+    while True:
+        m = min(r1, r2)
+        cost += m * (z1[i] - z2[j]) ** 2
+        r1 -= m
+        r2 -= m
+        if r1 <= 1e-15:
+            i += 1
+            if i == len(z1):
+                break
+            r1 = w1[i]
+        if r2 <= 1e-15:
+            j += 1
+            if j == len(z2):
+                break
+            r2 = w2[j]
+    return cost
+
+
+def test_quantile_coupling_uniform_n_vs_4n_matches_closed_form():
+    # Equal weights 1/n against 1/(4n): sorted atom k // 4 carries sorted atom
+    # k, mass 1/(4n) each.  A running sum of the weights drifts enough at
+    # n = 1000 to pair wrong tail atoms (~3e-12 relative here).
+    rng = np.random.default_rng(0)
+    n = 1000
+    z1, z2 = rng.random(n), rng.random(4 * n)
+    s1, s2 = np.sort(z1), np.sort(z2)
+    k = np.arange(4 * n)
+    closed = np.sum((s1[k // 4] - s2) ** 2) / (4 * n)
+    got = _quantile_ot_sq(z1, np.full(n, 1.0 / n), z2, np.full(4 * n, 1.0 / (4 * n)))
+    assert got == pytest.approx(closed, rel=1e-13, abs=0.0)
+
+
+def test_quantile_coupling_weighted_unequal_sizes_matches_loop():
+    rng = np.random.default_rng(1)
+    for n, m in [(1, 5), (7, 11), (160, 184), (3000, 4000)]:
+        z1, z2 = rng.normal(size=n), rng.normal(size=m) + 0.5
+        w1, w2 = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, m)
+        w1 /= w1.sum()
+        w2 /= w2.sum()
+        ref = loop_quantile_ot_sq(z1, w1, z2, w2)
+        assert _quantile_ot_sq(z1, w1, z2, w2) == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
+def test_quantile_coupling_is_symmetric_bit_for_bit():
+    rng = np.random.default_rng(2)
+    z1, z2 = rng.normal(size=300), rng.normal(size=450)
+    w1 = rng.uniform(0.5, 1.5, 300)
+    w1 /= w1.sum()
+    w2 = np.full(450, 1.0 / 450)
+    assert _quantile_ot_sq(z1, w1, z2, w2) == _quantile_ot_sq(z2, w2, z1, w1)
+
+
+def test_quantile_coupling_of_a_shift_is_the_shift_squared():
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=2000)
+    w = rng.uniform(0.5, 1.5, 2000)
+    w /= w.sum()
+    c = 0.7
+    assert _quantile_ot_sq(z, w, z + c, w) == pytest.approx(c * c, rel=1e-12)
+    u = np.full(2000, 1.0 / 2000)
+    assert _quantile_ot_sq(z, u, z - c, u) == pytest.approx(c * c, rel=1e-12)
+
+
+@pytest.mark.parametrize("projections", [0, -3])
+def test_sliced_w2_rejects_fewer_than_one_projection(projections):
+    g = TimeGrid(1.0, 4)
+    rng = np.random.default_rng(4)
+    mu, nu = random_measure(g, 1, 5, rng), random_measure(g, 1, 6, rng)
+    with pytest.raises(DomainError, match="projection"):
+        wasserstein2(mu, nu, mode="sliced", projections=projections)
