@@ -499,37 +499,40 @@ def _precompute_coefficients(model, values, j0, j1, controls=None):
     return f_arr, g_arr
 
 
-def _rhs_quadrature(phi, grid, values, j0, j1, idx, f_arr, g_arr, a_eigs=None):
-    """Left-endpoint quadrature of the integral terms over the particles idx."""
-    total = 0.0
-    sub = values[idx]
+def _rhs_quadrature(phi, grid, values, j0, j1, rows, f_arr, g_arr, a_eigs=None):
+    """Left-endpoint quadrature of the integral terms, one total per particle
+    set values[r] for r in rows.  One pass over the nodes serves every set;
+    each set's derivative fields read that set's own law."""
+    subs = [values[r] for r in rows]
+    totals = [0.0] * len(rows)
     for j in range(j0, j1):
         tt = grid.time_at(j)
-        law = StoppedView(grid, sub, j)
-        x = sub[:, j, :]
-        term = phi.dt(tt, law)
-        dmu = None
-        if a_eigs is not None:
-            dmu = np.asarray(phi.dmu_fn(tt, law, x), dtype=float)
-            term += float(((x * a_eigs) * dmu).sum(axis=1).mean())
-        if f_arr[j] is not None:
-            if dmu is None:
+        for k, (r, sub) in enumerate(zip(rows, subs)):
+            law = StoppedView(grid, sub, j)
+            x = sub[:, j, :]
+            term = phi.dt(tt, law)
+            dmu = None
+            if a_eigs is not None:
                 dmu = np.asarray(phi.dmu_fn(tt, law, x), dtype=float)
-            term += float((f_arr[j][idx] * dmu).sum(axis=1).mean())
-        if g_arr[j] is not None:
-            g_now = g_arr[j][idx]
-            dxdmu = np.asarray(phi.dxdmu_fn(tt, law, x), dtype=float)
-            if dxdmu.ndim == 2:
-                dxdmu = np.broadcast_to(dxdmu, (x.shape[0],) + dxdmu.shape)
-            ns = g_now.shape[1]
-            diag = np.einsum("nkk->nk", dxdmu[:, :ns, :ns])
-            term += 0.5 * float((g_now**2 * diag).sum(axis=1).mean())
-        total += term * grid.dt
-    return total
+                term += float(((x * a_eigs) * dmu).sum(axis=1).mean())
+            if f_arr[j] is not None:
+                if dmu is None:
+                    dmu = np.asarray(phi.dmu_fn(tt, law, x), dtype=float)
+                term += float((f_arr[j][r] * dmu).sum(axis=1).mean())
+            if g_arr[j] is not None:
+                g_now = g_arr[j][r]
+                dxdmu = np.asarray(phi.dxdmu_fn(tt, law, x), dtype=float)
+                if dxdmu.ndim == 2:
+                    dxdmu = np.broadcast_to(dxdmu, (x.shape[0],) + dxdmu.shape)
+                ns = g_now.shape[1]
+                diag = np.einsum("nkk->nk", dxdmu[:, :ns, :ns])
+                term += 0.5 * float((g_now**2 * diag).sum(axis=1).mean())
+            totals[k] += term * grid.dt
+    return totals
 
 
 def ito_verify(
-    phi: CylindricalFunctional,
+    phi,
     grid,
     init: InitialLaw,
     t: float,
@@ -542,7 +545,7 @@ def ito_verify(
     d: int = 1,
     n_batches: int = 8,
     dt_coeff: float = 10.0,
-) -> ItoReport:
+):
     """Check the functional Ito formula on a particle ensemble.
 
     With `process` given, X is the plain Ito process xi + int F dr + int G dB
@@ -550,16 +553,30 @@ def ito_verify(
     terms.  With `model` given, X is the mild solution of the state equation
     and the right-hand side additionally carries the <X_r, A* d_mu phi> term.
     LHS and RHS are computed on the full ensemble; the Monte Carlo standard
-    error comes from disjoint particle batches, and the pass gate is
-    |residual| <= 3 * stderr + dt_coeff * dt.
+    error comes from the n_batches disjoint particle batches b::n_batches, and
+    the pass gate is |residual| <= 3 * stderr + dt_coeff * dt.
+
+    `phi` is one functional, which gives one ItoReport, or a sequence of
+    functionals, all checked on one simulated ensemble, which gives their
+    reports in order.
     """
-    if not phi.has_analytic:
-        raise UnsupportedFunctionalError(
-            f"ito_verify needs analytic derivatives; functional {phi.tag!r} has none"
-        )
-    _require_differentiable(phi)
+    single = isinstance(phi, CylindricalFunctional)
+    phis = [phi] if single else list(phi)
+    for p in phis:
+        if not p.has_analytic:
+            raise UnsupportedFunctionalError(
+                f"ito_verify needs analytic derivatives; functional {p.tag!r} has none"
+            )
+        _require_differentiable(p)
     if (process is None) == (model is None):
         raise ConfigurationError("pass exactly one of process= or model=")
+    if n_batches < 2:
+        raise DomainError(f"n_batches must be at least 2 for a standard error, got {n_batches}")
+    if n_particles < n_batches:
+        raise DomainError(
+            f"n_particles ({n_particles}) must be at least n_batches ({n_batches}); "
+            "every batch needs a particle"
+        )
 
     if model is not None:
         grid = model.grid
@@ -583,26 +600,23 @@ def ito_verify(
         tag = process.tag
 
     f_arr, g_arr = _precompute_coefficients(model, values, j0, j1, controls)
-    all_idx = np.arange(n_particles)
-
-    def lhs_rhs(idx):
-        sub = values[idx]
-        lhs = phi.eval(grid.time_at(j1), StoppedView(grid, sub, j1)) - phi.eval(
-            grid.time_at(j0), StoppedView(grid, sub, j0)
-        )
-        rhs = _rhs_quadrature(phi, grid, values, j0, j1, idx, f_arr, g_arr, a_eigs)
-        return lhs, rhs
-
-    lhs, rhs = lhs_rhs(all_idx)
-    residual = lhs - rhs
-    batch_res = []
-    for b in range(n_batches):
-        idx = all_idx[b::n_batches]
-        bl, br = lhs_rhs(idx)
-        batch_res.append(bl - br)
-    stderr = float(np.std(batch_res, ddof=1) / np.sqrt(n_batches))
-    passed = abs(residual) <= 3.0 * stderr + dt_coeff * grid.dt
-    return ItoReport(phi.tag, tag, lhs, rhs, residual, stderr, passed, grid.dt)
+    # the full ensemble, then batch b = particles b, b + n_batches, ...;
+    # basic slices, so every set is a view in particle order
+    rows = [slice(None)] + [slice(b, None, n_batches) for b in range(n_batches)]
+    t_lo, t_hi = grid.time_at(j0), grid.time_at(j1)
+    reports = []
+    for p in phis:
+        rhs = _rhs_quadrature(p, grid, values, j0, j1, rows, f_arr, g_arr, a_eigs)
+        lhs = [
+            p.eval(t_hi, StoppedView(grid, values[r], j1))
+            - p.eval(t_lo, StoppedView(grid, values[r], j0))
+            for r in rows
+        ]
+        residual = [a - b for a, b in zip(lhs, rhs)]
+        stderr = float(np.std(residual[1:], ddof=1) / np.sqrt(n_batches))
+        passed = abs(residual[0]) <= 3.0 * stderr + dt_coeff * grid.dt
+        reports.append(ItoReport(p.tag, tag, lhs[0], rhs[0], residual[0], stderr, passed, grid.dt))
+    return reports[0] if single else reports
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,12 @@ CONFIG_SCHEMA = {
 }
 
 # Lower bounds on numeric keys, by dotted path.
-CONFIG_MINIMA = {"particles_converge.projections": 1, "particles_converge.n_seeds": 1}
+CONFIG_MINIMA = {
+    "particles": 1,
+    "grid.steps": 1,
+    "particles_converge.projections": 1,
+    "particles_converge.n_seeds": 1,
+}
 
 
 def validate_config(cfg, schema=None, path="") -> None:
@@ -159,7 +164,10 @@ def validate_config(cfg, schema=None, path="") -> None:
         spec, _required = schema[key]
         if isinstance(spec, dict):
             validate_config(value, spec, here)
-        elif not isinstance(value, spec):
+        elif not isinstance(value, spec) or (
+            # bool is an int subclass; it passes only where the schema names it
+            isinstance(value, bool) and bool not in (spec if isinstance(spec, tuple) else (spec,))
+        ):
             raise ConfigurationError(
                 f"config key {here!r} has type {type(value).__name__}, expected {spec}"
             )
@@ -416,6 +424,17 @@ def _ito_battery(cfg, threads):
     n = cfg["particles"]
     zoo = calculus.standard_zoo(1)
     tags = icfg.get("functionals", ["linear_mean", "mean_squared", "quadratic_form"])
+    unknown = [tag for tag in tags if not isinstance(tag, str) or tag not in zoo]
+    if unknown:
+        raise ConfigurationError(
+            f"config key 'ito.functionals' has unknown entries {unknown}; known: {sorted(zoo)}"
+        )
+    unfit = [tag for tag in tags if not (zoo[tag].has_analytic and zoo[tag].differentiable)]
+    if unfit:
+        raise ConfigurationError(
+            f"config key 'ito.functionals' lists {unfit}, which have no analytic derivatives "
+            "for the Ito check"
+        )
     drives = [
         calculus.const_drift_spec([0.7]),
         calculus.const_diffusion_spec(0.5),
@@ -423,18 +442,20 @@ def _ito_battery(cfg, threads):
         calculus.linear_drift_diffusion_spec(1.0, 0.3),
     ]
     init = gaussian_initial(0.0, 0.5)
+    phis = [zoo[tag] for tag in tags]
 
-    def one_combo(pair):
-        tag, drive = pair
-        return calculus.ito_verify(
-            zoo[tag], grid, init, t=t, s=s, n_particles=n, seed=cfg["seed"],
+    # one simulated ensemble per drive checks every functional; the per-node
+    # quadrature is a Python loop over small arrays, so the drives run
+    # serially regardless of --threads
+    per_drive = [
+        calculus.ito_verify(
+            phis, grid, init, t=t, s=s, n_particles=n, seed=cfg["seed"],
             process=drive, d=1, dt_coeff=dt_coeff,
         )
-
-    # the verifier is GIL-bound in its per-node loops, so threading the
-    # combos only adds contention; run them serially regardless of --threads
-    combos = [(tag, drive) for tag in tags for drive in drives]
-    reports = [one_combo(c) for c in combos]
+        for drive in drives
+    ]
+    # reports in tag-major order: every drive for the first functional, then the next
+    reports = [per_drive[i][k] for k in range(len(phis)) for i in range(len(drives))]
     # A*-variant on the OU model with the linear functional
     model = models.make_ou(grid, a=-1.0, s0=0.5)
     rep = calculus.ito_verify(
@@ -846,7 +867,8 @@ def _run_investment(cfg):
 
     n_grid = 2001
     worst_grid_excess = 0.0
-    worst_pg = 0.0
+    # per-coordinate data of every instance, for one projected-gradient run
+    parts = []
     for k_inst in range(100):
         r = np.random.default_rng(cfg["seed"] + 31 * k_inst)
         m = int(r.integers(1, 4))
@@ -879,12 +901,16 @@ def _run_investment(cfg):
         du = (hi[0] - lo[0]) / (n_grid - 1)
         bound = float((disc * m_diag).sum()) * (du / 2) ** 2
         worst_grid_excess = max(worst_grid_excess, abs(res.value - v_grid) - bound)
-        u = np.zeros(m)
         step = 1.0 / (4.0 * disc * m_diag.max())
-        for _ in range(4000):
-            grad = c_diag * p - disc * (a2 + 2.0 * m_diag * u)
-            u = np.clip(u + step * grad, lo, hi)
-        worst_pg = max(worst_pg, float(np.abs(u - res.u_star.coords).max()))
+        parts.append((p, a2, c_diag, m_diag, np.full(m, disc), np.full(m, step), res.u_star.coords))
+    p, a2, c_diag, m_diag, disc, step, u_star = (np.concatenate(col) for col in zip(*parts))
+    # projected gradient on the box [-2, 2]^m of every instance at once; each
+    # update is elementwise, so every coordinate follows its own instance's run
+    u = np.zeros_like(p)
+    for _ in range(4000):
+        grad = c_diag * p - disc * (a2 + 2.0 * m_diag * u)
+        u = np.clip(u + step * grad, -2.0, 2.0)
+    worst_pg = float(np.abs(u - u_star).max())
     ok = worst_grid_excess <= 0.0 and worst_pg <= 1e-8
     return {
         "pass": bool(ok),

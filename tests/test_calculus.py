@@ -368,3 +368,142 @@ def test_lifted_sample_bump_machinery():
     gap = bumped.measure.atoms[1] - mu.atoms[1]
     assert np.all(gap[:j] == 0.0)
     assert np.allclose(gap[j:], 0.1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [({"n_batches": 1}, "n_batches"), ({"n_batches": 0}, "n_batches"),
+     ({"n_particles": 5, "n_batches": 8}, "n_particles")],
+)
+def test_ito_rejects_too_few_batches_or_particles(kwargs, match):
+    args = {"n_particles": 16, "seed": 0, **kwargs}
+    with pytest.raises(DomainError, match=match):
+        ito_verify(
+            linear_mean([1.0]), GRID, constant_initial([0.0]), t=0.0, s=1.0,
+            process=const_drift_spec([1.0]), **args,
+        )
+
+
+def test_ito_sequence_checks_every_functional_before_simulating():
+    phis = [linear_mean([1.0]), running_sup_sq()]
+    with pytest.raises(UnsupportedFunctionalError, match="running_sup_sq"):
+        ito_verify(
+            phis, GRID, constant_initial([0.0]), t=0.0, s=1.0, n_particles=16, seed=0,
+            process=const_drift_spec([1.0]),
+        )
+
+
+# ---------------------------------------------------------------------------
+# Pinned reference: the per-batch Ito quadrature as it was before the single
+# node pass, one fancy-indexed particle set at a time.  Every report of the
+# library must match it byte for byte.
+
+
+def _reference_rhs_quadrature(phi, grid, values, j0, j1, idx, f_arr, g_arr, a_eigs=None):
+    from pathmkv.sde import StoppedView
+
+    total = 0.0
+    sub = values[idx]
+    for j in range(j0, j1):
+        tt = grid.time_at(j)
+        law = StoppedView(grid, sub, j)
+        x = sub[:, j, :]
+        term = phi.dt(tt, law)
+        dmu = None
+        if a_eigs is not None:
+            dmu = np.asarray(phi.dmu_fn(tt, law, x), dtype=float)
+            term += float(((x * a_eigs) * dmu).sum(axis=1).mean())
+        if f_arr[j] is not None:
+            if dmu is None:
+                dmu = np.asarray(phi.dmu_fn(tt, law, x), dtype=float)
+            term += float((f_arr[j][idx] * dmu).sum(axis=1).mean())
+        if g_arr[j] is not None:
+            g_now = g_arr[j][idx]
+            dxdmu = np.asarray(phi.dxdmu_fn(tt, law, x), dtype=float)
+            if dxdmu.ndim == 2:
+                dxdmu = np.broadcast_to(dxdmu, (x.shape[0],) + dxdmu.shape)
+            ns = g_now.shape[1]
+            diag = np.einsum("nkk->nk", dxdmu[:, :ns, :ns])
+            term += 0.5 * float((g_now**2 * diag).sum(axis=1).mean())
+        total += term * grid.dt
+    return total
+
+
+def _reference_ito_verify(phi, grid, init, t, s, n_particles, seed, process=None, model=None,
+                          d=1, n_batches=8, dt_coeff=10.0):
+    from pathmkv import rng
+    from pathmkv.calculus import ItoReport, _precompute_coefficients, _process_model
+    from pathmkv.sde import StoppedView, _exp_euler_steps, integrate
+
+    if model is not None:
+        grid = model.grid
+    j0, j1 = grid.node(t), grid.node(s)
+    if model is not None:
+        ens = integrate(model, init, None, t0=t, n_particles=n_particles, seed=seed)
+        values, controls, a_eigs, tag = ens.values, ens.controls, model.A.eigenvalues, f"mild:{model.tag}"
+    else:
+        model = _process_model(process, grid, d)
+        values = np.empty((n_particles, grid.steps + 1, d))
+        values[:, : j0 + 1] = init.sample(seed, n_particles, grid, d)[:, : j0 + 1]
+        noise = rng.brownian_increments(seed, n_particles, grid.steps, d, grid.dt)
+        _exp_euler_steps(model, values, values, noise, j0, j1, 1.0)
+        values[:, j1 + 1 :, :] = values[:, j1 : j1 + 1, :]
+        controls, a_eigs, tag = None, None, process.tag
+    f_arr, g_arr = _precompute_coefficients(model, values, j0, j1, controls)
+    all_idx = np.arange(n_particles)
+
+    def lhs_rhs(idx):
+        sub = values[idx]
+        lhs = phi.eval(grid.time_at(j1), StoppedView(grid, sub, j1)) - phi.eval(
+            grid.time_at(j0), StoppedView(grid, sub, j0)
+        )
+        rhs = _reference_rhs_quadrature(phi, grid, values, j0, j1, idx, f_arr, g_arr, a_eigs)
+        return lhs, rhs
+
+    lhs, rhs = lhs_rhs(all_idx)
+    residual = lhs - rhs
+    batch_res = []
+    for b in range(n_batches):
+        bl, br = lhs_rhs(all_idx[b::n_batches])
+        batch_res.append(bl - br)
+    stderr = float(np.std(batch_res, ddof=1) / np.sqrt(n_batches))
+    passed = abs(residual) <= 3.0 * stderr + dt_coeff * grid.dt
+    return ItoReport(phi.tag, tag, lhs, rhs, residual, stderr, passed, grid.dt)
+
+
+ITO_DRIVES = [
+    const_drift_spec([0.7]),
+    const_diffusion_spec(0.5),
+    drift_diffusion_spec([0.4], 0.3),
+    linear_drift_diffusion_spec(1.0, 0.3),
+]
+ANALYTIC_ZOO = [phi for phi in standard_zoo(1).values() if phi.has_analytic and phi.differentiable]
+
+
+@pytest.mark.parametrize("n_particles", [200, 1003])
+@pytest.mark.parametrize("drive", ITO_DRIVES, ids=lambda drive: drive.tag)
+def test_ito_single_pass_matches_pinned_per_batch_loop(drive, n_particles):
+    grid = TimeGrid(1.0, 40)
+    init = gaussian_initial(0.0, 0.5)
+    common = dict(t=0.0, s=1.0, n_particles=n_particles, seed=31, process=drive, d=1)
+    reports = ito_verify(ANALYTIC_ZOO, grid, init, **common)
+    assert [rep.functional for rep in reports] == [phi.tag for phi in ANALYTIC_ZOO]
+    for phi, rep in zip(ANALYTIC_ZOO, reports):
+        ref = _reference_ito_verify(phi, grid, init, **common)
+        assert rep.to_json() == ref.to_json()
+        assert ito_verify(phi, grid, init, **common).to_json() == rep.to_json()
+
+
+def test_ito_single_pass_matches_pinned_loop_on_the_mild_variant():
+    model = make_ou(TimeGrid(1.0, 40), a=-1.0, s0=0.5)
+    common = dict(t=0.0, s=1.0, n_particles=1003, seed=32, model=model)
+    for phi in (linear_mean([1.0]), quadratic_form([0.5])):
+        rep = ito_verify(phi, model.grid, constant_initial([2.0]), **common)
+        ref = _reference_ito_verify(phi, model.grid, constant_initial([2.0]), **common)
+        assert rep.to_json() == ref.to_json()
+    # from an interior start, with a batch count that does not divide N
+    common.update(t=0.25, s=0.75, n_batches=7)
+    reports = ito_verify(ANALYTIC_ZOO, model.grid, constant_initial([2.0]), **common)
+    for phi, rep in zip(ANALYTIC_ZOO, reports):
+        ref = _reference_ito_verify(phi, model.grid, constant_initial([2.0]), **common)
+        assert rep.to_json() == ref.to_json()

@@ -59,6 +59,129 @@ def test_particles_converge_rejects_counts_below_one(tmp_path, key, value):
     assert not os.path.exists(tmp_path / "out" / "report.json")
 
 
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"particles": -5}, "particles"),
+        ({"particles": 0}, "particles"),
+        ({"grid": {"T": 1.0, "steps": 0}}, "grid.steps"),
+        ({"particles": True}, "particles"),
+        ({"seed": False}, "seed"),
+        ({"grid": {"T": True, "steps": 10}}, "grid.T"),
+        ({"particles_converge": {"projections": True}}, "particles_converge.projections"),
+        ({"particles_converge": {"n_seeds": False}}, "particles_converge.n_seeds"),
+    ],
+)
+def test_counts_below_one_and_booleans_for_numbers_exit_2(tmp_path, payload, key):
+    path = write_cfg(tmp_path, payload)
+    with pytest.raises(ConfigurationError, match=key):
+        load_config(path)
+    assert run("simulate", path, str(tmp_path / "out")) == 2
+    assert not os.path.exists(tmp_path / "out" / "report.json")
+
+
+def test_booleans_pass_where_the_schema_names_them():
+    validate_config({"simulate": {"export_paths": True}})
+
+
+@pytest.mark.parametrize(
+    "functionals, match",
+    [
+        (["nope"], "unknown"),
+        (["linear_mean", 3], "unknown"),
+        (["running_sup_sq"], "analytic"),
+        (["mean_squared_double"], "analytic"),
+    ],
+)
+def test_ito_functionals_outside_the_zoo_or_without_derivatives_exit_2(
+    tmp_path, capsys, functionals, match
+):
+    path = write_cfg(tmp_path, {**small_cfg(), "ito": {"functionals": functionals}})
+    assert run("ito-check", path, str(tmp_path / "out")) == 2
+    assert match in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "report.json")
+
+
+def test_ito_battery_reports_are_tag_major(tmp_path):
+    tags = ["quadratic_form", "linear_mean"]
+    path = write_cfg(tmp_path, {**small_cfg(), "ito": {"functionals": tags}})
+    out = str(tmp_path / "out")
+    assert run("ito-check", path, out) == 0
+    checks = read_report(out)["results"]["checks"]
+    drives = [c["model"] for c in checks[:4]]
+    assert len(set(drives)) == 4
+    assert [(c["functional"], c["model"]) for c in checks] == (
+        [(tag, drive) for tag in tags for drive in drives] + [("linear_mean", "mild:ou")]
+    )
+
+
+def _reference_run_investment(cfg):
+    """The investment oracle as it was before the all-instance projected
+    gradient: one 4000-iteration loop per instance."""
+    import math
+
+    import numpy as np
+
+    from pathmkv.control import BoxActionSet
+    from pathmkv.hilbert import HilbertVec, SpectralOperator
+    from pathmkv.hjb import investment_hamiltonian_closed_form
+
+    n_grid = 2001
+    worst_grid_excess = 0.0
+    worst_pg = 0.0
+    for k_inst in range(100):
+        r = np.random.default_rng(cfg["seed"] + 31 * k_inst)
+        m = int(r.integers(1, 4))
+        p = r.normal(size=m)
+        a2 = r.normal(size=m)
+        c_diag = r.uniform(0.5, 2.0, m)
+        m_diag = r.uniform(0.5, 2.0, m)
+        t = float(r.uniform(0.0, 1.0))
+        rr = float(r.uniform(0.0, 0.2))
+        lo, hi = -2.0 * np.ones(m), 2.0 * np.ones(m)
+        res = investment_hamiltonian_closed_form(
+            HilbertVec(p),
+            t,
+            rr,
+            HilbertVec(np.zeros(m)),
+            HilbertVec(a2),
+            SpectralOperator(c_diag),
+            SpectralOperator(m_diag),
+            BoxActionSet(lo, hi),
+        )
+        disc = math.exp(-rr * t)
+        u_grid = np.empty(m)
+        for k in range(m):
+            g = np.linspace(lo[k], hi[k], n_grid)
+            vals = c_diag[k] * g * p[k] - disc * (a2[k] * g + m_diag[k] * g**2)
+            u_grid[k] = g[np.argmax(vals)]
+        v_grid = float(
+            np.dot(c_diag * u_grid, p) - disc * (np.dot(a2, u_grid) + np.dot(m_diag * u_grid, u_grid))
+        )
+        du = (hi[0] - lo[0]) / (n_grid - 1)
+        bound = float((disc * m_diag).sum()) * (du / 2) ** 2
+        worst_grid_excess = max(worst_grid_excess, abs(res.value - v_grid) - bound)
+        u = np.zeros(m)
+        step = 1.0 / (4.0 * disc * m_diag.max())
+        for _ in range(4000):
+            grad = c_diag * p - disc * (a2 + 2.0 * m_diag * u)
+            u = np.clip(u + step * grad, lo, hi)
+        worst_pg = max(worst_pg, float(np.abs(u - res.u_star.coords).max()))
+    ok = worst_grid_excess <= 0.0 and worst_pg <= 1e-8
+    return {
+        "pass": bool(ok),
+        "worst_grid_excess": worst_grid_excess,
+        "worst_projected_gradient_gap": worst_pg,
+    }
+
+
+@pytest.mark.parametrize("seed", [20240915, 102, 132])
+def test_investment_oracle_matches_pinned_per_instance_loop(seed):
+    from pathmkv.cli import _run_investment
+
+    assert _run_investment({"seed": seed}) == _reference_run_investment({"seed": seed})
+
+
 def test_bad_json_exits_2(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
