@@ -65,10 +65,6 @@ class CylindricalFunctional:
     def dmu_field(self, t: float, mu) -> np.ndarray:
         return np.asarray(self.dmu_fn(t, mu, mu.values_at(t)), dtype=float)
 
-    def dmu_at(self, t: float, mu, x: PathGrid) -> HilbertVec:
-        xs = x.values[mu.grid.node(t)][None, :]
-        return HilbertVec(np.asarray(self.dmu_fn(t, mu, xs), dtype=float)[0])
-
     def dxdmu_field(self, t: float, mu) -> np.ndarray:
         out = np.asarray(self.dxdmu_fn(t, mu, mu.values_at(t)), dtype=float)
         if out.ndim == 2:

@@ -174,15 +174,6 @@ class ValueEstimate:
     n_steps: int
     seed: int
 
-    def to_dict(self):
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "n_particles": self.n_particles,
-            "n_steps": self.n_steps,
-            "seed": self.seed,
-        }
-
 
 def _per_particle_reward(model: ModelSpec, ensemble: ParticleEnsemble, t0, t_end=None):
     """Running cost (left endpoint) plus terminal cost per particle.

@@ -699,10 +699,6 @@ def integrate_picard(
     return PicardResult(ens, total_iters, all_gaps, windows=len(boundaries) - 1)
 
 
-def s2_norm(ensemble: ParticleEnsemble) -> float:
-    return ensemble.s2_norm()
-
-
 def s2_distance(e1: ParticleEnsemble, e2: ParticleEnsemble) -> float:
     """Empirical S2 distance under common-seed pairing: sqrt(mean_i ||X1_i - X2_i||_T^2)."""
     if e1.values.shape != e2.values.shape:

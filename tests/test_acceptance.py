@@ -145,7 +145,7 @@ def test_criterion_04_yosida_convergence():
         s2_distance(integrate_yosida(model, nn, init, None, 0.0, 2000, SEED), base)
         for nn in (2, 8, 32)
     ]
-    from pathmkv.cli import yosida_oracle_gap
+    from pathmkv.acceptance import yosida_oracle_gap
 
     oracle = yosida_oracle_gap(-1.0, 32, grid, 0.5, 1.0)
     ok = dists[0] > dists[1] > dists[2] and dists[-1] <= 10.0 * oracle

@@ -70,6 +70,12 @@ def test_particles_converge_rejects_counts_below_one(tmp_path, key, value):
         ({"grid": {"T": True, "steps": 10}}, "grid.T"),
         ({"particles_converge": {"projections": True}}, "particles_converge.projections"),
         ({"particles_converge": {"n_seeds": False}}, "particles_converge.n_seeds"),
+        ({"wasserstein": {"n_instances": 0}}, "wasserstein.n_instances"),
+        ({"wasserstein": {"max_atoms": 1}}, "wasserstein.max_atoms"),
+        ({"hamiltonian": {"max_atoms": 0}}, "hamiltonian.max_atoms"),
+        ({"hamiltonian": {"max_actions": 0}}, "hamiltonian.max_actions"),
+        ({"deriv": {"n_atoms": 0}}, "deriv.n_atoms"),
+        ({"picard": {"max_iter": 0}}, "picard.max_iter"),
     ],
 )
 def test_counts_below_one_and_booleans_for_numbers_exit_2(tmp_path, payload, key):
@@ -91,12 +97,16 @@ def test_booleans_pass_where_the_schema_names_them():
         (["linear_mean", 3], "unknown"),
         (["running_sup_sq"], "analytic"),
         (["mean_squared_double"], "analytic"),
+        (["linear_mean"], "particles"),
     ],
 )
 def test_ito_functionals_outside_the_zoo_or_without_derivatives_exit_2(
     tmp_path, capsys, functionals, match
 ):
-    path = write_cfg(tmp_path, {**small_cfg(), "ito": {"functionals": functionals}})
+    cfg = {**small_cfg(), "ito": {"functionals": functionals}}
+    if match == "particles":
+        cfg["particles"] = 5  # fewer particles than the 8 standard-error batches
+    path = write_cfg(tmp_path, cfg)
     assert run("ito-check", path, str(tmp_path / "out")) == 2
     assert match in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out" / "report.json")
@@ -177,9 +187,21 @@ def _reference_run_investment(cfg):
 
 @pytest.mark.parametrize("seed", [20240915, 102, 132])
 def test_investment_oracle_matches_pinned_per_instance_loop(seed):
-    from pathmkv.cli import _run_investment
+    from pathmkv.acceptance import _run_investment
 
     assert _run_investment({"seed": seed}) == _reference_run_investment({"seed": seed})
+
+
+def test_small_suite_report_matches_the_golden_file(tmp_path):
+    path = write_cfg(tmp_path, {"grid": {"T": 1.0, "steps": 96}, "particles": 256, "seed": 7})
+    out = str(tmp_path / "out")
+    assert run("suite", path, out) == 0
+    report = read_report(out)
+    del report["wall_time_s"]
+    golden = os.path.join(os.path.dirname(__file__), "data", "suite_small.json")
+    with open(golden) as fh:
+        expected = json.load(fh)
+    assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_bad_json_exits_2(tmp_path):
