@@ -31,7 +31,6 @@ from .sde import (
 )
 from .control import (
     BoxActionSet,
-    ControlAction,
     FeedbackPolicy,
     FiniteActionSet,
     OpenLoopPolicy,

@@ -28,9 +28,9 @@ from .errors import (
     UnsupportedFunctionalError,
 )
 from .hilbert import GENERATOR, HilbertVec, SpaceSpec, SpectralOperator
-from .measure import EmpiricalPathMeasure, stopped_measure
+from .measure import EmpiricalPathMeasure, StoppedView, stopped_measure
 from .paths import PathGrid, bump
-from .sde import InitialLaw, ModelSpec, StoppedView, _exp_euler_steps, _recorded_args, integrate
+from .sde import InitialLaw, ModelSpec, _exp_euler_steps, _recorded_args, integrate
 
 
 @dataclass
@@ -39,7 +39,8 @@ class CylindricalFunctional:
 
     The derivative callables are vectorized over query points: dmu_fn and
     dxdmu_fn receive the (K, d) matrix of path values at the node of t and
-    return (K, d) resp. (K, d, d).  differentiable=False marks members (the
+    return (K, d) resp. (K, d, d).  Callers read them only through dmu_field
+    and dxdmu_field.  differentiable=False marks members (the
     running sup-norm square) whose eval is fine but whose vertical derivative
     falls outside the admissible class; derivative operations on them raise
     UnsupportedFunctionalError.
@@ -62,13 +63,18 @@ class CylindricalFunctional:
     def dt(self, t: float, mu) -> float:
         return float(self.dt_fn(t, mu))
 
-    def dmu_field(self, t: float, mu) -> np.ndarray:
-        return np.asarray(self.dmu_fn(t, mu, mu.values_at(t)), dtype=float)
+    def dmu_field(self, t: float, mu, at=None) -> np.ndarray:
+        """d_mu phi(t, mu) at the query paths `at` (a StoppedView, by default
+        mu's own support), shape (K, d)."""
+        xs = (mu if at is None else at).values_at(t)
+        return np.asarray(self.dmu_fn(t, mu, xs), dtype=float)
 
-    def dxdmu_field(self, t: float, mu) -> np.ndarray:
-        out = np.asarray(self.dxdmu_fn(t, mu, mu.values_at(t)), dtype=float)
+    def dxdmu_field(self, t: float, mu, at=None) -> np.ndarray:
+        """The mixed second derivative at the query paths `at`, shape (K, d, d)."""
+        xs = (mu if at is None else at).values_at(t)
+        out = np.asarray(self.dxdmu_fn(t, mu, xs), dtype=float)
         if out.ndim == 2:
-            out = np.broadcast_to(out, (mu.values_at(t).shape[0],) + out.shape)
+            out = np.broadcast_to(out, (xs.shape[0],) + out.shape)
         return out
 
 
@@ -509,17 +515,15 @@ def _rhs_quadrature(phi, grid, values, j0, j1, rows, f_arr, g_arr, a_eigs=None):
             term = phi.dt(tt, law)
             dmu = None
             if a_eigs is not None:
-                dmu = np.asarray(phi.dmu_fn(tt, law, x), dtype=float)
+                dmu = phi.dmu_field(tt, law)
                 term += float(((x * a_eigs) * dmu).sum(axis=1).mean())
             if f_arr[j] is not None:
                 if dmu is None:
-                    dmu = np.asarray(phi.dmu_fn(tt, law, x), dtype=float)
+                    dmu = phi.dmu_field(tt, law)
                 term += float((f_arr[j][r] * dmu).sum(axis=1).mean())
             if g_arr[j] is not None:
                 g_now = g_arr[j][r]
-                dxdmu = np.asarray(phi.dxdmu_fn(tt, law, x), dtype=float)
-                if dxdmu.ndim == 2:
-                    dxdmu = np.broadcast_to(dxdmu, (x.shape[0],) + dxdmu.shape)
+                dxdmu = phi.dxdmu_field(tt, law)
                 ns = g_now.shape[1]
                 diag = np.einsum("nkk->nk", dxdmu[:, :ns, :ns])
                 term += 0.5 * float((g_now**2 * diag).sum(axis=1).mean())

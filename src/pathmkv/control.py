@@ -19,14 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .sde import (
-    InitialLaw,
-    ModelSpec,
-    ParticleEnsemble,
-    StoppedView,
-    _recorded_args,
-    integrate,
-)
+from .measure import StoppedView
+from .sde import InitialLaw, ModelSpec, ParticleEnsemble, _recorded_args, integrate
 
 
 class ContractWarning(UserWarning):
@@ -97,16 +91,6 @@ class BoxActionSet:
 
     def sample(self, rand, n) -> np.ndarray:
         return rand.uniform(self.lo, self.hi, size=(n, self.m))
-
-
-@dataclass(frozen=True)
-class ControlAction:
-    """A single action u in U."""
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", np.atleast_1d(np.asarray(self.u, dtype=float)))
 
 
 class OpenLoopPolicy:
@@ -316,7 +300,7 @@ def dpp_check(
         running_head, _ = _per_particle_reward(model, ens, t0, t_end=s)
         running_full, terminal = _per_particle_reward(model, ens, t0)
         tail_orig = running_full - running_head + terminal
-        cont_init = InitialLaw.from_values(ens.law_at(s).atoms, "dpp continuation")
+        cont_init = InitialLaw.from_values(ens.values, "dpp continuation")
         tails = []
         for b in range(branching):
             cseed = seed if same_noise else _continuation_seed(seed, b)
@@ -341,7 +325,7 @@ def dpp_check(
         full = running_full + terminal
         lhs_vals.append(full.mean())
         lhs_errs.append(full.std(ddof=1) / np.sqrt(n_particles))
-        cont_init = InitialLaw.from_values(ens.law_at(s).atoms, "dpp continuation")
+        cont_init = InitialLaw.from_values(ens.values, "dpp continuation")
         best_tail, best_err = -np.inf, 0.0
         for bi, beta in enumerate(policy_family):
             cont = integrate(

@@ -134,15 +134,6 @@ def semigroup_apply(A: SpectralOperator, t: float, x: HilbertVec) -> HilbertVec:
     return HilbertVec(np.exp(A.eigenvalues * t) * x.coords)
 
 
-def semigroup_factors(A: SpectralOperator, t: float) -> np.ndarray:
-    """The diagonal of e^{tA}, for vectorized application to particle blocks."""
-    if A.kind != GENERATOR:
-        raise ConfigurationError("semigroup_factors requires a generator operator")
-    if t < 0:
-        raise DomainError(f"semigroup time must be nonnegative, got {t}")
-    return np.exp(A.eigenvalues * t)
-
-
 def yosida(A: SpectralOperator, n: float) -> SpectralOperator:
     """Yosida approximation of A: eigenvalues n*lambda/(n - lambda).
 

@@ -30,8 +30,8 @@ from .errors import (
     DomainError,
 )
 from .hilbert import HilbertVec, SpectralOperator
-from .measure import EmpiricalControlMeasure, EmpiricalPathMeasure
-from .sde import ModelSpec, StoppedView
+from .measure import EmpiricalControlMeasure, EmpiricalPathMeasure, StoppedView
+from .sde import ModelSpec
 
 ENUMERATION_CAP = 10**6
 
@@ -247,15 +247,12 @@ def investment_hamiltonian_closed_form(
 @dataclass
 class CandidateSolution:
     """A candidate w for the master equation: a cylindrical functional with
-    analytic time, measure and mixed second derivatives, plus the A*-mapped
-    measure-derivative field required by the generator term.
-
-    a_star_dmu_fn(t, mu, xs) -> (K, d); when omitted it is derived from the
-    model's diagonal generator as eigenvalue-weighting of the dmu field.
+    analytic time, measure and mixed second derivatives.  The A*-mapped
+    measure-derivative field of the generator term is the dmu field weighted
+    by the model's diagonal generator eigenvalues.
     """
 
     functional: CylindricalFunctional
-    a_star_dmu_fn: object = None
 
     def require_fields(self):
         if not self.functional.has_analytic:
@@ -264,11 +261,7 @@ class CandidateSolution:
             )
 
     def a_star_field(self, model: ModelSpec, t: float, mu) -> np.ndarray:
-        xs = mu.values_at(t)
-        if self.a_star_dmu_fn is not None:
-            return np.asarray(self.a_star_dmu_fn(t, mu, xs), dtype=float)
-        dmu = np.asarray(self.functional.dmu_fn(t, mu, xs), dtype=float)
-        return dmu * model.A.eigenvalues
+        return self.functional.dmu_field(t, mu) * model.A.eigenvalues
 
     def validate_membership(self, model: ModelSpec, instances) -> None:
         """Every derivative field present and finite on the test points."""
@@ -305,17 +298,15 @@ def hamiltonian_from_model(
     law = StoppedView.of(mu, t)
 
     def fn(path, u, nu):
-        xs_t = path.values[j][None, :]
         batch = StoppedView(grid, path.values[None, :, :], j)
         u_arr = None if u is None else np.atleast_2d(np.asarray(u, dtype=float))
         f_val = float(model.running_cost_at(t, batch, law, u_arr, nu)[0])
         b_val = model.drift_at(t, batch, law, u_arr, nu)[0]
-        dmu = np.asarray(w.functional.dmu_fn(t, law, xs_t), dtype=float)[0]
+        dmu = w.functional.dmu_field(t, law, at=batch)[0]
         total = f_val + float(np.dot(b_val, dmu))
         if model.diffusion is not None:
             s_val = model.diffusion_at(t, batch, law, u_arr, nu)[0]
-            d2 = np.asarray(w.functional.dxdmu_fn(t, law, xs_t), dtype=float)
-            d2 = d2[0] if d2.ndim == 3 else d2
+            d2 = w.functional.dxdmu_field(t, law, at=batch)[0]
             sym = 0.5 * (d2 + d2.T)
             ns = s_val.shape[0]
             total += 0.5 * float((s_val**2 * np.diag(sym)[:ns]).sum())

@@ -1,6 +1,9 @@
 """Empirical measures on path space and the 2-Wasserstein distance.
 
-A measure is a weighted cloud of path atoms on one shared grid.  The exact
+A law on path space is a StoppedView: a cloud of path atoms on one shared
+grid, uniform or weighted, read stopped at a grid node.  EmpiricalPathMeasure
+is the view at the last node with validated, read-only atoms and weights, and
+stopped_measure builds one from any view stopped at t.  The exact
 W2 uses the sup-norm ground cost ||x - y||_T: equal-weight clouds of equal
 size go through the assignment problem, general weights through the discrete
 optimal-transport LP.  Both are exact at desk scale (atom counts <= 512);
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -19,68 +23,101 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import CapacityError, ConfigurationError, DomainError
 from .hilbert import HilbertVec
-from .paths import PathGrid, TimeGrid, path_to_csv, stop_values
+from .paths import PathGrid, TimeGrid, path_to_csv, stop_values, sup_seminorm_sq_values
 
 EXACT_ATOM_CAP = 512
 
 
-@dataclass(frozen=True)
-class EmpiricalPathMeasure:
-    """Weighted atoms in C([0,T];H): atoms has shape (N, M+1, d), weights (N,)."""
+class StoppedView:
+    """Paths and their empirical law, stopped at grid node `node`: the one law
+    type on path space.
 
-    grid: TimeGrid
-    atoms: np.ndarray
-    weights: np.ndarray
+    Coefficients receive it as the path batch xs and as the law mu, and every
+    read clamps to the node.  Without weights it is the uniform law of a
+    particle ensemble, reduced by plain means in particle order; with weights
+    it reduces by `weights @`.  EmpiricalPathMeasure is the validated view at
+    the last node.
+    """
 
-    def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
-        if atoms.ndim != 3 or atoms.shape[1] != self.grid.steps + 1:
-            raise ConfigurationError("atoms must have shape (N, M+1, d) matching the grid")
-        n = atoms.shape[0]
-        if self.weights is None:
-            weights = np.full(n, 1.0 / n)
-        else:
-            weights = np.asarray(self.weights, dtype=float)
-        if weights.shape != (n,):
-            raise ConfigurationError("weights must have shape (N,)")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ConfigurationError("weights must be nonnegative and sum to 1 within 1e-12")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
-        atoms.setflags(write=False)
-        weights.setflags(write=False)
+    def __init__(self, grid: TimeGrid, values: np.ndarray, node: int, weights=None):
+        self.grid = grid
+        self._values = values
+        self.node = node
+        self._weights = weights
+
+    @staticmethod
+    def of(mu: "StoppedView", t: float) -> "StoppedView":
+        """mu stopped at the node of t, or kept at its own node if that is earlier."""
+        return StoppedView(mu.grid, mu._values, min(mu.grid.node(t), mu.node), mu._weights)
 
     @property
-    def n_atoms(self) -> int:
-        return self.atoms.shape[0]
+    def n(self) -> int:
+        return self._values.shape[0]
+
+    n_atoms = n
 
     @property
     def dim(self) -> int:
-        return self.atoms.shape[2]
+        return self._values.shape[2]
 
-    def atom_path(self, i: int) -> PathGrid:
-        return PathGrid(self.grid, self.atoms[i])
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return np.full(self.n, 1.0 / self.n) if self._weights is None else self._weights
 
     def values_at(self, t: float) -> np.ndarray:
-        """Atom values at the node of t, shape (N, d)."""
-        return self.atoms[:, self.grid.node(t), :]
+        """(N, d) values at the node of min(t, current time)."""
+        return self._values[:, min(self.grid.node(t), self.node), :]
 
-    def mean_at(self, t: float) -> HilbertVec:
-        return HilbertVec(self.weights @ self.values_at(t))
+    @property
+    def values_now(self) -> np.ndarray:
+        return self._values[:, self.node, :]
 
     def seminorm_sq_at(self, t: float) -> np.ndarray:
-        """||x||_t^2 per atom, shape (N,)."""
-        j = self.grid.node(t)
-        return (self.atoms[:, : j + 1, :] ** 2).sum(axis=2).max(axis=1)
+        """||x||_t^2 per path, shape (N,), with t clamped to the current time."""
+        return sup_seminorm_sq_values(self._values, min(self.grid.node(t), self.node))
+
+    def _average(self, a: np.ndarray):
+        return a.mean(axis=0) if self._weights is None else self._weights @ a
+
+    def mean_at(self, t: float) -> HilbertVec:
+        return HilbertVec(self._average(self.values_at(t)))
 
     def second_moment(self) -> float:
-        """Integral of ||x||_T^2, the squared S2-type size of the measure."""
-        sup_sq = (self.atoms**2).sum(axis=2).max(axis=1)
-        return float(self.weights @ sup_sq)
+        """Integral of ||x||_t^2 at the current time, the squared S2-type size of the law."""
+        return float(self._average(sup_seminorm_sq_values(self._values, self.node)))
 
     def w2_to_zero(self) -> float:
         """W2(mu, delta_0): exact, the only coupling pairs every atom with the zero path."""
         return float(np.sqrt(self.second_moment()))
+
+
+class EmpiricalPathMeasure(StoppedView):
+    """Weighted atoms in C([0,T];H): the StoppedView at the last node whose
+    atoms (N, M+1, d) and weights (N,) are validated and read-only."""
+
+    def __init__(self, grid: TimeGrid, atoms: np.ndarray, weights):
+        atoms = np.asarray(atoms, dtype=float)
+        if atoms.ndim != 3 or atoms.shape[1] != grid.steps + 1:
+            raise ConfigurationError("atoms must have shape (N, M+1, d) matching the grid")
+        n = atoms.shape[0]
+        if weights is None:
+            weights = np.full(n, 1.0 / n)
+        else:
+            weights = np.asarray(weights, dtype=float)
+        if weights.shape != (n,):
+            raise ConfigurationError("weights must have shape (N,)")
+        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+            raise ConfigurationError("weights must be nonnegative and sum to 1 within 1e-12")
+        atoms.setflags(write=False)
+        weights.setflags(write=False)
+        super().__init__(grid, atoms, grid.steps, weights)
+
+    @property
+    def atoms(self) -> np.ndarray:
+        return self._values
+
+    def atom_path(self, i: int) -> PathGrid:
+        return PathGrid(self.grid, self.atoms[i])
 
     def replace_atom(self, i: int, path: PathGrid) -> "EmpiricalPathMeasure":
         atoms = self.atoms.copy()
@@ -122,13 +159,14 @@ class EmpiricalControlMeasure:
         return self.weights @ self.atoms
 
 
-def stopped_measure(mu: EmpiricalPathMeasure, t: float) -> EmpiricalPathMeasure:
-    """Pushforward under x -> x_{. ^ t}; weights unchanged, idempotent."""
-    j = mu.grid.node(t)
-    return EmpiricalPathMeasure(mu.grid, stop_values(mu.atoms, j), mu.weights)
+def stopped_measure(mu: StoppedView, t: float) -> EmpiricalPathMeasure:
+    """Pushforward under x -> x_{. ^ t} of any StoppedView, as a measure for
+    exact Wasserstein computations; weights unchanged, idempotent."""
+    view = StoppedView.of(mu, t)
+    return EmpiricalPathMeasure(mu.grid, stop_values(view._values, view.node), view._weights)
 
 
-def mean_at(mu: EmpiricalPathMeasure, t: float) -> HilbertVec:
+def mean_at(mu: StoppedView, t: float) -> HilbertVec:
     return mu.mean_at(t)
 
 

@@ -22,8 +22,9 @@ Coefficients are batched over particles:
     running_cost(t, xs, mu, u, nu) -> (N,)
     terminal_cost(xs, mu)          -> (N,)
 
-where xs and mu are StoppedView objects: the particle paths and their
-empirical law, stopped at the current node.  Every read clamps to that node,
+where xs and mu are measure.StoppedView objects, the one law type on path
+space: the particle paths and their empirical law, stopped at the current
+node.  Every read clamps to that node,
 so coefficients built on the view's API are non-anticipative by construction;
 validation additionally spot-checks raw-array access.  The HJB residual hands
 coefficients and candidate derivative fields the same view, stopped at t.
@@ -35,7 +36,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -47,72 +47,15 @@ from .errors import (
     IntegrationBlowupError,
     NonConvergenceError,
 )
-from .hilbert import GENERATOR, HilbertVec, SpaceSpec, SpectralOperator
-from .measure import EmpiricalControlMeasure, EmpiricalPathMeasure, wasserstein2
+from .hilbert import GENERATOR, SpaceSpec, SpectralOperator
+from .measure import (
+    EmpiricalControlMeasure,
+    EmpiricalPathMeasure,
+    StoppedView,
+    stopped_measure,
+    wasserstein2,
+)
 from .paths import PathGrid, TimeGrid, path_to_csv, stop_values, sup_seminorm_sq_values
-
-
-class StoppedView:
-    """Paths and their empirical law, stopped at grid node `node`.
-
-    The one argument type coefficients receive, as the path batch xs and as
-    the law mu: every read clamps to the node.  Without weights it is the
-    uniform law of a particle ensemble, reduced by plain means in particle
-    order; with weights it is the law of a weighted EmpiricalPathMeasure.
-    """
-
-    def __init__(self, grid: TimeGrid, values: np.ndarray, node: int, weights=None):
-        self.grid = grid
-        self._values = values
-        self.node = node
-        self._weights = weights
-
-    @classmethod
-    def of(cls, mu: EmpiricalPathMeasure, t: float) -> "StoppedView":
-        """The weighted measure mu, stopped at the node of t."""
-        return cls(mu.grid, mu.atoms, mu.grid.node(t), mu.weights)
-
-    @property
-    def n(self) -> int:
-        return self._values.shape[0]
-
-    n_atoms = n
-
-    @property
-    def dim(self) -> int:
-        return self._values.shape[2]
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return np.full(self.n, 1.0 / self.n) if self._weights is None else self._weights
-
-    def values_at(self, t: float) -> np.ndarray:
-        """(N, d) values at the node of min(t, current time)."""
-        return self._values[:, min(self.grid.node(t), self.node), :]
-
-    @property
-    def values_now(self) -> np.ndarray:
-        return self._values[:, self.node, :]
-
-    def seminorm_sq_at(self, t: float) -> np.ndarray:
-        """||x||_t^2 per path, shape (N,), with t clamped to the current time."""
-        return sup_seminorm_sq_values(self._values, min(self.grid.node(t), self.node))
-
-    def _average(self, a: np.ndarray):
-        return a.mean(axis=0) if self._weights is None else self._weights @ a
-
-    def mean_at(self, t: float) -> HilbertVec:
-        return HilbertVec(self._average(self.values_at(t)))
-
-    def second_moment(self) -> float:
-        return float(self._average(sup_seminorm_sq_values(self._values, self.node)))
-
-    def w2_to_zero(self) -> float:
-        return float(np.sqrt(self.second_moment()))
-
-    def materialize(self) -> EmpiricalPathMeasure:
-        """The stopped law as an EmpiricalPathMeasure, for exact Wasserstein computations."""
-        return EmpiricalPathMeasure(self.grid, stop_values(self._values, self.node), self._weights)
 
 
 @dataclass
@@ -340,7 +283,7 @@ def _validate_model(model, seed, n_pairs):
         # Lipschitz spot check against the declared constant, 5% slack.
         other = rand.normal(size=(n, grid.steps + 1, d))
         v1, v2 = StoppedView(grid, vals, j), StoppedView(grid, other, j)
-        w2 = wasserstein2(v1.materialize(), v2.materialize(), mode="exact")
+        w2 = wasserstein2(stopped_measure(v1, t), stopped_measure(v2, t), mode="exact")
         seminorms = np.sqrt(sup_seminorm_sq_values(vals - other, j))
         bound = 1.05 * model.lipschitz * (seminorms + w2) + 1e-12
         db = np.linalg.norm(
@@ -412,10 +355,6 @@ class ParticleEnsemble:
 
     def law(self) -> EmpiricalPathMeasure:
         return EmpiricalPathMeasure(self.grid, self.values.copy(), None)
-
-    def law_at(self, t: float) -> EmpiricalPathMeasure:
-        j = self.grid.node(t)
-        return EmpiricalPathMeasure(self.grid, stop_values(self.values, j), None)
 
     def particle_path(self, i: int) -> PathGrid:
         return PathGrid(self.grid, self.values[i])
@@ -529,7 +468,6 @@ def integrate(
     noise: np.ndarray | None = None,
     t_end: float | None = None,
     semigroup: SpectralOperator | None = None,
-    check_estimate: bool = True,
 ) -> ParticleEnsemble:
     """Run the interacting particle system from t0 to T (or t_end).
 
@@ -576,21 +514,20 @@ def integrate(
         grid, model.space, t0, values, noise, controls, seed, model_tag=model.tag
     )
 
-    if check_estimate:
-        c = apriori_constant(model.lipschitz, model.eta, grid.T)
-        xi_norm = float(np.sqrt(sup_seminorm_sq_values(segment, j0).mean()))
-        bound = 3.0 * c * (1.0 + xi_norm)
-        if model.control_growth is not None:
-            control_sq_sum = 0.0
-            if controls is not None:
-                for j in range(j0, j_end):
-                    control_sq_sum += float((controls[:, j, :] ** 2).sum(axis=1).mean()) * dt
-            bound = 3.0 * c * (1.0 + xi_norm + control_sq_sum)
-        if math.isfinite(bound) and ens.s2_norm() > bound:
-            raise ContractError(
-                f"a-priori estimate violated: ||X||_S2 = {ens.s2_norm():.3g} "
-                f"exceeds 3*C*(1+||xi||) = {bound:.3g}"
-            )
+    c = apriori_constant(model.lipschitz, model.eta, grid.T)
+    xi_norm = float(np.sqrt(sup_seminorm_sq_values(segment, j0).mean()))
+    bound = 3.0 * c * (1.0 + xi_norm)
+    if model.control_growth is not None:
+        control_sq_sum = 0.0
+        if controls is not None:
+            for j in range(j0, j_end):
+                control_sq_sum += float((controls[:, j, :] ** 2).sum(axis=1).mean()) * dt
+        bound = 3.0 * c * (1.0 + xi_norm + control_sq_sum)
+    if math.isfinite(bound) and ens.s2_norm() > bound:
+        raise ContractError(
+            f"a-priori estimate violated: ||X||_S2 = {ens.s2_norm():.3g} "
+            f"exceeds 3*C*(1+||xi||) = {bound:.3g}"
+        )
     return ens
 
 

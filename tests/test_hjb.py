@@ -25,6 +25,7 @@ from pathmkv.measure import (
     EmpiricalControlMeasure,
     EmpiricalPathMeasure,
     measure_from_paths,
+    stopped_measure,
     wasserstein2_controls,
 )
 from pathmkv.paths import TimeGrid, constant_path
@@ -365,7 +366,7 @@ def test_hjb_candidate_agrees_with_monte_carlo_value():
     x0 = 0.8
     ens = integrate(model, constant_initial([x0]), n_particles=3000, seed=5)
     est = reward(model, ens, 0.0)
-    mu0 = ens.law_at(0.0)
+    mu0 = stopped_measure(ens.law(), 0.0)
     w_val = w.functional.eval(0.0, mu0)
     assert abs(w_val - est.mean) <= 3 * est.stderr + 10 * grid.dt * abs(w_val)
 

@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pathmkv.errors import CapacityError, ConfigurationError, DomainError
 from pathmkv.measure import (
     EmpiricalControlMeasure,
     _quantile_ot_sq,
     EmpiricalPathMeasure,
+    StoppedView,
     dirac,
     exact_ot_cost,
     mean_at,
@@ -18,6 +21,10 @@ from pathmkv.measure import (
     wasserstein2_controls,
 )
 from pathmkv.paths import PathGrid, TimeGrid, constant_path, stop, sup_norm
+
+# Reproducible property runs: a fixed example sequence, no example database.
+PROPERTY = settings(max_examples=20, derandomize=True, database=None, deadline=None)
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 def random_measure(grid, d, n, rng, weighted=False):
@@ -75,6 +82,27 @@ def test_stopped_measure_idempotent_and_pushforward_of_dirac():
     assert np.array_equal(s.atoms[0], stop(lin, 0.5).values)
     assert np.array_equal(stopped_measure(s, 0.5).atoms, s.atoms)
     assert np.array_equal(stopped_measure(mu, 1.0).atoms, mu.atoms)
+
+
+def test_stopped_measure_and_of_read_a_plain_view_at_its_own_node():
+    g = TimeGrid(1.0, 10)
+    values = np.random.default_rng(7).normal(size=(5, 11, 2))
+    j = 4
+    view = StoppedView(g, values, j)
+    want = stopped_measure(EmpiricalPathMeasure(g, values, None), g.time_at(j))
+    later = StoppedView.of(view, 0.8)
+    assert later.node == j
+    for got in (stopped_measure(view, 0.8), stopped_measure(later, 1.0)):
+        assert np.array_equal(got.atoms, want.atoms)
+        assert np.array_equal(got.weights, want.weights)
+
+
+def test_measure_atoms_and_weights_are_read_only():
+    mu = random_measure(TimeGrid(1.0, 4), 1, 3, np.random.default_rng(8), weighted=True)
+    with pytest.raises(ValueError):
+        mu.atoms[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        mu.weights[0] = 1.0
 
 
 def test_mean_at():
@@ -223,11 +251,13 @@ def test_measure_csv_dump():
     assert "weight,0.5" in text
 
 
-def test_transport_lp_matches_dense_linprog_reference():
+@PROPERTY
+@example(seed=31, n=7, m=5)
+@given(seed=SEEDS, n=st.integers(1, 8), m=st.integers(1, 8))
+def test_transport_lp_matches_dense_linprog_reference(seed, n, m):
     from scipy.optimize import linprog
 
-    rng = np.random.default_rng(31)
-    n, m = 7, 5
+    rng = np.random.default_rng(seed)
     cost = rng.random((n, m))
     w_row = rng.uniform(0.5, 1.5, n)
     w_row /= w_row.sum()
@@ -242,6 +272,36 @@ def test_transport_lp_matches_dense_linprog_reference():
                   bounds=(0, None), method="highs")
     assert ref.success
     assert exact_ot_cost(cost, w_row, w_col) == pytest.approx(ref.fun, rel=1e-12, abs=1e-15)
+
+
+@PROPERTY
+@given(seed=SEEDS, sizes=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)))
+def test_w2_metric_axioms_on_weighted_clouds(seed, sizes):
+    # Weighted clouds take the transport LP, not the assignment problem,
+    # unless both sides have one atom.
+    rng = np.random.default_rng(seed)
+    g = TimeGrid(1.0, 4)
+    mu, nu, ka = (random_measure(g, 2, n, rng, weighted=True) for n in sizes)
+    dxy, dyx = wasserstein2(mu, nu), wasserstein2(nu, mu)
+    assert dxy >= 0.0
+    assert abs(dxy - dyx) <= 1e-12
+    assert dxy <= wasserstein2(mu, ka) + wasserstein2(ka, nu) + 1e-10
+    perm = rng.permutation(mu.n_atoms)
+    mu_perm = EmpiricalPathMeasure(g, mu.atoms[perm], mu.weights[perm])
+    assert wasserstein2(mu, mu_perm) == pytest.approx(0.0, abs=1e-12)
+
+
+@PROPERTY
+@given(seed=SEEDS, n=st.integers(1, 40), m=st.integers(1, 40))
+def test_sliced_w2_is_invariant_under_a_joint_permutation_of_atoms_and_weights(seed, n, m):
+    rng = np.random.default_rng(seed)
+    g = TimeGrid(1.0, 4)
+    mu, nu = random_measure(g, 2, n, rng, weighted=True), random_measure(g, 2, m, rng, weighted=True)
+    perm = rng.permutation(n)
+    mu_perm = EmpiricalPathMeasure(g, mu.atoms[perm], mu.weights[perm])
+    base = wasserstein2(mu, nu, mode="sliced", projections=16, seed=seed)
+    got = wasserstein2(mu_perm, nu, mode="sliced", projections=16, seed=seed)
+    assert abs(got - base) <= 1e-12
 
 
 def test_weighted_exact_w2_runs_in_bounded_memory():
