@@ -305,9 +305,9 @@ def run_ito(cfg, out_dir, threads):
     init = gaussian_initial(0.0, 0.5)
     phis = [zoo[tag] for tag in tags]
 
-    # one simulated ensemble per drive checks every functional; the per-node
-    # quadrature is a Python loop over small arrays, so the drives run
-    # serially regardless of --threads
+    # one simulated ensemble per drive checks every functional; the quadrature
+    # is a Python loop over blocks of nodes, each a few short numpy calls per
+    # particle set, so the drives run serially regardless of --threads
     per_drive = [
         calculus.ito_verify(
             phis, grid, init, t=t, s=s, n_particles=n, seed=cfg["seed"],
@@ -575,17 +575,20 @@ def _feynman_kac_candidate(grid, a, beta, c, q, scale=1.0):
         m = float(mu.weights @ mu.values_at(t)[:, 0])
         return scale * (kappa0(t) + kappa1(t) * m)
 
-    def dt_fn(t, mu):
-        m = float(mu.weights @ mu.values_at(t)[:, 0])
-        e = math.exp(a * (T - t))
-        return scale * (beta * (-(q + c / a) * e + c / a) - (a * q + c) * e * m)
+    def dt_fn(law):
+        out = []
+        for t, x in zip(law.ts.tolist(), law.now):
+            m = float(law.weights @ x[:, 0])
+            e = math.exp(a * (T - t))
+            out.append(scale * (beta * (-(q + c / a) * e + c / a) - (a * q + c) * e * m))
+        return np.array(out)
 
     functional = CylindricalFunctional(
         tag=f"feynman_kac(x{scale})",
         eval_fn=ev,
         dt_fn=dt_fn,
-        dmu_fn=lambda t, mu, xs: np.full((xs.shape[0], 1), scale * kappa1(t)),
-        dxdmu_fn=lambda t, mu, xs: np.zeros((xs.shape[0], 1, 1)),
+        dmu_fn=lambda law, at: np.array([[[scale * kappa1(t)]] for t in at.ts.tolist()]),
+        dxdmu_fn=lambda law, at: np.zeros((1, 1)),
     )
     return CandidateSolution(functional)
 

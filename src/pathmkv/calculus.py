@@ -33,17 +33,46 @@ from .paths import PathGrid, bump
 from .sde import InitialLaw, ModelSpec, _exp_euler_steps, _recorded_args, integrate
 
 
+class NodeRun:
+    """A set of paths read at a run of J >= 1 consecutive grid nodes: the
+    argument of the derivative callables.
+
+    `view` is the StoppedView of the paths (and their law) at the run's last
+    node, `ts` the (J,) times of the run and `now` the (J, K, d) node-major
+    values at those nodes.  Row i belongs to time ts[i]; a field computed for
+    it reads the paths only up to that node.
+    """
+
+    def __init__(self, view: StoppedView, ts: np.ndarray, now: np.ndarray):
+        self.view = view
+        self.ts = ts
+        self.now = now
+
+    @staticmethod
+    def at(mu: StoppedView, t: float) -> "NodeRun":
+        """The run of one node: mu stopped at the node of t, read at time t."""
+        view = StoppedView.of(mu, t)
+        return NodeRun(view, np.array([t], dtype=float), view.values_now[None])
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.view.weights
+
+
 @dataclass
 class CylindricalFunctional:
     """A test functional phi(t, mu) with optional closed-form derivatives.
 
-    The derivative callables are vectorized over query points: dmu_fn and
-    dxdmu_fn receive the (K, d) matrix of path values at the node of t and
-    return (K, d) resp. (K, d, d).  Callers read them only through dmu_field
-    and dxdmu_field.  differentiable=False marks members (the
-    running sup-norm square) whose eval is fine but whose vertical derivative
-    falls outside the admissible class; derivative operations on them raise
-    UnsupportedFunctionalError.
+    The derivative callables take runs of nodes (NodeRun): dt_fn(law) returns
+    the (J,) horizontal derivatives of the law's run, and dmu_fn(law, at) and
+    dxdmu_fn(law, at) return the fields at the query paths `at`, a run over
+    the same nodes, as arrays that broadcast to (J, K, d) resp. (J, K, d, d),
+    so a field constant in x may return its (d,) or (d, d) value.  The Ito
+    quadrature calls them on blocks of nodes; dt, dmu_field and dxdmu_field
+    are the run of one node, J = 1, at full shape.
+    differentiable=False marks members (the running sup-norm square) whose
+    eval is fine but whose vertical derivative falls outside the admissible
+    class; derivative operations on them raise UnsupportedFunctionalError.
     """
 
     tag: str
@@ -61,21 +90,22 @@ class CylindricalFunctional:
         return self.dt_fn is not None and self.dmu_fn is not None and self.dxdmu_fn is not None
 
     def dt(self, t: float, mu) -> float:
-        return float(self.dt_fn(t, mu))
+        return float(self.dt_fn(NodeRun.at(mu, t))[0])
 
     def dmu_field(self, t: float, mu, at=None) -> np.ndarray:
         """d_mu phi(t, mu) at the query paths `at` (a StoppedView, by default
         mu's own support), shape (K, d)."""
-        xs = (mu if at is None else at).values_at(t)
-        return np.asarray(self.dmu_fn(t, mu, xs), dtype=float)
+        law = NodeRun.at(mu, t)
+        query = law if at is None else NodeRun.at(at, t)
+        out = np.asarray(self.dmu_fn(law, query), dtype=float)
+        return np.broadcast_to(out, query.now.shape)[0]
 
     def dxdmu_field(self, t: float, mu, at=None) -> np.ndarray:
         """The mixed second derivative at the query paths `at`, shape (K, d, d)."""
-        xs = (mu if at is None else at).values_at(t)
-        out = np.asarray(self.dxdmu_fn(t, mu, xs), dtype=float)
-        if out.ndim == 2:
-            out = np.broadcast_to(out, (xs.shape[0],) + out.shape)
-        return out
+        law = NodeRun.at(mu, t)
+        query = law if at is None else NodeRun.at(at, t)
+        out = np.asarray(self.dxdmu_fn(law, query), dtype=float)
+        return np.broadcast_to(out, query.now.shape + query.now.shape[-1:])[0]
 
 
 @dataclass(frozen=True)
@@ -100,6 +130,16 @@ class LiftedSample:
 # Built-in zoo
 
 
+def _zero_dt(law):
+    return np.zeros(len(law.ts))
+
+
+def _node_means(law, h):
+    """(J,) integrals of <x, h> under the law at each node of the run, one dot
+    product per node as eval sums them."""
+    return np.array([law.weights @ (x @ h) for x in law.now])
+
+
 def linear_mean(h) -> CylindricalFunctional:
     """phi(t, mu) = integral of <x_t, h>."""
     h = np.atleast_1d(np.asarray(h, dtype=float))
@@ -110,9 +150,9 @@ def linear_mean(h) -> CylindricalFunctional:
     return CylindricalFunctional(
         tag="linear_mean",
         eval_fn=ev,
-        dt_fn=lambda t, mu: 0.0,
-        dmu_fn=lambda t, mu, xs: np.broadcast_to(h, xs.shape).copy(),
-        dxdmu_fn=lambda t, mu, xs: np.zeros((xs.shape[0], h.size, h.size)),
+        dt_fn=_zero_dt,
+        dmu_fn=lambda law, at: h,
+        dxdmu_fn=lambda law, at: np.zeros((h.size, h.size)),
     )
 
 
@@ -123,15 +163,15 @@ def mean_squared(h) -> CylindricalFunctional:
     def _mean(t, mu):
         return mu.weights @ (mu.values_at(t) @ h)
 
-    def dmu(t, mu, xs):
-        return np.broadcast_to(2.0 * _mean(t, mu) * h, xs.shape).copy()
+    def dmu(law, at):
+        return ((2.0 * _node_means(law, h))[:, None] * h)[:, None, :]
 
     return CylindricalFunctional(
         tag="mean_squared",
         eval_fn=lambda t, mu: _mean(t, mu) ** 2,
-        dt_fn=lambda t, mu: 0.0,
+        dt_fn=_zero_dt,
         dmu_fn=dmu,
-        dxdmu_fn=lambda t, mu, xs: np.zeros((xs.shape[0], h.size, h.size)),
+        dxdmu_fn=lambda law, at: np.zeros((h.size, h.size)),
     )
 
 
@@ -157,11 +197,9 @@ def quadratic_form(q) -> CylindricalFunctional:
     return CylindricalFunctional(
         tag="quadratic_form",
         eval_fn=ev,
-        dt_fn=lambda t, mu: 0.0,
-        dmu_fn=lambda t, mu, xs: 2.0 * xs * q,
-        dxdmu_fn=lambda t, mu, xs: np.broadcast_to(
-            2.0 * np.diag(q), (xs.shape[0], q.size, q.size)
-        ).copy(),
+        dt_fn=_zero_dt,
+        dmu_fn=lambda law, at: 2.0 * at.now * q,
+        dxdmu_fn=lambda law, at: 2.0 * np.diag(q),
     )
 
 
@@ -176,11 +214,9 @@ def quadratic_form_dense(Q) -> CylindricalFunctional:
     return CylindricalFunctional(
         tag="quadratic_form_dense",
         eval_fn=ev,
-        dt_fn=lambda t, mu: 0.0,
-        dmu_fn=lambda t, mu, xs: xs @ (Q + Q.T),
-        dxdmu_fn=lambda t, mu, xs: np.broadcast_to(
-            Q + Q.T, (xs.shape[0],) + Q.shape
-        ).copy(),
+        dt_fn=_zero_dt,
+        dmu_fn=lambda law, at: at.now @ (Q + Q.T),
+        dxdmu_fn=lambda law, at: Q + Q.T,
     )
 
 
@@ -204,9 +240,9 @@ def time_linear_mean(h) -> CylindricalFunctional:
     return CylindricalFunctional(
         tag="time_linear_mean",
         eval_fn=lambda t, mu: t * base.eval_fn(t, mu),
-        dt_fn=lambda t, mu: float(base.eval_fn(t, mu)),
-        dmu_fn=lambda t, mu, xs: t * np.broadcast_to(h, xs.shape),
-        dxdmu_fn=lambda t, mu, xs: np.zeros((xs.shape[0], h.size, h.size)),
+        dt_fn=lambda law: _node_means(law, h),
+        dmu_fn=lambda law, at: at.ts[:, None, None] * h,
+        dxdmu_fn=lambda law, at: np.zeros((h.size, h.size)),
     )
 
 
@@ -214,12 +250,18 @@ def time_quadratic_mean(h) -> CylindricalFunctional:
     """phi(t, mu) = t^2 * integral of <x_t, h>; curved in t, for Richardson checks."""
     base = linear_mean(h)
     h = np.atleast_1d(np.asarray(h, dtype=float))
+
+    def dmu(law, at):
+        # Python's float power, as eval squares t; numpy's square can round differently
+        t_sq = np.array([t**2 for t in at.ts.tolist()])
+        return t_sq[:, None, None] * h
+
     return CylindricalFunctional(
         tag="time_quadratic_mean",
         eval_fn=lambda t, mu: t**2 * base.eval_fn(t, mu),
-        dt_fn=lambda t, mu: 2.0 * t * float(base.eval_fn(t, mu)),
-        dmu_fn=lambda t, mu, xs: t**2 * np.broadcast_to(h, xs.shape),
-        dxdmu_fn=lambda t, mu, xs: np.zeros((xs.shape[0], h.size, h.size)),
+        dt_fn=lambda law: 2.0 * law.ts * _node_means(law, h),
+        dmu_fn=dmu,
+        dxdmu_fn=lambda law, at: np.zeros((h.size, h.size)),
     )
 
 
@@ -488,46 +530,66 @@ def _process_model(process: ItoProcessSpec, grid, d: int) -> ModelSpec:
     )
 
 
-def _precompute_coefficients(model, values, j0, j1, controls=None):
-    """Per-node drift and diffusion (None where the model has none), evaluated
-    once on the full ensemble so that every particle batch sees the processes
-    that actually drove it."""
-    f_arr = {}
-    g_arr = {}
-    for j in range(j0, j1):
-        args = _recorded_args(model.grid, values, controls, j)
-        f_arr[j] = model.drift_at(*args) if model.drift is not None else None
-        g_arr[j] = model.diffusion_at(*args) if model.diffusion is not None else None
-    return f_arr, g_arr
+# Nodes per block of the Ito quadrature, deliberately not configurable.  At
+# 4000 particles one (8, N, d = 1) temporary is 256 KB; temporaries of 512 KB
+# and more (16-node blocks) raised the peak RSS of a second suite round in
+# the same process from 358 to about 388 MB.
+NODE_BLOCK = 8
 
 
-def _rhs_quadrature(phi, grid, values, j0, j1, rows, f_arr, g_arr, a_eigs=None):
-    """Left-endpoint quadrature of the integral terms, one total per particle
-    set values[r] for r in rows.  One pass over the nodes serves every set;
-    each set's derivative fields read that set's own law."""
-    subs = [values[r] for r in rows]
-    totals = [0.0] * len(rows)
-    for j in range(j0, j1):
-        tt = grid.time_at(j)
-        for k, (r, sub) in enumerate(zip(rows, subs)):
-            law = StoppedView(grid, sub, j)
-            x = sub[:, j, :]
-            term = phi.dt(tt, law)
-            dmu = None
-            if a_eigs is not None:
-                dmu = phi.dmu_field(tt, law)
-                term += float(((x * a_eigs) * dmu).sum(axis=1).mean())
-            if f_arr[j] is not None:
-                if dmu is None:
-                    dmu = phi.dmu_field(tt, law)
-                term += float((f_arr[j][r] * dmu).sum(axis=1).mean())
-            if g_arr[j] is not None:
-                g_now = g_arr[j][r]
-                dxdmu = phi.dxdmu_field(tt, law)
-                ns = g_now.shape[1]
-                diag = np.einsum("nkk->nk", dxdmu[:, :ns, :ns])
-                term += 0.5 * float((g_now**2 * diag).sum(axis=1).mean())
-            totals[k] += term * grid.dt
+def _block_coefficients(model, values, b0, b1, controls):
+    """Drift and diffusion (None where the model has none) at nodes b0..b1-1,
+    node-major (J, N, .), each node evaluated on the full ensemble so that
+    every particle set sees the processes that actually drove it."""
+    args = [_recorded_args(model.grid, values, controls, j) for j in range(b0, b1)]
+    f = np.stack([model.drift_at(*a) for a in args]) if model.drift is not None else None
+    g = np.stack([model.diffusion_at(*a) for a in args]) if model.diffusion is not None else None
+    return f, g
+
+
+def _row_means(a):
+    """Sum over the last axis, then the mean of each row of the (J, K) result;
+    a C-contiguous row's mean sums in the order of its own 1-d mean."""
+    return a.sum(axis=-1).mean(axis=-1)
+
+
+def _rhs_quadrature(phis, model, values, j0, j1, rows, controls, a_eigs):
+    """Left-endpoint quadrature of the integral terms: totals[i][k] for
+    functional phis[i] on the particle set values[rows[k]].
+
+    One pass over blocks of NODE_BLOCK consecutive nodes serves every
+    functional and set.  A block transposes the paths once to node-major and
+    evaluates each functional's fields once per set on the whole block, each
+    set against its own law; each node's term * dt is then added to the
+    set's total in node order."""
+    grid = model.grid
+    totals = [[0.0] * len(rows) for _ in phis]
+    for b0 in range(j0, j1, NODE_BLOCK):
+        b1 = min(b0 + NODE_BLOCK, j1)
+        ts = np.arange(b0, b1) * grid.dt
+        now = np.ascontiguousarray(values[:, b0:b1].transpose(1, 0, 2))
+        f, g = _block_coefficients(model, values, b0, b1, controls)
+        runs = [NodeRun(StoppedView(grid, values[r], b1 - 1), ts, now[:, r]) for r in rows]
+        for phi, phi_totals in zip(phis, totals):
+            for k, (r, run) in enumerate(zip(rows, runs)):
+                term = phi.dt_fn(run)
+                dmu = None
+                if a_eigs is not None:
+                    dmu = phi.dmu_fn(run, run)
+                    term = term + _row_means((run.now * a_eigs) * dmu)
+                if f is not None:
+                    if dmu is None:
+                        dmu = phi.dmu_fn(run, run)
+                    term = term + _row_means(f[:, r] * dmu)
+                if g is not None:
+                    g_now = g[:, r]
+                    ns = g_now.shape[-1]
+                    diag = np.diagonal(phi.dxdmu_fn(run, run)[..., :ns, :ns], axis1=-2, axis2=-1)
+                    term = term + 0.5 * _row_means(g_now**2 * diag)
+                # one node at a time: neither np.sum (pairwise) nor the
+                # builtin sum (compensated on Python >= 3.12) keeps the order
+                for v in (term * grid.dt).tolist():
+                    phi_totals[k] += v
     return totals
 
 
@@ -599,14 +661,13 @@ def ito_verify(
         a_eigs = None
         tag = process.tag
 
-    f_arr, g_arr = _precompute_coefficients(model, values, j0, j1, controls)
     # the full ensemble, then batch b = particles b, b + n_batches, ...;
     # basic slices, so every set is a view in particle order
     rows = [slice(None)] + [slice(b, None, n_batches) for b in range(n_batches)]
+    rhs_all = _rhs_quadrature(phis, model, values, j0, j1, rows, controls, a_eigs)
     t_lo, t_hi = grid.time_at(j0), grid.time_at(j1)
     reports = []
-    for p in phis:
-        rhs = _rhs_quadrature(p, grid, values, j0, j1, rows, f_arr, g_arr, a_eigs)
+    for p, rhs in zip(phis, rhs_all):
         lhs = [
             p.eval(t_hi, StoppedView(grid, values[r], j1))
             - p.eval(t_lo, StoppedView(grid, values[r], j0))

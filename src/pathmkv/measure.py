@@ -96,14 +96,15 @@ class EmpiricalPathMeasure(StoppedView):
     atoms (N, M+1, d) and weights (N,) are validated and read-only."""
 
     def __init__(self, grid: TimeGrid, atoms: np.ndarray, weights):
-        atoms = np.asarray(atoms, dtype=float)
+        # a read-only view: the caller's array stays writable, nothing is copied
+        atoms = np.asarray(atoms, dtype=float).view()
         if atoms.ndim != 3 or atoms.shape[1] != grid.steps + 1:
             raise ConfigurationError("atoms must have shape (N, M+1, d) matching the grid")
         n = atoms.shape[0]
         if weights is None:
             weights = np.full(n, 1.0 / n)
         else:
-            weights = np.asarray(weights, dtype=float)
+            weights = np.array(weights, dtype=float)
         if weights.shape != (n,):
             raise ConfigurationError("weights must have shape (N,)")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:

@@ -34,7 +34,7 @@ from pathmkv.errors import (
     UnsupportedFunctionalError,
 )
 from pathmkv.hilbert import HilbertVec
-from pathmkv.measure import EmpiricalPathMeasure, stopped_measure
+from pathmkv.measure import EmpiricalPathMeasure, StoppedView, stopped_measure
 from pathmkv.models import make_ou
 from pathmkv.paths import TimeGrid
 from pathmkv.sde import constant_initial, gaussian_initial
@@ -360,6 +360,45 @@ def test_consistency_rejects_different_functionals():
         consistency_check(linear_mean([1.0]), mean_squared([1.0]), [(0.5, mu)])
 
 
+def _closed_form_fields(tag, t, mu, at):
+    """(dt, d_mu field, d_x d_mu field) of the d = 2 members below at the node
+    of t, written out: mu's values x and weights w, the query values y."""
+    x, w, y = mu.values_at(t), mu.weights, at.values_at(t)
+    k, h, q, Q = y.shape[0], np.array(H2), np.array([0.25, 0.5]), np.array(Q2)
+    zero2 = np.zeros((k, 2, 2))
+    if tag == "linear_mean":
+        return 0.0, np.broadcast_to(h, y.shape), zero2
+    if tag == "mean_squared":
+        return 0.0, np.broadcast_to(2.0 * (w @ (x @ h)) * h, y.shape), zero2
+    if tag == "quadratic_form":
+        return 0.0, 2.0 * y * q, np.broadcast_to(2.0 * np.diag(q), (k, 2, 2))
+    if tag == "quadratic_form_dense":
+        return 0.0, y @ (Q + Q.T), np.broadcast_to(Q + Q.T, (k, 2, 2))
+    if tag == "time_linear_mean":
+        return float(w @ (x @ h)), t * np.broadcast_to(h, y.shape), zero2
+    assert tag == "time_quadratic_mean"
+    return 2.0 * t * float(w @ (x @ h)), t**2 * np.broadcast_to(h, y.shape), zero2
+
+
+def test_single_node_fields_match_their_closed_forms_bit_for_bit():
+    grid = TimeGrid(1.0, 20)
+    rng = np.random.default_rng(41)
+    weighted = EmpiricalPathMeasure(grid, rng.normal(size=(7, 21, 2)), rng.dirichlet(np.ones(7)))
+    uniform = StoppedView(grid, rng.normal(size=(9, 21, 2)), 12)
+    query = StoppedView(grid, rng.normal(size=(3, 21, 2)), 20)
+    for phi in ANALYTIC_ZOO_2:
+        # on and off the grid nodes, past the uniform view's node 12, and at
+        # a t where glibc's pow(t, 2) and t * t round differently
+        for t in (0.0, 0.35, 0.37, 0.4753220153197895, 0.6, 0.85, 1.0):
+            for mu in (weighted, uniform):
+                for at in (None, query):
+                    want = _closed_form_fields(phi.tag, t, mu, mu if at is None else at)
+                    got = (phi.dt(t, mu), phi.dmu_field(t, mu, at=at), phi.dxdmu_field(t, mu, at=at))
+                    assert got[0] == want[0] and type(got[0]) is float
+                    for g, w in zip(got[1:], want[1:]):
+                        assert g.shape == w.shape and g.tobytes() == w.tobytes(), (phi.tag, t)
+
+
 def test_lifted_sample_bump_machinery():
     mu = random_measure(GRID, 1, 4, 24)
     sample = LiftedSample(mu, 1)
@@ -395,8 +434,21 @@ def test_ito_sequence_checks_every_functional_before_simulating():
 
 # ---------------------------------------------------------------------------
 # Pinned reference: the per-batch Ito quadrature as it was before the single
-# node pass, one fancy-indexed particle set at a time.  Every report of the
-# library must match it byte for byte.
+# node pass and the node blocks, one fancy-indexed particle set and one node at
+# a time, with per-node drift and diffusion.  Every report of the library must
+# match it byte for byte.
+
+
+def _reference_coefficients(model, values, j0, j1, controls=None):
+    from pathmkv.sde import _recorded_args
+
+    f_arr = {}
+    g_arr = {}
+    for j in range(j0, j1):
+        args = _recorded_args(model.grid, values, controls, j)
+        f_arr[j] = model.drift_at(*args) if model.drift is not None else None
+        g_arr[j] = model.diffusion_at(*args) if model.diffusion is not None else None
+    return f_arr, g_arr
 
 
 def _reference_rhs_quadrature(phi, grid, values, j0, j1, idx, f_arr, g_arr, a_eigs=None):
@@ -411,17 +463,15 @@ def _reference_rhs_quadrature(phi, grid, values, j0, j1, idx, f_arr, g_arr, a_ei
         term = phi.dt(tt, law)
         dmu = None
         if a_eigs is not None:
-            dmu = np.asarray(phi.dmu_fn(tt, law, x), dtype=float)
+            dmu = phi.dmu_field(tt, law)
             term += float(((x * a_eigs) * dmu).sum(axis=1).mean())
         if f_arr[j] is not None:
             if dmu is None:
-                dmu = np.asarray(phi.dmu_fn(tt, law, x), dtype=float)
+                dmu = phi.dmu_field(tt, law)
             term += float((f_arr[j][idx] * dmu).sum(axis=1).mean())
         if g_arr[j] is not None:
             g_now = g_arr[j][idx]
-            dxdmu = np.asarray(phi.dxdmu_fn(tt, law, x), dtype=float)
-            if dxdmu.ndim == 2:
-                dxdmu = np.broadcast_to(dxdmu, (x.shape[0],) + dxdmu.shape)
+            dxdmu = phi.dxdmu_field(tt, law)
             ns = g_now.shape[1]
             diag = np.einsum("nkk->nk", dxdmu[:, :ns, :ns])
             term += 0.5 * float((g_now**2 * diag).sum(axis=1).mean())
@@ -432,7 +482,7 @@ def _reference_rhs_quadrature(phi, grid, values, j0, j1, idx, f_arr, g_arr, a_ei
 def _reference_ito_verify(phi, grid, init, t, s, n_particles, seed, process=None, model=None,
                           d=1, n_batches=8, dt_coeff=10.0):
     from pathmkv import rng
-    from pathmkv.calculus import ItoReport, _precompute_coefficients, _process_model
+    from pathmkv.calculus import ItoReport, _process_model
     from pathmkv.sde import StoppedView, _exp_euler_steps, integrate
 
     if model is not None:
@@ -449,7 +499,7 @@ def _reference_ito_verify(phi, grid, init, t, s, n_particles, seed, process=None
         _exp_euler_steps(model, values, values, noise, j0, j1, 1.0)
         values[:, j1 + 1 :, :] = values[:, j1 : j1 + 1, :]
         controls, a_eigs, tag = None, None, process.tag
-    f_arr, g_arr = _precompute_coefficients(model, values, j0, j1, controls)
+    f_arr, g_arr = _reference_coefficients(model, values, j0, j1, controls)
     all_idx = np.arange(n_particles)
 
     def lhs_rhs(idx):
@@ -478,17 +528,35 @@ ITO_DRIVES = [
     linear_drift_diffusion_spec(1.0, 0.3),
 ]
 ANALYTIC_ZOO = [phi for phi in standard_zoo(1).values() if phi.has_analytic and phi.differentiable]
+# d = 2: every analytic member with h off the axes, so both coordinates count
+H2 = [0.6, 0.8]
+Q2 = [[0.3, 0.1], [-0.2, 0.5]]
+ANALYTIC_ZOO_2 = [
+    linear_mean(H2), mean_squared(H2), quadratic_form([0.25, 0.5]),
+    quadratic_form_dense(Q2), time_linear_mean(H2), time_quadratic_mean(H2),
+]
+# (grid steps, t, s, d, drive): the four drives on the 40-step grid from 0 to
+# 1; then a node range of several blocks that is not a multiple of the block
+# length, an interior start one node past a block boundary, and d = 2
+ITO_CASES = [pytest.param(40, 0.0, 1.0, 1, drive, id=drive.tag) for drive in ITO_DRIVES] + [
+    pytest.param(301, 0.0, 1.0, 1, drift_diffusion_spec([0.4], 0.3), id="M=301"),
+    pytest.param(40, 0.225, 0.95, 1, linear_drift_diffusion_spec(1.0, 0.3), id="t=0.225,s=0.95"),
+    pytest.param(40, 0.0, 1.0, 2, const_drift_spec([0.7, -0.2]), id="d=2,F=const"),
+    pytest.param(40, 0.0, 1.0, 2, const_diffusion_spec(0.5, d_sigma=1), id="d=2,G=0.5,d_sigma=1"),
+    pytest.param(40, 0.0, 1.0, 2, drift_diffusion_spec([0.7, -0.2], 0.3), id="d=2,F=const,G=0.3"),
+]
 
 
 @pytest.mark.parametrize("n_particles", [200, 1003])
-@pytest.mark.parametrize("drive", ITO_DRIVES, ids=lambda drive: drive.tag)
-def test_ito_single_pass_matches_pinned_per_batch_loop(drive, n_particles):
-    grid = TimeGrid(1.0, 40)
+@pytest.mark.parametrize("steps, t, s, d, drive", ITO_CASES)
+def test_ito_single_pass_matches_pinned_per_batch_loop(steps, t, s, d, drive, n_particles):
+    grid = TimeGrid(1.0, steps)
     init = gaussian_initial(0.0, 0.5)
-    common = dict(t=0.0, s=1.0, n_particles=n_particles, seed=31, process=drive, d=1)
-    reports = ito_verify(ANALYTIC_ZOO, grid, init, **common)
-    assert [rep.functional for rep in reports] == [phi.tag for phi in ANALYTIC_ZOO]
-    for phi, rep in zip(ANALYTIC_ZOO, reports):
+    zoo = ANALYTIC_ZOO if d == 1 else ANALYTIC_ZOO_2
+    common = dict(t=t, s=s, n_particles=n_particles, seed=31, process=drive, d=d)
+    reports = ito_verify(zoo, grid, init, **common)
+    assert [rep.functional for rep in reports] == [phi.tag for phi in zoo]
+    for phi, rep in zip(zoo, reports):
         ref = _reference_ito_verify(phi, grid, init, **common)
         assert rep.to_json() == ref.to_json()
         assert ito_verify(phi, grid, init, **common).to_json() == rep.to_json()
@@ -501,9 +569,34 @@ def test_ito_single_pass_matches_pinned_loop_on_the_mild_variant():
         rep = ito_verify(phi, model.grid, constant_initial([2.0]), **common)
         ref = _reference_ito_verify(phi, model.grid, constant_initial([2.0]), **common)
         assert rep.to_json() == ref.to_json()
-    # from an interior start, with a batch count that does not divide N
-    common.update(t=0.25, s=0.75, n_batches=7)
-    reports = ito_verify(ANALYTIC_ZOO, model.grid, constant_initial([2.0]), **common)
-    for phi, rep in zip(ANALYTIC_ZOO, reports):
-        ref = _reference_ito_verify(phi, model.grid, constant_initial([2.0]), **common)
-        assert rep.to_json() == ref.to_json()
+    # interior starts, with a batch count that does not divide N: t = 0.25,
+    # then one node past a block boundary; then a 301-step grid, whose node
+    # range spans several blocks and is not a multiple of the block length,
+    # from 0 and from node 73 = 9 * 8 + 1
+    cases = [(40, 0.25, 0.75), (40, 0.225, 0.75), (301, 0.0, 1.0), (301, 73 / 301, 0.75)]
+    for steps, t, s in cases:
+        model = make_ou(TimeGrid(1.0, steps), a=-1.0, s0=0.5)
+        common.update(t=t, s=s, n_batches=7, model=model)
+        reports = ito_verify(ANALYTIC_ZOO, model.grid, constant_initial([2.0]), **common)
+        for phi, rep in zip(ANALYTIC_ZOO, reports):
+            ref = _reference_ito_verify(phi, model.grid, constant_initial([2.0]), **common)
+            assert rep.to_json() == ref.to_json(), (steps, t, phi.tag)
+
+
+def test_ito_verify_at_suite_size_peaks_below_128_mb():
+    # The suite's Ito call at N = 4000 on a 1000-step grid holds the paths
+    # and the noise (32 MB each) and only one block of per-node drift and
+    # diffusion at a time; one entry per node for both would add 64 MB.
+    import tracemalloc
+
+    phis = [linear_mean([1.0]), mean_squared([1.0]), quadratic_form([0.5])]
+    tracemalloc.start()
+    try:
+        ito_verify(
+            phis, TimeGrid(1.0, 1000), gaussian_initial(0.0, 0.5), t=0.0, s=1.0,
+            n_particles=4000, seed=3, process=drift_diffusion_spec([0.4], 0.3),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20, peak / 2**20

@@ -326,19 +326,24 @@ def feynman_kac_candidate(grid, a, beta, c, q, scale=1.0):
         m = float(mu.weights @ mu.values_at(t)[:, 0])
         return scale * (kappa0(t) + kappa1(t) * m)
 
-    def dt_fn(t, mu):
-        m = float(mu.weights @ mu.values_at(t)[:, 0])
-        e = math.exp(a * (T - t))
-        k0p = beta * (-(q + c / a) * e + c / a)
-        k1p = -(a * q + c) * e
-        return scale * (k0p + k1p * m)
+    def dt_fn(law):
+        out = []
+        for t, x in zip(law.ts.tolist(), law.now):
+            m = float(law.weights @ x[:, 0])
+            e = math.exp(a * (T - t))
+            k0p = beta * (-(q + c / a) * e + c / a)
+            k1p = -(a * q + c) * e
+            out.append(scale * (k0p + k1p * m))
+        return np.array(out)
 
     functional = CylindricalFunctional(
         tag=f"feynman_kac(x{scale})",
         eval_fn=ev,
         dt_fn=dt_fn,
-        dmu_fn=lambda t, mu, xs: np.full((xs.shape[0], 1), scale * kappa1(t)),
-        dxdmu_fn=lambda t, mu, xs: np.zeros((xs.shape[0], 1, 1)),
+        dmu_fn=lambda law, at: np.stack(
+            [np.full((at.now.shape[1], 1), scale * kappa1(t)) for t in at.ts.tolist()]
+        ),
+        dxdmu_fn=lambda law, at: np.zeros(at.now.shape[:2] + (1, 1)),
     )
     return CandidateSolution(functional)
 
@@ -387,9 +392,9 @@ def test_hjb_residual_trivial_constant_candidate():
         CylindricalFunctional(
             tag="const",
             eval_fn=lambda t, mu: g_const,
-            dt_fn=lambda t, mu: 0.0,
-            dmu_fn=lambda t, mu, xs: np.zeros((xs.shape[0], 1)),
-            dxdmu_fn=lambda t, mu, xs: np.zeros((xs.shape[0], 1, 1)),
+            dt_fn=lambda law: np.zeros(len(law.ts)),
+            dmu_fn=lambda law, at: np.zeros(at.now.shape[:2] + (1,)),
+            dxdmu_fn=lambda law, at: np.zeros(at.now.shape[:2] + (1, 1)),
         )
     )
     mu = measure_from_paths([constant_path(grid, [0.3]), constant_path(grid, [-0.3])])
@@ -445,9 +450,9 @@ def test_candidate_membership_validation():
         CylindricalFunctional(
             tag="nan",
             eval_fn=lambda t, mu: math.nan,
-            dt_fn=lambda t, mu: 0.0,
-            dmu_fn=lambda t, mu, xs: np.zeros((xs.shape[0], 1)),
-            dxdmu_fn=lambda t, mu, xs: np.zeros((xs.shape[0], 1, 1)),
+            dt_fn=lambda law: np.zeros(len(law.ts)),
+            dmu_fn=lambda law, at: np.zeros(at.now.shape[:2] + (1,)),
+            dxdmu_fn=lambda law, at: np.zeros(at.now.shape[:2] + (1, 1)),
         )
     )
     with pytest.raises(ContractError):

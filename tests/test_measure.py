@@ -105,6 +105,22 @@ def test_measure_atoms_and_weights_are_read_only():
         mu.weights[0] = 1.0
 
 
+def test_measure_leaves_the_callers_arrays_writable():
+    v = np.zeros((2, 3, 1))
+    w = np.array([0.25, 0.75])
+    m = EmpiricalPathMeasure(TimeGrid(1.0, 2), v, w)
+    assert v.flags.writeable and w.flags.writeable
+    assert np.shares_memory(m.atoms, v)  # a view: the atoms are not copied
+    with pytest.raises(ValueError):
+        m.atoms[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        m.weights[0] = 1.0
+    m2 = EmpiricalPathMeasure(TimeGrid(1.0, 2), v, None)
+    assert v.flags.writeable
+    with pytest.raises(ValueError):
+        m2.atoms[0, 0, 0] = 1.0
+
+
 def test_mean_at():
     g = TimeGrid(1.0, 4)
     c = constant_path(g, [1.0])
