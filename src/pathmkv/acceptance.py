@@ -44,6 +44,7 @@ from .rng import brownian_increments, refine_increments
 from .sde import (
     InitialLaw,
     ModelSpec,
+    brownian_block,
     constant_initial,
     flow_restart_check,
     gaussian_initial,
@@ -178,10 +179,15 @@ def run_yosida(cfg, out_dir, threads):
     model = build_model(cfg, grid)
     init = build_initial(cfg)
     ladder = cfg.get("yosida", {}).get("ladder", [2, 8, 32])
-    base = integrate(model, init, None, 0.0, cfg["particles"], cfg["seed"])
+    if not ladder:
+        raise ConfigurationError("config key 'yosida.ladder' must list at least one rung")
+    n_particles, seed = cfg["particles"], cfg["seed"]
+    # every rung is compared with the base run on the same Brownian paths
+    noise = brownian_block(model, n_particles, seed)
+    base = integrate(model, init, None, 0.0, n_particles, seed, noise=noise)
     dists = []
     for n in ladder:
-        yos = integrate_yosida(model, n, init, None, 0.0, cfg["particles"], cfg["seed"])
+        yos = integrate_yosida(model, n, init, None, 0.0, n_particles, seed, noise=noise)
         dists.append(s2_distance(yos, base))
     decreasing = all(a > b for a, b in zip(dists, dists[1:]))
     params = cfg.get("model", {}).get("params", {})
@@ -278,6 +284,12 @@ def run_ito(cfg, out_dir, threads):
     grid = build_grid(cfg)
     t = float(icfg.get("t", 0.0))
     s = float(icfg.get("s", grid.T))
+    if not 0.0 <= t <= grid.T:
+        raise ConfigurationError(f"config key 'ito.t' must lie in [0, {grid.T}], got {t}")
+    if not t <= s <= grid.T:
+        raise ConfigurationError(
+            f"config key 'ito.s' must lie in [ito.t, {grid.T}] = [{t}, {grid.T}], got {s}"
+        )
     dt_coeff = float(icfg.get("dt_coeff", 10.0))
     n = cfg["particles"]
     n_batches = 8  # standard-error batches; each needs at least one particle
@@ -304,6 +316,9 @@ def run_ito(cfg, out_dir, threads):
     ]
     init = gaussian_initial(0.0, 0.5)
     phis = [zoo[tag] for tag in tags]
+    model = models.make_ou(grid, a=-1.0, s0=0.5)
+    # the four drives and the A*-variant run from one seed in d = 1: one block
+    noise = brownian_block(model, n, cfg["seed"])
 
     # one simulated ensemble per drive checks every functional; the quadrature
     # is a Python loop over blocks of nodes, each a few short numpy calls per
@@ -311,14 +326,13 @@ def run_ito(cfg, out_dir, threads):
     per_drive = [
         calculus.ito_verify(
             phis, grid, init, t=t, s=s, n_particles=n, seed=cfg["seed"],
-            process=drive, d=1, dt_coeff=dt_coeff, n_batches=n_batches,
+            process=drive, d=1, dt_coeff=dt_coeff, n_batches=n_batches, noise=noise,
         )
         for drive in drives
     ]
     # reports in tag-major order: every drive for the first functional, then the next
     reports = [per_drive[i][k] for k in range(len(phis)) for i in range(len(drives))]
     # A*-variant on the OU model with the linear functional
-    model = models.make_ou(grid, a=-1.0, s0=0.5)
     rep = calculus.ito_verify(
         zoo["linear_mean"],
         grid,
@@ -330,6 +344,7 @@ def run_ito(cfg, out_dir, threads):
         model=model,
         dt_coeff=dt_coeff,
         n_batches=n_batches,
+        noise=noise,
     )
     reports.append(rep)
     ok = all(r.passed for r in reports)
@@ -392,12 +407,21 @@ def run_dpp(cfg, out_dir, threads):
     init = build_initial(cfg)
     dcfg = cfg.get("dpp", {})
     t0 = float(dcfg.get("t0", 0.0))
-    splits = dcfg.get("split_times", [0.25, 0.5, 0.75])
+    splits = [float(s) for s in dcfg.get("split_times", [0.25, 0.5, 0.75])]
+    if not 0.0 <= t0 <= grid.T:
+        raise ConfigurationError(f"config key 'dpp.t0' must lie in [0, {grid.T}], got {t0}")
+    if not splits:
+        raise ConfigurationError("config key 'dpp.split_times' must list at least one time")
+    if any(not 0.0 <= s <= grid.T for s in splits):
+        raise ConfigurationError(
+            f"config key 'dpp.split_times' must lie in [0, {grid.T}], got {splits}"
+        )
+    if any(s < t0 for s in splits):
+        raise ConfigurationError(
+            f"config key 'dpp.t0' ({t0}) must not be later than a split time, got {splits}"
+        )
     family = [build_policy(p) for p in dcfg.get("family", [])]
-    reports = [
-        dpp_check(model, init, family, t0, float(s), cfg["particles"], cfg["seed"])
-        for s in splits
-    ]
+    reports = dpp_check(model, init, family, t0, splits, cfg["particles"], cfg["seed"])
     ok = all(r.passed for r in reports)
     return {"pass": bool(ok), "checks": [json.loads(r.to_json()) for r in reports]}
 
@@ -411,6 +435,8 @@ def run_law(cfg, out_dir, threads):
     init_b = two_point_mapped(-1.0, 1.0, flipped=True)
     if "families" in lcfg:
         families = [[build_policy(p) for p in fam] for fam in lcfg["families"]]
+        if not families:
+            raise ConfigurationError("config key 'law.families' must list at least one family")
     else:
         families = [
             [None],
@@ -449,6 +475,8 @@ def run_hjb(cfg, out_dir, threads):
     }
     hcfg = cfg.get("hjb", {})
     times = hcfg.get("times", [0.0, 0.3, 0.7])
+    if not times:
+        raise ConfigurationError("config key 'hjb.times' must list at least one time")
     actions = FiniteActionSet([[0.0]])
     rng = np.random.default_rng(cfg["seed"])
     mu = EmpiricalPathMeasure(grid, rng.normal(size=(6, grid.steps + 1, 1)), None)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng as _rng
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -30,7 +29,7 @@ from .errors import (
 from .hilbert import GENERATOR, HilbertVec, SpaceSpec, SpectralOperator
 from .measure import EmpiricalPathMeasure, StoppedView, stopped_measure
 from .paths import PathGrid, bump
-from .sde import InitialLaw, ModelSpec, _exp_euler_steps, _recorded_args, integrate
+from .sde import InitialLaw, ModelSpec, _exp_euler_steps, _recorded_args, _run_noise, integrate
 
 
 class NodeRun:
@@ -607,6 +606,7 @@ def ito_verify(
     d: int = 1,
     n_batches: int = 8,
     dt_coeff: float = 10.0,
+    noise: np.ndarray | None = None,
 ):
     """Check the functional Ito formula on a particle ensemble.
 
@@ -621,6 +621,10 @@ def ito_verify(
     `phi` is one functional, which gives one ItoReport, or a sequence of
     functionals, all checked on one simulated ensemble, which gives their
     reports in order.
+
+    `noise` has `integrate`'s meaning and shape check: an (N, M, dK) block
+    that replaces the increments drawn from `seed`.  Checks that share one
+    seed pass the block they share, and it stays referenced by the caller.
     """
     single = isinstance(phi, CylindricalFunctional)
     phis = [phi] if single else list(phi)
@@ -644,7 +648,7 @@ def ito_verify(
         grid = model.grid
     j0, j1 = grid.node(t), grid.node(s)
     if model is not None:
-        ens = integrate(model, init, policy, t0=t, n_particles=n_particles, seed=seed)
+        ens = integrate(model, init, policy, t0=t, n_particles=n_particles, seed=seed, noise=noise)
         values = ens.values
         controls = ens.controls
         a_eigs = model.A.eigenvalues
@@ -654,7 +658,7 @@ def ito_verify(
         model = _process_model(process, grid, d)
         values = np.empty((n_particles, grid.steps + 1, d))
         values[:, : j0 + 1] = init.sample(seed, n_particles, grid, d)[:, : j0 + 1]
-        noise = _rng.brownian_increments(seed, n_particles, grid.steps, d, grid.dt)
+        noise = _run_noise(model, n_particles, seed, noise)
         _exp_euler_steps(model, values, values, noise, j0, j1, 1.0)
         values[:, j1 + 1 :, :] = values[:, j1 : j1 + 1, :]
         controls = None

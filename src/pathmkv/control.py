@@ -4,10 +4,12 @@ the statistical checkers for dynamic programming and law invariance.
 Values are estimated only over declared policy families: the estimator is a
 lower bound on the true supremum, and every check below is phrased so that it
 is valid for a family-restricted value (or exact in the uncontrolled case).
-Common random numbers across family members come for free from the
-counter-based noise streams, which are keyed by (seed, particle, step) and
-never by the family index; that is what makes family-monotonicity exact
-rather than statistical.
+Family members are compared under common random numbers: the counter-based
+noise streams are keyed by (seed, particle, step) and never by the family
+index, so every member run from one seed is driven by the same Brownian
+block.  Each check draws that block once (`sde.brownian_block`, read-only)
+and passes it to every run that uses it; that is what makes
+family-monotonicity exact rather than statistical.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .measure import StoppedView
-from .sde import InitialLaw, ModelSpec, ParticleEnsemble, _recorded_args, integrate
+from .sde import (
+    InitialLaw,
+    ModelSpec,
+    ParticleEnsemble,
+    _recorded_args,
+    brownian_block,
+    integrate,
+)
 
 
 class ContractWarning(UserWarning):
@@ -159,29 +168,35 @@ class ValueEstimate:
     seed: int
 
 
-def _per_particle_reward(model: ModelSpec, ensemble: ParticleEnsemble, t0, t_end=None):
-    """Running cost (left endpoint) plus terminal cost per particle.
+def _per_particle_reward(model: ModelSpec, ensemble: ParticleEnsemble, t0, heads=()):
+    """Running reward (left endpoint) from t0 to T and terminal reward per
+    particle, and the running totals from t0 up to each time in `heads`.
 
-    Coefficients are re-evaluated on the final paths; values up to node j were
-    final when step j ran, so these are the integration-time evaluations.
+    One pass over the nodes: a head total is the running sum as it stands
+    when the pass reaches the head's node, so it is bit-equal to a pass that
+    stops there.  Coefficients are re-evaluated on the final paths; values up
+    to node j were final when step j ran, so these are the integration-time
+    evaluations.
     """
     grid = model.grid
-    j0 = grid.node(t0)
-    j1 = grid.steps if t_end is None else grid.node(t_end)
-    n = ensemble.n_particles
-    running = np.zeros(n)
-    if model.running_cost is not None:
-        for j in range(j0, j1):
+    stops = {grid.node(t) for t in heads}
+    running = np.zeros(ensemble.n_particles)
+    at_stop = {}
+    for j in range(grid.node(t0), grid.steps):
+        if j in stops:
+            at_stop[j] = running.copy()
+        if model.running_cost is not None:
             t, view, _, u, nu = _recorded_args(grid, ensemble.values, ensemble.controls, j)
             f_now = model.running_cost_at(t, view, view, u, nu)
             _growth_check(model, f_now, view, t, kind="f")
             running += f_now * grid.dt
-    terminal = np.zeros(n)
-    if t_end is None and model.terminal_cost is not None:
+    at_stop[grid.steps] = running
+    terminal = np.zeros(ensemble.n_particles)
+    if model.terminal_cost is not None:
         view = StoppedView(grid, ensemble.values, grid.steps)
         terminal = model.terminal_cost_at(view, view)
         _growth_check(model, terminal, view, grid.T, kind="g")
-    return running, terminal
+    return running, terminal, [at_stop[grid.node(t)] for t in heads]
 
 
 def _growth_check(model, values, view, t, kind):
@@ -200,7 +215,7 @@ def _growth_check(model, values, view, t, kind):
 
 def reward(model: ModelSpec, ensemble: ParticleEnsemble, t0: float) -> ValueEstimate:
     """Particle-average reward: int_{t0}^T f dt (left endpoint) + g."""
-    running, terminal = _per_particle_reward(model, ensemble, t0)
+    running, terminal, _ = _per_particle_reward(model, ensemble, t0)
     total = running + terminal
     n = ensemble.n_particles
     stderr = float(total.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
@@ -222,17 +237,24 @@ def estimate_value(
     t0: float,
     n_particles: int,
     seed: int,
+    noise: np.ndarray | None = None,
 ) -> ValueSearchResult:
     """Argmax of the reward mean over a finite policy family, common random
     numbers across members.  This is a lower-bound estimator of the true value
     (the supremum runs over all admissible controls, the family is a subset).
     Ties break to the lowest family index, which is exact under common noise.
+
+    Every member runs on one Brownian block: `noise` (with `integrate`'s
+    meaning and shape check) or, when it is None, the block of `seed`, drawn
+    once.
     """
     if not policy_family:
         raise ConfigurationError("policy family must be non-empty")
+    if noise is None:
+        noise = brownian_block(model, n_particles, seed)
     estimates = []
     for policy in policy_family:
-        ens = integrate(model, init, policy, t0, n_particles, seed)
+        ens = integrate(model, init, policy, t0, n_particles, seed, noise=noise)
         estimates.append(reward(model, ens, t0))
     means = np.array([e.mean for e in estimates])
     best = int(np.argmax(means))
@@ -270,12 +292,12 @@ def dpp_check(
     init: InitialLaw,
     policy_family,
     t0: float,
-    s: float,
+    s,
     n_particles: int,
     seed: int,
     branching: int = 1,
     same_noise: bool = False,
-) -> DppReport:
+):
     """Check the dynamic programming identity across the split time s.
 
     Uncontrolled (empty or singleton family): the identity degenerates to the
@@ -288,63 +310,97 @@ def dpp_check(
 
     Controlled (family with several members): checks the sub-optimality
     inequality V_fam(t0) <= sup_alpha { E int f + V_fam(s, law) } + 3 SE.
-    """
-    grid = model.grid
-    if grid.node(s) < grid.node(t0):
-        raise DomainError("split time precedes start time")
-    single = not policy_family or len(policy_family) <= 1
-    policy = policy_family[0] if policy_family else None
 
-    if single:
-        ens = integrate(model, init, policy, t0, n_particles, seed)
-        running_head, _ = _per_particle_reward(model, ens, t0, t_end=s)
-        running_full, terminal = _per_particle_reward(model, ens, t0)
+    `s` is one split time, which gives one DppReport, or a sequence of split
+    times, which gives their reports in order.  Every split is checked before
+    anything is simulated.  The ensembles from t0 are run once for all
+    splits, and each Brownian block (the base one and one per continuation
+    seed) is drawn once and shared by every run it drives.
+    """
+    single = np.ndim(s) == 0
+    splits = [s] if single else list(s)
+    if not splits:
+        raise ConfigurationError("dpp_check needs at least one split time")
+    grid = model.grid
+    if any(grid.node(x) < grid.node(t0) for x in splits):
+        raise DomainError("split time precedes start time")
+    noise = brownian_block(model, n_particles, seed)
+    if not policy_family or len(policy_family) <= 1:
+        policy = policy_family[0] if policy_family else None
+        reports = _dpp_tower(
+            model, init, policy, t0, splits, n_particles, seed, noise, branching, same_noise
+        )
+    else:
+        reports = _dpp_family(model, init, policy_family, t0, splits, n_particles, seed, noise)
+    return reports[0] if single else reports
+
+
+def _continuation_tail(model, cont_init, policy, s, n, seed, noise):
+    """Reward per particle of a run restarted at s; its paths are freed on
+    return, before the next continuation is run."""
+    cont = integrate(model, cont_init, policy, s, n, seed, noise=noise)
+    run_c, term_c, _ = _per_particle_reward(model, cont, s)
+    return run_c + term_c
+
+
+def _dpp_tower(model, init, policy, t0, splits, n, seed, noise, branching, same_noise):
+    ens = integrate(model, init, policy, t0, n, seed, noise=noise)
+    running_full, terminal, heads = _per_particle_reward(model, ens, t0, splits)
+    cont_init = InitialLaw.from_values(ens.values, "dpp continuation")
+    tails = [[] for _ in splits]
+    for b in range(branching):
+        cseed = seed if same_noise else _continuation_seed(seed, b)
+        cont_noise = noise if same_noise else brownian_block(model, n, cseed)
+        for s, split_tails in zip(splits, tails):
+            split_tails.append(_continuation_tail(model, cont_init, policy, s, n, cseed, cont_noise))
+    lhs = float((running_full + terminal).mean())
+    reports = []
+    for s, running_head, split_tails in zip(splits, heads, tails):
         tail_orig = running_full - running_head + terminal
-        cont_init = InitialLaw.from_values(ens.values, "dpp continuation")
-        tails = []
-        for b in range(branching):
-            cseed = seed if same_noise else _continuation_seed(seed, b)
-            cont = integrate(model, cont_init, policy, s, n_particles, cseed)
-            run_c, term_c = _per_particle_reward(model, cont, s)
-            tails.append(run_c + term_c)
-        tail_cont = np.mean(tails, axis=0)
+        tail_cont = np.mean(split_tails, axis=0)
         diff = tail_orig - tail_cont
         gap = float(diff.mean())
-        stderr = float(diff.std(ddof=1) / np.sqrt(n_particles))
-        lhs = float((running_full + terminal).mean())
+        stderr = float(diff.std(ddof=1) / np.sqrt(n))
         rhs = float(running_head.mean() + tail_cont.mean())
         passed = abs(gap) <= 3.0 * stderr or gap == 0.0
-        return DppReport("exact_tower", t0, s, lhs, rhs, gap, stderr, passed)
+        reports.append(DppReport("exact_tower", t0, s, lhs, rhs, gap, stderr, passed))
+    return reports
 
-    # Family-restricted inequality: LHS <= RHS + 3 SE.
-    lhs_vals, lhs_errs, rhs_vals, rhs_errs = [], [], [], []
-    for alpha in policy_family:
-        ens = integrate(model, init, alpha, t0, n_particles, seed)
-        running_head, _ = _per_particle_reward(model, ens, t0, t_end=s)
-        running_full, terminal = _per_particle_reward(model, ens, t0)
+
+def _dpp_family(model, init, family, t0, splits, n, seed, noise):
+    """Family-restricted inequality: LHS <= RHS + 3 SE at each split."""
+    cont_seeds = [_continuation_seed(seed, bi) for bi in range(len(family))]
+    cont_noise = [brownian_block(model, n, cseed) for cseed in cont_seeds]
+    lhs_vals, lhs_errs = [], []
+    rhs_vals = [[] for _ in splits]
+    rhs_errs = [[] for _ in splits]
+    for alpha in family:
+        ens = integrate(model, init, alpha, t0, n, seed, noise=noise)
+        running_full, terminal, heads = _per_particle_reward(model, ens, t0, splits)
         full = running_full + terminal
         lhs_vals.append(full.mean())
-        lhs_errs.append(full.std(ddof=1) / np.sqrt(n_particles))
+        lhs_errs.append(full.std(ddof=1) / np.sqrt(n))
         cont_init = InitialLaw.from_values(ens.values, "dpp continuation")
-        best_tail, best_err = -np.inf, 0.0
-        for bi, beta in enumerate(policy_family):
-            cont = integrate(
-                model, cont_init, beta, s, n_particles, _continuation_seed(seed, bi)
-            )
-            run_c, term_c = _per_particle_reward(model, cont, s)
-            tail = run_c + term_c
-            if tail.mean() > best_tail:
-                best_tail = tail.mean()
-                best_err = tail.std(ddof=1) / np.sqrt(n_particles)
-        rhs_vals.append(running_head.mean() + best_tail)
-        rhs_errs.append(best_err)
+        for k, (s, running_head) in enumerate(zip(splits, heads)):
+            best_tail, best_err = -np.inf, 0.0
+            for beta, cseed, block in zip(family, cont_seeds, cont_noise):
+                tail = _continuation_tail(model, cont_init, beta, s, n, cseed, block)
+                if tail.mean() > best_tail:
+                    best_tail = tail.mean()
+                    best_err = tail.std(ddof=1) / np.sqrt(n)
+            rhs_vals[k].append(running_head.mean() + best_tail)
+            rhs_errs[k].append(best_err)
     i_lhs = int(np.argmax(lhs_vals))
-    i_rhs = int(np.argmax(rhs_vals))
-    lhs, rhs = float(lhs_vals[i_lhs]), float(rhs_vals[i_rhs])
-    stderr = float(np.hypot(lhs_errs[i_lhs], rhs_errs[i_rhs]))
-    gap = lhs - rhs
-    passed = gap <= 3.0 * stderr
-    return DppReport("family_inequality", t0, s, lhs, rhs, gap, stderr, passed)
+    lhs = float(lhs_vals[i_lhs])
+    reports = []
+    for s, vals, errs in zip(splits, rhs_vals, rhs_errs):
+        i_rhs = int(np.argmax(vals))
+        rhs = float(vals[i_rhs])
+        stderr = float(np.hypot(lhs_errs[i_lhs], errs[i_rhs]))
+        gap = lhs - rhs
+        passed = gap <= 3.0 * stderr
+        reports.append(DppReport("family_inequality", t0, s, lhs, rhs, gap, stderr, passed))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +469,7 @@ def law_invariance_check(
 ) -> LawInvarianceReport:
     """Two initial data with the same declared law must give the same
     family-restricted value, up to Monte Carlo error with independent seeds.
+    Each side draws its seed's Brownian block once, for all its families.
 
     If the moment test detects that the laws actually differ, the check
     refuses to conclude and reports "inconclusive" instead of a failure.
@@ -425,12 +482,14 @@ def law_invariance_check(
         return LawInvarianceReport(
             "inconclusive", np.nan, np.nan, np.nan, np.nan, moment_gaps
         )
+    noise_a = brownian_block(model, n_particles, seeds[0])
+    noise_b = brownian_block(model, n_particles, seeds[1])
     per_family = []
     all_pass = True
     va_last = vb_last = gap = stderr = 0.0
     for family in policy_families:
-        ra = estimate_value(model, init_a, family, t0, n_particles, seeds[0])
-        rb = estimate_value(model, init_b, family, t0, n_particles, seeds[1])
+        ra = estimate_value(model, init_a, family, t0, n_particles, seeds[0], noise=noise_a)
+        rb = estimate_value(model, init_b, family, t0, n_particles, seeds[1], noise=noise_b)
         va_last, vb_last = ra.estimate.mean, rb.estimate.mean
         gap = va_last - vb_last
         stderr = float(np.hypot(ra.estimate.stderr, rb.estimate.stderr))

@@ -403,6 +403,29 @@ def _check_policy_growth(model, policy):
             )
 
 
+def brownian_block(model: ModelSpec, n_particles: int, seed: int) -> np.ndarray:
+    """The (N, M, dK) Brownian increments a run of `model` with N particles
+    from `seed` is driven by, read-only.
+
+    Runs that compare values under common random numbers draw this block once
+    and pass it to each run as `noise=`; being read-only, no run can change
+    what the next one reads."""
+    grid = model.grid
+    noise = rng.brownian_increments(seed, n_particles, grid.steps, model.space.dK, grid.dt)
+    noise.setflags(write=False)
+    return noise
+
+
+def _run_noise(model: ModelSpec, n_particles: int, seed: int, noise) -> np.ndarray:
+    """`noise` after the shape check, or the run's own block when it is None."""
+    if noise is None:
+        return brownian_block(model, n_particles, seed)
+    expected = (n_particles, model.grid.steps, model.space.dK)
+    if noise.shape != expected:
+        raise ConfigurationError(f"noise override has shape {noise.shape}, expected {expected}")
+    return noise
+
+
 def _recorded_args(grid: TimeGrid, values: np.ndarray, controls, j: int):
     """Coefficient arguments (t, xs, mu, u, nu) at node j of finished paths and
     the controls recorded with them; xs and mu are one StoppedView."""
@@ -473,8 +496,11 @@ def integrate(
 
     The returned ensemble is bit-reproducible from (inputs, seed): noise is
     counter-based per particle, and all cross-particle reductions are plain
-    numpy pairwise sums in fixed particle order.  Passing `noise` overrides
-    the generated increments (used for Brownian-refinement ladders).
+    numpy pairwise sums in fixed particle order.  Passing `noise`, an
+    (N, M, dK) block, overrides the generated increments: Brownian-refinement
+    ladders pass aggregated ones, and runs under common random numbers pass
+    the one `brownian_block(model, N, seed)` they share, which is exactly
+    what each would have drawn.  Every block passed is shape-checked.
     """
     model.validate()
     _check_policy_growth(model, policy)
@@ -491,13 +517,7 @@ def integrate(
     segment = init.sample(seed, n_particles, grid, d)
     values[:, : j0 + 1] = segment[:, : j0 + 1]
 
-    if noise is None:
-        noise = rng.brownian_increments(seed, n_particles, grid.steps, model.space.dK, dt)
-    elif noise.shape != (n_particles, grid.steps, model.space.dK):
-        raise ConfigurationError(
-            f"noise override has shape {noise.shape}, "
-            f"expected {(n_particles, grid.steps, model.space.dK)}"
-        )
+    noise = _run_noise(model, n_particles, seed, noise)
 
     gen = model.A if semigroup is None else semigroup
     exp_dt = np.exp(gen.eigenvalues * dt)
@@ -593,7 +613,7 @@ def integrate_picard(
     values = np.empty((n_particles, grid.steps + 1, d))
     segment = init.sample(seed, n_particles, grid, d)
     values[:, : j0 + 1] = segment[:, : j0 + 1]
-    noise = rng.brownian_increments(seed, n_particles, grid.steps, model.space.dK, dt)
+    noise = brownian_block(model, n_particles, seed)
     exp_dt = np.exp(model.A.eigenvalues * dt)
     randomizers = _policy_randomizers(policy, seed, n_particles)
 

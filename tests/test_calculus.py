@@ -37,7 +37,7 @@ from pathmkv.hilbert import HilbertVec
 from pathmkv.measure import EmpiricalPathMeasure, StoppedView, stopped_measure
 from pathmkv.models import make_ou
 from pathmkv.paths import TimeGrid
-from pathmkv.sde import constant_initial, gaussian_initial
+from pathmkv.sde import brownian_block, constant_initial, gaussian_initial
 
 
 def random_measure(grid, d, n, seed):
@@ -600,3 +600,34 @@ def test_ito_verify_at_suite_size_peaks_below_128_mb():
     finally:
         tracemalloc.stop()
     assert peak < 128 * 2**20, peak / 2**20
+
+
+def test_ito_verify_on_a_shared_block_matches_its_own_draw():
+    # the ito stage passes one block to the four drives and the A*-variant;
+    # each must report what it reports when it draws the block itself
+    model = make_ou(TimeGrid(1.0, 40), a=-1.0, s0=0.5)
+    grid, init = model.grid, gaussian_initial(0.0, 0.5)
+    common = dict(t=0.0, s=1.0, n_particles=203, seed=33)
+    block = brownian_block(model, 203, 33)
+    for drive in ITO_DRIVES:
+        own = ito_verify(ANALYTIC_ZOO, grid, init, process=drive, d=1, **common)
+        shared = ito_verify(ANALYTIC_ZOO, grid, init, process=drive, d=1, noise=block, **common)
+        assert [r.to_json() for r in shared] == [r.to_json() for r in own], drive.tag
+    init = constant_initial([2.0])
+    own = ito_verify(ANALYTIC_ZOO, grid, init, model=model, **common)
+    shared = ito_verify(ANALYTIC_ZOO, grid, init, model=model, noise=block, **common)
+    assert [r.to_json() for r in shared] == [r.to_json() for r in own]
+    assert not block.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(203, 39, 1), (202, 40, 1), (203, 40, 2)])
+@pytest.mark.parametrize("branch", ["process", "model"])
+def test_ito_verify_rejects_a_block_of_the_wrong_shape(branch, shape):
+    model = make_ou(TimeGrid(1.0, 40), a=-1.0, s0=0.5)
+    drive = {"process": ITO_DRIVES[2], "model": None}[branch]
+    with pytest.raises(ConfigurationError, match="noise override has shape"):
+        ito_verify(
+            linear_mean([1.0]), model.grid, constant_initial([0.0]), t=0.0, s=1.0,
+            n_particles=203, seed=33, process=drive, model=None if drive else model,
+            noise=np.zeros(shape),
+        )

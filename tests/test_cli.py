@@ -1,8 +1,11 @@
 import json
 import os
+from collections import Counter
 
 import pytest
 
+import pathmkv.rng
+from pathmkv.acceptance import SUITE
 from pathmkv.cli import (
     DEFAULT_CONFIG,
     load_config,
@@ -342,3 +345,58 @@ def test_yosida_subcommand(tmp_path):
     res = read_report(out)["results"]
     d = res["distances"]
     assert d[0] > d[1] > d[2]
+
+
+@pytest.mark.parametrize(
+    "subcommand, payload, key",
+    [
+        ("dpp-check", {"dpp": {"split_times": []}}, "dpp.split_times"),
+        ("dpp-check", {"dpp": {"split_times": [1.5]}}, "dpp.split_times"),
+        ("dpp-check", {"dpp": {"t0": 0.6, "split_times": [0.25, 0.75]}}, "dpp.t0"),
+        ("dpp-check", {"dpp": {"t0": 1.5}}, "dpp.t0"),
+        ("law-check", {"law": {"families": []}}, "law.families"),
+        ("hjb-residual", {"hjb": {"times": []}}, "hjb.times"),
+        ("yosida-converge", {"yosida": {"ladder": []}}, "yosida.ladder"),
+        ("ito-check", {"ito": {"s": 1.5}}, "ito.s"),
+        ("ito-check", {"ito": {"t": 0.75, "s": 0.5}}, "ito.s"),
+        ("ito-check", {"ito": {"t": -0.25}}, "ito.t"),
+    ],
+)
+def test_empty_lists_and_times_off_the_horizon_exit_2(tmp_path, capsys, subcommand, payload, key):
+    path = write_cfg(tmp_path, {**small_cfg(), **payload})
+    assert run(subcommand, path, str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"'{key}'" in err
+    assert not os.path.exists(tmp_path / "out" / "report.json")
+
+
+def test_each_stage_draws_each_brownian_block_once_and_shares_it_read_only(tmp_path, monkeypatch):
+    # the config of tests/data/suite_small.json
+    path = write_cfg(tmp_path, {"grid": {"T": 1.0, "steps": 96}, "particles": 256, "seed": 7})
+    cfg = load_config(path)
+    draws = []
+    draw = pathmkv.rng.brownian_increments
+
+    def counted(seed, n_particles, n_steps, dk, dt):
+        block = draw(seed, n_particles, n_steps, dk, dt)
+        draws.append(((seed, n_particles, n_steps, dk), block))
+        return block
+
+    monkeypatch.setattr(pathmkv.rng, "brownian_increments", counted)
+    per_stage = {}
+    for stage in ("yosida", "ito", "dpp", "law"):
+        draws.clear()
+        SUITE[stage](cfg, str(tmp_path), 1)
+        per_stage[stage] = list(draws)
+        blocks = Counter(args for args, _ in draws)
+        assert all(count == 1 for count in blocks.values()), (stage, blocks)
+        for _, block in draws:
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0, 0] = 0.0
+    assert [args for args, _ in per_stage["yosida"]] == [(7, 256, 96, 1)]
+    assert [args for args, _ in per_stage["ito"]] == [(7, 256, 96, 1)]
+    # the base run's block and the one continuation block, for all three splits
+    assert len(per_stage["dpp"]) == 2
+    # one block per side; the guard rail stops at its moment test and draws none
+    assert sorted(args[0] for args, _ in per_stage["law"]) == [7, 7 + 77]

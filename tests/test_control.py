@@ -1,21 +1,26 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import pathmkv.control as control
 from pathmkv.control import (
     ContractWarning,
+    DppReport,
     FeedbackPolicy,
     FiniteActionSet,
     RandomizedPolicy,
+    _continuation_seed,
     constant_policy,
     dpp_check,
     estimate_value,
     law_invariance_check,
     reward,
 )
-from pathmkv.errors import ConfigurationError
+from pathmkv.errors import ConfigurationError, DomainError
 from pathmkv.hilbert import GENERATOR, SpaceSpec, SpectralOperator
+from pathmkv.measure import EmpiricalControlMeasure, StoppedView
 from pathmkv.models import (
     make_controlled_linear,
     make_quadratic_terminal,
@@ -294,3 +299,176 @@ def test_estimate_value_rejects_empty_family():
     model = make_quadratic_terminal(grid, a=-1.0, s0=0.5)
     with pytest.raises(ConfigurationError):
         estimate_value(model, constant_initial([0.0]), [], 0.0, 8, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Shared Brownian blocks against pinned per-call references, in which every
+# run draws its own noise and every horizon gets its own reward pass
+
+
+def _reference_reward(model, ens, t0, t_end=None):
+    grid = model.grid
+    j1 = grid.steps if t_end is None else grid.node(t_end)
+    running = np.zeros(ens.n_particles)
+    if model.running_cost is not None:
+        for j in range(grid.node(t0), j1):
+            view = StoppedView(grid, ens.values, j)
+            u = None if ens.controls is None else ens.controls[:, j, :]
+            nu = None if u is None else EmpiricalControlMeasure(u)
+            running += model.running_cost_at(grid.time_at(j), view, view, u, nu) * grid.dt
+    terminal = np.zeros(ens.n_particles)
+    if t_end is None and model.terminal_cost is not None:
+        view = StoppedView(grid, ens.values, grid.steps)
+        terminal = model.terminal_cost_at(view, view)
+    return running, terminal
+
+
+def _reference_tail(model, cont_init, policy, s, n, seed):
+    cont = integrate(model, cont_init, policy, s, n, seed)
+    run_c, term_c = _reference_reward(model, cont, s)
+    return run_c + term_c
+
+
+def _reference_dpp(model, init, family, t0, s, n, seed, branching=1, same_noise=False):
+    if len(family) <= 1:
+        policy = family[0] if family else None
+        ens = integrate(model, init, policy, t0, n, seed)
+        head, _ = _reference_reward(model, ens, t0, t_end=s)
+        full, terminal = _reference_reward(model, ens, t0)
+        cont_init = InitialLaw.from_values(ens.values)
+        tail_cont = np.mean(
+            [
+                _reference_tail(
+                    model, cont_init, policy, s, n, seed if same_noise else _continuation_seed(seed, b)
+                )
+                for b in range(branching)
+            ],
+            axis=0,
+        )
+        diff = full - head + terminal - tail_cont
+        gap, stderr = float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(n))
+        lhs, rhs = float((full + terminal).mean()), float(head.mean() + tail_cont.mean())
+        passed = abs(gap) <= 3.0 * stderr or gap == 0.0
+        return DppReport("exact_tower", t0, s, lhs, rhs, gap, stderr, passed)
+    lhs_vals, lhs_errs, rhs_vals, rhs_errs = [], [], [], []
+    for alpha in family:
+        ens = integrate(model, init, alpha, t0, n, seed)
+        head, _ = _reference_reward(model, ens, t0, t_end=s)
+        running, terminal = _reference_reward(model, ens, t0)
+        full = running + terminal
+        lhs_vals.append(full.mean())
+        lhs_errs.append(full.std(ddof=1) / np.sqrt(n))
+        cont_init = InitialLaw.from_values(ens.values)
+        tails = [
+            _reference_tail(model, cont_init, beta, s, n, _continuation_seed(seed, bi))
+            for bi, beta in enumerate(family)
+        ]
+        best = int(np.argmax([tail.mean() for tail in tails]))
+        rhs_vals.append(head.mean() + tails[best].mean())
+        rhs_errs.append(tails[best].std(ddof=1) / np.sqrt(n))
+    i_lhs, i_rhs = int(np.argmax(lhs_vals)), int(np.argmax(rhs_vals))
+    lhs, rhs = float(lhs_vals[i_lhs]), float(rhs_vals[i_rhs])
+    stderr = float(np.hypot(lhs_errs[i_lhs], rhs_errs[i_rhs]))
+    return DppReport("family_inequality", t0, s, lhs, rhs, lhs - rhs, stderr, lhs - rhs <= 3.0 * stderr)
+
+
+def _controlled_with_running_cost(grid):
+    actions = FiniteActionSet([[0.0], [0.25], [0.5], [1.0]])
+    model = make_controlled_linear(grid, c=1.0, s0=0.3, actions=actions)
+    def running_cost(t, xs, mu, u, nu):
+        return np.zeros(xs.n) if u is None else -0.4 * (u**2).sum(axis=1)
+
+    return replace(model, running_cost=running_cost)
+
+
+# unsorted, with both ends of [t0, T] and a repeat
+DPP_SPLITS = [0.75, 0.0, 0.5, 0.25, 1.0, 0.5]
+
+
+@pytest.mark.parametrize(
+    "case, kwargs",
+    [("tower", {"branching": 2}), ("tower", {"same_noise": True}), ("family", {})],
+    ids=["tower-branching=2", "tower-same_noise", "family"],
+)
+def test_dpp_over_a_sequence_of_splits_matches_pinned_per_split_calls(case, kwargs):
+    grid = TimeGrid(1.0, 40)
+    if case == "tower":
+        model = make_quadratic_terminal(grid, a=-1.0, s0=0.5, running=0.5)
+        family, init = [], constant_initial([0.5])
+    else:
+        model = _controlled_with_running_cost(grid)
+        family = [constant_policy([0.0]), constant_policy([1.0])]
+        init = gaussian_initial(0.0, 0.5)
+    reports = dpp_check(model, init, family, 0.0, DPP_SPLITS, 64, 19, **kwargs)
+    singles = [dpp_check(model, init, family, 0.0, s, 64, 19, **kwargs) for s in DPP_SPLITS]
+    refs = [_reference_dpp(model, init, family, 0.0, s, 64, 19, **kwargs) for s in DPP_SPLITS]
+    assert [r.to_json() for r in reports] == [r.to_json() for r in singles]
+    assert [r.to_json() for r in reports] == [r.to_json() for r in refs]
+    assert reports[0].mode == ("family_inequality" if family else "exact_tower")
+
+
+def test_dpp_checks_every_split_before_simulating(monkeypatch):
+    grid = TimeGrid(1.0, 40)
+    model = make_quadratic_terminal(grid, a=-1.0, s0=0.5)
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("simulated before checking the split times")
+
+    monkeypatch.setattr(control, "integrate", no_runs)
+    with pytest.raises(DomainError, match="precedes"):
+        dpp_check(model, constant_initial([0.5]), [], 0.5, [0.75, 0.25], 64, seed=0)
+    with pytest.raises(ConfigurationError, match="split time"):
+        dpp_check(model, constant_initial([0.5]), [], 0.0, [], 64, seed=0)
+
+
+def _randomized_family():
+    randomized = RandomizedPolicy(
+        lambda t, xs, mu, r: (r < 0.5)[:, None].astype(float), tag="bern(0.5)"
+    )
+    return [constant_policy([0.0]), randomized, constant_policy([1.0])]
+
+
+def _reference_estimates(model, init, family, t0, n, seed):
+    return [reward(model, integrate(model, init, p, t0, n, seed), t0) for p in family]
+
+
+def test_estimate_value_on_one_block_matches_members_drawing_their_own():
+    model = _controlled_with_running_cost(TimeGrid(1.0, 40))
+    init = gaussian_initial(0.0, 0.5)
+    family = _randomized_family()
+    res = estimate_value(model, init, family, 0.0, 64, seed=41)
+    ref = _reference_estimates(model, init, family, 0.0, 64, 41)
+    assert res.all_estimates == ref
+    assert res.best_index == int(np.argmax([e.mean for e in ref]))
+    assert res.estimate == ref[res.best_index]
+
+
+def test_law_invariance_on_one_block_per_side_matches_a_pinned_loop():
+    model = _controlled_with_running_cost(TimeGrid(1.0, 40))
+    init_a = two_point_mapped(-1.0, 1.0, flipped=False)
+    init_b = two_point_mapped(-1.0, 1.0, flipped=True)
+    families = [[None], _randomized_family(), [constant_policy([0.5]), constant_policy([0.25])]]
+    rep = law_invariance_check(model, init_a, init_b, families, 0.0, 256, seeds=(43, 44))
+    expected = []
+    for family in families:
+        sides = []
+        for init, seed in ((init_a, 43), (init_b, 44)):
+            ests = _reference_estimates(model, init, family, 0.0, 256, seed)
+            sides.append(ests[int(np.argmax([e.mean for e in ests]))])
+        a, b = sides
+        gap, stderr = a.mean - b.mean, float(np.hypot(a.stderr, b.stderr))
+        expected.append(
+            {"value_a": a.mean, "value_b": b.mean, "gap": gap, "stderr": stderr, "pass": abs(gap) <= 3.0 * stderr}
+        )
+    assert rep.per_family == expected
+    assert rep.status == ("pass" if all(f["pass"] for f in expected) else "fail")
+    assert (rep.value_a, rep.value_b, rep.gap) == (
+        expected[-1]["value_a"], expected[-1]["value_b"], expected[-1]["gap"]
+    )
+
+
+def test_estimate_value_rejects_a_block_of_the_wrong_shape():
+    model = make_quadratic_terminal(TimeGrid(1.0, 10), a=-1.0, s0=0.5)
+    for shape in [(8, 9, 1), (7, 10, 1), (8, 10, 2)]:
+        with pytest.raises(ConfigurationError, match="noise override has shape"):
+            estimate_value(model, constant_initial([0.0]), [None], 0.0, 8, seed=0, noise=np.zeros(shape))
