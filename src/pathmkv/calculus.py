@@ -16,6 +16,7 @@ is what makes finite-difference consistency and the Ito residual checkable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import (
 from .hilbert import GENERATOR, HilbertVec, SpaceSpec, SpectralOperator
 from .measure import EmpiricalPathMeasure, StoppedView, stopped_measure
 from .paths import PathGrid, bump
-from .sde import InitialLaw, ModelSpec, _exp_euler_steps, _recorded_args, _run_noise, integrate
+from .sde import InitialLaw, ModelSpec, _recorded_args, integrate
 
 
 class NodeRun:
@@ -513,8 +514,12 @@ class ItoReport:
 
 
 def _process_model(process: ItoProcessSpec, grid, d: int) -> ModelSpec:
-    """The plain Ito process as a state equation with A = 0, whose coefficients
-    F and G read the current node of the paths."""
+    """The plain Ito process as the state equation with A = 0, whose coefficients
+    F and G read the current node of the paths.
+
+    No Lipschitz constant is declared (L = inf): the Lipschitz spot check
+    passes and the a-priori estimate does not apply, while the
+    non-anticipativity spot check runs as on every model."""
 
     def lift(fn):
         return None if fn is None else (lambda t, xs, mu, u, nu: fn(t, xs.values_now))
@@ -525,6 +530,7 @@ def _process_model(process: ItoProcessSpec, grid, d: int) -> ModelSpec:
         A=SpectralOperator(np.zeros(d), kind=GENERATOR),
         drift=lift(process.F),
         diffusion=lift(process.G),
+        lipschitz=math.inf,
         tag=process.tag,
     )
 
@@ -610,11 +616,13 @@ def ito_verify(
 ):
     """Check the functional Ito formula on a particle ensemble.
 
-    With `process` given, X is the plain Ito process xi + int F dr + int G dB
-    and the right-hand side carries the horizontal, first-order and trace
-    terms.  With `model` given, X is the mild solution of the state equation
-    and the right-hand side additionally carries the <X_r, A* d_mu phi> term.
-    LHS and RHS are computed on the full ensemble; the Monte Carlo standard
+    With `process` given, X is the plain Ito process xi + int F dr + int G dB,
+    which is the state equation with A = 0 (`_process_model`), and the
+    right-hand side carries the horizontal, first-order and trace terms.
+    With `model` given, X is the mild solution of the state equation and the
+    right-hand side additionally carries the <X_r, A* d_mu phi> term.  Either
+    way X is one `integrate` run from t to s, driven by `policy` (the paths
+    stay constant after s).  LHS and RHS are computed on the full ensemble; the Monte Carlo standard
     error comes from the n_batches disjoint particle batches b::n_batches, and
     the pass gate is |residual| <= 3 * stderr + dt_coeff * dt.
 
@@ -644,26 +652,17 @@ def ito_verify(
             "every batch needs a particle"
         )
 
-    if model is not None:
-        grid = model.grid
-    j0, j1 = grid.node(t), grid.node(s)
-    if model is not None:
-        ens = integrate(model, init, policy, t0=t, n_particles=n_particles, seed=seed, noise=noise)
-        values = ens.values
-        controls = ens.controls
-        a_eigs = model.A.eigenvalues
-        tag = f"mild:{model.tag}"
-    else:
-        # X = xi + int F dr + int G dB: the step kernel with e^{dt*A} = 1.
+    if model is None:
         model = _process_model(process, grid, d)
-        values = np.empty((n_particles, grid.steps + 1, d))
-        values[:, : j0 + 1] = init.sample(seed, n_particles, grid, d)[:, : j0 + 1]
-        noise = _run_noise(model, n_particles, seed, noise)
-        _exp_euler_steps(model, values, values, noise, j0, j1, 1.0)
-        values[:, j1 + 1 :, :] = values[:, j1 : j1 + 1, :]
-        controls = None
-        a_eigs = None
-        tag = process.tag
+        a_eigs, tag = None, process.tag
+    else:
+        a_eigs, tag = model.A.eigenvalues, f"mild:{model.tag}"
+    grid = model.grid
+    j0, j1 = grid.node(t), grid.node(s)
+    ens = integrate(
+        model, init, policy, t0=t, n_particles=n_particles, seed=seed, noise=noise, t_end=s
+    )
+    values, controls = ens.values, ens.controls
 
     # the full ensemble, then batch b = particles b, b + n_batches, ...;
     # basic slices, so every set is a view in particle order

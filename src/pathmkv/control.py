@@ -58,9 +58,6 @@ class FiniteActionSet:
     def m(self) -> int:
         return self.points.shape[1]
 
-    def contains(self, u) -> bool:
-        return bool(np.any(np.all(np.isclose(self.points, u, atol=1e-12), axis=1)))
-
     def contains_batch(self, u: np.ndarray) -> bool:
         dists = np.abs(u[:, None, :] - self.points[None, :, :]).max(axis=2)
         return bool(np.all(dists.min(axis=1) <= 1e-12))
@@ -87,10 +84,6 @@ class BoxActionSet:
     @property
     def m(self) -> int:
         return self.lo.shape[0]
-
-    def contains(self, u) -> bool:
-        u = np.asarray(u, dtype=float)
-        return bool(np.all(u >= self.lo - 1e-12) and np.all(u <= self.hi + 1e-12))
 
     def contains_batch(self, u: np.ndarray) -> bool:
         return bool(np.all(u >= self.lo - 1e-12) and np.all(u <= self.hi + 1e-12))
@@ -202,8 +195,11 @@ def _per_particle_reward(model: ModelSpec, ensemble: ParticleEnsemble, t0, heads
 def _growth_check(model, values, view, t, kind):
     if model.growth_h is None:
         return
-    h_val = float(model.growth_h(view.w2_to_zero()))
-    bound = h_val * (1.0 + view.seminorm_sq_at(t))
+    # one sup-seminorm pass: the view is unweighted and stopped at t, so
+    # W2(mu, delta_0) is the root of the mean of ||x||_t^2
+    sq = view.seminorm_sq_at(t)
+    h_val = float(model.growth_h(float(np.sqrt(sq.mean()))))
+    bound = h_val * (1.0 + sq)
     if np.any(np.abs(values) > bound * (1.0 + 1e-9)):
         warnings.warn(
             f"declared growth envelope violated by {kind} at t={t:.4g} "

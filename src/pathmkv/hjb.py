@@ -35,15 +35,6 @@ from .sde import ModelSpec
 
 ENUMERATION_CAP = 10**6
 
-_FORM_ALIASES = {
-    "esssup": "esssup",
-    "maps": "maps",
-    "m-maps": "maps",
-    "mt": "mt",
-    "mt-bruteforce": "mt",
-    "m_t-bruteforce": "mt",
-}
-
 
 @dataclass
 class HamiltonianIntegrand:
@@ -105,14 +96,13 @@ def hamiltonian_sup_finite(
             "deterministic Hamiltonian forms need a nu-free integrand; "
             "use hamiltonian_sup_randomized"
         )
-    form_key = _FORM_ALIASES.get(form.lower())
-    if form_key is None:
+    if form not in ("esssup", "maps", "mt"):
         raise DomainError(f"unknown Hamiltonian form {form!r}")
     actions = np.atleast_2d(np.asarray(action_set.points, dtype=float))
     k, q = mu.n_atoms, actions.shape[0]
     vals = _atom_action_values(F, mu, actions)
 
-    if form_key == "esssup":
+    if form == "esssup":
         value = _accumulate(vals[i].max() for i in range(k))
         return (value, None) if with_argmax else value
 
@@ -121,7 +111,7 @@ def hamiltonian_sup_finite(
             f"map enumeration needs {q}^{k} evaluations",
             suggestion="use form='esssup'",
         )
-    index_ranges = [range(q)] * k if form_key == "maps" else [range(q - 1, -1, -1)] * k
+    index_ranges = [range(q)] * k if form == "maps" else [range(q - 1, -1, -1)] * k
     best = -math.inf
     best_map = None
     for assignment in itertools.product(*index_ranges):

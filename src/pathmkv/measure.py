@@ -184,20 +184,22 @@ def _sup_cost_matrix(mu: EmpiricalPathMeasure, nu: EmpiricalPathMeasure) -> np.n
     return cost
 
 
+def _uniform(w: np.ndarray) -> bool:
+    """Whether all weights are equal, exactly: near-uniform weights are not
+    uniform and have a different transport value."""
+    return bool(np.all(w == w[0]))
+
+
 def exact_ot_cost(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray) -> float:
     """Optimal value of the discrete OT problem for a given cost matrix.
 
     Equal uniform weights with a square matrix reduce to the assignment
-    problem; anything else is solved as the transport LP over the coupling
-    polytope (one marginal constraint dropped as redundant).
+    problem; anything else, near-uniform weights included, is solved as the
+    transport LP over the coupling polytope (one marginal constraint dropped
+    as redundant).
     """
     n, m = cost.shape
-    uniform = (
-        n == m
-        and np.allclose(w_row, 1.0 / n, atol=1e-15)
-        and np.allclose(w_col, 1.0 / m, atol=1e-15)
-    )
-    if uniform:
+    if n == m and _uniform(w_row) and _uniform(w_col):
         rows, cols = linear_sum_assignment(cost)
         return float(cost[rows, cols].sum() / n)
     # Row sums, then every column sum but the last: nm + n(m-1) nonzeros.
@@ -260,7 +262,7 @@ def _cut_points(w: np.ndarray) -> np.ndarray:
     by ~1e-13 at n = 4000, which would pair the wrong tail atoms.
     """
     n = len(w)
-    if np.all(w == w[0]):
+    if _uniform(w):
         return np.arange(1, n + 1) / n
     return np.cumsum(w)
 

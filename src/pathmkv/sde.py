@@ -315,8 +315,11 @@ def apriori_constant(L: float, eta: float, T: float) -> float:
             zero_part = math.sqrt(c0 * T) * math.exp(c0 * T)
         except OverflowError:
             return math.inf
-        lip = lipschitz_initial_constant(L, eta, T)
-    if not math.isfinite(zero_part) or not math.isfinite(lip):
+    # L = inf (no constant declared) stops here, before the window count
+    if not math.isfinite(zero_part):
+        return math.inf
+    lip = lipschitz_initial_constant(L, eta, T)
+    if not math.isfinite(lip):
         return math.inf
     return max(zero_part, lip, 1.0)
 
@@ -388,21 +391,6 @@ class ParticleEnsemble:
             json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _policy_randomizers(policy, seed, n):
-    if policy is not None and getattr(policy, "needs_randomizer", False):
-        return rng.uniforms(seed, rng.STREAM_POLICY, n)[:, 0]
-    return None
-
-
-def _check_policy_growth(model, policy):
-    if model.control_growth is not None and policy is not None:
-        if not getattr(policy, "square_integrable", True):
-            raise ConfigurationError(
-                "model declares unbounded control growth; the policy must declare "
-                "square-integrability"
-            )
-
-
 def brownian_block(model: ModelSpec, n_particles: int, seed: int) -> np.ndarray:
     """The (N, M, dK) Brownian increments a run of `model` with N particles
     from `seed` is driven by, read-only.
@@ -416,14 +404,38 @@ def brownian_block(model: ModelSpec, n_particles: int, seed: int) -> np.ndarray:
     return noise
 
 
-def _run_noise(model: ModelSpec, n_particles: int, seed: int, noise) -> np.ndarray:
-    """`noise` after the shape check, or the run's own block when it is None."""
+def _start(model: ModelSpec, init: InitialLaw, policy, t0, n_particles, seed, noise=None):
+    """Begin a run at t0: validate the model and the policy, fill the paths up
+    to node j0 with the initial segment, and take `noise` after the shape
+    check, or the run's own block when it is None.
+
+    Returns (j0, values, noise, randomizers); values is (N, M+1, d) and only
+    its first j0 + 1 nodes are set.
+    """
+    model.validate()
+    if model.control_growth is not None and policy is not None:
+        if not getattr(policy, "square_integrable", True):
+            raise ConfigurationError(
+                "model declares unbounded control growth; the policy must declare "
+                "square-integrability"
+            )
+    if n_particles < 2:
+        raise ConfigurationError("need at least 2 particles for an empirical law")
+    grid, d = model.grid, model.space.d
+    j0 = grid.node(t0)
+    values = np.empty((n_particles, grid.steps + 1, d))
+    values[:, : j0 + 1] = init.sample(seed, n_particles, grid, d)[:, : j0 + 1]
     if noise is None:
-        return brownian_block(model, n_particles, seed)
-    expected = (n_particles, model.grid.steps, model.space.dK)
-    if noise.shape != expected:
-        raise ConfigurationError(f"noise override has shape {noise.shape}, expected {expected}")
-    return noise
+        noise = brownian_block(model, n_particles, seed)
+    elif noise.shape != (n_particles, grid.steps, model.space.dK):
+        raise ConfigurationError(
+            f"noise override has shape {noise.shape}, "
+            f"expected {(n_particles, grid.steps, model.space.dK)}"
+        )
+    randomizers = None
+    if policy is not None and getattr(policy, "needs_randomizer", False):
+        randomizers = rng.uniforms(seed, rng.STREAM_POLICY, n_particles)[:, 0]
+    return j0, values, noise, randomizers
 
 
 def _recorded_args(grid: TimeGrid, values: np.ndarray, controls, j: int):
@@ -435,7 +447,9 @@ def _recorded_args(grid: TimeGrid, values: np.ndarray, controls, j: int):
     return grid.time_at(j), view, view, u, nu
 
 
-def _exp_euler_steps(model, values, law, noise, j0, j_end, exp_dt, policy=None, randomizers=None):
+def _exp_euler_steps(
+    model, values, law, noise, j0, j_end, exp_dt, policy=None, randomizers=None, controls=None
+):
     """Advance `values` in place from node j0 to node j_end by
 
         X_{j+1} = e^{dt*A} [ X_j + b_j dt + sigma_j dB_j ],
@@ -443,10 +457,11 @@ def _exp_euler_steps(model, values, law, noise, j0, j_end, exp_dt, policy=None, 
     with b_j and sigma_j reading the paths of `values` and the law of the block
     `law`, both stopped at node j.  `law is values` is the self-consistent
     scheme; a frozen block is one Picard pass.  The noise width is the
-    diffusion's.  Returns the (N, M, m) actions the policy emitted, or None.
+    diffusion's.  The actions the policy emits are checked against the
+    model's action set at every step and written into `controls`, an
+    (N, M, m) block allocated on the first step when None; returns it.
     """
     grid, dt = model.grid, model.grid.dt
-    controls = None
     for j in range(j0, j_end):
         t = grid.time_at(j)
         xs = StoppedView(grid, values, j)
@@ -457,12 +472,12 @@ def _exp_euler_steps(model, values, law, noise, j0, j_end, exp_dt, policy=None, 
             if u.ndim == 1:
                 u = u[:, None]
             nu = EmpiricalControlMeasure(u)
+            if model.actions is not None and not model.actions.contains_batch(u):
+                raise ConfigurationError(
+                    f"policy {getattr(policy, 'tag', policy)!r} emitted actions "
+                    f"outside the declared action set at step {j} (t={t:.6g})"
+                )
             if controls is None:
-                if model.actions is not None and not model.actions.contains_batch(u):
-                    raise ConfigurationError(
-                        f"policy {getattr(policy, 'tag', policy)!r} emitted actions "
-                        "outside the declared action set"
-                    )
                 controls = np.zeros((values.shape[0], grid.steps, u.shape[1]))
             controls[:, j, :] = u
         if model.drift is None:
@@ -492,7 +507,8 @@ def integrate(
     t_end: float | None = None,
     semigroup: SpectralOperator | None = None,
 ) -> ParticleEnsemble:
-    """Run the interacting particle system from t0 to T (or t_end).
+    """Run the interacting particle system from t0 to T (or t_end); the
+    paths stay constant after t_end.
 
     The returned ensemble is bit-reproducible from (inputs, seed): noise is
     counter-based per particle, and all cross-particle reductions are plain
@@ -502,27 +518,15 @@ def integrate(
     the one `brownian_block(model, N, seed)` they share, which is exactly
     what each would have drawn.  Every block passed is shape-checked.
     """
-    model.validate()
-    _check_policy_growth(model, policy)
-    grid, d = model.grid, model.space.d
-    if n_particles < 2:
-        raise ConfigurationError("need at least 2 particles for an empirical law")
-    j0 = grid.node(t0)
+    j0, values, noise, randomizers = _start(model, init, policy, t0, n_particles, seed, noise)
+    grid = model.grid
     j_end = grid.steps if t_end is None else grid.node(t_end)
     if j_end < j0:
         raise DomainError(f"t_end {t_end} precedes t0 {t0}")
     dt = grid.dt
 
-    values = np.empty((n_particles, grid.steps + 1, d))
-    segment = init.sample(seed, n_particles, grid, d)
-    values[:, : j0 + 1] = segment[:, : j0 + 1]
-
-    noise = _run_noise(model, n_particles, seed, noise)
-
     gen = model.A if semigroup is None else semigroup
     exp_dt = np.exp(gen.eigenvalues * dt)
-
-    randomizers = _policy_randomizers(policy, seed, n_particles)
     controls = _exp_euler_steps(
         model, values, values, noise, j0, j_end, exp_dt, policy, randomizers
     )
@@ -535,7 +539,7 @@ def integrate(
     )
 
     c = apriori_constant(model.lipschitz, model.eta, grid.T)
-    xi_norm = float(np.sqrt(sup_seminorm_sq_values(segment, j0).mean()))
+    xi_norm = float(np.sqrt(sup_seminorm_sq_values(values, j0).mean()))
     bound = 3.0 * c * (1.0 + xi_norm)
     if model.control_growth is not None:
         control_sq_sum = 0.0
@@ -601,43 +605,41 @@ def integrate_picard(
     subwindows of at most that length, solved sequentially (the
     interval-splitting construction).  Raises NonConvergenceError with the gap
     history when max_iter is exhausted.
+
+    The run begins as `integrate`'s does, from the same initial segment, noise
+    block and policy randomizers.  The ensemble's controls are the actions
+    each window's final pass emitted (None without a policy).
     """
-    model.validate()
-    _check_policy_growth(model, policy)
     if tol <= 0:
         raise DomainError("tol must be positive")
-    grid, d = model.grid, model.space.d
-    j0 = grid.node(t0)
-    dt = grid.dt
-
-    values = np.empty((n_particles, grid.steps + 1, d))
-    segment = init.sample(seed, n_particles, grid, d)
-    values[:, : j0 + 1] = segment[:, : j0 + 1]
-    noise = brownian_block(model, n_particles, seed)
-    exp_dt = np.exp(model.A.eigenvalues * dt)
-    randomizers = _policy_randomizers(policy, seed, n_particles)
-
-    if window is None:
-        boundaries = [j0, grid.steps]
-    else:
-        if window <= 0:
-            raise DomainError("window must be positive")
-        step_nodes = max(1, int(round(window / dt)))
+    if window is not None and window <= 0:
+        raise DomainError("window must be positive")
+    j0, values, noise, randomizers = _start(model, init, policy, t0, n_particles, seed)
+    grid = model.grid
+    exp_dt = np.exp(model.A.eigenvalues * grid.dt)
+    boundaries = [j0, grid.steps]
+    if window is not None:
+        step_nodes = max(1, int(round(window / grid.dt)))
         boundaries = list(range(j0, grid.steps, step_nodes)) + [grid.steps]
 
     skeleton = replace(model, drift=None, diffusion=None)
+    controls = None
     total_iters = 0
     all_gaps = []
     for a, b_node in zip(boundaries[:-1], boundaries[1:]):
         # Seed the window's law sequence with the semigroup skeleton (b = sigma = 0).
         _exp_euler_steps(skeleton, values, values, noise, a, b_node, exp_dt)
         prev = values.copy()
-        _exp_euler_steps(model, values, prev, noise, a, b_node, exp_dt, policy, randomizers)
+        controls = _exp_euler_steps(
+            model, values, prev, noise, a, b_node, exp_dt, policy, randomizers, controls
+        )
         prev = values.copy()
         gaps = []
         converged = False
         for _ in range(max_iter):
-            _exp_euler_steps(model, values, prev, noise, a, b_node, exp_dt, policy, randomizers)
+            _exp_euler_steps(
+                model, values, prev, noise, a, b_node, exp_dt, policy, randomizers, controls
+            )
             diff = values[:, a : b_node + 1] - prev[:, a : b_node + 1]
             gap = float(np.sqrt((diff**2).sum(axis=2).max(axis=1).mean()))
             gaps.append(gap)
@@ -651,7 +653,7 @@ def integrate_picard(
             raise NonConvergenceError(gaps, tol)
 
     ens = ParticleEnsemble(
-        grid, model.space, t0, values, noise, None, seed, model_tag=model.tag
+        grid, model.space, t0, values, noise, controls, seed, model_tag=model.tag
     )
     return PicardResult(ens, total_iters, all_gaps, windows=len(boundaries) - 1)
 

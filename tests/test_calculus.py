@@ -620,6 +620,26 @@ def test_ito_verify_on_a_shared_block_matches_its_own_draw():
     assert not block.flags.writeable
 
 
+def test_both_ito_routes_run_one_integrate_from_t_to_s(monkeypatch):
+    import pathmkv.calculus as calculus
+
+    runs = []
+    real = calculus.integrate
+
+    def spy(model, init, policy=None, **kwargs):
+        runs.append((model.tag, kwargs["t0"], kwargs["t_end"]))
+        return real(model, init, policy, **kwargs)
+
+    monkeypatch.setattr(calculus, "integrate", spy)
+    model = make_ou(TimeGrid(1.0, 40), a=-1.0, s0=0.5)
+    common = dict(t=0.25, s=0.75, n_particles=16, seed=3)
+    ito_verify(linear_mean([1.0]), model.grid, constant_initial([0.0]),
+               process=ITO_DRIVES[2], **common)
+    rep = ito_verify(linear_mean([1.0]), model.grid, constant_initial([0.0]), model=model, **common)
+    assert runs == [(ITO_DRIVES[2].tag, 0.25, 0.75), ("ou", 0.25, 0.75)]
+    assert rep.model == "mild:ou"
+
+
 @pytest.mark.parametrize("shape", [(203, 39, 1), (202, 40, 1), (203, 40, 2)])
 @pytest.mark.parametrize("branch", ["process", "model"])
 def test_ito_verify_rejects_a_block_of_the_wrong_shape(branch, shape):

@@ -6,6 +6,7 @@ import pytest
 
 import pathmkv.control as control
 from pathmkv.control import (
+    BoxActionSet,
     ContractWarning,
     DppReport,
     FeedbackPolicy,
@@ -33,6 +34,7 @@ from pathmkv.sde import (
     constant_initial,
     gaussian_initial,
     integrate,
+    integrate_picard,
     ramp_initial,
     scaled_initial,
     stopped_initial,
@@ -118,6 +120,29 @@ def test_policy_outside_action_set_rejected():
     model = make_controlled_linear(grid, c=1.0, actions=FiniteActionSet([[0.0], [1.0]]))
     with pytest.raises(ConfigurationError):
         integrate(model, constant_initial([0.0]), constant_policy([0.5]), 0.0, 8, 0)
+
+
+@pytest.mark.parametrize("run", [integrate, integrate_picard], ids=["integrate", "picard"])
+def test_policy_leaving_the_action_set_after_the_first_step_rejected(run):
+    grid = TimeGrid(1.0, 20)
+    model = make_controlled_linear(grid, c=1.0, actions=BoxActionSet([-1.0], [1.0]))
+    policy = FeedbackPolicy(lambda t, xs, mu: np.full((xs.n, 1), 0.5 if t < 0.5 else 5.0))
+    with pytest.raises(ConfigurationError, match="outside the declared action set at step 10"):
+        run(model, constant_initial([0.0]), policy, 0.0, 8, 0)
+
+
+@pytest.mark.parametrize("window", [None, 0.25])
+def test_picard_records_the_controls_integrate_records(window):
+    grid = TimeGrid(1.0, 20)
+    model = make_controlled_linear(grid, c=1.0, s0=0.3, actions=BoxActionSet([-1.0], [1.0]))
+    policy = constant_policy([0.5])
+    res = integrate_picard(model, gaussian_initial(), policy, 0.0, 8, 3, window=window)
+    direct = integrate(model, gaussian_initial(), policy, 0.0, 8, 3)
+    assert res.ensemble.controls is not None
+    assert np.array_equal(res.ensemble.controls, direct.controls)
+    assert np.array_equal(res.ensemble.values, direct.values)
+    uncontrolled = integrate_picard(model, gaussian_initial(), None, 0.0, 8, 3, window=window)
+    assert uncontrolled.ensemble.controls is None
 
 
 def test_estimate_value_single_policy():

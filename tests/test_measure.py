@@ -271,14 +271,21 @@ def test_measure_csv_dump():
 @example(seed=31, n=7, m=5)
 @given(seed=SEEDS, n=st.integers(1, 8), m=st.integers(1, 8))
 def test_transport_lp_matches_dense_linprog_reference(seed, n, m):
-    from scipy.optimize import linprog
-
     rng = np.random.default_rng(seed)
     cost = rng.random((n, m))
     w_row = rng.uniform(0.5, 1.5, n)
     w_row /= w_row.sum()
     w_col = rng.uniform(0.5, 1.5, m)
     w_col /= w_col.sum()
+    ref = _dense_transport_lp(cost, w_row, w_col)
+    assert exact_ot_cost(cost, w_row, w_col) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+def _dense_transport_lp(cost, w_row, w_col):
+    """The transport LP with every marginal constraint, built dense."""
+    from scipy.optimize import linprog
+
+    n, m = cost.shape
     a_eq = np.zeros((n + m, n * m))
     for i in range(n):
         a_eq[i, i * m : (i + 1) * m] = 1.0
@@ -287,7 +294,21 @@ def test_transport_lp_matches_dense_linprog_reference(seed, n, m):
     ref = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([w_row, w_col]),
                   bounds=(0, None), method="highs")
     assert ref.success
-    assert exact_ot_cost(cost, w_row, w_col) == pytest.approx(ref.fun, rel=1e-12, abs=1e-15)
+    return ref.fun
+
+
+def test_near_uniform_weights_take_the_transport_lp():
+    # weights 1/4 (1 +- 1e-6) are not uniform: the assignment value, which
+    # assumes mass 1/4 on every atom, is off by about 1e-7 relative
+    rng = np.random.default_rng(5)
+    cost = rng.random((4, 4))
+    w_row = 0.25 * (1.0 + 1e-6 * np.array([1.0, -1.0, 1.0, -1.0]))
+    w_col = np.full(4, 0.25)
+    ref = _dense_transport_lp(cost, w_row, w_col)
+    assert exact_ot_cost(cost, w_row, w_col) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+    assert exact_ot_cost(cost, w_col, w_col) == pytest.approx(
+        _dense_transport_lp(cost, w_col, w_col), rel=1e-12
+    )
 
 
 @PROPERTY

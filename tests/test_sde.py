@@ -22,6 +22,7 @@ from pathmkv.paths import TimeGrid
 from pathmkv.rng import brownian_increments, refine_increments
 from pathmkv.sde import (
     ModelSpec,
+    apriori_constant,
     constant_initial,
     flow_restart_check,
     gaussian_initial,
@@ -159,6 +160,11 @@ def test_weak_error_halves_with_dt():
     assert errors[0] > errors[1] > errors[2]
     for coarse, fine in zip(errors, errors[1:]):
         assert 0.3 <= fine / coarse <= 0.7
+
+
+def test_apriori_constant_is_infinite_without_a_declared_lipschitz_constant():
+    # L = inf is how a model declares no constant (the plain Ito process)
+    assert apriori_constant(math.inf, 0.0, 1.0) == math.inf
 
 
 def test_picard_converges_in_one_iteration_without_coupling():
