@@ -563,7 +563,8 @@ def _rhs_quadrature(phis, model, values, j0, j1, rows, controls, a_eigs):
     functional phis[i] on the particle set values[rows[k]].
 
     One pass over blocks of NODE_BLOCK consecutive nodes serves every
-    functional and set.  A block transposes the paths once to node-major and
+    functional and set.  A block reads the paths node-major, a view of the
+    node-major block `integrate` returns (a copy for any other layout), and
     evaluates each functional's fields once per set on the whole block, each
     set against its own law; each node's term * dt is then added to the
     set's total in node order."""

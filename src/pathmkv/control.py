@@ -112,7 +112,8 @@ class OpenLoopPolicy:
 
     def actions(self, t, xs: StoppedView, mu, randomizers) -> np.ndarray:
         u = np.atleast_1d(np.asarray(self._fn(t), dtype=float))
-        return np.broadcast_to(u, (xs.n, u.size)).copy()
+        # read-only: the step kernel copies it into the run's controls
+        return np.broadcast_to(u, (xs.n, u.size))
 
 
 class FeedbackPolicy:
@@ -173,6 +174,7 @@ def _per_particle_reward(model: ModelSpec, ensemble: ParticleEnsemble, t0, heads
     """
     grid = model.grid
     stops = {grid.node(t) for t in heads}
+    check = model.growth_h is not None
     running = np.zeros(ensemble.n_particles)
     at_stop = {}
     for j in range(grid.node(t0), grid.steps):
@@ -181,23 +183,23 @@ def _per_particle_reward(model: ModelSpec, ensemble: ParticleEnsemble, t0, heads
         if model.running_cost is not None:
             t, view, _, u, nu = _recorded_args(grid, ensemble.values, ensemble.controls, j)
             f_now = model.running_cost_at(t, view, view, u, nu)
-            _growth_check(model, f_now, view, t, kind="f")
+            if check:
+                _growth_check(model, f_now, view.seminorm_sq_at(t), t, kind="f")
             running += f_now * grid.dt
     at_stop[grid.steps] = running
     terminal = np.zeros(ensemble.n_particles)
     if model.terminal_cost is not None:
         view = StoppedView(grid, ensemble.values, grid.steps)
         terminal = model.terminal_cost_at(view, view)
-        _growth_check(model, terminal, view, grid.T, kind="g")
+        if check:
+            _growth_check(model, terminal, ensemble.seminorm_sq, grid.T, kind="g")
     return running, terminal, [at_stop[grid.node(t)] for t in heads]
 
 
-def _growth_check(model, values, view, t, kind):
-    if model.growth_h is None:
-        return
-    # one sup-seminorm pass: the view is unweighted and stopped at t, so
-    # W2(mu, delta_0) is the root of the mean of ||x||_t^2
-    sq = view.seminorm_sq_at(t)
+def _growth_check(model, values, sq, t, kind):
+    """Warn where |values| exceeds h(W2(mu, delta_0)) (1 + ||x||_t^2), given
+    sq = ||x||_t^2 per particle: the law is uniform and stopped at t, so
+    W2(mu, delta_0) is the root of the mean of sq."""
     h_val = float(model.growth_h(float(np.sqrt(sq.mean()))))
     bound = h_val * (1.0 + sq)
     if np.any(np.abs(values) > bound * (1.0 + 1e-9)):

@@ -14,7 +14,6 @@ exactly by a vectorized quantile coupling on the merged CDF cut points.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -136,25 +135,27 @@ def dirac(path: PathGrid) -> EmpiricalPathMeasure:
     return EmpiricalPathMeasure(path.grid, path.values[None, :, :], np.array([1.0]))
 
 
-@dataclass(frozen=True)
 class EmpiricalControlMeasure:
-    """Weighted atoms in the action space U, a subset of R^m: atoms (N, m), weights (N,)."""
+    """Weighted atoms in the action space U, a subset of R^m: atoms (N, m),
+    weights (N,).  Without weights the law is uniform and, as a StoppedView's,
+    its weight vector is built when first read."""
 
-    atoms: np.ndarray
-    weights: np.ndarray = None
+    def __init__(self, atoms, weights=None):
+        self.atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+        if weights is not None:
+            weights = np.asarray(weights, dtype=float)
+            if (
+                weights.shape != (self.atoms.shape[0],)
+                or np.any(weights < 0)
+                or abs(weights.sum() - 1.0) > 1e-12
+            ):
+                raise ConfigurationError("control weights must be nonnegative and sum to 1")
+        self._weights = weights
 
-    def __post_init__(self):
-        atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
-        n = atoms.shape[0]
-        weights = (
-            np.full(n, 1.0 / n)
-            if self.weights is None
-            else np.asarray(self.weights, dtype=float)
-        )
-        if weights.shape != (n,) or np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ConfigurationError("control weights must be nonnegative and sum to 1")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
+    @cached_property
+    def weights(self) -> np.ndarray:
+        n = self.atoms.shape[0]
+        return np.full(n, 1.0 / n) if self._weights is None else self._weights
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.atoms

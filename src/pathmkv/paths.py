@@ -122,6 +122,17 @@ def sup_norm(x: PathGrid) -> float:
     return sup_seminorm(x, x.grid.T)
 
 
+def node_major(n: int, nodes: int, width: int) -> np.ndarray:
+    """An uninitialized (n, nodes, width) particle block stored node by node.
+
+    It indexes as any (n, nodes, width) array; only the memory order
+    differs, so every node slice [:, j, :] is one C-contiguous (n, width)
+    run.  Path, noise and control blocks are allocated here: the step kernel
+    reads and writes one node of all particles per step.
+    """
+    return np.empty((nodes, n, width)).transpose(1, 0, 2)
+
+
 def sup_seminorm_sq_values(values: np.ndarray, j: int) -> np.ndarray:
     """||.||_{t_j}^2 for a particle block of shape (N, M+1, d); returns (N,)."""
     return (values[:, : j + 1, :] ** 2).sum(axis=2).max(axis=1)

@@ -13,6 +13,11 @@ The bulk samplers build one Philox per call instead and re-key it per particle
 `particle_generator` starts in, so the addressing and every value drawn are
 the same, without one generator construction (and OS entropy pull) per
 particle.
+
+Increment blocks are stored node-major (`paths.node_major`): the (N, M, dK)
+block indexes as before and each particle's draw fills its steps in the same
+(step, coordinate) order; only where the numbers sit in memory differs, so
+that the step kernel reads one step of all particles contiguously.
 """
 
 from __future__ import annotations
@@ -21,9 +26,14 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from .paths import node_major
+
 STREAM_BROWNIAN = 0
 STREAM_INITIAL = 1
 STREAM_POLICY = 2
+
+# Particles per C-contiguous chunk in refine_increments: 2 MB at 1000 steps.
+REFINE_ROWS = 256
 
 
 def _key(seed: int, stream: int, particle: int) -> np.ndarray:
@@ -56,8 +66,9 @@ def particle_generators(seed: int, stream: int, n_particles: int) -> Iterator[np
 
 
 def brownian_increments(seed: int, n_particles: int, n_steps: int, dk: int, dt: float) -> np.ndarray:
-    """iid N(0, dt) increments, shape (N, M, dK), keyed by (seed, particle)."""
-    out = np.empty((n_particles, n_steps, dk))
+    """iid N(0, dt) increments, shape (N, M, dK), keyed by (seed, particle);
+    a node-major block."""
+    out = node_major(n_particles, n_steps, dk)
     root = np.sqrt(dt)
     for i, g in enumerate(particle_generators(seed, STREAM_BROWNIAN, n_particles)):
         out[i] = root * g.standard_normal((n_steps, dk))
@@ -69,12 +80,22 @@ def refine_increments(fine: np.ndarray, factor: int) -> np.ndarray:
 
     fine has shape (N, M_fine, dK) with M_fine divisible by factor; the result
     has shape (N, M_fine // factor, dK) and represents the same Brownian path
-    sampled on the coarser grid.
+    sampled on the coarser grid, as a node-major block.
+
+    Each coarse increment sums its fine ones in the order numpy reduces a
+    C-ordered block (pairwise from 8 terms on), whatever the layout of fine:
+    reduced in place, a node-major block would be summed term by term, which
+    rounds differently.  Rows are made C-contiguous a few at a time.
     """
     n, m_fine, dk = fine.shape
     if m_fine % factor != 0:
         raise ValueError(f"cannot coarsen {m_fine} steps by factor {factor}")
-    return fine.reshape(n, m_fine // factor, factor, dk).sum(axis=2)
+    m = m_fine // factor
+    out = node_major(n, m, dk)
+    for i in range(0, n, REFINE_ROWS):
+        rows = np.ascontiguousarray(fine[i : i + REFINE_ROWS])
+        out[i : i + REFINE_ROWS] = rows.reshape(-1, m, factor, dk).sum(axis=2)
+    return out
 
 
 def uniforms(seed: int, stream: int, n_particles: int, count: int = 1) -> np.ndarray:

@@ -28,6 +28,12 @@ node.  Every read clamps to that node,
 so coefficients built on the view's API are non-anticipative by construction;
 validation additionally spot-checks raw-array access.  The HJB residual hands
 coefficients and candidate derivative fields the same view, stopped at t.
+
+Path, noise and control blocks are indexed (N, nodes, width) but stored
+node-major (`paths.node_major`), so the node-j slice that step j reads and
+writes is contiguous.  Storage changes no value: the step's arithmetic is
+elementwise, and numpy reduces over the particles of one node slice in the
+same order in either layout.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +62,14 @@ from .measure import (
     stopped_measure,
     wasserstein2,
 )
-from .paths import PathGrid, TimeGrid, path_to_csv, stop_values, sup_seminorm_sq_values
+from .paths import (
+    PathGrid,
+    TimeGrid,
+    node_major,
+    path_to_csv,
+    stop_values,
+    sup_seminorm_sq_values,
+)
 
 
 @dataclass
@@ -90,7 +104,8 @@ def constant_initial(c) -> InitialLaw:
     c = np.atleast_1d(np.asarray(c, dtype=float))
 
     def sampler(seed, n, grid, d):
-        return np.tile(c, (n, grid.steps + 1, 1))
+        # a read-only view: every reader copies what it keeps
+        return np.broadcast_to(c, (n, grid.steps + 1, c.size))
 
     return InitialLaw(sampler, f"constant {c.tolist()}")
 
@@ -346,9 +361,9 @@ class ParticleEnsemble:
     grid: TimeGrid
     space: SpaceSpec
     t0: float
-    values: np.ndarray  # (N, M+1, d)
-    noise: np.ndarray  # (N, M, dK)
-    controls: np.ndarray | None  # (N, M, m) or None
+    values: np.ndarray  # (N, M+1, d), node-major; final when the ensemble is built
+    noise: np.ndarray  # (N, M, dK), node-major unless passed in as noise=
+    controls: np.ndarray | None  # (N, M, m), node-major, or None
     seed: int
     model_tag: str = ""
 
@@ -356,14 +371,20 @@ class ParticleEnsemble:
     def n_particles(self) -> int:
         return self.values.shape[0]
 
+    @cached_property
+    def seminorm_sq(self) -> np.ndarray:
+        """||X_i||_T^2 per particle, shape (N,); one pass over the paths."""
+        return sup_seminorm_sq_values(self.values, self.grid.steps)
+
     def law(self) -> EmpiricalPathMeasure:
-        return EmpiricalPathMeasure(self.grid, self.values.copy(), None)
+        # a C-ordered copy: exact and sliced W2 read the atoms path by path
+        return EmpiricalPathMeasure(self.grid, self.values.copy(order="C"), None)
 
     def particle_path(self, i: int) -> PathGrid:
         return PathGrid(self.grid, self.values[i])
 
     def s2_norm(self) -> float:
-        return float(np.sqrt(sup_seminorm_sq_values(self.values, self.grid.steps).mean()))
+        return float(np.sqrt(self.seminorm_sq.mean()))
 
     def summary_moments(self) -> dict:
         term = self.values[:, -1, :]
@@ -409,8 +430,8 @@ def _start(model: ModelSpec, init: InitialLaw, policy, t0, n_particles, seed, no
     to node j0 with the initial segment, and take `noise` after the shape
     check, or the run's own block when it is None.
 
-    Returns (j0, values, noise, randomizers); values is (N, M+1, d) and only
-    its first j0 + 1 nodes are set.
+    Returns (j0, values, noise, randomizers); values is a node-major
+    (N, M+1, d) block and only its first j0 + 1 nodes are set.
     """
     model.validate()
     if model.control_growth is not None and policy is not None:
@@ -423,7 +444,7 @@ def _start(model: ModelSpec, init: InitialLaw, policy, t0, n_particles, seed, no
         raise ConfigurationError("need at least 2 particles for an empirical law")
     grid, d = model.grid, model.space.d
     j0 = grid.node(t0)
-    values = np.empty((n_particles, grid.steps + 1, d))
+    values = node_major(n_particles, grid.steps + 1, d)
     values[:, : j0 + 1] = init.sample(seed, n_particles, grid, d)[:, : j0 + 1]
     if noise is None:
         noise = brownian_block(model, n_particles, seed)
@@ -458,8 +479,9 @@ def _exp_euler_steps(
     `law`, both stopped at node j.  `law is values` is the self-consistent
     scheme; a frozen block is one Picard pass.  The noise width is the
     diffusion's.  The actions the policy emits are checked against the
-    model's action set at every step and written into `controls`, an
-    (N, M, m) block allocated on the first step when None; returns it.
+    model's action set at every step and written into `controls`, a
+    node-major (N, M, m) block allocated on the first step when None, whose
+    row at node j the coefficients then read; returns it.
     """
     grid, dt = model.grid, model.grid.dt
     for j in range(j0, j_end):
@@ -471,15 +493,19 @@ def _exp_euler_steps(
             u = np.asarray(policy.actions(t, xs, mu, randomizers), dtype=float)
             if u.ndim == 1:
                 u = u[:, None]
-            nu = EmpiricalControlMeasure(u)
             if model.actions is not None and not model.actions.contains_batch(u):
                 raise ConfigurationError(
                     f"policy {getattr(policy, 'tag', policy)!r} emitted actions "
                     f"outside the declared action set at step {j} (t={t:.6g})"
                 )
             if controls is None:
-                controls = np.zeros((values.shape[0], grid.steps, u.shape[1]))
+                # nodes no step of this call writes hold zeros
+                controls = node_major(values.shape[0], grid.steps, u.shape[1])
+                controls[:, :j0] = 0.0
+                controls[:, j_end:] = 0.0
             controls[:, j, :] = u
+            u = controls[:, j, :]
+            nu = EmpiricalControlMeasure(u)
         if model.drift is None:
             incr = values[:, j, :].copy()
         else:
@@ -623,17 +649,18 @@ def integrate_picard(
         boundaries = list(range(j0, grid.steps, step_nodes)) + [grid.steps]
 
     skeleton = replace(model, drift=None, diffusion=None)
+    prev = node_major(*values.shape)  # the frozen law, refilled in place
     controls = None
     total_iters = 0
     all_gaps = []
     for a, b_node in zip(boundaries[:-1], boundaries[1:]):
         # Seed the window's law sequence with the semigroup skeleton (b = sigma = 0).
         _exp_euler_steps(skeleton, values, values, noise, a, b_node, exp_dt)
-        prev = values.copy()
+        prev[...] = values
         controls = _exp_euler_steps(
             model, values, prev, noise, a, b_node, exp_dt, policy, randomizers, controls
         )
-        prev = values.copy()
+        prev[...] = values
         gaps = []
         converged = False
         for _ in range(max_iter):
@@ -647,7 +674,7 @@ def integrate_picard(
             if gap < tol:
                 converged = True
                 break
-            prev = values.copy()
+            prev[...] = values
         all_gaps.extend(gaps)
         if not converged:
             raise NonConvergenceError(gaps, tol)

@@ -497,3 +497,27 @@ def test_estimate_value_rejects_a_block_of_the_wrong_shape():
     for shape in [(8, 9, 1), (7, 10, 1), (8, 10, 2)]:
         with pytest.raises(ConfigurationError, match="noise override has shape"):
             estimate_value(model, constant_initial([0.0]), [None], 0.0, 8, seed=0, noise=np.zeros(shape))
+
+
+def test_terminal_growth_check_reads_the_ensembles_seminorm_pass(monkeypatch):
+    # controlled_linear declares a growth envelope and a finite a-priori
+    # bound, so integrate has taken the sup-seminorm pass at T already
+    import pathmkv.measure
+    import pathmkv.sde
+    from pathmkv.paths import sup_seminorm_sq_values
+
+    grid = TimeGrid(1.0, 20)
+    model = make_controlled_linear(grid, s0=0.3)
+    ens = integrate(model, gaussian_initial(), constant_policy([0.5]), n_particles=16, seed=1)
+    assert ens.s2_norm() == float(np.sqrt(sup_seminorm_sq_values(ens.values, grid.steps).mean()))
+    passes = []
+
+    def counted(values, j):
+        passes.append(j)
+        return sup_seminorm_sq_values(values, j)
+
+    monkeypatch.setattr(pathmkv.sde, "sup_seminorm_sq_values", counted)
+    monkeypatch.setattr(pathmkv.measure, "sup_seminorm_sq_values", counted)
+    first = reward(model, ens, 0.0)
+    assert reward(model, ens, 0.0) == first
+    assert passes == []

@@ -404,3 +404,158 @@ def test_particle_convergence_in_n():
             )
         avg.append(np.mean(dists))
     assert avg[0] > avg[1] > avg[2]
+
+
+# ---------------------------------------------------------------------------
+# Node-major particle blocks: every node slice is contiguous, and storing the
+# blocks node by node changes no value.
+
+
+def _c_ordered(n, nodes, width):
+    """A zeroed path-major (C-order) block in place of node_major's, for
+    reference runs."""
+    return np.zeros((n, nodes, width))
+
+
+@pytest.fixture
+def path_major(monkeypatch):
+    """Run a callable with every paths, noise, controls and frozen-law block
+    allocated path-major (C order), as before blocks were stored node-major."""
+    import pathmkv.rng
+    import pathmkv.sde
+
+    def run(fn):
+        with monkeypatch.context() as m:
+            m.setattr(pathmkv.sde, "node_major", _c_ordered)
+            m.setattr(pathmkv.rng, "node_major", _c_ordered)
+            return fn()
+
+    return run
+
+
+def test_particle_blocks_are_node_major():
+    from dataclasses import replace
+
+    from pathmkv.control import constant_policy
+    from pathmkv.models import make_controlled_linear
+    from pathmkv.sde import brownian_block
+
+    grid = TimeGrid(1.0, 20)
+    model = make_controlled_linear(grid, s0=0.3, d=3)
+    ens = integrate(model, gaussian_initial(), constant_policy([0.5]), n_particles=8, seed=1)
+    noise = brownian_block(model, 8, 1)
+    for j in (0, 7, grid.steps - 1):
+        assert ens.values[:, j, :].flags.c_contiguous
+        assert ens.noise[:, j, :].flags.c_contiguous
+        assert noise[:, j, :].flags.c_contiguous
+        assert ens.controls[:, j, :].flags.c_contiguous
+    assert ens.values[:, grid.steps, :].flags.c_contiguous
+    assert not ens.values.flags.c_contiguous
+    # the law handed to W2 stays path-major
+    assert ens.law().atoms.flags.c_contiguous
+
+    # Picard's frozen law, as the drift reads it
+    base = make_meanfield_ou(grid, theta=1.0, s0=0.2)
+    layouts = []
+
+    def drift(t, xs, mu, u, nu):
+        if mu is not xs:  # a frozen law, not the model check's own block
+            layouts.append(mu.values_now.flags.c_contiguous)
+        return base.drift(t, xs, mu, u, nu)
+
+    model = replace(base, drift=drift)
+    integrate_picard(model, two_point_initial(), n_particles=8, seed=2, window=0.5)
+    assert layouts and all(layouts)
+
+
+@pytest.mark.parametrize("d", [1, 3, 9])
+@pytest.mark.parametrize("tag", ["meanfield_ou", "meanfield_growth", "ou"])
+def test_node_major_paths_equal_path_major_paths(path_major, d, tag):
+    from pathmkv.models import build_model
+    from pathmkv.sde import InitialLaw, brownian_block
+
+    grid = TimeGrid(1.0, 40)
+    model = build_model(tag, grid, d=d)
+    n, seed = 24, 3
+    init = ramp_initial(scale=1.5)
+    block = init.sample(seed, n, grid, d)
+    noise = brownian_block(model, n, seed)
+    ens = integrate(model, init, t0=0.25, n_particles=n, seed=seed, noise=noise)
+    ref = path_major(
+        lambda: integrate(
+            model,
+            InitialLaw.from_values(np.ascontiguousarray(block)),
+            t0=0.25,
+            n_particles=n,
+            seed=seed,
+            noise=np.ascontiguousarray(noise),
+        )
+    )
+    assert ref.values.flags.c_contiguous and not ens.values.flags.c_contiguous
+    assert np.array_equal(ens.values, ref.values)
+    assert ens.summary_moments() == ref.summary_moments()
+
+
+@pytest.mark.parametrize("t0, t_end", [(0.0, None), (0.25, 0.75)])
+@pytest.mark.parametrize("d", [1, 3, 9])
+def test_node_major_controlled_run_equals_path_major_run(path_major, d, t0, t_end):
+    from pathmkv.control import constant_policy, reward
+    from pathmkv.models import make_controlled_linear
+
+    grid = TimeGrid(1.0, 40)
+    model = make_controlled_linear(grid, s0=0.4, d=d)
+    u = np.linspace(-0.5, 0.5, d)
+    policy = constant_policy(u)
+    n, seed = 24, 5
+
+    def run():
+        return integrate(
+            model, gaussian_initial(0.2, 1.0), policy, t0, n_particles=n, seed=seed, t_end=t_end
+        )
+
+    ens, ref = run(), path_major(run)
+    assert ref.controls.flags.c_contiguous and not ens.controls.flags.c_contiguous
+    assert np.array_equal(ens.noise, ref.noise)
+    assert np.array_equal(ens.values, ref.values)
+    assert np.array_equal(ens.controls, ref.controls)
+    assert reward(model, ens, t0) == reward(model, ref, t0)
+    # the steps the run took hold the policy's actions, every other node zeros
+    j0, j_end = grid.node(t0), grid.node(1.0 if t_end is None else t_end)
+    assert np.all(ens.controls[:, j0:j_end] == u)
+    assert not ens.controls[:, :j0].any() and not ens.controls[:, j_end:].any()
+
+
+@pytest.mark.parametrize("d", [1, 3, 9])
+def test_node_major_windowed_picard_equals_path_major_picard(path_major, d):
+    grid = TimeGrid(1.0, 60)
+    model = make_meanfield_growth(grid, theta=4.0, s0=0.2, d=d)
+    init = gaussian_initial(0.5, 1.0)
+    res = integrate_picard(model, init, n_particles=16, seed=7, window=0.25)
+    ref = path_major(lambda: integrate_picard(model, init, n_particles=16, seed=7, window=0.25))
+    assert ref.ensemble.values.flags.c_contiguous
+    assert res.gaps == ref.gaps and res.iterations == ref.iterations
+    assert np.array_equal(res.ensemble.values, ref.ensemble.values)
+
+
+@pytest.mark.parametrize("dk", [1, 3])
+@pytest.mark.parametrize("factor", [2, 8, 10, 100])
+def test_refine_increments_is_layout_free(dk, factor):
+    # 300 particles: more than one C-contiguous chunk of rows
+    n, m_fine = 300, 400
+    fine = brownian_increments(11, n, m_fine, dk, 1.0 / m_fine)
+    c_fine = np.ascontiguousarray(fine)
+    coarse = refine_increments(fine, factor)
+    # the C-ordered reduction, pairwise over 8 or more terms
+    ref = c_fine.reshape(n, m_fine // factor, factor, dk).sum(axis=2)
+    assert np.array_equal(coarse, ref)
+    assert np.array_equal(refine_increments(c_fine, factor), ref)
+    assert coarse[:, 0, :].flags.c_contiguous
+
+
+def test_constant_initial_is_a_read_only_view_of_its_value():
+    grid = TimeGrid(1.0, 10)
+    block = constant_initial([1.0, -2.0]).sample(0, 5, grid, 2)
+    assert np.array_equal(block, np.tile([1.0, -2.0], (5, grid.steps + 1, 1)))
+    assert not block.flags.writeable
+    with pytest.raises(ConfigurationError):
+        constant_initial([1.0, -2.0]).sample(0, 5, grid, 3)
