@@ -1,7 +1,8 @@
 """Acceptance criteria: the runner behind every subcommand, and `SUITE`, which
 maps each block of the `pathmkv suite` report to its criterion in criterion
-order.  Each is called as f(cfg, out_dir, threads) on a validated config and
-returns a JSON-ready dict with a "pass" flag; all randomness flows from cfg["seed"].
+order.  Each is called as f(cfg, out_dir) on a validated config and returns a
+JSON-ready dict with a "pass" flag; all randomness flows from cfg["seed"].  Every
+run is serial.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -95,14 +95,6 @@ def build_initial(cfg) -> InitialLaw:
     raise ConfigurationError(f"unknown initial law kind {kind!r}")
 
 
-def deterministic_map(fn, items, threads=1):
-    """Order-preserving map; thread count cannot change the results."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def build_policy(spec):
     """Policy from a config entry: {"kind": "constant", "u": [..]} or
     {"kind": "uncontrolled"}."""
@@ -122,7 +114,7 @@ def build_policy(spec):
 # Subcommand runners.
 
 
-def run_simulate(cfg, out_dir, threads):
+def run_simulate(cfg, out_dir):
     grid = build_grid(cfg)
     model = build_model(cfg, grid)
     init = build_initial(cfg)
@@ -133,7 +125,7 @@ def run_simulate(cfg, out_dir, threads):
     return {"pass": True, "moments": ens.summary_moments(), "model": model.tag}
 
 
-def run_picard(cfg, out_dir, threads):
+def run_picard(cfg, out_dir):
     grid = build_grid(cfg)
     model = build_model(cfg, grid)
     init = build_initial(cfg)
@@ -174,7 +166,7 @@ def yosida_oracle_gap(a, n, grid, s0, x0):
     return mean_gap + stoch
 
 
-def run_yosida(cfg, out_dir, threads):
+def run_yosida(cfg, out_dir):
     grid = build_grid(cfg)
     model = build_model(cfg, grid)
     init = build_initial(cfg)
@@ -204,7 +196,7 @@ def run_yosida(cfg, out_dir, threads):
     }
 
 
-def run_particles_converge(cfg, out_dir, threads):
+def run_particles_converge(cfg, out_dir):
     grid = build_grid(cfg)
     model = build_model(cfg, grid)
     init = build_initial(cfg)
@@ -228,7 +220,7 @@ def run_particles_converge(cfg, out_dir, threads):
     return {"pass": bool(ok), "rungs": list(rungs), "avg_distances": averages}
 
 
-def run_wasserstein(cfg, out_dir, threads):
+def run_wasserstein(cfg, out_dir):
     wcfg = cfg.get("wasserstein", {})
     n_instances = int(wcfg.get("n_instances", 100))
     n_triples = int(wcfg.get("n_triples", 1000))
@@ -255,7 +247,7 @@ def run_wasserstein(cfg, out_dir, threads):
         nu = EmpiricalPathMeasure(grid, r.normal(size=(n, 6, 2)), None)
         return abs(wasserstein2(mu, nu) - brute(mu, nu))
 
-    gaps = deterministic_map(one_instance, range(n_instances), threads)
+    gaps = [one_instance(k) for k in range(n_instances)]
     max_gap = float(max(gaps))
 
     axiom_violation = 0.0
@@ -279,7 +271,7 @@ def run_wasserstein(cfg, out_dir, threads):
     }
 
 
-def run_ito(cfg, out_dir, threads):
+def run_ito(cfg, out_dir):
     icfg = cfg.get("ito", {})
     grid = build_grid(cfg)
     t = float(icfg.get("t", 0.0))
@@ -320,9 +312,7 @@ def run_ito(cfg, out_dir, threads):
     # the four drives and the A*-variant run from one seed in d = 1: one block
     noise = brownian_block(model, n, cfg["seed"])
 
-    # one simulated ensemble per drive checks every functional; the quadrature
-    # is a Python loop over blocks of nodes, each a few short numpy calls per
-    # particle set, so the drives run serially regardless of --threads
+    # one simulated ensemble per drive checks every functional
     per_drive = [
         calculus.ito_verify(
             phis, grid, init, t=t, s=s, n_particles=n, seed=cfg["seed"],
@@ -354,7 +344,7 @@ def run_ito(cfg, out_dir, threads):
     }
 
 
-def run_deriv(cfg, out_dir, threads):
+def run_deriv(cfg, out_dir):
     dcfg = cfg.get("deriv", {})
     eps = float(dcfg.get("eps", 1e-5))
     n_atoms = int(dcfg.get("n_atoms", 6))
@@ -401,7 +391,7 @@ def run_deriv(cfg, out_dir, threads):
     }
 
 
-def run_dpp(cfg, out_dir, threads):
+def run_dpp(cfg, out_dir):
     grid = build_grid(cfg)
     model = models.build_model("quadratic_terminal", grid, a=-1.0, s0=0.5)
     init = build_initial(cfg)
@@ -426,7 +416,7 @@ def run_dpp(cfg, out_dir, threads):
     return {"pass": bool(ok), "checks": [json.loads(r.to_json()) for r in reports]}
 
 
-def run_law(cfg, out_dir, threads):
+def run_law(cfg, out_dir):
     grid = build_grid(cfg)
     model = models.build_model("quadratic_terminal", grid, a=-1.0, s0=0.5)
     lcfg = cfg.get("law", {})
@@ -465,7 +455,7 @@ def run_law(cfg, out_dir, threads):
     }
 
 
-def run_hjb(cfg, out_dir, threads):
+def run_hjb(cfg, out_dir):
     grid = build_grid(cfg)
     a, beta, s0, c, q = -1.0, 0.4, 0.3, 0.5, 1.0
     model = _linear_value_model(grid, a, beta, s0, c, q)
@@ -519,7 +509,7 @@ def run_hjb(cfg, out_dir, threads):
     return {"pass": bool(ok), "checks": checks}
 
 
-def run_hamiltonian(cfg, out_dir, threads):
+def run_hamiltonian(cfg, out_dir):
     hcfg = cfg.get("hamiltonian", {})
     n_instances = int(hcfg.get("n_instances", 50))
     max_atoms = int(hcfg.get("max_atoms", 4))
@@ -680,7 +670,7 @@ def _run_investment(cfg):
 # Suite criteria that have no subcommand of their own.
 
 
-def ou_oracle(cfg, out_dir, threads):
+def ou_oracle(cfg, out_dir):
     """1. OU oracle: terminal mean and variance within 3 SE of the closed form."""
     grid, seed, n = build_grid(cfg), cfg["seed"], cfg["particles"]
     model = models.make_ou(grid, a=-1.0, s0=0.5)
@@ -701,7 +691,7 @@ def ou_oracle(cfg, out_dir, threads):
     }
 
 
-def meanfield_oracle(cfg, out_dir, threads):
+def meanfield_oracle(cfg, out_dir):
     """2. Mean-field coupling oracle: mean 0 throughout, each particle x0 e^{-t}."""
     grid, seed = build_grid(cfg), cfg["seed"]
     mf_model = models.make_meanfield_ou(grid, theta=1.0, s0=0.0)
@@ -717,7 +707,7 @@ def meanfield_oracle(cfg, out_dir, threads):
     }
 
 
-def weak_order(cfg, out_dir, threads):
+def weak_order(cfg, out_dir):
     """3. Weak order one: halving dt on shared noise halves the mean error."""
     grid, seed, n = build_grid(cfg), cfg["seed"], cfg["particles"]
     fine_steps = grid.steps
@@ -735,28 +725,34 @@ def weak_order(cfg, out_dir, threads):
     return {"pass": bool(weak_ok), "errors": errors, "ratios": ratios}
 
 
-def flow_property(cfg, out_dir, threads):
+# Model tag -> (params, policy) for criterion 5, one entry per built-in model.
+FLOW_MODELS = {
+    "frozen": ({}, None),
+    "ou": ({"a": -1.0, "s0": 0.5}, None),
+    "ou_drift": ({"kappa": 1.0, "s0": 0.3}, None),
+    "meanfield_ou": ({"theta": 1.0, "s0": 0.2}, None),
+    "meanfield_growth": ({"theta": 1.0, "s0": 0.1}, None),
+    "controlled_linear": ({"c": 1.0, "s0": 0.3}, constant_policy([0.5])),
+    "quadratic_terminal": ({"a": -1.0, "s0": 0.5}, None),
+}
+
+
+def flow_property(cfg, out_dir):
     """5. Flow property: restarting at T/2 from the stopped solution reproduces
-    every particle exactly, on five of the seven built-in models (not
-    controlled_linear or quadratic_terminal)."""
+    every particle exactly, on every built-in model."""
     grid, seed = build_grid(cfg), cfg["seed"]
     flow_gaps = {}
-    for tag, factory in (
-        ("frozen", lambda: models.make_frozen(grid)),
-        ("ou", lambda: models.make_ou(grid, a=-1.0, s0=0.5)),
-        ("ou_drift", lambda: models.make_ou_drift(grid, kappa=1.0, s0=0.3)),
-        ("meanfield_ou", lambda: models.make_meanfield_ou(grid, theta=1.0, s0=0.2)),
-        ("meanfield_growth", lambda: models.make_meanfield_growth(grid, theta=1.0, s0=0.1)),
-    ):
+    for tag, (params, policy) in FLOW_MODELS.items():
         rep = flow_restart_check(
-            factory(), two_point_initial(-1.0, 1.0), None, 0.0, grid.T / 2, 32, seed
+            models.build_model(tag, grid, **params),
+            two_point_initial(-1.0, 1.0), policy, 0.0, grid.T / 2, 32, seed,
         )
         flow_gaps[tag] = rep["max_particle_gap"]
     flow_ok = all(g == 0.0 for g in flow_gaps.values())
     return {"pass": bool(flow_ok), "gaps": flow_gaps}
 
 
-def nonanticipativity(cfg, out_dir, threads):
+def nonanticipativity(cfg, out_dir):
     """6. Non-anticipativity: the initial path after t0 cannot change the solution."""
     grid, seed = build_grid(cfg), cfg["seed"]
     na_model = models.make_ou(grid, a=-1.0, s0=0.5)
@@ -774,26 +770,26 @@ SUITE = {
     "ou_oracle": ou_oracle,
     "meanfield_oracle": meanfield_oracle,
     "weak_order": weak_order,
-    "yosida": lambda cfg, out_dir, threads: run_yosida(  # 4. Yosida convergence
-        {**cfg, "initial": {"kind": "constant", "value": [1.0]}}, out_dir, threads
+    "yosida": lambda cfg, out_dir: run_yosida(  # 4. Yosida convergence
+        {**cfg, "initial": {"kind": "constant", "value": [1.0]}}, out_dir
     ),
     "flow_property": flow_property,
     "nonanticipativity": nonanticipativity,
     "wasserstein": run_wasserstein,  # 7. exact W2 vs brute force, metric axioms
     "deriv": run_deriv,  # 8. discrete measure derivative
     "ito": run_ito,  # 9. functional Ito formula battery
-    "dpp": lambda cfg, out_dir, threads: run_dpp(  # 10. DPP tower
-        {**cfg, "initial": {"kind": "constant", "value": [0.5]}}, out_dir, threads
+    "dpp": lambda cfg, out_dir: run_dpp(  # 10. DPP tower
+        {**cfg, "initial": {"kind": "constant", "value": [0.5]}}, out_dir
     ),
     "law": run_law,  # 11. law invariance
     "hamiltonian": run_hamiltonian,  # 12. three Hamiltonian forms, randomized
-    "investment": lambda cfg, out_dir, threads: _run_investment(cfg),  # 13. investment
+    "investment": lambda cfg, out_dir: _run_investment(cfg),  # 13. investment
     "hjb_residual": run_hjb,  # HJB residual of the closed-form candidate
 }
 
 
-def run_suite(cfg, out_dir, threads):
+def run_suite(cfg, out_dir):
     """The full acceptance battery: every criterion of SUITE, in order."""
-    results = {key: criterion(cfg, out_dir, threads) for key, criterion in SUITE.items()}
+    results = {key: criterion(cfg, out_dir) for key, criterion in SUITE.items()}
     results["pass"] = all(block["pass"] for block in results.values())
     return results

@@ -180,7 +180,12 @@ def load_config(path: str | None) -> dict:
 
 def run(subcommand: str, config_path: str | None, out_dir: str = ".",
         seed: int | None = None, threads: int = 1) -> int:
-    """Dispatch a subcommand; returns the process exit status."""
+    """Dispatch a subcommand; returns the process exit status.
+
+    `threads` is accepted and ignored: every run is serial.  It stays only
+    because bench/workloads.py passes threads=1; ROADMAP item 6 deletes it
+    with the next change to the benchmark.
+    """
     try:
         cfg = load_config(config_path)
         if seed is not None:
@@ -196,7 +201,7 @@ def run(subcommand: str, config_path: str | None, out_dir: str = ".",
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     try:
-        results = SUBCOMMANDS[subcommand](cfg, out_dir, threads)
+        results = SUBCOMMANDS[subcommand](cfg, out_dir)
     except IntegrationBlowupError as exc:
         print(f"numeric blow-up: {exc}", file=sys.stderr)
         return 3
@@ -233,15 +238,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="JSON experiment config")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads for the wasserstein brute-force instances (never changes results)",
-    )
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("config error: --threads must be >= 1", file=sys.stderr)
-        return 2
-    return run(args.subcommand, args.config, args.out, args.seed, args.threads)
+    return run(args.subcommand, args.config, args.out, args.seed)
 
 
 if __name__ == "__main__":

@@ -96,24 +96,19 @@ class BoxActionSet:
 
 
 class OpenLoopPolicy:
-    """Deterministic action path u(t); constant vectors are the common case."""
+    """The constant action u at every time and for every particle; a
+    time-dependent action is a FeedbackPolicy."""
 
     needs_randomizer = False
     square_integrable = True
 
-    def __init__(self, u_of_t, tag="open_loop"):
-        if not callable(u_of_t):
-            const = np.atleast_1d(np.asarray(u_of_t, dtype=float))
-            self._fn = lambda t: const
-            self.tag = f"const{const.tolist()}"
-        else:
-            self._fn = u_of_t
-            self.tag = tag
+    def __init__(self, u):
+        self._u = np.atleast_1d(np.asarray(u, dtype=float))
+        self.tag = f"const{self._u.tolist()}"
 
     def actions(self, t, xs: StoppedView, mu, randomizers) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(self._fn(t), dtype=float))
         # read-only: the step kernel copies it into the run's controls
-        return np.broadcast_to(u, (xs.n, u.size))
+        return np.broadcast_to(self._u, (xs.n, self._u.size))
 
 
 class FeedbackPolicy:
@@ -273,7 +268,6 @@ class DppReport:
     gap: float
     stderr: float
     passed: bool
-    detail: dict = field(default_factory=dict)
 
     def to_json(self):
         out = {k: getattr(self, k) for k in ("mode", "t0", "split_time", "lhs", "rhs", "gap", "stderr")}
@@ -344,7 +338,7 @@ def _continuation_tail(model, cont_init, policy, s, n, seed, noise):
 def _dpp_tower(model, init, policy, t0, splits, n, seed, noise, branching, same_noise):
     ens = integrate(model, init, policy, t0, n, seed, noise=noise)
     running_full, terminal, heads = _per_particle_reward(model, ens, t0, splits)
-    cont_init = InitialLaw.from_values(ens.values, "dpp continuation")
+    cont_init = InitialLaw.from_values(ens.values)
     tails = [[] for _ in splits]
     for b in range(branching):
         cseed = seed if same_noise else _continuation_seed(seed, b)
@@ -378,7 +372,7 @@ def _dpp_family(model, init, family, t0, splits, n, seed, noise):
         full = running_full + terminal
         lhs_vals.append(full.mean())
         lhs_errs.append(full.std(ddof=1) / np.sqrt(n))
-        cont_init = InitialLaw.from_values(ens.values, "dpp continuation")
+        cont_init = InitialLaw.from_values(ens.values)
         for k, (s, running_head) in enumerate(zip(splits, heads)):
             best_tail, best_err = -np.inf, 0.0
             for beta, cseed, block in zip(family, cont_seeds, cont_noise):

@@ -85,10 +85,6 @@ class StoppedView:
         """Integral of ||x||_t^2 at the current time, the squared S2-type size of the law."""
         return float(self._average(sup_seminorm_sq_values(self._values, self.node)))
 
-    def w2_to_zero(self) -> float:
-        """W2(mu, delta_0): exact, the only coupling pairs every atom with the zero path."""
-        return float(np.sqrt(self.second_moment()))
-
 
 class EmpiricalPathMeasure(StoppedView):
     """Weighted atoms in C([0,T];H): the StoppedView at the last node whose

@@ -77,7 +77,6 @@ class InitialLaw:
     """Seeded sampler of initial path segments; sampler(seed, n, grid, d) -> (N, M+1, d)."""
 
     sampler: object
-    description: str = ""
 
     def sample(self, seed: int, n: int, grid: TimeGrid, d: int) -> np.ndarray:
         out = np.asarray(self.sampler(seed, n, grid, d), dtype=float)
@@ -88,7 +87,7 @@ class InitialLaw:
         return out
 
     @staticmethod
-    def from_values(values: np.ndarray, description: str = "fixed paths") -> "InitialLaw":
+    def from_values(values: np.ndarray) -> "InitialLaw":
         """Deterministic initial data holding the given (N, M+1, d) block."""
         values = np.asarray(values, dtype=float)
 
@@ -97,7 +96,7 @@ class InitialLaw:
                 raise ConfigurationError("fixed initial data does not match requested shape")
             return values.copy()
 
-        return InitialLaw(sampler, description)
+        return InitialLaw(sampler)
 
 
 def constant_initial(c) -> InitialLaw:
@@ -107,26 +106,18 @@ def constant_initial(c) -> InitialLaw:
         # a read-only view: every reader copies what it keeps
         return np.broadcast_to(c, (n, grid.steps + 1, c.size))
 
-    return InitialLaw(sampler, f"constant {c.tolist()}")
+    return InitialLaw(sampler)
 
 
-def two_point_initial(a=-1.0, b=1.0, stratified=True) -> InitialLaw:
-    """Constant paths at value a or b with probability 1/2 each.
-
-    Stratified assignment alternates deterministically (exact balance for even
-    N); the unstratified variant draws per-particle uniforms from the seeded
-    stream.
-    """
+def two_point_initial(a=-1.0, b=1.0) -> InitialLaw:
+    """Constant paths at value a or b with probability 1/2 each, assigned
+    alternately (exact balance for even N); `two_point_mapped` draws them."""
 
     def sampler(seed, n, grid, d):
-        if stratified:
-            signs = np.where(np.arange(n) % 2 == 0, a, b)
-        else:
-            u = rng.uniforms(seed, rng.STREAM_INITIAL, n)[:, 0]
-            signs = np.where(u < 0.5, a, b)
+        signs = np.where(np.arange(n) % 2 == 0, a, b)
         return np.tile(signs[:, None, None], (1, grid.steps + 1, d))
 
-    return InitialLaw(sampler, f"two-point {{{a}, {b}}} ({'stratified' if stratified else 'sampled'})")
+    return InitialLaw(sampler)
 
 
 def two_point_mapped(a=-1.0, b=1.0, flipped=False) -> InitialLaw:
@@ -138,44 +129,49 @@ def two_point_mapped(a=-1.0, b=1.0, flipped=False) -> InitialLaw:
         signs = np.where(u < 0.5, lo, hi)
         return np.tile(signs[:, None, None], (1, grid.steps + 1, d))
 
-    return InitialLaw(sampler, f"two-point {{{a}, {b}}} (map {'B' if flipped else 'A'})")
+    return InitialLaw(sampler)
+
+
+def _initial_normals(seed, n, d) -> np.ndarray:
+    """(N, d) standard normals, row i drawn by particle i's initial stream."""
+    z = np.empty((n, d))
+    for i, g in enumerate(rng.particle_generators(seed, rng.STREAM_INITIAL, n)):
+        z[i] = g.standard_normal(d)
+    return z
 
 
 def gaussian_initial(mean=0.0, std=1.0) -> InitialLaw:
+    """Constant paths at N(mean, std^2) per coordinate."""
+
     def sampler(seed, n, grid, d):
-        out = np.empty((n, grid.steps + 1, d))
-        for i, g in enumerate(rng.particle_generators(seed, rng.STREAM_INITIAL, n)):
-            out[i] = mean + std * g.standard_normal(d)
-        return out
+        x0 = mean + std * _initial_normals(seed, n, d)
+        return np.repeat(x0[:, None, :], grid.steps + 1, axis=1)
 
-    return InitialLaw(sampler, f"gaussian constant paths N({mean}, {std}^2)")
+    return InitialLaw(sampler)
 
 
-def ramp_initial(scale=1.0, std=1.0) -> InitialLaw:
+def ramp_initial(scale=1.0) -> InitialLaw:
     """Nonconstant initial paths xi_s = scale * s * z_i; sharp for stopping tests."""
 
     def sampler(seed, n, grid, d):
-        z = np.empty((n, d))
-        for i, g in enumerate(rng.particle_generators(seed, rng.STREAM_INITIAL, n)):
-            z[i] = g.standard_normal(d)
         times = grid.times[None, :, None]
-        return scale * times * (std * z)[:, None, :]
+        return scale * times * _initial_normals(seed, n, d)[:, None, :]
 
-    return InitialLaw(sampler, f"linear ramp scale={scale}")
+    return InitialLaw(sampler)
 
 
 def scaled_initial(base: InitialLaw, factor: float) -> InitialLaw:
     def sampler(seed, n, grid, d):
         return factor * base.sample(seed, n, grid, d)
 
-    return InitialLaw(sampler, f"{base.description} x {factor}")
+    return InitialLaw(sampler)
 
 
 def stopped_initial(base: InitialLaw, t: float) -> InitialLaw:
     def sampler(seed, n, grid, d):
         return stop_values(base.sample(seed, n, grid, d), grid.node(t))
 
-    return InitialLaw(sampler, f"{base.description} stopped at {t}")
+    return InitialLaw(sampler)
 
 
 def shifted_initial(base: InitialLaw, delta) -> InitialLaw:
@@ -184,7 +180,7 @@ def shifted_initial(base: InitialLaw, delta) -> InitialLaw:
     def sampler(seed, n, grid, d):
         return base.sample(seed, n, grid, d) + delta
 
-    return InitialLaw(sampler, f"{base.description} + {delta.tolist()}")
+    return InitialLaw(sampler)
 
 
 @dataclass
@@ -251,11 +247,11 @@ class ModelSpec:
             return np.zeros(xs.n)
         return np.asarray(self.terminal_cost(xs, mu), dtype=float)
 
-    def validate(self, seed: int = 0, n_pairs: int = 4) -> None:
+    def validate(self) -> None:
         """Spot-check non-anticipativity and the declared Lipschitz constant."""
         if self._validated:
             return
-        _validate_model(self, seed, n_pairs)
+        _validate_model(self)
         self._validated = True
 
 
@@ -265,13 +261,13 @@ def _sample_action(model, rand, n):
     return model.actions.sample(rand, n)
 
 
-def _validate_model(model, seed, n_pairs):
-    rand = np.random.default_rng(seed)
+def _validate_model(model):
+    rand = np.random.default_rng(0)
     grid, d = model.grid, model.space.d
     n = 3
     m_nodes = grid.steps
 
-    for _ in range(n_pairs):
+    for _ in range(4):  # sampled (node, pair) spot checks
         j = int(rand.integers(1, m_nodes))
         t = grid.time_at(j)
         u = _sample_action(model, rand, n)
@@ -712,7 +708,7 @@ def flow_restart_check(
         raise DomainError(f"restart time {s} precedes start {t0}")
     full = integrate(model, init, policy, t0, n_particles, seed)
     head = integrate(model, init, policy, t0, n_particles, seed, t_end=s)
-    restart_init = InitialLaw.from_values(head.values, description="restart data")
+    restart_init = InitialLaw.from_values(head.values)
     tail = integrate(model, restart_init, policy, s, n_particles, seed)
     gap = float(np.abs(full.values - tail.values).max())
     return {"split_time": s, "max_particle_gap": gap}

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 from collections import Counter
@@ -5,15 +6,17 @@ from collections import Counter
 import pytest
 
 import pathmkv.rng
-from pathmkv.acceptance import SUITE
+from pathmkv.acceptance import FLOW_MODELS, SUITE
 from pathmkv.cli import (
     DEFAULT_CONFIG,
+    SUBCOMMANDS,
     load_config,
     main,
     run,
     validate_config,
 )
 from pathmkv.errors import ConfigurationError
+from pathmkv.models import MODEL_FACTORIES
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -262,14 +265,25 @@ def test_reports_identical_modulo_wall_time(tmp_path):
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
 
 
-def test_thread_count_does_not_change_results(tmp_path):
+def test_bench_call_form_with_threads_matches_the_plain_call(tmp_path):
+    # bench/workloads.py calls run(..., threads=1); the keyword is ignored
     path = write_cfg(tmp_path, {**small_cfg(), "wasserstein": {"n_instances": 12, "n_triples": 10}})
-    out_a, out_b = str(tmp_path / "t1"), str(tmp_path / "t4")
-    assert run("wasserstein", path, out_a, threads=1) == 0
-    assert run("wasserstein", path, out_b, threads=4) == 0
+    out_a, out_b = str(tmp_path / "bench"), str(tmp_path / "plain")
+    assert run("wasserstein", path, out_a, seed=11, threads=1) == 0
+    assert run("wasserstein", path, out_b, seed=11) == 0
     ra, rb = read_report(out_a), read_report(out_b)
     del ra["wall_time_s"], rb["wall_time_s"]
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
+
+
+def test_every_runner_and_criterion_takes_cfg_and_out_dir():
+    for registry, table in (("cli", SUBCOMMANDS), ("suite", SUITE)):
+        for name, fn in table.items():
+            assert list(inspect.signature(fn).parameters) == ["cfg", "out_dir"], (registry, name)
+
+
+def test_flow_property_covers_every_registered_model():
+    assert list(FLOW_MODELS) == list(MODEL_FACTORIES)
 
 
 def test_blowup_exits_3(tmp_path):
@@ -291,7 +305,13 @@ def test_main_entry_point(tmp_path):
     path = write_cfg(tmp_path, small_cfg())
     out = str(tmp_path / "out")
     assert main(["deriv-check", "--config", path, "--out", out]) == 0
-    assert main(["deriv-check", "--config", path, "--out", out, "--threads", "0"]) == 2
+
+
+def test_threads_flag_is_unknown(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["wasserstein", "--out", str(tmp_path / "out"), "--threads", "1"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_default_config_is_valid():
@@ -386,7 +406,7 @@ def test_each_stage_draws_each_brownian_block_once_and_shares_it_read_only(tmp_p
     per_stage = {}
     for stage in ("yosida", "ito", "dpp", "law"):
         draws.clear()
-        SUITE[stage](cfg, str(tmp_path), 1)
+        SUITE[stage](cfg, str(tmp_path))
         per_stage[stage] = list(draws)
         blocks = Counter(args for args, _ in draws)
         assert all(count == 1 for count in blocks.values()), (stage, blocks)

@@ -274,7 +274,7 @@ def test_law_invariance_relabeled_atoms_exact():
     def relabeled(seed, n, g, d):
         return two_point_mapped(-1.0, 1.0, flipped=False).sampler(seed, n, g, d)
 
-    init_b = InitialLaw(relabeled, "relabeled")
+    init_b = InitialLaw(relabeled)
     ra = estimate_value(model, init_a, [None], 0.0, 64, seed=14)
     rb = estimate_value(model, init_b, [None], 0.0, 64, seed=14)
     assert ra.estimate.mean == rb.estimate.mean
