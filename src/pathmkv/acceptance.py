@@ -181,6 +181,7 @@ def run_yosida(cfg, out_dir):
     for n in ladder:
         yos = integrate_yosida(model, n, init, None, 0.0, n_particles, seed, noise=noise)
         dists.append(s2_distance(yos, base))
+        del yos  # the next rung is run without this one's paths alive
     decreasing = all(a > b for a, b in zip(dists, dists[1:]))
     params = cfg.get("model", {}).get("params", {})
     x0 = float(np.linalg.norm(cfg.get("initial", {}).get("value", [0.0])))

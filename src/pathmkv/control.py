@@ -166,20 +166,30 @@ def _per_particle_reward(model: ModelSpec, ensemble: ParticleEnsemble, t0, heads
     stops there.  Coefficients are re-evaluated on the final paths; values up
     to node j were final when step j ran, so these are the integration-time
     evaluations.
+
+    The growth check of f at node j reads ||x||_{t_j}^2 as a running maximum
+    that the pass advances by one node per step, the same floats as a
+    seminorm pass from node 0 at every step.
     """
     grid = model.grid
     stops = {grid.node(t) for t in heads}
     check = model.growth_h is not None
     running = np.zeros(ensemble.n_particles)
     at_stop = {}
-    for j in range(grid.node(t0), grid.steps):
+    j_start = grid.node(t0)
+    sq = None
+    for j in range(j_start, grid.steps):
         if j in stops:
             at_stop[j] = running.copy()
         if model.running_cost is not None:
             t, view, _, u, nu = _recorded_args(grid, ensemble.values, ensemble.controls, j)
             f_now = model.running_cost_at(t, view, view, u, nu)
             if check:
-                _growth_check(model, f_now, view.seminorm_sq_at(t), t, kind="f")
+                if sq is None:
+                    sq = view.seminorm_sq_at(t)
+                else:
+                    np.maximum(sq, (ensemble.values[:, j, :] ** 2).sum(axis=1), out=sq)
+                _growth_check(model, f_now, sq, t, kind="f")
             running += f_now * grid.dt
     at_stop[grid.steps] = running
     terminal = np.zeros(ensemble.n_particles)
@@ -316,14 +326,13 @@ def dpp_check(
     grid = model.grid
     if any(grid.node(x) < grid.node(t0) for x in splits):
         raise DomainError("split time precedes start time")
-    noise = brownian_block(model, n_particles, seed)
     if not policy_family or len(policy_family) <= 1:
         policy = policy_family[0] if policy_family else None
         reports = _dpp_tower(
-            model, init, policy, t0, splits, n_particles, seed, noise, branching, same_noise
+            model, init, policy, t0, splits, n_particles, seed, branching, same_noise
         )
     else:
-        reports = _dpp_family(model, init, policy_family, t0, splits, n_particles, seed, noise)
+        reports = _dpp_family(model, init, policy_family, t0, splits, n_particles, seed)
     return reports[0] if single else reports
 
 
@@ -335,14 +344,18 @@ def _continuation_tail(model, cont_init, policy, s, n, seed, noise):
     return run_c + term_c
 
 
-def _dpp_tower(model, init, policy, t0, splits, n, seed, noise, branching, same_noise):
-    ens = integrate(model, init, policy, t0, n, seed, noise=noise)
+def _dpp_tower(model, init, policy, t0, splits, n, seed, branching, same_noise):
+    """The base run draws its own block; once its rewards and paths are read
+    only its paths are kept, and its noise only when continuations replay it."""
+    ens = integrate(model, init, policy, t0, n, seed)
     running_full, terminal, heads = _per_particle_reward(model, ens, t0, splits)
     cont_init = InitialLaw.from_values(ens.values)
+    replay = ens.noise if same_noise else None
+    del ens
     tails = [[] for _ in splits]
     for b in range(branching):
         cseed = seed if same_noise else _continuation_seed(seed, b)
-        cont_noise = noise if same_noise else brownian_block(model, n, cseed)
+        cont_noise = replay if same_noise else brownian_block(model, n, cseed)
         for s, split_tails in zip(splits, tails):
             split_tails.append(_continuation_tail(model, cont_init, policy, s, n, cseed, cont_noise))
     lhs = float((running_full + terminal).mean())
@@ -359,8 +372,9 @@ def _dpp_tower(model, init, policy, t0, splits, n, seed, noise, branching, same_
     return reports
 
 
-def _dpp_family(model, init, family, t0, splits, n, seed, noise):
+def _dpp_family(model, init, family, t0, splits, n, seed):
     """Family-restricted inequality: LHS <= RHS + 3 SE at each split."""
+    noise = brownian_block(model, n, seed)
     cont_seeds = [_continuation_seed(seed, bi) for bi in range(len(family))]
     cont_noise = [brownian_block(model, n, cseed) for cseed in cont_seeds]
     lhs_vals, lhs_errs = [], []

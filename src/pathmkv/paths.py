@@ -134,8 +134,58 @@ def node_major(n: int, nodes: int, width: int) -> np.ndarray:
 
 
 def sup_seminorm_sq_values(values: np.ndarray, j: int) -> np.ndarray:
-    """||.||_{t_j}^2 for a particle block of shape (N, M+1, d); returns (N,)."""
-    return (values[:, : j + 1, :] ** 2).sum(axis=2).max(axis=1)
+    """||.||_{t_j}^2 for a particle block of shape (N, M+1, d); returns (N,).
+
+    Streamed (`_sup_sq`): the pass holds a few MB beside the block, never a
+    temporary as large as it, and every float equals the one-shot
+    (values[:, :j+1] ** 2).sum(axis=2).max(axis=1).
+    """
+    return _sup_sq(values, None, 0, j)
+
+
+def sup_seminorm_sq_distance(a: np.ndarray, b: np.ndarray, j: int, start: int = 0) -> np.ndarray:
+    """max over nodes start..j of |a_s - b_s|_H^2 per particle for two
+    (N, M+1, d) blocks; returns (N,).  With start = 0 it is ||a - b||_{t_j}^2,
+    computed without the difference block."""
+    if a.shape != b.shape:
+        raise ConfigurationError(f"block shapes differ: {a.shape} vs {b.shape}")
+    return _sup_sq(a, b, start, j)
+
+
+# Elements per chunk of a streamed whole-path reduction: 2 MB of float64.
+REDUCE_ELEMENTS = 2**18
+
+
+def _sup_sq(values, other, lo, hi):
+    """max over nodes lo..hi of |values_s - other_s|^2 (|values_s|^2 when
+    other is None) per particle, reduced chunk by chunk along the block's
+    outer memory axis: nodes for node-major blocks, particles for C-ordered
+    ones.
+
+    Each chunk is squared into one reused buffer and summed over d there; the
+    d axis is contiguous in the buffer as in the one-shot temporary, so each
+    node's sum is the same float, and a max is exact in any grouping.
+    """
+    n, _, d = values.shape
+    nodes = hi + 1 - lo
+    by_node = abs(values.strides[1]) > abs(values.strides[0])
+    outer, inner = (nodes, n) if by_node else (n, nodes)
+    step = max(1, REDUCE_ELEMENTS // max(1, inner * d))
+    buf = node_major(n, min(step, nodes), d) if by_node else np.empty((min(step, n), nodes, d))
+    out = np.full(n, -np.inf)
+    for c0 in range(0, outer, step):
+        c1 = min(c0 + step, outer)
+        if by_node:
+            rows, part, chunk = np.s_[:], buf[:, : c1 - c0], np.s_[:, lo + c0 : lo + c1]
+        else:
+            rows, part, chunk = np.s_[c0:c1], buf[: c1 - c0], np.s_[c0:c1, lo : hi + 1]
+        if other is None:
+            np.square(values[chunk], out=part)
+        else:
+            np.subtract(values[chunk], other[chunk], out=part)
+            np.square(part, out=part)
+        np.maximum(out[rows], part.sum(axis=2).max(axis=1), out=out[rows])
+    return out
 
 
 def path_to_csv(x: PathGrid) -> str:

@@ -32,8 +32,9 @@ STREAM_BROWNIAN = 0
 STREAM_INITIAL = 1
 STREAM_POLICY = 2
 
-# Particles per C-contiguous chunk in refine_increments: 2 MB at 1000 steps.
-REFINE_ROWS = 256
+# Particles per C-contiguous chunk in brownian_increments and
+# refine_increments: 2 MB at 1000 steps.
+CHUNK_ROWS = 256
 
 
 def _key(seed: int, stream: int, particle: int) -> np.ndarray:
@@ -67,11 +68,21 @@ def particle_generators(seed: int, stream: int, n_particles: int) -> Iterator[np
 
 def brownian_increments(seed: int, n_particles: int, n_steps: int, dk: int, dt: float) -> np.ndarray:
     """iid N(0, dt) increments, shape (N, M, dK), keyed by (seed, particle);
-    a node-major block."""
+    a node-major block.
+
+    Each particle draws its (M, dK) normals into a row of one reused
+    C-ordered chunk; a full chunk is scaled and scattered into the block by
+    one multiply, which is elementwise, so every value is root * draw as if
+    written particle by particle.
+    """
     out = node_major(n_particles, n_steps, dk)
     root = np.sqrt(dt)
+    chunk = np.empty((min(CHUNK_ROWS, n_particles), n_steps, dk))
     for i, g in enumerate(particle_generators(seed, STREAM_BROWNIAN, n_particles)):
-        out[i] = root * g.standard_normal((n_steps, dk))
+        k = i % CHUNK_ROWS
+        g.standard_normal(out=chunk[k])
+        if k == CHUNK_ROWS - 1 or i == n_particles - 1:
+            np.multiply(chunk[: k + 1], root, out=out[i - k : i + 1])
     return out
 
 
@@ -92,9 +103,9 @@ def refine_increments(fine: np.ndarray, factor: int) -> np.ndarray:
         raise ValueError(f"cannot coarsen {m_fine} steps by factor {factor}")
     m = m_fine // factor
     out = node_major(n, m, dk)
-    for i in range(0, n, REFINE_ROWS):
-        rows = np.ascontiguousarray(fine[i : i + REFINE_ROWS])
-        out[i : i + REFINE_ROWS] = rows.reshape(-1, m, factor, dk).sum(axis=2)
+    for i in range(0, n, CHUNK_ROWS):
+        rows = np.ascontiguousarray(fine[i : i + CHUNK_ROWS])
+        out[i : i + CHUNK_ROWS] = rows.reshape(-1, m, factor, dk).sum(axis=2)
     return out
 
 

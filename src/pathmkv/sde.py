@@ -68,13 +68,19 @@ from .paths import (
     node_major,
     path_to_csv,
     stop_values,
+    sup_seminorm_sq_distance,
     sup_seminorm_sq_values,
 )
 
 
 @dataclass
 class InitialLaw:
-    """Seeded sampler of initial path segments; sampler(seed, n, grid, d) -> (N, M+1, d)."""
+    """Seeded sampler of initial path segments; sampler(seed, n, grid, d) -> (N, M+1, d).
+
+    A sample may be a read-only view (the constant-path laws broadcast their
+    (N, d) or (N,) values along the nodes and hold no block): readers copy
+    what they keep, as `_start` copies nodes up to the start node.
+    """
 
     sampler: object
 
@@ -88,13 +94,16 @@ class InitialLaw:
 
     @staticmethod
     def from_values(values: np.ndarray) -> "InitialLaw":
-        """Deterministic initial data holding the given (N, M+1, d) block."""
-        values = np.asarray(values, dtype=float)
+        """Deterministic initial data holding the given (N, M+1, d) block; a
+        sample is a read-only view of it, and the caller's array stays
+        writable."""
+        values = np.asarray(values, dtype=float).view()
+        values.setflags(write=False)
 
         def sampler(seed, n, grid, d):
             if values.shape != (n, grid.steps + 1, d):
                 raise ConfigurationError("fixed initial data does not match requested shape")
-            return values.copy()
+            return values
 
         return InitialLaw(sampler)
 
@@ -114,8 +123,8 @@ def two_point_initial(a=-1.0, b=1.0) -> InitialLaw:
     alternately (exact balance for even N); `two_point_mapped` draws them."""
 
     def sampler(seed, n, grid, d):
-        signs = np.where(np.arange(n) % 2 == 0, a, b)
-        return np.tile(signs[:, None, None], (1, grid.steps + 1, d))
+        signs = np.where(np.arange(n) % 2 == 0, a, b).astype(float)
+        return np.broadcast_to(signs[:, None, None], (n, grid.steps + 1, d))
 
     return InitialLaw(sampler)
 
@@ -126,8 +135,8 @@ def two_point_mapped(a=-1.0, b=1.0, flipped=False) -> InitialLaw:
     def sampler(seed, n, grid, d):
         u = rng.uniforms(seed, rng.STREAM_INITIAL, n)[:, 0]
         lo, hi = (b, a) if flipped else (a, b)
-        signs = np.where(u < 0.5, lo, hi)
-        return np.tile(signs[:, None, None], (1, grid.steps + 1, d))
+        signs = np.where(u < 0.5, lo, hi).astype(float)
+        return np.broadcast_to(signs[:, None, None], (n, grid.steps + 1, d))
 
     return InitialLaw(sampler)
 
@@ -145,7 +154,7 @@ def gaussian_initial(mean=0.0, std=1.0) -> InitialLaw:
 
     def sampler(seed, n, grid, d):
         x0 = mean + std * _initial_normals(seed, n, d)
-        return np.repeat(x0[:, None, :], grid.steps + 1, axis=1)
+        return np.broadcast_to(x0[:, None, :], (n, grid.steps + 1, d))
 
     return InitialLaw(sampler)
 
@@ -295,7 +304,7 @@ def _validate_model(model):
         other = rand.normal(size=(n, grid.steps + 1, d))
         v1, v2 = StoppedView(grid, vals, j), StoppedView(grid, other, j)
         w2 = wasserstein2(stopped_measure(v1, t), stopped_measure(v2, t), mode="exact")
-        seminorms = np.sqrt(sup_seminorm_sq_values(vals - other, j))
+        seminorms = np.sqrt(sup_seminorm_sq_distance(vals, other, j))
         bound = 1.05 * model.lipschitz * (seminorms + w2) + 1e-12
         db = np.linalg.norm(
             model.drift_at(t, v1, v1, u, nu) - model.drift_at(t, v2, v2, u, nu), axis=1
@@ -427,7 +436,8 @@ def _start(model: ModelSpec, init: InitialLaw, policy, t0, n_particles, seed, no
     check, or the run's own block when it is None.
 
     Returns (j0, values, noise, randomizers); values is a node-major
-    (N, M+1, d) block and only its first j0 + 1 nodes are set.
+    (N, M+1, d) block and only its first j0 + 1 nodes are set, copied from
+    the initial sample, which may be a read-only view.
     """
     model.validate()
     if model.control_growth is not None and policy is not None:
@@ -663,8 +673,7 @@ def integrate_picard(
             _exp_euler_steps(
                 model, values, prev, noise, a, b_node, exp_dt, policy, randomizers, controls
             )
-            diff = values[:, a : b_node + 1] - prev[:, a : b_node + 1]
-            gap = float(np.sqrt((diff**2).sum(axis=2).max(axis=1).mean()))
+            gap = float(np.sqrt(sup_seminorm_sq_distance(values, prev, b_node, a).mean()))
             gaps.append(gap)
             total_iters += 1
             if gap < tol:
@@ -683,12 +692,8 @@ def integrate_picard(
 
 def s2_distance(e1: ParticleEnsemble, e2: ParticleEnsemble) -> float:
     """Empirical S2 distance under common-seed pairing: sqrt(mean_i ||X1_i - X2_i||_T^2)."""
-    if e1.values.shape != e2.values.shape:
-        raise ConfigurationError(
-            f"ensemble shapes differ: {e1.values.shape} vs {e2.values.shape}"
-        )
-    diff = e1.values - e2.values
-    return float(np.sqrt((diff**2).sum(axis=2).max(axis=1).mean()))
+    sq = sup_seminorm_sq_distance(e1.values, e2.values, e1.values.shape[1] - 1)
+    return float(np.sqrt(sq.mean()))
 
 
 def flow_restart_check(

@@ -420,3 +420,22 @@ def test_each_stage_draws_each_brownian_block_once_and_shares_it_read_only(tmp_p
     assert len(per_stage["dpp"]) == 2
     # one block per side; the guard rail stops at its moment test and draws none
     assert sorted(args[0] for args, _ in per_stage["law"]) == [7, 7 + 77]
+
+
+@pytest.mark.parametrize("stage", ["yosida", "dpp"])
+def test_yosida_and_dpp_at_the_default_config_peak_below_112_mb(tmp_path, stage):
+    # one (4000, 1001, 1) block is 32 MB.  Yosida holds the shared noise, the
+    # base paths and one rung; the DPP tower holds the base paths and one
+    # continuation's noise and paths.  A fourth block, or a temporary as
+    # large as one, would pass 112 MB (3.5 blocks).
+    import tracemalloc
+
+    cfg = json.loads(json.dumps(DEFAULT_CONFIG))
+    tracemalloc.start()
+    try:
+        report = SUITE[stage](cfg, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["pass"]
+    assert peak <= 112 * 2**20, peak / 2**20

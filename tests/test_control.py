@@ -521,3 +521,53 @@ def test_terminal_growth_check_reads_the_ensembles_seminorm_pass(monkeypatch):
     first = reward(model, ens, 0.0)
     assert reward(model, ens, 0.0) == first
     assert passes == []
+
+
+def test_running_growth_check_advances_one_node_per_step(monkeypatch):
+    # f jumps above the declared envelope 1 + ||x||_t^2 from node 30 on; the
+    # check must warn first at that t, read ||x||_t^2 as a pass from node 0
+    # would at every step, and leave the rewards as they are without it
+    import warnings
+
+    import pathmkv.measure
+    from pathmkv.paths import sup_seminorm_sq_values
+
+    grid, t_bad = TimeGrid(1.0, 50), 0.6
+    base = make_quadratic_terminal(grid, a=-1.0, s0=0.5, running=0.5)
+    quadratic = base.running_cost
+
+    def running_cost(t, xs, mu, u, nu):
+        f = quadratic(t, xs, mu, u, nu)
+        return f + 100.0 if t >= t_bad - 1e-12 else f
+
+    model = replace(base, running_cost=running_cost, growth_h=lambda w: 1.0)
+    ens = integrate(model, gaussian_initial(0.0, 0.3), n_particles=64, seed=9)
+    t0 = 0.1
+    seen = []
+    check = control._growth_check
+
+    def recorded(model, values, sq, t, kind):
+        seen.append((t, kind, sq.copy()))
+        return check(model, values, sq, t, kind)
+
+    passes = []
+
+    def counted(values, j):
+        passes.append(j)
+        return sup_seminorm_sq_values(values, j)
+
+    monkeypatch.setattr(control, "_growth_check", recorded)
+    monkeypatch.setattr(pathmkv.measure, "sup_seminorm_sq_values", counted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = reward(model, ens, t0)
+    running = [(t, sq) for t, kind, sq in seen if kind == "f"]
+    assert [t for t, _ in running] == [grid.time_at(j) for j in range(grid.node(t0), grid.steps)]
+    for t, sq in running:
+        assert np.array_equal(sq, sup_seminorm_sq_values(ens.values, grid.node(t)))
+    assert passes == [grid.node(t0)]
+    messages = [str(w.message) for w in caught if issubclass(w.category, ContractWarning)]
+    assert messages and messages[0].startswith(f"declared growth envelope violated by f at t={t_bad:.4g} ")
+    assert len(messages) == grid.steps - grid.node(t_bad)
+    unchecked = reward(replace(model, growth_h=None), ens, t0)
+    assert (got.mean, got.stderr) == (unchecked.mean, unchecked.stderr)

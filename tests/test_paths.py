@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import pathmkv.paths as paths
 from pathmkv.errors import ConfigurationError, DomainError
 from pathmkv.hilbert import HilbertVec
 from pathmkv.paths import (
@@ -8,11 +11,14 @@ from pathmkv.paths import (
     TimeGrid,
     bump,
     constant_path,
+    node_major,
     path_from_csv,
     path_to_csv,
     stop,
     sup_norm,
     sup_seminorm,
+    sup_seminorm_sq_distance,
+    sup_seminorm_sq_values,
     zero_path,
 )
 
@@ -167,3 +173,90 @@ def test_time_snapping():
     # 0.349 snaps to node 3 (t = 0.3), 0.351 snaps to node 4.
     assert np.array_equal(stop(x, 0.349).values, stop(x, 0.3).values)
     assert np.array_equal(stop(x, 0.351).values, stop(x, 0.4).values)
+
+
+# Streamed whole-path reductions against their one-shot forms.  A chunk of 5
+# nodes (node-major) or of 5 * N / (j + 1) particles (C-ordered) puts several
+# chunk edges, and a partial last chunk, inside these small blocks.
+CHUNK_NODES = 5
+
+
+def one_shot_sq(values, j, start=0):
+    return (values[:, start : j + 1, :] ** 2).sum(axis=2).max(axis=1)
+
+
+def particle_block(layout, n, m, d, seed, special=True):
+    r = np.random.default_rng(seed)
+    v = 3.0 * r.normal(size=(n, m + 1, d))
+    if special:
+        v[1, 3, 0] = np.inf
+        v[2, CHUNK_NODES, d - 1] = np.nan
+    if layout == "c":
+        return v
+    out = node_major(n, m + 1, d)
+    out[...] = v
+    return out
+
+
+@pytest.mark.parametrize("layout", ["node_major", "c"])
+@pytest.mark.parametrize("d", [1, 3, 16])
+def test_streamed_seminorm_equals_the_one_shot_pass(monkeypatch, layout, d):
+    n, m = 13, 24
+    monkeypatch.setattr(paths, "REDUCE_ELEMENTS", CHUNK_NODES * n * d)
+    values = particle_block(layout, n, m, d, seed=d)
+    assert values.flags.c_contiguous == (layout == "c")
+    for j in [0, CHUNK_NODES - 1, CHUNK_NODES, CHUNK_NODES + 1, m]:
+        got, want = sup_seminorm_sq_values(values, j), one_shot_sq(values, j)
+        np.testing.assert_array_equal(got, want)
+        assert np.isinf(got[1]) == (j >= 3) and np.isnan(got[2]) == (j >= CHUNK_NODES)
+
+
+@pytest.mark.parametrize("layout", ["node_major", "c"])
+@pytest.mark.parametrize("d", [1, 3, 16])
+def test_streamed_seminorm_gap_equals_the_difference_pass(monkeypatch, layout, d):
+    n, m = 13, 24
+    monkeypatch.setattr(paths, "REDUCE_ELEMENTS", CHUNK_NODES * n * d)
+    a = particle_block(layout, n, m, d, seed=d)
+    b = particle_block(layout, n, m, d, seed=d + 100, special=False)
+    for start, j in [(0, 0), (0, CHUNK_NODES - 1), (0, CHUNK_NODES), (0, CHUNK_NODES + 1),
+                     (0, m), (CHUNK_NODES, m), (CHUNK_NODES + 1, m - 1)]:
+        got = sup_seminorm_sq_distance(a, b, j, start)
+        np.testing.assert_array_equal(got, one_shot_sq(a - b, j, start))
+    with pytest.raises(ConfigurationError):
+        sup_seminorm_sq_distance(a, b[:, :-1], m - 1)
+
+
+@pytest.mark.parametrize("layout", ["node_major", "c"])
+def test_streamed_seminorm_at_the_default_chunk(layout):
+    # N = 1000 at d = 1 puts 262 nodes in a default node-major chunk
+    n, m = 1000, 600
+    edge = paths.REDUCE_ELEMENTS // n
+    values = particle_block(layout, n, m, 1, seed=7)
+    for j in [0, edge - 1, edge, edge + 1, m]:
+        np.testing.assert_array_equal(sup_seminorm_sq_values(values, j), one_shot_sq(values, j))
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_seminorm_passes_at_suite_size_peak_below_8_mb():
+    # one (4000, 1001, 1) block is 32 MB; the one-shot passes held two or
+    # three temporaries that large
+    from pathmkv.hilbert import SpaceSpec
+    from pathmkv.sde import ParticleEnsemble, s2_distance
+
+    grid = TimeGrid(1.0, 1000)
+    r = np.random.default_rng(1)
+    ens = []
+    for _ in range(2):
+        values = node_major(4000, grid.steps + 1, 1)
+        values[...] = r.normal(size=values.shape)
+        ens.append(ParticleEnsemble(grid, SpaceSpec(1), 0.0, values, None, None, 0))
+    assert traced_peak(lambda: ens[0].seminorm_sq) <= 8 * 2**20
+    assert traced_peak(lambda: s2_distance(ens[0], ens[1])) <= 8 * 2**20

@@ -33,6 +33,17 @@ def test_uniforms_match_reference_generators(stream):
     assert np.array_equal(got, reference_rows(SEED, stream, n, lambda g: g.random(count)))
 
 
+def test_brownian_increments_across_chunks_match_reference_generators():
+    # N is not a multiple of the chunk: two full chunks and a partial one
+    n, m, dk, dt = 2 * rng.CHUNK_ROWS + 37, 5, 3, 0.02
+    got = rng.brownian_increments(SEED, n, m, dk, dt)
+    want = reference_rows(SEED, rng.STREAM_BROWNIAN, n, lambda g: np.sqrt(dt) * g.standard_normal((m, dk)))
+    assert np.array_equal(got, want)
+    assert got[:, 0, :].flags.c_contiguous
+    small = rng.brownian_increments(SEED, 3, m, dk, dt)
+    assert np.array_equal(small, want[:3])
+
+
 def test_streams_are_distinct():
     a = rng.uniforms(SEED, rng.STREAM_INITIAL, 8)
     b = rng.uniforms(SEED, rng.STREAM_POLICY, 8)

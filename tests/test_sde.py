@@ -559,3 +559,112 @@ def test_constant_initial_is_a_read_only_view_of_its_value():
     assert not block.flags.writeable
     with pytest.raises(ConfigurationError):
         constant_initial([1.0, -2.0]).sample(0, 5, grid, 3)
+
+
+# Initial samples as read-only views, and the streamed whole-path passes.
+
+
+def _constant_path_laws():
+    from pathmkv.sde import two_point_mapped
+
+    return {
+        "gaussian": gaussian_initial(0.5, 0.2),
+        "two_point": two_point_initial(-1, 2),  # integer ends broadcast as floats
+        "mapped": two_point_mapped(-1.0, 2.0),
+        "mapped_flipped": two_point_mapped(-1.0, 2.0, flipped=True),
+    }
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "two_point", "mapped", "mapped_flipped"])
+def test_constant_path_samplers_are_read_only_views(kind):
+    from pathmkv import rng
+
+    grid, n, d, seed = TimeGrid(1.0, 12), 9, 2, 5
+    block = _constant_path_laws()[kind].sample(seed, n, grid, d)
+    assert block.shape == (n, grid.steps + 1, d) and block.dtype == float
+    assert not block.flags.writeable and block.strides[1] == 0
+    with pytest.raises(ValueError):
+        block[0, 0, 0] = 0.0
+    if kind == "two_point":
+        signs = np.where(np.arange(n) % 2 == 0, -1, 2)
+    elif kind.startswith("mapped"):
+        lo, hi = (2.0, -1.0) if kind == "mapped_flipped" else (-1.0, 2.0)
+        signs = np.where(rng.uniforms(seed, rng.STREAM_INITIAL, n)[:, 0] < 0.5, lo, hi)
+    if kind != "gaussian":  # test_rng pins the Gaussian draws
+        assert np.array_equal(block, np.tile(signs[:, None, None], (1, grid.steps + 1, d)))
+
+
+def test_fixed_initial_data_is_a_read_only_view_of_a_writable_block():
+    from pathmkv.sde import InitialLaw
+
+    grid = TimeGrid(1.0, 6)
+    data = ramp_initial(2.0).sample(1, 4, grid, 3).copy()
+    block = InitialLaw.from_values(data).sample(0, 4, grid, 3)
+    assert not block.flags.writeable and np.shares_memory(block, data)
+    assert data.flags.writeable
+    with pytest.raises(ConfigurationError):
+        InitialLaw.from_values(data).sample(0, 5, grid, 3)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "two_point", "mapped", "mapped_flipped"])
+@pytest.mark.parametrize("t0", [0.0, 0.5])
+def test_runs_from_a_view_equal_runs_from_its_materialized_block(kind, t0):
+    from pathmkv.sde import InitialLaw, _start
+
+    grid, n, d, seed = TimeGrid(1.0, 20), 10, 2, 3
+    model = make_ou(grid, a=-1.0, s0=0.5, d=d)
+    init = _constant_path_laws()[kind]
+    block = np.array(init.sample(seed, n, grid, d))
+    j0, values, _, _ = _start(model, init, None, t0, n, seed)
+    assert np.array_equal(values[:, : j0 + 1], block[:, : j0 + 1])
+    ens = integrate(model, init, t0=t0, n_particles=n, seed=seed)
+    ref = integrate(model, InitialLaw.from_values(block), t0=t0, n_particles=n, seed=seed)
+    assert np.array_equal(ens.values, ref.values)
+
+
+def _one_shot_gap_sq(a, b, j, start=0):
+    return ((a[:, start : j + 1] - b[:, start : j + 1]) ** 2).sum(axis=2).max(axis=1)
+
+
+@pytest.mark.parametrize("layout", ["node_major", "c"])
+@pytest.mark.parametrize("d", [1, 3, 16])
+def test_s2_distance_equals_the_one_shot_pass(monkeypatch, path_major, layout, d):
+    import pathmkv.paths
+
+    grid, n = TimeGrid(1.0, 30), 12
+    monkeypatch.setattr(pathmkv.paths, "REDUCE_ELEMENTS", 4 * n * d)
+    model = make_ou(grid, a=-1.0, s0=0.5, d=d)
+
+    def pair():
+        a = integrate(model, gaussian_initial(), n_particles=n, seed=2)
+        b = integrate_yosida(model, 4.0, gaussian_initial(), n_particles=n, seed=2)
+        return a, b
+
+    a, b = pair() if layout == "node_major" else path_major(pair)
+    assert a.values.flags.c_contiguous == (layout == "c")
+    want = float(np.sqrt(_one_shot_gap_sq(a.values, b.values, grid.steps).mean()))
+    assert s2_distance(a, b) == want > 0.0
+
+
+@pytest.mark.parametrize("window", [None, 0.3])
+def test_picard_gaps_equal_the_one_shot_pass(monkeypatch, window):
+    import pathmkv.paths
+    import pathmkv.sde
+
+    grid, n, d = TimeGrid(1.0, 40), 16, 3
+    monkeypatch.setattr(pathmkv.paths, "REDUCE_ELEMENTS", 6 * n * d)
+    streamed = pathmkv.sde.sup_seminorm_sq_distance
+    want = []
+
+    def checked(a, b, j, start=0):
+        got = streamed(a, b, j, start)
+        ref = _one_shot_gap_sq(a, b, j, start)
+        assert np.array_equal(got, ref)
+        want.append(float(np.sqrt(ref.mean())))
+        return got
+
+    model = make_meanfield_ou(grid, s0=0.3, d=d)
+    model.validate()  # its Lipschitz spot check takes the same pass
+    monkeypatch.setattr(pathmkv.sde, "sup_seminorm_sq_distance", checked)
+    res = integrate_picard(model, gaussian_initial(), n_particles=n, seed=4, window=window)
+    assert res.gaps == want and len(want) == res.iterations
