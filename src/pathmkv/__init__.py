@@ -52,7 +52,6 @@ from .calculus import (
     second_derivative,
 )
 from .hjb import (
-    CandidateSolution,
     HamiltonianIntegrand,
     hamiltonian_sup_finite,
     hamiltonian_sup_randomized,

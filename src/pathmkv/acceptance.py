@@ -26,7 +26,6 @@ from .control import (
 from .errors import ConfigurationError
 from .hilbert import GENERATOR, HilbertVec, SpaceSpec, SpectralOperator
 from .hjb import (
-    CandidateSolution,
     HamiltonianIntegrand,
     hamiltonian_sup_finite,
     hamiltonian_sup_randomized,
@@ -302,10 +301,10 @@ def run_ito(cfg, out_dir):
             "for the Ito check"
         )
     drives = [
-        calculus.const_drift_spec([0.7]),
-        calculus.const_diffusion_spec(0.5),
-        calculus.drift_diffusion_spec([0.4], 0.3),
-        calculus.linear_drift_diffusion_spec(1.0, 0.3),
+        calculus.const_drift_spec(grid, [0.7]),
+        calculus.const_diffusion_spec(grid, 0.5),
+        calculus.drift_diffusion_spec(grid, [0.4], 0.3),
+        calculus.linear_drift_diffusion_spec(grid, 1.0, 0.3),
     ]
     init = gaussian_initial(0.0, 0.5)
     phis = [zoo[tag] for tag in tags]
@@ -316,8 +315,8 @@ def run_ito(cfg, out_dir):
     # one simulated ensemble per drive checks every functional
     per_drive = [
         calculus.ito_verify(
-            phis, grid, init, t=t, s=s, n_particles=n, seed=cfg["seed"],
-            process=drive, d=1, dt_coeff=dt_coeff, n_batches=n_batches, noise=noise,
+            phis, drive, init, t=t, s=s, n_particles=n, seed=cfg["seed"],
+            dt_coeff=dt_coeff, n_batches=n_batches, noise=noise,
         )
         for drive in drives
     ]
@@ -326,13 +325,12 @@ def run_ito(cfg, out_dir):
     # A*-variant on the OU model with the linear functional
     rep = calculus.ito_verify(
         zoo["linear_mean"],
-        grid,
+        model,
         constant_initial([2.0]),
         t=t,
         s=s,
         n_particles=n,
         seed=cfg["seed"],
-        model=model,
         dt_coeff=dt_coeff,
         n_batches=n_batches,
         noise=noise,
@@ -460,10 +458,8 @@ def run_hjb(cfg, out_dir):
     grid = build_grid(cfg)
     a, beta, s0, c, q = -1.0, 0.4, 0.3, 0.5, 1.0
     model = _linear_value_model(grid, a, beta, s0, c, q)
-    zoo = {
-        "feynman_kac": _feynman_kac_candidate(grid, a, beta, c, q),
-        "feynman_kac_x2": _feynman_kac_candidate(grid, a, beta, c, q, scale=2.0),
-    }
+    candidate = _feynman_kac_candidate(grid, a, beta, c, q)
+    wrong = _feynman_kac_candidate(grid, a, beta, c, q, scale=2.0)
     hcfg = cfg.get("hjb", {})
     times = hcfg.get("times", [0.0, 0.3, 0.7])
     if not times:
@@ -472,26 +468,13 @@ def run_hjb(cfg, out_dir):
     rng = np.random.default_rng(cfg["seed"])
     mu = EmpiricalPathMeasure(grid, rng.normal(size=(6, grid.steps + 1, 1)), None)
 
-    tag = hcfg.get("candidate")
-    if tag is not None:
-        # evaluation mode: report the chosen candidate's residuals, no verdict
-        if tag not in zoo:
-            raise ConfigurationError(
-                f"unknown candidate tag {tag!r}; known: {sorted(zoo)}"
-            )
-        checks = []
-        for t in times:
-            rep = hjb_residual(zoo[tag], model, float(t), mu, actions)
-            checks.append(json.loads(rep.to_json()) | {"t": float(t)})
-        return {"pass": True, "candidate": tag, "checks": checks}
-
-    # self-check mode: the closed-form candidate solves the equation, its
-    # doubled copy must not (negative control)
+    # the closed-form candidate solves the equation, its doubled copy must
+    # not (negative control)
     checks = []
     ok = True
     for t in times:
-        rep = hjb_residual(zoo["feynman_kac"], model, float(t), mu, actions)
-        rep_wrong = hjb_residual(zoo["feynman_kac_x2"], model, float(t), mu, actions)
+        rep = hjb_residual(candidate, model, float(t), mu, actions)
+        rep_wrong = hjb_residual(wrong, model, float(t), mu, actions)
         good = (
             abs(rep.residual) <= 1e-10
             and abs(rep_wrong.residual) > 1e-3
@@ -602,14 +585,13 @@ def _feynman_kac_candidate(grid, a, beta, c, q, scale=1.0):
             out.append(scale * (beta * (-(q + c / a) * e + c / a) - (a * q + c) * e * m))
         return np.array(out)
 
-    functional = CylindricalFunctional(
+    return CylindricalFunctional(
         tag=f"feynman_kac(x{scale})",
         eval_fn=ev,
         dt_fn=dt_fn,
         dmu_fn=lambda law, at: np.array([[[scale * kappa1(t)]] for t in at.ts.tolist()]),
         dxdmu_fn=lambda law, at: np.zeros((1, 1)),
     )
-    return CandidateSolution(functional)
 
 
 def _run_investment(cfg):

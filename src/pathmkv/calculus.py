@@ -11,6 +11,10 @@ one-sided in eps because the bump splits a delta atom (central differencing
 has no meaning here); Richardson extrapolation is available on top.  The
 built-in zoo of cylindrical functionals carries closed-form derivatives, which
 is what makes finite-difference consistency and the Ito residual checkable.
+
+`ito_verify` checks the functional Ito formula on the state equation of a
+`ModelSpec`; a plain Ito process is the model with A = 0 (`ito_process`), for
+which the generator term of the formula vanishes.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ConfigurationError,
     ContractError,
     DomainError,
     UnsupportedFunctionalError,
@@ -443,47 +446,70 @@ def second_derivative(
 # Functional Ito verifier
 
 
-@dataclass
-class ItoProcessSpec:
-    """Drift/diffusion of the plain Ito process X = xi + int F dr + int G dB.
+def ito_process(grid, F=None, G=None, tag: str = "ito_process", d: int = 1) -> ModelSpec:
+    """The plain Ito process X = xi + int F dr + int G dB as the state equation
+    with A = 0, whose coefficients F(t, x_now) -> (N, d) and G(t, x_now) ->
+    (N, n_sigma) diagonal entries read the current node of the paths.
 
-    F(t, x_now) -> (N, d); G(t, x_now) -> (N, n_sigma) diagonal entries.
-    """
+    No Lipschitz constant is declared (L = inf): the Lipschitz spot check
+    passes and the a-priori estimate does not apply, while the
+    non-anticipativity spot check runs as on every model."""
 
-    F: object = None
-    G: object = None
-    tag: str = "ito_process"
+    def lift(fn):
+        return None if fn is None else (lambda t, xs, mu, u, nu: fn(t, xs.values_now))
+
+    return ModelSpec(
+        space=SpaceSpec(d),
+        grid=grid,
+        A=SpectralOperator(np.zeros(d), kind=GENERATOR),
+        drift=lift(F),
+        diffusion=lift(G),
+        lipschitz=math.inf,
+        tag=tag,
+    )
 
 
-def const_drift_spec(c, tag=None) -> ItoProcessSpec:
+def const_drift_spec(grid, c) -> ModelSpec:
+    """F = c, G = 0, in the dimension d = len(c)."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    return ItoProcessSpec(
+    return ito_process(
+        grid,
         F=lambda t, x: np.broadcast_to(c, x.shape).copy(),
-        tag=tag or f"F=const{c.tolist()},G=0",
+        tag=f"F=const{c.tolist()},G=0",
+        d=c.size,
     )
 
 
-def const_diffusion_spec(s0, d_sigma=None, tag=None) -> ItoProcessSpec:
-    return ItoProcessSpec(
+def const_diffusion_spec(grid, s0, d: int = 1, d_sigma=None) -> ModelSpec:
+    """F = 0, G = s0 on the first d_sigma (default d) noise coordinates."""
+    return ito_process(
+        grid,
         G=lambda t, x: np.full((x.shape[0], d_sigma or x.shape[1]), s0),
-        tag=tag or f"F=0,G={s0}",
+        tag=f"F=0,G={s0}",
+        d=d,
     )
 
 
-def drift_diffusion_spec(c, s0) -> ItoProcessSpec:
+def drift_diffusion_spec(grid, c, s0) -> ModelSpec:
+    """F = c, G = s0, in the dimension d = len(c)."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    return ItoProcessSpec(
+    return ito_process(
+        grid,
         F=lambda t, x: np.broadcast_to(c, x.shape).copy(),
         G=lambda t, x: np.full(x.shape, s0),
         tag=f"F=const{c.tolist()},G={s0}",
+        d=c.size,
     )
 
 
-def linear_drift_diffusion_spec(kappa, s0) -> ItoProcessSpec:
-    return ItoProcessSpec(
+def linear_drift_diffusion_spec(grid, kappa, s0, d: int = 1) -> ModelSpec:
+    """F = -kappa x, G = s0."""
+    return ito_process(
+        grid,
         F=lambda t, x: -kappa * x,
         G=lambda t, x: np.full(x.shape, s0),
         tag=f"F=-{kappa}x,G={s0}",
+        d=d,
     )
 
 
@@ -511,28 +537,6 @@ class ItoReport:
             },
             sort_keys=True,
         )
-
-
-def _process_model(process: ItoProcessSpec, grid, d: int) -> ModelSpec:
-    """The plain Ito process as the state equation with A = 0, whose coefficients
-    F and G read the current node of the paths.
-
-    No Lipschitz constant is declared (L = inf): the Lipschitz spot check
-    passes and the a-priori estimate does not apply, while the
-    non-anticipativity spot check runs as on every model."""
-
-    def lift(fn):
-        return None if fn is None else (lambda t, xs, mu, u, nu: fn(t, xs.values_now))
-
-    return ModelSpec(
-        space=SpaceSpec(d),
-        grid=grid,
-        A=SpectralOperator(np.zeros(d), kind=GENERATOR),
-        drift=lift(process.F),
-        diffusion=lift(process.G),
-        lipschitz=math.inf,
-        tag=process.tag,
-    )
 
 
 # Nodes per block of the Ito quadrature, deliberately not configurable.  At
@@ -601,31 +605,28 @@ def _rhs_quadrature(phis, model, values, j0, j1, rows, controls, a_eigs):
 
 def ito_verify(
     phi,
-    grid,
+    model: ModelSpec,
     init: InitialLaw,
     t: float,
     s: float,
     n_particles: int = 4000,
     seed: int = 0,
-    process: ItoProcessSpec | None = None,
-    model: ModelSpec | None = None,
     policy=None,
-    d: int = 1,
     n_batches: int = 8,
     dt_coeff: float = 10.0,
     noise: np.ndarray | None = None,
 ):
     """Check the functional Ito formula on a particle ensemble.
 
-    With `process` given, X is the plain Ito process xi + int F dr + int G dB,
-    which is the state equation with A = 0 (`_process_model`), and the
-    right-hand side carries the horizontal, first-order and trace terms.
-    With `model` given, X is the mild solution of the state equation and the
-    right-hand side additionally carries the <X_r, A* d_mu phi> term.  Either
-    way X is one `integrate` run from t to s, driven by `policy` (the paths
-    stay constant after s).  LHS and RHS are computed on the full ensemble; the Monte Carlo standard
-    error comes from the n_batches disjoint particle batches b::n_batches, and
-    the pass gate is |residual| <= 3 * stderr + dt_coeff * dt.
+    X is the mild solution of the state equation `model`, one `integrate` run
+    from t to s driven by `policy` (the paths stay constant after s).  The
+    right-hand side carries the horizontal, first-order and trace terms, and
+    the <X_r, A* d_mu phi> generator term when A has a nonzero eigenvalue; the
+    report's model field is then "mild:<tag>".  A plain Ito process is the
+    model with A = 0 (`ito_process`).  LHS and RHS are computed on the full
+    ensemble; the Monte Carlo standard error comes from the n_batches disjoint
+    particle batches b::n_batches, and the pass gate is
+    |residual| <= 3 * stderr + dt_coeff * dt.
 
     `phi` is one functional, which gives one ItoReport, or a sequence of
     functionals, all checked on one simulated ensemble, which gives their
@@ -643,8 +644,6 @@ def ito_verify(
                 f"ito_verify needs analytic derivatives; functional {p.tag!r} has none"
             )
         _require_differentiable(p)
-    if (process is None) == (model is None):
-        raise ConfigurationError("pass exactly one of process= or model=")
     if n_batches < 2:
         raise DomainError(f"n_batches must be at least 2 for a standard error, got {n_batches}")
     if n_particles < n_batches:
@@ -653,11 +652,10 @@ def ito_verify(
             "every batch needs a particle"
         )
 
-    if model is None:
-        model = _process_model(process, grid, d)
-        a_eigs, tag = None, process.tag
-    else:
+    if np.any(model.A.eigenvalues):
         a_eigs, tag = model.A.eigenvalues, f"mild:{model.tag}"
+    else:
+        a_eigs, tag = None, model.tag
     grid = model.grid
     j0, j1 = grid.node(t), grid.node(s)
     ens = integrate(

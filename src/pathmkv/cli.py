@@ -115,7 +115,7 @@ CONFIG_SCHEMA = {
         False,
     ),
     "law": ({"n_particles": (int, False), "families": (list, False)}, False),
-    "hjb": ({"times": (list, False), "candidate": (str, False)}, False),
+    "hjb": ({"times": (list, False)}, False),
     "hamiltonian": (
         {"n_instances": (int, False), "max_atoms": (int, False), "max_actions": (int, False)},
         False,

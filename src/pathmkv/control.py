@@ -54,10 +54,6 @@ class FiniteActionSet:
     def size(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.points.shape[1]
-
     def contains_batch(self, u: np.ndarray) -> bool:
         dists = np.abs(u[:, None, :] - self.points[None, :, :]).max(axis=2)
         return bool(np.all(dists.min(axis=1) <= 1e-12))
@@ -422,10 +418,6 @@ class LawInvarianceReport:
     stderr: float
     moment_gaps: dict
     per_family: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
     def to_json(self):
         return json.dumps(

@@ -55,18 +55,6 @@ class HilbertVec:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
 
-    def dot(self, other: "HilbertVec") -> float:
-        _check_dim(self.dim, other.dim)
-        return float(np.dot(self.coords, other.coords))
-
-    def __add__(self, other: "HilbertVec") -> "HilbertVec":
-        _check_dim(self.dim, other.dim)
-        return HilbertVec(self.coords + other.coords)
-
-    def __sub__(self, other: "HilbertVec") -> "HilbertVec":
-        _check_dim(self.dim, other.dim)
-        return HilbertVec(self.coords - other.coords)
-
     def __mul__(self, scalar: float) -> "HilbertVec":
         return HilbertVec(self.coords * float(scalar))
 

@@ -11,12 +11,16 @@ realizes the esssup sum bit for bit.
 With a control-law argument the supremum needs measurable randomization; the
 randomized enumerator mixes per-atom actions over a finite grid of levels and
 dominates the deterministic forms by construction.
+
+`hjb_residual` evaluates the master Bellman equation on a candidate solution,
+a `calculus.CylindricalFunctional` with analytic derivative fields; the A*
+field of its generator term is the measure-derivative field weighted by the
+model's diagonal generator eigenvalues.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -234,55 +238,20 @@ def investment_hamiltonian_closed_form(
 # HJB residual for candidate classical solutions
 
 
-@dataclass
-class CandidateSolution:
-    """A candidate w for the master equation: a cylindrical functional with
-    analytic time, measure and mixed second derivatives.  The A*-mapped
-    measure-derivative field of the generator term is the dmu field weighted
-    by the model's diagonal generator eigenvalues.
-    """
-
-    functional: CylindricalFunctional
-
-    def require_fields(self):
-        if not self.functional.has_analytic:
-            raise ContractError(
-                f"candidate {self.functional.tag!r} lacks analytic derivative fields"
-            )
-
-    def a_star_field(self, model: ModelSpec, t: float, mu) -> np.ndarray:
-        return self.functional.dmu_field(t, mu) * model.A.eigenvalues
-
-    def validate_membership(self, model: ModelSpec, instances) -> None:
-        """Every derivative field present and finite on the test points."""
-        self.require_fields()
-        for t, mu in instances:
-            vals = [
-                self.functional.eval(t, mu),
-                self.functional.dt(t, mu),
-            ]
-            fields = [
-                self.functional.dmu_field(t, mu),
-                self.functional.dxdmu_field(t, mu),
-                self.a_star_field(model, t, mu),
-            ]
-            if not all(np.isfinite(v) for v in vals) or not all(
-                np.all(np.isfinite(f)) for f in fields
-            ):
-                raise ContractError(
-                    f"candidate {self.functional.tag!r} has non-finite derivatives at t={t}"
-                )
+def _require_fields(phi: CylindricalFunctional) -> None:
+    if not phi.has_analytic:
+        raise ContractError(f"candidate {phi.tag!r} lacks analytic derivative fields")
 
 
 def hamiltonian_from_model(
-    model: ModelSpec, w: CandidateSolution, t: float, mu: EmpiricalPathMeasure
+    model: ModelSpec, phi: CylindricalFunctional, t: float, mu: EmpiricalPathMeasure
 ) -> HamiltonianIntegrand:
-    """F(x, u, nu) = f + <b, d_mu w(x)> + (1/2) Tr(sigma sigma* sym d2 w(x))
+    """F(x, u, nu) = f + <b, d_mu phi(x)> + (1/2) Tr(sigma sigma* sym d2 phi(x))
     at the fixed (t, mu), with the symmetrized second derivative in the trace.
 
     mu is stopped at t: the coefficients and the candidate's derivative fields
     receive StoppedView.of(mu, t), the view integrate hands them at (t, mu)."""
-    w.require_fields()
+    _require_fields(phi)
     grid = model.grid
     j = grid.node(t)
     law = StoppedView.of(mu, t)
@@ -292,11 +261,11 @@ def hamiltonian_from_model(
         u_arr = None if u is None else np.atleast_2d(np.asarray(u, dtype=float))
         f_val = float(model.running_cost_at(t, batch, law, u_arr, nu)[0])
         b_val = model.drift_at(t, batch, law, u_arr, nu)[0]
-        dmu = w.functional.dmu_field(t, law, at=batch)[0]
+        dmu = phi.dmu_field(t, law, at=batch)[0]
         total = f_val + float(np.dot(b_val, dmu))
         if model.diffusion is not None:
             s_val = model.diffusion_at(t, batch, law, u_arr, nu)[0]
-            d2 = w.functional.dxdmu_field(t, law, at=batch)[0]
+            d2 = phi.dxdmu_field(t, law, at=batch)[0]
             sym = 0.5 * (d2 + d2.T)
             ns = s_val.shape[0]
             total += 0.5 * float((s_val**2 * np.diag(sym)[:ns]).sum())
@@ -313,46 +282,34 @@ class HjbResidualReport:
     a_star_term: float
     hamiltonian: float
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "residual": self.residual,
-                "terminal_gap": self.terminal_gap,
-                "dt_term": self.dt_term,
-                "a_star_term": self.a_star_term,
-                "hamiltonian": self.hamiltonian,
-            },
-            sort_keys=True,
-        )
-
 
 def hjb_residual(
-    w: CandidateSolution,
+    phi: CylindricalFunctional,
     model: ModelSpec,
     t: float,
     mu: EmpiricalPathMeasure,
     action_set,
 ) -> HjbResidualReport:
-    """Evaluate the master-equation residual of a candidate solution at (t, mu):
+    """Evaluate the master-equation residual of a candidate solution phi at (t, mu):
 
-        residual = dt w + E<xi_t, A* d_mu w(xi)> + sup-form Hamiltonian,
+        residual = dt phi + E<xi_t, A* d_mu phi(xi)> + sup-form Hamiltonian,
 
-    plus the terminal gap |w(T, mu) - E g|.  Both are reported without a
+    plus the terminal gap |phi(T, mu) - E g|.  Both are reported without a
     pass/fail verdict; this is a verification tool for supplied candidates.
     Every term reads mu stopped at its time, as in hamiltonian_from_model.
     """
-    w.require_fields()
+    _require_fields(phi)
     grid = model.grid
     law = StoppedView.of(mu, t)
-    dt_term = w.functional.dt(t, law)
-    a_field = w.a_star_field(model, t, law)
+    dt_term = phi.dt(t, law)
+    a_field = phi.dmu_field(t, law) * model.A.eigenvalues
     xi_t = law.values_at(t)
     a_star_term = float(law.weights @ (xi_t * a_field).sum(axis=1))
-    F = hamiltonian_from_model(model, w, t, mu)
+    F = hamiltonian_from_model(model, phi, t, mu)
     ham = hamiltonian_sup_finite(F, mu, action_set, form="esssup")
     residual = dt_term + a_star_term + ham
 
     end = StoppedView.of(mu, grid.T)
     g_vals = model.terminal_cost_at(end, end)
-    terminal_gap = abs(w.functional.eval(grid.T, end) - float(end.weights @ g_vals))
+    terminal_gap = abs(phi.eval(grid.T, end) - float(end.weights @ g_vals))
     return HjbResidualReport(residual, terminal_gap, dt_term, a_star_term, ham)

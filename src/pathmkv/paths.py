@@ -70,9 +70,6 @@ class PathGrid:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def at(self, t: float) -> HilbertVec:
-        return HilbertVec(self.values[self.grid.node(t)])
-
     def __add__(self, other: "PathGrid") -> "PathGrid":
         return PathGrid(self.grid, self.values + other.values)
 

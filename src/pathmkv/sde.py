@@ -215,7 +215,7 @@ class ModelSpec:
     growth_h: object = None
     control_growth: float | None = None
     tag: str = "custom"
-    _validated: bool = field(default=False, repr=False, compare=False)
+    _validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.A.kind != GENERATOR:

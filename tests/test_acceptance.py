@@ -269,26 +269,25 @@ def test_criterion_09_functional_ito_battery():
     n = 4000
     zoo = calculus.standard_zoo(1)
     drives = [
-        calculus.const_drift_spec([0.7]),
-        calculus.const_diffusion_spec(0.5),
-        calculus.drift_diffusion_spec([0.4], 0.3),
-        calculus.linear_drift_diffusion_spec(1.0, 0.3),
+        calculus.const_drift_spec(grid, [0.7]),
+        calculus.const_diffusion_spec(grid, 0.5),
+        calculus.drift_diffusion_spec(grid, [0.4], 0.3),
+        calculus.linear_drift_diffusion_spec(grid, 1.0, 0.3),
     ]
     init = gaussian_initial(0.0, 0.5)
     failures = []
     for tag in ("linear_mean", "mean_squared", "quadratic_form"):
         for drive in drives:
             rep = calculus.ito_verify(
-                zoo[tag], grid, init, t=0.0, s=1.0, n_particles=n, seed=SEED,
-                process=drive, d=1, dt_coeff=10.0,
+                zoo[tag], drive, init, t=0.0, s=1.0, n_particles=n, seed=SEED, dt_coeff=10.0,
             )
             if not rep.passed:
                 failures.append((tag, drive.tag, rep.residual, rep.stderr))
     # A*-variant on the OU model with the linear functional
     model = models.make_ou(grid, a=-1.0, s0=0.5)
     rep = calculus.ito_verify(
-        zoo["linear_mean"], grid, constant_initial([2.0]), t=0.0, s=1.0,
-        n_particles=n, seed=SEED, model=model, dt_coeff=10.0,
+        zoo["linear_mean"], model, constant_initial([2.0]), t=0.0, s=1.0,
+        n_particles=n, seed=SEED, dt_coeff=10.0,
     )
     if not rep.passed:
         failures.append(("linear_mean", "mild:ou", rep.residual, rep.stderr))

@@ -5,7 +5,6 @@ import pytest
 
 from pathmkv.calculus import (
     CylindricalFunctional,
-    ItoProcessSpec,
     LiftedSample,
     const_diffusion_spec,
     const_drift_spec,
@@ -13,6 +12,7 @@ from pathmkv.calculus import (
     consistency_check,
     drift_diffusion_spec,
     horizontal_derivative,
+    ito_process,
     ito_verify,
     linear_mean,
     mean_squared,
@@ -227,17 +227,15 @@ def test_running_sup_sq_refuses_derivatives():
 def test_ito_linear_functional_constant_drift():
     # LHS = <c, h> (s - t) exactly; G = 0 so the residual is pure quadrature.
     phi = linear_mean([1.0])
-    spec = const_drift_spec([0.7])
+    spec = const_drift_spec(GRID, [0.7])
     rep = ito_verify(
         phi,
-        GRID,
+        spec,
         gaussian_initial(0.0, 1.0),
         t=0.0,
         s=1.0,
         n_particles=256,
         seed=17,
-        process=spec,
-        d=1,
         dt_coeff=10.0,
     )
     assert rep.lhs == pytest.approx(0.7, rel=1e-10)
@@ -249,17 +247,15 @@ def test_ito_quadratic_form_brownian_second_moment():
     # d E<X,QX> = Tr(G G* Q) dt: trace term carries the whole growth.
     q = np.array([0.5])
     phi = quadratic_form(q)
-    spec = const_diffusion_spec(0.5)
+    spec = const_diffusion_spec(TimeGrid(1.0, 500), 0.5)
     rep = ito_verify(
         phi,
-        TimeGrid(1.0, 500),
+        spec,
         constant_initial([0.0]),
         t=0.0,
         s=1.0,
         n_particles=4000,
         seed=18,
-        process=spec,
-        d=1,
     )
     assert rep.rhs == pytest.approx(0.25 * 0.5, rel=1e-9)  # s0^2 q (s - t)
     assert rep.passed
@@ -268,28 +264,23 @@ def test_ito_quadratic_form_brownian_second_moment():
 def test_ito_drift_diffusion_and_linear_drives():
     grid = TimeGrid(1.0, 400)
     init = gaussian_initial(0.0, 0.5)
-    for drive in (drift_diffusion_spec([0.4], 0.3), linear_drift_diffusion_spec(1.0, 0.3)):
+    for drive in (drift_diffusion_spec(grid, [0.4], 0.3), linear_drift_diffusion_spec(grid, 1.0, 0.3)):
         for phi in (linear_mean([1.0]), quadratic_form([0.5])):
-            rep = ito_verify(
-                phi, grid, init, t=0.0, s=1.0, n_particles=1000, seed=25,
-                process=drive, d=1,
-            )
+            rep = ito_verify(phi, drive, init, t=0.0, s=1.0, n_particles=1000, seed=25)
             assert rep.passed, (phi.tag, drive.tag, rep.residual, rep.stderr)
 
 
 def test_ito_zero_process_both_sides_zero():
     phi = mean_squared([1.0])
-    spec = ItoProcessSpec(tag="F=0,G=0")
+    spec = ito_process(GRID, tag="F=0,G=0")
     rep = ito_verify(
         phi,
-        GRID,
+        spec,
         gaussian_initial(0.5, 1.0),
         t=0.0,
         s=1.0,
         n_particles=64,
         seed=19,
-        process=spec,
-        d=1,
     )
     assert rep.lhs == 0.0
     assert rep.rhs == 0.0
@@ -301,13 +292,12 @@ def test_ito_mild_variant_with_a_star_term():
     phi = linear_mean([1.0])
     rep = ito_verify(
         phi,
-        model.grid,
+        model,
         constant_initial([2.0]),
         t=0.0,
         s=1.0,
         n_particles=2000,
         seed=20,
-        model=model,
     )
     assert rep.passed
     assert rep.lhs == pytest.approx(2.0 * (math.exp(-1.0) - 1.0), abs=0.05)
@@ -318,22 +308,26 @@ def test_ito_requires_analytic_derivatives():
     with pytest.raises(UnsupportedFunctionalError):
         ito_verify(
             phi,
-            GRID,
+            const_drift_spec(GRID, [1.0]),
             constant_initial([0.0]),
             t=0.0,
             s=1.0,
             n_particles=16,
             seed=0,
-            process=const_drift_spec([1.0]),
         )
 
 
 def test_ito_rejects_ambiguous_drive():
+    # the model is the one drive: a second process, or a grid or dimension
+    # beside the model's own, is not an argument
     phi = linear_mean([1.0])
-    with pytest.raises(ConfigurationError):
-        ito_verify(
-            phi, GRID, constant_initial([0.0]), t=0.0, s=1.0, n_particles=16, seed=0
-        )
+    model = make_ou(GRID, a=-1.0, s0=0.5)
+    extras = [{"process": const_drift_spec(GRID, [1.0])}, {"grid": TimeGrid(2.0, 7)}, {"d": 5}]
+    for extra in extras:
+        with pytest.raises(TypeError, match=next(iter(extra))):
+            ito_verify(
+                phi, model, constant_initial([0.0]), t=0.0, s=1.0, n_particles=16, seed=0, **extra
+            )
 
 
 def test_consistency_two_forms_of_mean_squared():
@@ -418,8 +412,8 @@ def test_ito_rejects_too_few_batches_or_particles(kwargs, match):
     args = {"n_particles": 16, "seed": 0, **kwargs}
     with pytest.raises(DomainError, match=match):
         ito_verify(
-            linear_mean([1.0]), GRID, constant_initial([0.0]), t=0.0, s=1.0,
-            process=const_drift_spec([1.0]), **args,
+            linear_mean([1.0]), const_drift_spec(GRID, [1.0]), constant_initial([0.0]),
+            t=0.0, s=1.0, **args,
         )
 
 
@@ -427,8 +421,8 @@ def test_ito_sequence_checks_every_functional_before_simulating():
     phis = [linear_mean([1.0]), running_sup_sq()]
     with pytest.raises(UnsupportedFunctionalError, match="running_sup_sq"):
         ito_verify(
-            phis, GRID, constant_initial([0.0]), t=0.0, s=1.0, n_particles=16, seed=0,
-            process=const_drift_spec([1.0]),
+            phis, const_drift_spec(GRID, [1.0]), constant_initial([0.0]), t=0.0, s=1.0,
+            n_particles=16, seed=0,
         )
 
 
@@ -479,26 +473,23 @@ def _reference_rhs_quadrature(phi, grid, values, j0, j1, idx, f_arr, g_arr, a_ei
     return total
 
 
-def _reference_ito_verify(phi, grid, init, t, s, n_particles, seed, process=None, model=None,
-                          d=1, n_batches=8, dt_coeff=10.0):
+def _reference_ito_verify(phi, model, init, t, s, n_particles, seed, n_batches=8, dt_coeff=10.0):
     from pathmkv import rng
-    from pathmkv.calculus import ItoReport, _process_model
+    from pathmkv.calculus import ItoReport
     from pathmkv.sde import StoppedView, _exp_euler_steps, integrate
 
-    if model is not None:
-        grid = model.grid
+    grid, d = model.grid, model.space.d
     j0, j1 = grid.node(t), grid.node(s)
-    if model is not None:
+    if np.any(model.A.eigenvalues):
         ens = integrate(model, init, None, t0=t, n_particles=n_particles, seed=seed)
         values, controls, a_eigs, tag = ens.values, ens.controls, model.A.eigenvalues, f"mild:{model.tag}"
     else:
-        model = _process_model(process, grid, d)
         values = np.empty((n_particles, grid.steps + 1, d))
         values[:, : j0 + 1] = init.sample(seed, n_particles, grid, d)[:, : j0 + 1]
         noise = rng.brownian_increments(seed, n_particles, grid.steps, d, grid.dt)
         _exp_euler_steps(model, values, values, noise, j0, j1, 1.0)
         values[:, j1 + 1 :, :] = values[:, j1 : j1 + 1, :]
-        controls, a_eigs, tag = None, None, process.tag
+        controls, a_eigs, tag = None, None, model.tag
     f_arr, g_arr = _reference_coefficients(model, values, j0, j1, controls)
     all_idx = np.arange(n_particles)
 
@@ -521,11 +512,12 @@ def _reference_ito_verify(phi, grid, init, t, s, n_particles, seed, process=None
     return ItoReport(phi.tag, tag, lhs, rhs, residual, stderr, passed, grid.dt)
 
 
+GRID_40 = TimeGrid(1.0, 40)
 ITO_DRIVES = [
-    const_drift_spec([0.7]),
-    const_diffusion_spec(0.5),
-    drift_diffusion_spec([0.4], 0.3),
-    linear_drift_diffusion_spec(1.0, 0.3),
+    const_drift_spec(GRID_40, [0.7]),
+    const_diffusion_spec(GRID_40, 0.5),
+    drift_diffusion_spec(GRID_40, [0.4], 0.3),
+    linear_drift_diffusion_spec(GRID_40, 1.0, 0.3),
 ]
 ANALYTIC_ZOO = [phi for phi in standard_zoo(1).values() if phi.has_analytic and phi.differentiable]
 # d = 2: every analytic member with h off the axes, so both coordinates count
@@ -535,39 +527,38 @@ ANALYTIC_ZOO_2 = [
     linear_mean(H2), mean_squared(H2), quadratic_form([0.25, 0.5]),
     quadratic_form_dense(Q2), time_linear_mean(H2), time_quadratic_mean(H2),
 ]
-# (grid steps, t, s, d, drive): the four drives on the 40-step grid from 0 to
-# 1; then a node range of several blocks that is not a multiple of the block
-# length, an interior start one node past a block boundary, and d = 2
-ITO_CASES = [pytest.param(40, 0.0, 1.0, 1, drive, id=drive.tag) for drive in ITO_DRIVES] + [
-    pytest.param(301, 0.0, 1.0, 1, drift_diffusion_spec([0.4], 0.3), id="M=301"),
-    pytest.param(40, 0.225, 0.95, 1, linear_drift_diffusion_spec(1.0, 0.3), id="t=0.225,s=0.95"),
-    pytest.param(40, 0.0, 1.0, 2, const_drift_spec([0.7, -0.2]), id="d=2,F=const"),
-    pytest.param(40, 0.0, 1.0, 2, const_diffusion_spec(0.5, d_sigma=1), id="d=2,G=0.5,d_sigma=1"),
-    pytest.param(40, 0.0, 1.0, 2, drift_diffusion_spec([0.7, -0.2], 0.3), id="d=2,F=const,G=0.3"),
+# (t, s, drive): the four drives on the 40-step grid from 0 to 1; then a node
+# range of several blocks that is not a multiple of the block length, an
+# interior start one node past a block boundary, and d = 2
+ITO_CASES = [pytest.param(0.0, 1.0, drive, id=drive.tag) for drive in ITO_DRIVES] + [
+    pytest.param(0.0, 1.0, drift_diffusion_spec(TimeGrid(1.0, 301), [0.4], 0.3), id="M=301"),
+    pytest.param(0.225, 0.95, ITO_DRIVES[3], id="t=0.225,s=0.95"),
+    pytest.param(0.0, 1.0, const_drift_spec(GRID_40, [0.7, -0.2]), id="d=2,F=const"),
+    pytest.param(0.0, 1.0, const_diffusion_spec(GRID_40, 0.5, d=2, d_sigma=1), id="d=2,G=0.5,d_sigma=1"),
+    pytest.param(0.0, 1.0, drift_diffusion_spec(GRID_40, [0.7, -0.2], 0.3), id="d=2,F=const,G=0.3"),
 ]
 
 
 @pytest.mark.parametrize("n_particles", [200, 1003])
-@pytest.mark.parametrize("steps, t, s, d, drive", ITO_CASES)
-def test_ito_single_pass_matches_pinned_per_batch_loop(steps, t, s, d, drive, n_particles):
-    grid = TimeGrid(1.0, steps)
+@pytest.mark.parametrize("t, s, drive", ITO_CASES)
+def test_ito_single_pass_matches_pinned_per_batch_loop(t, s, drive, n_particles):
     init = gaussian_initial(0.0, 0.5)
-    zoo = ANALYTIC_ZOO if d == 1 else ANALYTIC_ZOO_2
-    common = dict(t=t, s=s, n_particles=n_particles, seed=31, process=drive, d=d)
-    reports = ito_verify(zoo, grid, init, **common)
+    zoo = ANALYTIC_ZOO if drive.space.d == 1 else ANALYTIC_ZOO_2
+    common = dict(t=t, s=s, n_particles=n_particles, seed=31)
+    reports = ito_verify(zoo, drive, init, **common)
     assert [rep.functional for rep in reports] == [phi.tag for phi in zoo]
     for phi, rep in zip(zoo, reports):
-        ref = _reference_ito_verify(phi, grid, init, **common)
+        ref = _reference_ito_verify(phi, drive, init, **common)
         assert rep.to_json() == ref.to_json()
-        assert ito_verify(phi, grid, init, **common).to_json() == rep.to_json()
+        assert ito_verify(phi, drive, init, **common).to_json() == rep.to_json()
 
 
 def test_ito_single_pass_matches_pinned_loop_on_the_mild_variant():
-    model = make_ou(TimeGrid(1.0, 40), a=-1.0, s0=0.5)
-    common = dict(t=0.0, s=1.0, n_particles=1003, seed=32, model=model)
+    model = make_ou(GRID_40, a=-1.0, s0=0.5)
+    common = dict(t=0.0, s=1.0, n_particles=1003, seed=32)
     for phi in (linear_mean([1.0]), quadratic_form([0.5])):
-        rep = ito_verify(phi, model.grid, constant_initial([2.0]), **common)
-        ref = _reference_ito_verify(phi, model.grid, constant_initial([2.0]), **common)
+        rep = ito_verify(phi, model, constant_initial([2.0]), **common)
+        ref = _reference_ito_verify(phi, model, constant_initial([2.0]), **common)
         assert rep.to_json() == ref.to_json()
     # interior starts, with a batch count that does not divide N: t = 0.25,
     # then one node past a block boundary; then a 301-step grid, whose node
@@ -576,10 +567,10 @@ def test_ito_single_pass_matches_pinned_loop_on_the_mild_variant():
     cases = [(40, 0.25, 0.75), (40, 0.225, 0.75), (301, 0.0, 1.0), (301, 73 / 301, 0.75)]
     for steps, t, s in cases:
         model = make_ou(TimeGrid(1.0, steps), a=-1.0, s0=0.5)
-        common.update(t=t, s=s, n_batches=7, model=model)
-        reports = ito_verify(ANALYTIC_ZOO, model.grid, constant_initial([2.0]), **common)
+        common.update(t=t, s=s, n_batches=7)
+        reports = ito_verify(ANALYTIC_ZOO, model, constant_initial([2.0]), **common)
         for phi, rep in zip(ANALYTIC_ZOO, reports):
-            ref = _reference_ito_verify(phi, model.grid, constant_initial([2.0]), **common)
+            ref = _reference_ito_verify(phi, model, constant_initial([2.0]), **common)
             assert rep.to_json() == ref.to_json(), (steps, t, phi.tag)
 
 
@@ -590,11 +581,11 @@ def test_ito_verify_at_suite_size_peaks_below_128_mb():
     import tracemalloc
 
     phis = [linear_mean([1.0]), mean_squared([1.0]), quadratic_form([0.5])]
+    drive = drift_diffusion_spec(TimeGrid(1.0, 1000), [0.4], 0.3)
     tracemalloc.start()
     try:
         ito_verify(
-            phis, TimeGrid(1.0, 1000), gaussian_initial(0.0, 0.5), t=0.0, s=1.0,
-            n_particles=4000, seed=3, process=drift_diffusion_spec([0.4], 0.3),
+            phis, drive, gaussian_initial(0.0, 0.5), t=0.0, s=1.0, n_particles=4000, seed=3,
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -605,22 +596,24 @@ def test_ito_verify_at_suite_size_peaks_below_128_mb():
 def test_ito_verify_on_a_shared_block_matches_its_own_draw():
     # the ito stage passes one block to the four drives and the A*-variant;
     # each must report what it reports when it draws the block itself
-    model = make_ou(TimeGrid(1.0, 40), a=-1.0, s0=0.5)
-    grid, init = model.grid, gaussian_initial(0.0, 0.5)
+    model = make_ou(GRID_40, a=-1.0, s0=0.5)
+    init = gaussian_initial(0.0, 0.5)
     common = dict(t=0.0, s=1.0, n_particles=203, seed=33)
     block = brownian_block(model, 203, 33)
     for drive in ITO_DRIVES:
-        own = ito_verify(ANALYTIC_ZOO, grid, init, process=drive, d=1, **common)
-        shared = ito_verify(ANALYTIC_ZOO, grid, init, process=drive, d=1, noise=block, **common)
+        own = ito_verify(ANALYTIC_ZOO, drive, init, **common)
+        shared = ito_verify(ANALYTIC_ZOO, drive, init, noise=block, **common)
         assert [r.to_json() for r in shared] == [r.to_json() for r in own], drive.tag
     init = constant_initial([2.0])
-    own = ito_verify(ANALYTIC_ZOO, grid, init, model=model, **common)
-    shared = ito_verify(ANALYTIC_ZOO, grid, init, model=model, noise=block, **common)
+    own = ito_verify(ANALYTIC_ZOO, model, init, **common)
+    shared = ito_verify(ANALYTIC_ZOO, model, init, noise=block, **common)
     assert [r.to_json() for r in shared] == [r.to_json() for r in own]
     assert not block.flags.writeable
 
 
 def test_both_ito_routes_run_one_integrate_from_t_to_s(monkeypatch):
+    # a plain Ito process (A = 0) and a mild model take the same route; only
+    # the mild one carries the generator term and the "mild:" prefix
     import pathmkv.calculus as calculus
 
     runs = []
@@ -631,23 +624,21 @@ def test_both_ito_routes_run_one_integrate_from_t_to_s(monkeypatch):
         return real(model, init, policy, **kwargs)
 
     monkeypatch.setattr(calculus, "integrate", spy)
-    model = make_ou(TimeGrid(1.0, 40), a=-1.0, s0=0.5)
+    model = make_ou(GRID_40, a=-1.0, s0=0.5)
     common = dict(t=0.25, s=0.75, n_particles=16, seed=3)
-    ito_verify(linear_mean([1.0]), model.grid, constant_initial([0.0]),
-               process=ITO_DRIVES[2], **common)
-    rep = ito_verify(linear_mean([1.0]), model.grid, constant_initial([0.0]), model=model, **common)
+    plain = ito_verify(linear_mean([1.0]), ITO_DRIVES[2], constant_initial([0.0]), **common)
+    rep = ito_verify(linear_mean([1.0]), model, constant_initial([0.0]), **common)
     assert runs == [(ITO_DRIVES[2].tag, 0.25, 0.75), ("ou", 0.25, 0.75)]
+    assert plain.model == ITO_DRIVES[2].tag
     assert rep.model == "mild:ou"
 
 
 @pytest.mark.parametrize("shape", [(203, 39, 1), (202, 40, 1), (203, 40, 2)])
 @pytest.mark.parametrize("branch", ["process", "model"])
 def test_ito_verify_rejects_a_block_of_the_wrong_shape(branch, shape):
-    model = make_ou(TimeGrid(1.0, 40), a=-1.0, s0=0.5)
-    drive = {"process": ITO_DRIVES[2], "model": None}[branch]
+    drive = {"process": ITO_DRIVES[2], "model": make_ou(GRID_40, a=-1.0, s0=0.5)}[branch]
     with pytest.raises(ConfigurationError, match="noise override has shape"):
         ito_verify(
-            linear_mean([1.0]), model.grid, constant_initial([0.0]), t=0.0, s=1.0,
-            n_particles=203, seed=33, process=drive, model=None if drive else model,
-            noise=np.zeros(shape),
+            linear_mean([1.0]), drive, constant_initial([0.0]), t=0.0, s=1.0,
+            n_particles=203, seed=33, noise=np.zeros(shape),
         )

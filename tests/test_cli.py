@@ -17,6 +17,7 @@ from pathmkv.cli import (
 )
 from pathmkv.errors import ConfigurationError
 from pathmkv.models import MODEL_FACTORIES
+from pathmkv.sde import gaussian_initial, ramp_initial, two_point_initial
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -439,3 +440,124 @@ def test_yosida_and_dpp_at_the_default_config_peak_below_112_mb(tmp_path, stage)
         tracemalloc.stop()
     assert report["pass"]
     assert peak <= 112 * 2**20, peak / 2**20
+
+
+# ---------------------------------------------------------------------------
+# Config builders that the suite's default config does not reach: each config
+# route must build what the matching library call builds.
+
+
+def tiny_cfg():
+    return {"grid": {"T": 1.0, "steps": 16}, "particles": 64, "seed": 7}
+
+
+@pytest.mark.parametrize(
+    "spec, law",
+    [
+        ({"kind": "gaussian", "mean": 0.3, "std": 2.0}, gaussian_initial(0.3, 2.0)),
+        ({"kind": "two_point", "a": -0.5, "b": 2.0}, two_point_initial(-0.5, 2.0)),
+        ({"kind": "ramp", "scale": 1.5}, ramp_initial(1.5)),
+    ],
+    ids=["gaussian", "two_point", "ramp"],
+)
+def test_simulate_builds_each_initial_law_kind(tmp_path, spec, law):
+    from pathmkv.models import make_ou
+    from pathmkv.paths import TimeGrid
+    from pathmkv.sde import integrate
+
+    out = str(tmp_path / "out")
+    assert run("simulate", write_cfg(tmp_path, {**tiny_cfg(), "initial": spec}), out) == 0
+    model = make_ou(TimeGrid(1.0, 16), a=-1.0, s0=0.5)
+    ens = integrate(model, law, None, 0.0, 64, 7)
+    assert read_report(out)["results"]["moments"] == json.loads(json.dumps(ens.summary_moments()))
+
+
+def test_unknown_initial_law_kind_exits_2(tmp_path, capsys):
+    path = write_cfg(tmp_path, {**tiny_cfg(), "initial": {"kind": "cauchy"}})
+    assert run("simulate", path, str(tmp_path / "out")) == 2
+    assert "unknown initial law kind 'cauchy'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "report.json")
+
+
+def test_dpp_family_builds_constant_and_uncontrolled_policies(tmp_path):
+    from pathmkv.control import constant_policy, dpp_check
+    from pathmkv.models import build_model
+    from pathmkv.paths import TimeGrid
+    from pathmkv.sde import constant_initial
+
+    family = [{"kind": "constant", "u": [0.5]}, {"kind": "uncontrolled"}]
+    cfg = {
+        **tiny_cfg(),
+        "initial": {"kind": "constant", "value": [0.5]},
+        "dpp": {"split_times": [0.5], "family": family},
+    }
+    out = str(tmp_path / "out")
+    assert run("dpp-check", write_cfg(tmp_path, cfg), out) in (0, 1)
+    model = build_model("quadratic_terminal", TimeGrid(1.0, 16), a=-1.0, s0=0.5)
+    reps = dpp_check(model, constant_initial([0.5]), [constant_policy([0.5]), None], 0.0, [0.5], 64, 7)
+    checks = read_report(out)["results"]["checks"]
+    assert [c["mode"] for c in checks] == ["family_inequality"]
+    assert checks == [json.loads(r.to_json()) for r in reps]
+
+
+def test_law_families_build_uncontrolled_and_constant_policies(tmp_path):
+    # the runner's first two default families are [None] and [constant 0]
+    families = [[{"kind": "uncontrolled"}], [{"kind": "constant", "u": [0.0]}]]
+    cfg = {**tiny_cfg(), "law": {"n_particles": 64}}
+    out_default, out_cfg = str(tmp_path / "default"), str(tmp_path / "cfg")
+    assert run("law-check", write_cfg(tmp_path, cfg, "a.json"), out_default) in (0, 1)
+    cfg["law"]["families"] = families
+    assert run("law-check", write_cfg(tmp_path, cfg, "b.json"), out_cfg) in (0, 1)
+    from_cfg = read_report(out_cfg)["results"]["per_family"]
+    assert len(from_cfg) == 2
+    assert from_cfg == read_report(out_default)["results"]["per_family"][:2]
+
+
+@pytest.mark.parametrize(
+    "spec, match",
+    [
+        ({"kind": "bang_bang"}, "unknown policy kind 'bang_bang'"),
+        ({"kind": "constant"}, "constant policy needs a 'u' action vector"),
+        ("constant", "policy spec must be an object with a kind"),
+    ],
+    ids=["unknown-kind", "missing-u", "not-an-object"],
+)
+@pytest.mark.parametrize("subcommand", ["dpp-check", "law-check"])
+def test_bad_policy_specs_exit_2(tmp_path, capsys, subcommand, spec, match):
+    if subcommand == "dpp-check":
+        payload = {"dpp": {"family": [spec]}}
+    else:
+        payload = {"law": {"families": [[spec]]}}
+    path = write_cfg(tmp_path, {**tiny_cfg(), **payload})
+    assert run(subcommand, path, str(tmp_path / "out")) == 2
+    assert match in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "report.json")
+
+
+def test_particles_converge_runs_to_completion_and_reproduces(tmp_path):
+    cfg = {
+        "grid": {"T": 1.0, "steps": 8},
+        "particles": 16,
+        "seed": 7,
+        "particles_converge": {"rungs": [8, 32], "n_seeds": 2, "projections": 8},
+    }
+    path = write_cfg(tmp_path, cfg)
+    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert run("particles-converge", path, out_a) in (0, 1)
+    assert run("particles-converge", path, out_b) in (0, 1)
+    ra, rb = read_report(out_a), read_report(out_b)
+    res = ra["results"]
+    assert sorted(res) == ["avg_distances", "pass", "rungs"]
+    assert res["rungs"] == [8, 32]
+    assert len(res["avg_distances"]) == 2
+    assert all(isinstance(v, float) and v > 0.0 for v in res["avg_distances"])
+    assert res["pass"] == (res["avg_distances"][0] > res["avg_distances"][1])
+    del ra["wall_time_s"], rb["wall_time_s"]
+    assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
+
+
+def test_hjb_candidate_key_is_unknown(tmp_path, capsys):
+    path = write_cfg(tmp_path, {**tiny_cfg(), "hjb": {"candidate": "feynman_kac"}})
+    assert run("hjb-residual", path, str(tmp_path / "out")) == 2
+    assert "hjb.candidate" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "report.json")

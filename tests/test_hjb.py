@@ -13,7 +13,6 @@ from pathmkv.errors import (
 )
 from pathmkv.hilbert import GENERATOR, HilbertVec, SpaceSpec, SpectralOperator
 from pathmkv.hjb import (
-    CandidateSolution,
     HamiltonianIntegrand,
     hamiltonian_from_model,
     hamiltonian_sup_finite,
@@ -336,7 +335,7 @@ def feynman_kac_candidate(grid, a, beta, c, q, scale=1.0):
             out.append(scale * (k0p + k1p * m))
         return np.array(out)
 
-    functional = CylindricalFunctional(
+    return CylindricalFunctional(
         tag=f"feynman_kac(x{scale})",
         eval_fn=ev,
         dt_fn=dt_fn,
@@ -345,7 +344,6 @@ def feynman_kac_candidate(grid, a, beta, c, q, scale=1.0):
         ),
         dxdmu_fn=lambda law, at: np.zeros(at.now.shape[:2] + (1, 1)),
     )
-    return CandidateSolution(functional)
 
 
 def test_hjb_residual_feynman_kac_candidate():
@@ -372,7 +370,7 @@ def test_hjb_candidate_agrees_with_monte_carlo_value():
     ens = integrate(model, constant_initial([x0]), n_particles=3000, seed=5)
     est = reward(model, ens, 0.0)
     mu0 = stopped_measure(ens.law(), 0.0)
-    w_val = w.functional.eval(0.0, mu0)
+    w_val = w.eval(0.0, mu0)
     assert abs(w_val - est.mean) <= 3 * est.stderr + 10 * grid.dt * abs(w_val)
 
 
@@ -388,14 +386,12 @@ def test_hjb_residual_trivial_constant_candidate():
         lipschitz=0.0,
         tag="const_g",
     )
-    w = CandidateSolution(
-        CylindricalFunctional(
-            tag="const",
-            eval_fn=lambda t, mu: g_const,
-            dt_fn=lambda law: np.zeros(len(law.ts)),
-            dmu_fn=lambda law, at: np.zeros(at.now.shape[:2] + (1,)),
-            dxdmu_fn=lambda law, at: np.zeros(at.now.shape[:2] + (1, 1)),
-        )
+    w = CylindricalFunctional(
+        tag="const",
+        eval_fn=lambda t, mu: g_const,
+        dt_fn=lambda law: np.zeros(len(law.ts)),
+        dmu_fn=lambda law, at: np.zeros(at.now.shape[:2] + (1,)),
+        dxdmu_fn=lambda law, at: np.zeros(at.now.shape[:2] + (1, 1)),
     )
     mu = measure_from_paths([constant_path(grid, [0.3]), constant_path(grid, [-0.3])])
     rep = hjb_residual(w, model, 0.5, mu, FiniteActionSet([[0.0]]))
@@ -432,31 +428,12 @@ def test_hjb_residual_affine_in_derivative_fields():
 def test_candidate_without_fields_rejected():
     grid = TimeGrid(1.0, 10)
     model = linear_value_model(grid, -1.0, 0.0, 0.0, 0.1, 1.0)
-    bare = CandidateSolution(
-        CylindricalFunctional(tag="bare", eval_fn=lambda t, mu: 0.0)
-    )
+    bare = CylindricalFunctional(tag="bare", eval_fn=lambda t, mu: 0.0)
     mu = measure_from_paths([constant_path(grid, [0.0])])
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="candidate 'bare' lacks analytic derivative fields"):
         hjb_residual(bare, model, 0.5, mu, FiniteActionSet([[0.0]]))
-
-
-def test_candidate_membership_validation():
-    grid = TimeGrid(1.0, 10)
-    model = linear_value_model(grid, -1.0, 0.4, 0.3, 0.5, 1.0)
-    w = feynman_kac_candidate(grid, -1.0, 0.4, 0.5, 1.0)
-    mu = measure_from_paths([constant_path(grid, [1.0])])
-    w.validate_membership(model, [(0.0, mu), (0.5, mu)])
-    bad = CandidateSolution(
-        CylindricalFunctional(
-            tag="nan",
-            eval_fn=lambda t, mu: math.nan,
-            dt_fn=lambda law: np.zeros(len(law.ts)),
-            dmu_fn=lambda law, at: np.zeros(at.now.shape[:2] + (1,)),
-            dxdmu_fn=lambda law, at: np.zeros(at.now.shape[:2] + (1, 1)),
-        )
-    )
-    with pytest.raises(ContractError):
-        bad.validate_membership(model, [(0.5, mu)])
+    with pytest.raises(ContractError, match="candidate 'bare' lacks analytic derivative fields"):
+        hamiltonian_from_model(model, bare, 0.5, mu)
 
 
 def test_hjb_reads_the_law_stopped_at_t_like_integrate():
@@ -497,7 +474,7 @@ def test_hjb_reads_the_law_stopped_at_t_like_integrate():
     mu = EmpiricalPathMeasure(grid, cloud, None)
     stopped_moment = calls["f"][0][0] - cloud[0, grid.node(t), 0]
     assert mu.second_moment() > stopped_moment + 1.0  # stopping matters here
-    w = CandidateSolution(linear_mean([1.0]))  # d_mu w = 1, so F = f + b
+    w = linear_mean([1.0])  # d_mu w = 1, so F = f + b
     F = hamiltonian_from_model(model, w, t, mu)
     via_hjb = np.array([F.value(mu.atom_path(i), None) for i in range(6)])
     np.testing.assert_allclose(via_hjb, via_integrate, rtol=1e-12, atol=1e-12)

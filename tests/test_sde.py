@@ -365,6 +365,21 @@ def test_wrong_lipschitz_declaration_rejected():
         integrate(model, constant_initial([0.0]), n_particles=4, seed=0)
 
 
+def test_a_replaced_model_is_validated_afresh():
+    # dataclasses.replace builds a new model: the validation of the one it
+    # copies must not carry over to a drift that reads the path past t
+    from dataclasses import replace
+
+    base = make_ou(TimeGrid(1.0, 20), a=-1.0, s0=0.5)
+    integrate(base, constant_initial([0.0]), n_particles=4, seed=0)
+
+    def peek(t, xs, mu, u, nu):
+        return xs._values[:, -1, :]
+
+    with pytest.raises(ConfigurationError, match="anticipative"):
+        integrate(replace(base, drift=peek), constant_initial([0.0]), n_particles=4, seed=0)
+
+
 def test_ensemble_export(tmp_path):
     grid = TimeGrid(1.0, 10)
     model = make_ou(grid, a=-1.0, s0=0.5)
