@@ -22,7 +22,14 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import CapacityError, ConfigurationError, DomainError
 from .hilbert import HilbertVec
-from .paths import PathGrid, TimeGrid, path_to_csv, stop_values, sup_seminorm_sq_values
+from .paths import (
+    REDUCE_ELEMENTS,
+    PathGrid,
+    TimeGrid,
+    path_to_csv,
+    stop_values,
+    sup_seminorm_sq_values,
+)
 
 EXACT_ATOM_CAP = 512
 
@@ -168,16 +175,36 @@ def mean_at(mu: StoppedView, t: float) -> HilbertVec:
     return mu.mean_at(t)
 
 
-def _sup_cost_matrix(mu: EmpiricalPathMeasure, nu: EmpiricalPathMeasure) -> np.ndarray:
-    """c_ij = ||x_i - y_j||_T^2; assembled blockwise to bound the scratch
-    array at ~32 MB regardless of atom counts and grid size."""
-    n, m = mu.n_atoms, nu.n_atoms
-    cost = np.empty((n, m))
-    block = max(1, int(4e6 // (mu.atoms.shape[1] * mu.atoms.shape[2] * max(m, 1))))
-    for start in range(0, n, block):
-        stopi = min(start + block, n)
-        diff = mu.atoms[start:stopi, None, :, :] - nu.atoms[None, :, :, :]
-        cost[start:stopi] = (diff**2).sum(axis=3).max(axis=2)
+def _sup_cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """c_ij = ||x_i - y_j||_T^2 = max over nodes of |x_i(s) - y_j(s)|^2 for
+    path blocks x (n, nodes, d) and y (m, nodes, d); returns (n, m).
+
+    The grid is walked in node chunks of at most REDUCE_ELEMENTS elements
+    (n * m per node, one node at least), so the scratch beside the result is
+    two chunks and one (n, m) array: 6 MB at the 512-atom cap, whatever the
+    grid.  In a chunk the squared coordinate differences are added one
+    coordinate at a time, left to right, the order in which numpy sums a
+    contiguous axis shorter than 8, and a max is exact in any grouping: for
+    d <= 7 every entry is the float of the one-shot
+    ((x[:, None] - y[None]) ** 2).sum(axis=3).max(axis=2).  For d >= 8 numpy
+    sums that axis pairwise, and an entry may differ from it in the last bit.
+    """
+    n, nodes, d = x.shape
+    m = y.shape[0]
+    step = max(1, REDUCE_ELEMENTS // (n * m))
+    buf = np.empty((2, min(step, nodes), n, m))
+    top = np.empty((n, m))
+    cost = np.full((n, m), -np.inf)
+    for c0 in range(0, nodes, step):
+        c1 = min(c0 + step, nodes)
+        total, sq = buf[:, : c1 - c0]
+        for k in range(d):
+            out = sq if k else total
+            np.subtract(x[:, c0:c1, k].T[:, :, None], y[:, c0:c1, k].T[:, None, :], out=out)
+            np.square(out, out=out)
+            if k:
+                np.add(total, sq, out=total)
+        np.maximum(cost, total.max(axis=0, out=top), out=cost)
     return cost
 
 
@@ -243,7 +270,7 @@ def wasserstein2(
                 f"got {mu.n_atoms} x {nu.n_atoms}",
                 suggestion="use mode='sliced'",
             )
-        cost = _sup_cost_matrix(mu, nu)
+        cost = _sup_cost_matrix(mu.atoms, nu.atoms)
         return float(np.sqrt(exact_ot_cost(cost, mu.weights, nu.weights)))
     if mode == "sliced":
         if projections < 1:
@@ -299,9 +326,9 @@ def _sliced_w2(mu, nu, projections, seed) -> float:
 
 
 def wasserstein2_controls(nu1: EmpiricalControlMeasure, nu2: EmpiricalControlMeasure) -> float:
-    """Exact W2 between control laws on U (Euclidean ground cost); diagnostics only."""
-    diff = nu1.atoms[:, None, :] - nu2.atoms[None, :, :]
-    cost = (diff**2).sum(axis=2)
+    """Exact W2 between control laws on U (Euclidean ground cost, the sup
+    cost of one-node paths); diagnostics only."""
+    cost = _sup_cost_matrix(nu1.atoms[:, None, :], nu2.atoms[:, None, :])
     return float(np.sqrt(exact_ot_cost(cost, nu1.weights, nu2.weights)))
 
 

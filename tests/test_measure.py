@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from pathmkv.errors import CapacityError, ConfigurationError, DomainError
 from pathmkv.measure import (
+    EXACT_ATOM_CAP,
     EmpiricalControlMeasure,
+    _sup_cost_matrix,
     _quantile_ot_sq,
     EmpiricalPathMeasure,
     StoppedView,
@@ -20,7 +23,7 @@ from pathmkv.measure import (
     wasserstein2,
     wasserstein2_controls,
 )
-from pathmkv.paths import PathGrid, TimeGrid, constant_path, stop, sup_norm
+from pathmkv.paths import REDUCE_ELEMENTS, PathGrid, TimeGrid, constant_path, stop, sup_norm
 
 # Reproducible property runs: a fixed example sequence, no example database.
 PROPERTY = settings(max_examples=20, derandomize=True, database=None, deadline=None)
@@ -250,6 +253,57 @@ def test_exact_ot_cost_degenerate():
     assert exact_ot_cost(cost, w, w) == pytest.approx(0.0)
 
 
+def one_shot_sup_cost(x, y):
+    """The sup cost in one temporary per row block; rows do not share floats."""
+    rows = max(1, 2**21 // y.size)
+    blocks = (x[i : i + rows, None] - y[None] for i in range(0, len(x), rows))
+    return np.concatenate([(diff**2).sum(axis=3).max(axis=2) for diff in blocks])
+
+
+# (n, m, nodes): nodes per chunk is REDUCE_ELEMENTS // (n * m), at least one
+SUP_COST_SHAPES = {
+    "unequal_sizes_one_chunk": (7, 5, 13),
+    "last_chunk_short": (100, 90, 51),
+    "one_node_per_chunk": (EXACT_ATOM_CAP, EXACT_ATOM_CAP, 5),
+    "tiny": (2, 3, 4),
+    "one_node_paths": (9, 6, 1),
+}
+
+
+@pytest.mark.parametrize("shape", SUP_COST_SHAPES.values(), ids=SUP_COST_SHAPES.keys())
+def test_chunked_sup_cost_is_the_one_shot_float(shape):
+    n, m, nodes = shape
+    step = max(1, REDUCE_ELEMENTS // (n * m))
+    if shape == SUP_COST_SHAPES["last_chunk_short"]:
+        assert step < nodes and nodes % step
+    if shape == SUP_COST_SHAPES["one_node_per_chunk"]:
+        assert n * m >= REDUCE_ELEMENTS
+    rng = np.random.default_rng(n * m * nodes)
+    for d in range(1, 8):
+        x, y = rng.normal(size=(n, nodes, d)), rng.normal(size=(m, nodes, d))
+        cost = _sup_cost_matrix(x, y)
+        assert np.array_equal(cost, one_shot_sup_cost(x, y))
+        assert np.array_equal(_sup_cost_matrix(y, x), cost.T)
+    # numpy sums a length >= 8 axis pairwise; the coordinates are added in order
+    for d in (8, 13):
+        x, y = rng.normal(size=(n, nodes, d)), rng.normal(size=(m, nodes, d))
+        cost = _sup_cost_matrix(x, y)
+        np.testing.assert_allclose(cost, one_shot_sup_cost(x, y), rtol=1e-15, atol=0)
+
+
+def test_sup_cost_at_the_atom_cap_peaks_below_12_mb():
+    # two one-node chunks, the chunk max and the result: 8 MB
+    rng = np.random.default_rng(3)
+    x, y = (rng.normal(size=(EXACT_ATOM_CAP, 51, 2)) for _ in range(2))
+    tracemalloc.start()
+    try:
+        _sup_cost_matrix(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
 def test_control_measure_and_w2():
     nu1 = EmpiricalControlMeasure(np.array([[0.0], [1.0]]))
     nu2 = EmpiricalControlMeasure(np.array([[0.0], [1.0]]))
@@ -463,7 +517,7 @@ start = time.perf_counter()
 value = wasserstein2(mu, nu, mode="exact")
 seconds = time.perf_counter() - start
 grown_mb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
-product = float(np.sqrt(mu.weights @ _sup_cost_matrix(mu, nu) @ nu.weights))
+product = float(np.sqrt(mu.weights @ _sup_cost_matrix(mu.atoms, nu.atoms) @ nu.weights))
 mean_gap = float(np.linalg.norm(mu.weights @ mu.atoms[:, -1] - nu.weights @ nu.atoms[:, -1]))
 print(json.dumps({"value": value, "seconds": seconds, "grown_mb": grown_mb,
                   "product": product, "mean_gap": mean_gap}))
@@ -476,8 +530,12 @@ def test_weighted_exact_w2_at_the_atom_cap_in_bounded_time_and_memory():
 
     Run alone in a fresh interpreter so that its peak RSS is its own.  On a
     2-core x86-64 Linux machine (Python 3.11, scipy's HiGHS, one BLAS
-    thread) the call took 3.1 to 3.9 s in six runs and raised the peak RSS
-    by 253 MB, from 81 to 334 MB; the bounds below are 10 s and 400 MB."""
+    thread) the call took 4.1 to 4.6 s in six runs and raised the peak RSS
+    by 277 MB, from 81 to 358 MB; the bounds below are 10 s and 400 MB.
+    The cost matrix and its scratch take 8 MB of that; the rest is the LP,
+    whose peak moves with glibc's dynamic mmap threshold, which the last
+    large block freed before it sets (253 MB with the threshold pinned at
+    32 MB, 231 MB pinned at 128 kB)."""
     import json
     import os
     import subprocess
