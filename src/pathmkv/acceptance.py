@@ -510,10 +510,9 @@ def run_hamiltonian(cfg, out_dir):
         actions = FiniteActionSet(r.normal(size=(q, 1)))
         table = r.normal(size=(k, q))
 
-        def F_fn(path, u, nu, table=table, mu=mu, actions=actions):
-            i = int(np.argmin(np.abs(mu.atoms[:, 0, 0] - path.values[0, 0])))
-            l = int(np.argmin(np.abs(actions.points[:, 0] - u[0])))
-            return table[i, l]
+        def F_fn(xs, u, nu, table=table, actions=actions):
+            l = np.argmin(np.abs(actions.points[None, :, 0] - u[:, :1]), axis=1)
+            return table[np.arange(xs.n_atoms), l]
 
         F = HamiltonianIntegrand(F_fn, tag="table")
         vals = [
@@ -528,14 +527,14 @@ def run_hamiltonian(cfg, out_dir):
     actions = FiniteActionSet([[0.0], [0.5], [1.0]])
     uniform = EmpiricalControlMeasure(actions.points)
 
-    def F_pen(path, u, nu):
+    def F_pen(xs, u, nu):
         if nu is None:
-            nu = EmpiricalControlMeasure(np.atleast_2d(u))
-        return -wasserstein2_controls(nu, uniform)
+            nu = EmpiricalControlMeasure(u)
+        return np.full(xs.n_atoms, -wasserstein2_controls(nu, uniform))
 
     F = HamiltonianIntegrand(F_pen, nu_dependent=True, tag="-W2")
     rand_val = hamiltonian_sup_randomized(F, mu1, actions)
-    det_best = max(F_pen(None, np.array([u]), None) for u in actions.points[:, 0])
+    det_best = max(F(mu1, u[None])[0] for u in actions.points)
     strict = rand_val > det_best + 1e-6
     ok = mismatches == 0 and strict
     return {

@@ -95,20 +95,17 @@ class CylindricalFunctional:
     def dt(self, t: float, mu) -> float:
         return float(self.dt_fn(NodeRun.at(mu, t))[0])
 
-    def dmu_field(self, t: float, mu, at=None) -> np.ndarray:
-        """d_mu phi(t, mu) at the query paths `at` (a StoppedView, by default
-        mu's own support), shape (K, d)."""
+    def dmu_field(self, t: float, mu) -> np.ndarray:
+        """d_mu phi(t, mu) at mu's own support, shape (K, d)."""
         law = NodeRun.at(mu, t)
-        query = law if at is None else NodeRun.at(at, t)
-        out = np.asarray(self.dmu_fn(law, query), dtype=float)
-        return np.broadcast_to(out, query.now.shape)[0]
+        out = np.asarray(self.dmu_fn(law, law), dtype=float)
+        return np.broadcast_to(out, law.now.shape)[0]
 
-    def dxdmu_field(self, t: float, mu, at=None) -> np.ndarray:
-        """The mixed second derivative at the query paths `at`, shape (K, d, d)."""
+    def dxdmu_field(self, t: float, mu) -> np.ndarray:
+        """The mixed second derivative at mu's own support, shape (K, d, d)."""
         law = NodeRun.at(mu, t)
-        query = law if at is None else NodeRun.at(at, t)
-        out = np.asarray(self.dxdmu_fn(law, query), dtype=float)
-        return np.broadcast_to(out, query.now.shape + query.now.shape[-1:])[0]
+        out = np.asarray(self.dxdmu_fn(law, law), dtype=float)
+        return np.broadcast_to(out, law.now.shape + law.now.shape[-1:])[0]
 
 
 @dataclass(frozen=True)

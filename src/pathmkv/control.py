@@ -313,7 +313,8 @@ def dpp_check(
     times, which gives their reports in order.  Every split is checked before
     anything is simulated.  The ensembles from t0 are run once for all
     splits, and each Brownian block (the base one and one per continuation
-    seed) is drawn once and shared by every run it drives.
+    branch, or, for a family, the one every continuation runs on) is drawn
+    once and shared by every run it drives.
     """
     single = np.ndim(s) == 0
     splits = [s] if single else list(s)
@@ -369,10 +370,12 @@ def _dpp_tower(model, init, policy, t0, splits, n, seed, branching, same_noise):
 
 
 def _dpp_family(model, init, family, t0, splits, n, seed):
-    """Family-restricted inequality: LHS <= RHS + 3 SE at each split."""
+    """Family-restricted inequality: LHS <= RHS + 3 SE at each split.  Every
+    continuation runs on one block, the one-branch tower's, and only paths
+    are kept of a member's run once its rewards are read."""
     noise = brownian_block(model, n, seed)
-    cont_seeds = [_continuation_seed(seed, bi) for bi in range(len(family))]
-    cont_noise = [brownian_block(model, n, cseed) for cseed in cont_seeds]
+    cseed = _continuation_seed(seed, 0)
+    cont_noise = brownian_block(model, n, cseed)
     lhs_vals, lhs_errs = [], []
     rhs_vals = [[] for _ in splits]
     rhs_errs = [[] for _ in splits]
@@ -383,10 +386,11 @@ def _dpp_family(model, init, family, t0, splits, n, seed):
         lhs_vals.append(full.mean())
         lhs_errs.append(full.std(ddof=1) / np.sqrt(n))
         cont_init = InitialLaw.from_values(ens.values)
+        del ens
         for k, (s, running_head) in enumerate(zip(splits, heads)):
             best_tail, best_err = -np.inf, 0.0
-            for beta, cseed, block in zip(family, cont_seeds, cont_noise):
-                tail = _continuation_tail(model, cont_init, beta, s, n, cseed, block)
+            for beta in family:
+                tail = _continuation_tail(model, cont_init, beta, s, n, cseed, cont_noise)
                 if tail.mean() > best_tail:
                     best_tail = tail.mean()
                     best_err = tail.std(ddof=1) / np.sqrt(n)

@@ -1,16 +1,18 @@
 """Hamiltonian evaluation for the master Bellman equation.
 
+Integrands are batched over atoms like the model coefficients: F.fn(xs, u, nu)
+returns the (K,) values at the K atoms of the law xs under the (K, m) per-atom
+actions u, so each form calls it once per action or randomization level.
+
 On a finitely supported measure the Hamiltonian supremum admits three forms
 that must coincide for integrands without a control-law argument: a brute
 force over measurable control assignments, an enumeration over per-atom maps,
 and the per-atom essential supremum.  Floating-point equality across forms is
 arranged, not hoped for: all three accumulate the same weighted addends in the
 same atom order, and float addition is monotone, so the per-atom-argmax map
-realizes the esssup sum bit for bit.
-
-With a control-law argument the supremum needs measurable randomization; the
-randomized enumerator mixes per-atom actions over a finite grid of levels and
-dominates the deterministic forms by construction.
+realizes the esssup sum bit for bit.  With a control-law argument the supremum
+needs measurable randomization; the randomized enumerator mixes per-atom
+actions over a finite grid of levels and dominates the deterministic forms.
 
 `hjb_residual` evaluates the master Bellman equation on a candidate solution,
 a `calculus.CylindricalFunctional` with analytic derivative fields; the A*
@@ -42,10 +44,11 @@ ENUMERATION_CAP = 10**6
 
 @dataclass
 class HamiltonianIntegrand:
-    """F(x, u, nu): path x in the support of mu, action u, control law nu.
-
-    Assembled from model pieces and candidate-solution derivatives at a fixed
-    (t, mu); measurable by construction.  nu_dependent must be declared so the
+    """F(x_i, u_i, nu) at the K atoms of a law, batched like every model
+    coefficient: fn(xs, u, nu) takes the law xs, the (K, m) per-atom actions u
+    (one action is the broadcast case) and the control law nu or None, and
+    returns shape (K,).  Assembled from model pieces and candidate-solution
+    derivatives at a fixed (t, mu); nu_dependent must be declared so the
     deterministic forms can refuse integrands they cannot maximize.
     """
 
@@ -53,8 +56,14 @@ class HamiltonianIntegrand:
     nu_dependent: bool = False
     tag: str = "F"
 
-    def value(self, path, u, nu=None) -> float:
-        return float(self.fn(path, u, nu))
+    def __call__(self, xs, u, nu=None) -> np.ndarray:
+        out = np.asarray(self.fn(xs, u, nu), dtype=float)
+        if out.shape != (xs.n_atoms,):
+            raise ContractError(
+                f"integrand {self.tag!r} returned shape {out.shape}; "
+                f"it must return one value per atom, shape ({xs.n_atoms},)"
+            )
+        return out
 
 
 def _accumulate(seq) -> float:
@@ -67,14 +76,11 @@ def _accumulate(seq) -> float:
 
 
 def _atom_action_values(F, mu, actions) -> np.ndarray:
-    """vals[i, l] = p_i * F(x_i, u_l), the shared addends of all forms."""
-    k = mu.n_atoms
-    q = actions.shape[0]
+    """vals[i, l] = p_i * F(x_i, u_l), the shared addends of all forms; one call per u_l."""
+    k, q = mu.n_atoms, actions.shape[0]
     vals = np.empty((k, q))
-    for i in range(k):
-        path = mu.atom_path(i)
-        for l in range(q):
-            vals[i, l] = mu.weights[i] * F.value(path, actions[l])
+    for l in range(q):
+        vals[:, l] = mu.weights * F(mu, np.broadcast_to(actions[l], (k, actions.shape[1])))
     return vals
 
 
@@ -107,7 +113,7 @@ def hamiltonian_sup_finite(
     vals = _atom_action_values(F, mu, actions)
 
     if form == "esssup":
-        value = _accumulate(vals[i].max() for i in range(k))
+        value = _accumulate(vals.max(axis=1))
         return (value, None) if with_argmax else value
 
     if q**k > ENUMERATION_CAP:
@@ -154,8 +160,7 @@ def hamiltonian_sup_randomized(
             f"randomized enumeration needs {q}^{k * g} evaluations",
             suggestion="coarsen the randomization grid",
         )
-    joint_w = np.outer(mu.weights, w).ravel()  # (k*g,), index = i*g + gi
-    paths = [mu.atom_path(i) for i in range(k)]
+    joint_w = np.outer(mu.weights, w)  # (k, g); its ravel is indexed i*g + gi
 
     fast = not F.nu_dependent
     vals = _atom_action_values(F, mu, actions) if fast else None
@@ -167,20 +172,17 @@ def hamiltonian_sup_randomized(
                 w[gi] * vals[i, assignment[i * g + gi]] for i in range(k) for gi in range(g)
             )
         else:
-            chosen = actions[list(assignment)]
-            nu = EmpiricalControlMeasure(chosen, joint_w)
-            value = _accumulate(
-                joint_w[i * g + gi] * F.value(paths[i], actions[assignment[i * g + gi]], nu)
-                for i in range(k)
-                for gi in range(g)
-            )
+            chosen = actions[list(assignment)]  # row i*g + gi: atom i at level gi
+            nu = EmpiricalControlMeasure(chosen, joint_w.ravel())
+            levels = np.stack([F(mu, chosen[gi::g], nu) for gi in range(g)], axis=1)
+            value = _accumulate((joint_w * levels).ravel())
         if value > best:
             best = value
     if fast:
         # constant-in-r maps belong to the randomized class; folding in their
         # exactly-accumulated values removes the rounding of the w_g split and
         # pins randomized >= deterministic bitwise for nu-free integrands.
-        best = max(best, _accumulate(vals[i].max() for i in range(k)))
+        best = max(best, _accumulate(vals.max(axis=1)))
     return best
 
 
@@ -246,29 +248,25 @@ def _require_fields(phi: CylindricalFunctional) -> None:
 def hamiltonian_from_model(
     model: ModelSpec, phi: CylindricalFunctional, t: float, mu: EmpiricalPathMeasure
 ) -> HamiltonianIntegrand:
-    """F(x, u, nu) = f + <b, d_mu phi(x)> + (1/2) Tr(sigma sigma* sym d2 phi(x))
-    at the fixed (t, mu), with the symmetrized second derivative in the trace.
+    """F(x, u, nu) = f + <b, d_mu phi(x)> + (1/2) Tr(sigma sigma* d2 phi(x))
+    at the fixed (t, mu) on mu's atoms; the trace reads the diagonal of d2
+    phi, which symmetrizing it would leave as is.
 
-    mu is stopped at t: the coefficients and the candidate's derivative fields
-    receive StoppedView.of(mu, t), the view integrate hands them at (t, mu)."""
+    mu is stopped at t: the coefficients receive StoppedView.of(mu, t) as xs
+    and mu, as in integrate, and the derivative fields are evaluated on it once."""
     _require_fields(phi)
-    grid = model.grid
-    j = grid.node(t)
     law = StoppedView.of(mu, t)
+    dmu = np.ascontiguousarray(phi.dmu_field(t, law))[:, :, None]
+    if model.diffusion is not None:
+        d2_diag = np.diagonal(phi.dxdmu_field(t, law), axis1=1, axis2=2)
 
-    def fn(path, u, nu):
-        batch = StoppedView(grid, path.values[None, :, :], j)
-        u_arr = None if u is None else np.atleast_2d(np.asarray(u, dtype=float))
-        f_val = float(model.running_cost_at(t, batch, law, u_arr, nu)[0])
-        b_val = model.drift_at(t, batch, law, u_arr, nu)[0]
-        dmu = phi.dmu_field(t, law, at=batch)[0]
-        total = f_val + float(np.dot(b_val, dmu))
+    def fn(xs, u, nu):
+        # contiguous rows: each atom's <b, d_mu phi> is one BLAS dot, as np.dot takes it
+        b = np.ascontiguousarray(model.drift_at(t, law, law, u, nu))
+        total = model.running_cost_at(t, law, law, u, nu) + (b[:, None, :] @ dmu)[:, 0, 0]
         if model.diffusion is not None:
-            s_val = model.diffusion_at(t, batch, law, u_arr, nu)[0]
-            d2 = phi.dxdmu_field(t, law, at=batch)[0]
-            sym = 0.5 * (d2 + d2.T)
-            ns = s_val.shape[0]
-            total += 0.5 * float((s_val**2 * np.diag(sym)[:ns]).sum())
+            s = model.diffusion_at(t, law, law, u, nu)
+            total += 0.5 * (s**2 * d2_diag[:, : s.shape[1]]).sum(axis=1)
         return total
 
     return HamiltonianIntegrand(fn, nu_dependent=False, tag=f"model:{model.tag}")

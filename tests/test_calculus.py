@@ -6,6 +6,7 @@ import pytest
 from pathmkv.calculus import (
     CylindricalFunctional,
     LiftedSample,
+    NodeRun,
     const_diffusion_spec,
     const_drift_spec,
     linear_drift_diffusion_spec,
@@ -374,6 +375,18 @@ def _closed_form_fields(tag, t, mu, at):
     return 2.0 * t * float(w @ (x @ h)), t**2 * np.broadcast_to(h, y.shape), zero2
 
 
+def _fields_at(phi, t, mu, at):
+    """The fields at mu's support (the library's one-node helpers), or at the
+    query paths `at` through the run callables themselves."""
+    if at is None:
+        return phi.dmu_field(t, mu), phi.dxdmu_field(t, mu)
+    law, query = NodeRun.at(mu, t), NodeRun.at(at, t)
+    shape = query.now.shape
+    dmu = np.broadcast_to(np.asarray(phi.dmu_fn(law, query), dtype=float), shape)[0]
+    d2 = np.broadcast_to(np.asarray(phi.dxdmu_fn(law, query), dtype=float), shape + shape[-1:])[0]
+    return dmu, d2
+
+
 def test_single_node_fields_match_their_closed_forms_bit_for_bit():
     grid = TimeGrid(1.0, 20)
     rng = np.random.default_rng(41)
@@ -387,7 +400,7 @@ def test_single_node_fields_match_their_closed_forms_bit_for_bit():
             for mu in (weighted, uniform):
                 for at in (None, query):
                     want = _closed_form_fields(phi.tag, t, mu, mu if at is None else at)
-                    got = (phi.dt(t, mu), phi.dmu_field(t, mu, at=at), phi.dxdmu_field(t, mu, at=at))
+                    got = (phi.dt(t, mu), *_fields_at(phi, t, mu, at))
                     assert got[0] == want[0] and type(got[0]) is float
                     for g, w in zip(got[1:], want[1:]):
                         assert g.shape == w.shape and g.tobytes() == w.tobytes(), (phi.tag, t)

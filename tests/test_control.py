@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -265,6 +266,46 @@ def test_dpp_family_inequality():
     assert rep.passed
 
 
+def test_dpp_family_of_equal_members_reads_the_tower_rhs():
+    # Every continuation of every member runs on the tower's continuation
+    # block, so two equal members give the singleton's numbers bit for bit.
+    grid = TimeGrid(1.0, 100)
+    model = make_controlled_linear(
+        grid, c=1.0, s0=0.2, actions=FiniteActionSet([[0.0], [1.0]])
+    )
+    init = gaussian_initial(0.0, 0.5)
+    tower = dpp_check(model, init, [constant_policy([1.0])], 0.0, 0.5, 256, seed=13)
+    family = [constant_policy([1.0]), constant_policy([1.0])]
+    rep = dpp_check(model, init, family, 0.0, 0.5, 256, seed=13)
+    assert rep.mode == "family_inequality" and tower.mode == "exact_tower"
+    assert rep.lhs == tower.lhs
+    assert rep.rhs == tower.rhs
+
+
+def test_dpp_family_peak_memory_does_not_grow_with_the_family():
+    # Two blocks are held at any time, whatever the number of members: the
+    # base block and the one every continuation runs on.
+    grid = TimeGrid(1.0, 200)
+    model = make_controlled_linear(
+        grid, c=1.0, s0=0.3, actions=FiniteActionSet([[0.0], [0.5], [1.0]])
+    )
+    n = 2000
+    block_bytes = n * grid.steps * 8
+    peaks = {}
+    for k in (2, 4):
+        family = [constant_policy([u]) for u in (0.0, 1.0, 0.5, 0.0)[:k]]
+        tracemalloc.start()
+        try:
+            dpp_check(model, gaussian_initial(0.0, 0.5), family, 0.0, 0.5, n, seed=3)
+            peaks[k] = tracemalloc.get_traced_memory()[1] / block_bytes
+        finally:
+            tracemalloc.stop()
+    # 6.4 blocks at both sizes: two blocks of noise, the member's and the
+    # continuation's paths and controls, and their temporaries
+    assert peaks[4] <= peaks[2] + 0.25, peaks
+    assert peaks[4] <= 7.0, peaks
+
+
 def test_law_invariance_relabeled_atoms_exact():
     grid = TimeGrid(1.0, 50)
     model = make_quadratic_terminal(grid, a=-1.0, s0=0.5)
@@ -385,8 +426,8 @@ def _reference_dpp(model, init, family, t0, s, n, seed, branching=1, same_noise=
         lhs_errs.append(full.std(ddof=1) / np.sqrt(n))
         cont_init = InitialLaw.from_values(ens.values)
         tails = [
-            _reference_tail(model, cont_init, beta, s, n, _continuation_seed(seed, bi))
-            for bi, beta in enumerate(family)
+            _reference_tail(model, cont_init, beta, s, n, _continuation_seed(seed, 0))
+            for beta in family
         ]
         best = int(np.argmax([tail.mean() for tail in tails]))
         rhs_vals.append(head.mean() + tails[best].mean())

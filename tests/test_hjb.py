@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -41,8 +42,18 @@ def two_sign_measure():
 
 def terminal_linear_integrand():
     return HamiltonianIntegrand(
-        lambda path, u, nu: float(path.values[-1, 0] * u[0]), tag="<x_T,e1>u"
+        lambda xs, u, nu: xs.values_now[:, 0] * u[:, 0], tag="<x_T,e1>u"
     )
+
+
+def table_integrand(table, actions):
+    """F(x_i, u) = table[i, l] for u the l-th point of the action set."""
+
+    def F_fn(xs, u, nu):
+        l = np.argmin(np.abs(actions.points[None, :, 0] - u[:, :1]), axis=1)
+        return table[np.arange(xs.n_atoms), l]
+
+    return HamiltonianIntegrand(F_fn, tag="table")
 
 
 def test_single_atom_all_forms_are_max():
@@ -63,16 +74,13 @@ def test_two_atom_per_atom_choice_beats_constant_control():
     assert val_maps == 1.0
     # per-atom signs differ; a single constant control only reaches 0
     assert argmax[0][0] == 1.0 and argmax[1][0] == -1.0
-    const_vals = [
-        sum(mu.weights[i] * F.value(mu.atom_path(i), np.array([u])) for i in range(2))
-        for u in (-1.0, 1.0)
-    ]
+    const_vals = [float(mu.weights @ F(mu, np.full((2, 1), u))) for u in (-1.0, 1.0)]
     assert max(const_vals) == 0.0
 
 
 def test_constant_integrand_returns_constant():
     mu = two_sign_measure()
-    F = HamiltonianIntegrand(lambda path, u, nu: 3.25, tag="const")
+    F = HamiltonianIntegrand(lambda xs, u, nu: np.full(xs.n_atoms, 3.25), tag="const")
     actions = FiniteActionSet([[0.0], [1.0]])
     for form in ("esssup", "maps", "mt"):
         assert hamiltonian_sup_finite(F, mu, actions, form=form) == 3.25
@@ -88,14 +96,7 @@ def test_three_forms_exactly_equal_on_random_instances():
         atoms = rng.normal(size=(k, GRID.steps + 1, 2))
         mu = EmpiricalPathMeasure(GRID, atoms, w)
         actions = FiniteActionSet(rng.normal(size=(q, 1)))
-        table = rng.normal(size=(k, q))
-
-        def F_fn(path, u, nu, table=table, atoms=atoms, actions=actions):
-            i = int(np.argmin(np.abs(atoms[:, 0, 0] - path.values[0, 0])))
-            l = int(np.argmin(np.abs(actions.points[:, 0] - u[0])))
-            return table[i, l]
-
-        F = HamiltonianIntegrand(F_fn, tag="table")
+        F = table_integrand(rng.normal(size=(k, q)), actions)
         vals = [
             hamiltonian_sup_finite(F, mu, actions, form=f)
             for f in ("esssup", "maps", "mt")
@@ -114,7 +115,7 @@ def test_capacity_error_suggests_esssup():
 
 
 def test_nu_dependent_refused_by_deterministic_forms():
-    F = HamiltonianIntegrand(lambda p, u, nu: 0.0, nu_dependent=True)
+    F = HamiltonianIntegrand(lambda xs, u, nu: np.zeros(xs.n_atoms), nu_dependent=True)
     with pytest.raises(ConfigurationError):
         hamiltonian_sup_finite(F, two_sign_measure(), FiniteActionSet([[0.0]]))
 
@@ -128,14 +129,7 @@ def test_randomized_equals_finite_for_nu_free():
         w /= w.sum()
         mu = EmpiricalPathMeasure(GRID, rng.normal(size=(k, 11, 1)), w)
         actions = FiniteActionSet(rng.normal(size=(q, 1)))
-        table = rng.normal(size=(k, q))
-
-        def F_fn(path, u, nu, table=table, mu=mu, actions=actions):
-            i = int(np.argmin(np.abs(mu.atoms[:, 0, 0] - path.values[0, 0])))
-            l = int(np.argmin(np.abs(actions.points[:, 0] - u[0])))
-            return table[i, l]
-
-        F = HamiltonianIntegrand(F_fn, tag="table")
+        F = table_integrand(rng.normal(size=(k, q)), actions)
         det = hamiltonian_sup_finite(F, mu, actions, form="maps")
         rand_val = hamiltonian_sup_randomized(F, mu, actions)
         assert rand_val >= det
@@ -148,14 +142,14 @@ def test_randomized_strictly_beats_deterministic_on_w2_penalty():
     actions = FiniteActionSet([[0.0], [0.5], [1.0]])
     uniform = EmpiricalControlMeasure(actions.points)
 
-    def F_fn(path, u, nu):
+    def F_fn(xs, u, nu):
         if nu is None:
-            nu = EmpiricalControlMeasure(np.atleast_2d(u))
-        return -wasserstein2_controls(nu, uniform)
+            nu = EmpiricalControlMeasure(u)
+        return np.full(xs.n_atoms, -wasserstein2_controls(nu, uniform))
 
     F = HamiltonianIntegrand(F_fn, nu_dependent=True, tag="-W2(nu,unif)")
     rand_val = hamiltonian_sup_randomized(F, mu, actions)
-    det_best = max(F_fn(None, np.array([u]), None) for u in (0.0, 0.5, 1.0))
+    det_best = max(F(mu, np.array([[u]]))[0] for u in (0.0, 0.5, 1.0))
     assert rand_val == pytest.approx(0.0, abs=1e-12)
     assert det_best < -0.1
     assert rand_val > det_best
@@ -167,6 +161,88 @@ def test_randomized_single_atom_singleton_grid_reduces_to_max():
     F = terminal_linear_integrand()
     val = hamiltonian_sup_randomized(F, mu, actions, grid_weights=[1.0])
     assert val == 3.0
+
+
+def test_integrand_must_return_one_value_per_atom():
+    # A scalar (one value for the whole law) would broadcast over every atom.
+    mu = two_sign_measure()
+    actions = FiniteActionSet([[0.0], [1.0]])
+    old_style = HamiltonianIntegrand(lambda xs, u, nu: 3.25, tag="old-style")
+    for call in (
+        lambda: hamiltonian_sup_finite(old_style, mu, actions),
+        lambda: hamiltonian_sup_randomized(old_style, mu, actions),
+    ):
+        with pytest.raises(ContractError, match=r"'old-style'.*shape \(2,\)"):
+            call()
+    one_row = HamiltonianIntegrand(lambda xs, u, nu: np.zeros(1), nu_dependent=True, tag="one-row")
+    with pytest.raises(ContractError, match="'one-row'"):
+        hamiltonian_sup_randomized(one_row, mu, actions, grid_weights=[1.0])
+
+
+def test_finite_forms_call_the_integrand_once_per_action_on_all_atoms():
+    rng = np.random.default_rng(6)
+    k, q = 5, 4
+    mu = EmpiricalPathMeasure(GRID, rng.normal(size=(k, 11, 1)), None)
+    actions = FiniteActionSet(rng.normal(size=(q, 2)))
+    calls = []
+
+    def F_fn(xs, u, nu):
+        calls.append((xs, u.shape, nu))
+        return xs.values_now[:, 0] * u[:, 0] - u[:, 1] ** 2
+
+    F = HamiltonianIntegrand(F_fn)
+    for form in ("esssup", "maps", "mt"):
+        calls.clear()
+        hamiltonian_sup_finite(F, mu, actions, form=form)
+        assert len(calls) == q
+        assert all(xs is mu and shape == (k, 2) and nu is None for xs, shape, nu in calls)
+
+
+def _levels_integrand():
+    """F(x_i, u, nu) depends on the atom, the action and nu's mean."""
+
+    def F_fn(xs, u, nu):
+        x = xs.values_now[:, 0]
+        return x * u[:, 0] + (1.0 + x**2) * (u[:, 0] - nu.mean()[0]) ** 2
+
+    return HamiltonianIntegrand(F_fn, nu_dependent=True, tag="x u + (1+x^2)(u - E nu)^2")
+
+
+def _brute_force_randomized(mu, actions, w, read=lambda u: u):
+    """max over maps (atom i, level g) -> action u[i, g] of
+    sum p_i w_g F(x_i, u[i, g], nu), nu the law of the p_i w_g-weighted
+    u[i, g], one scalar evaluation per (atom, level).  The F terms read the
+    table read(u): a transposing `read` models a pairing of atoms with the
+    wrong levels' actions."""
+    k, g, q = mu.n_atoms, len(w), actions.size
+    x = mu.values_now[:, 0]
+    best = -math.inf
+    for assignment in itertools.product(range(q), repeat=k * g):
+        u = actions.points[list(assignment), 0].reshape(k, g)
+        m = EmpiricalControlMeasure(u.reshape(-1, 1), np.outer(mu.weights, w).ravel()).mean()[0]
+        r = read(u)
+        value = sum(
+            mu.weights[i] * w[gi] * (x[i] * r[i, gi] + (1.0 + x[i] ** 2) * (r[i, gi] - m) ** 2)
+            for i in range(k)
+            for gi in range(g)
+        )
+        best = max(best, value)
+    return best
+
+
+def test_randomized_nu_dependent_matches_per_atom_brute_force():
+    # k = 3 atoms with unequal weights, g = 2 unequal levels: pairing an
+    # atom with another level's action changes the value.
+    mu = EmpiricalPathMeasure(
+        GRID, np.stack([constant_path(GRID, [v]).values for v in (-1.0, 0.5, 2.0)]), [0.5, 0.3, 0.2]
+    )
+    actions = FiniteActionSet([[-1.0], [0.0], [1.5]])
+    w = [0.25, 0.75]
+    got = hamiltonian_sup_randomized(_levels_integrand(), mu, actions, grid_weights=w)
+    want = _brute_force_randomized(mu, actions, w)
+    transposed = _brute_force_randomized(mu, actions, w, read=lambda u: u.ravel().reshape(2, 3).T)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert abs(transposed - want) > 1e-3
 
 
 def diag_op(v):
@@ -476,7 +552,7 @@ def test_hjb_reads_the_law_stopped_at_t_like_integrate():
     assert mu.second_moment() > stopped_moment + 1.0  # stopping matters here
     w = linear_mean([1.0])  # d_mu w = 1, so F = f + b
     F = hamiltonian_from_model(model, w, t, mu)
-    via_hjb = np.array([F.value(mu.atom_path(i), None) for i in range(6)])
+    via_hjb = F(mu, None)
     np.testing.assert_allclose(via_hjb, via_integrate, rtol=1e-12, atol=1e-12)
     rep = hjb_residual(w, model, t, mu, FiniteActionSet([[0.0]]))
     assert rep.hamiltonian == pytest.approx(float(via_integrate.mean()), rel=1e-12)

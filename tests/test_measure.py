@@ -530,12 +530,10 @@ def test_weighted_exact_w2_at_the_atom_cap_in_bounded_time_and_memory():
 
     Run alone in a fresh interpreter so that its peak RSS is its own.  On a
     2-core x86-64 Linux machine (Python 3.11, scipy's HiGHS, one BLAS
-    thread) the call took 4.1 to 4.6 s in six runs and raised the peak RSS
-    by 277 MB, from 81 to 358 MB; the bounds below are 10 s and 400 MB.
-    The cost matrix and its scratch take 8 MB of that; the rest is the LP,
-    whose peak moves with glibc's dynamic mmap threshold, which the last
-    large block freed before it sets (253 MB with the threshold pinned at
-    32 MB, 231 MB pinned at 128 kB)."""
+    thread) the call took 4.1 to 5.2 s and raised the peak RSS by 241 MB
+    in three runs with the mmap threshold pinned as below (265 MB left
+    dynamic); the bounds are 10 s and 400 MB.  The cost matrix and its
+    scratch take 8 MB of that; the rest is the LP."""
     import json
     import os
     import subprocess
@@ -543,6 +541,11 @@ def test_weighted_exact_w2_at_the_atom_cap_in_bounded_time_and_memory():
 
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    # Left dynamic, glibc's mmap threshold is set by the last large block
+    # freed before the LP, and the LP's peak follows it: it has read 231 to
+    # 277 MB, depending on how the cost matrix was built.  Pinned at its
+    # 32 MB maximum, the peak is the LP's own.
+    env["MALLOC_MMAP_THRESHOLD_"] = str(32 * 1024 * 1024)
     proc = subprocess.run(
         [sys.executable, "-c", AT_THE_CAP], env=env, capture_output=True, text=True,
         timeout=300, check=True,
