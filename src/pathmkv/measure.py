@@ -291,29 +291,48 @@ def _cut_points(w: np.ndarray) -> np.ndarray:
     return np.cumsum(w)
 
 
-def _quantile_ot_sq(z1, w1, z2, w2) -> float:
-    """Exact squared 1-d W2 between weighted point sets via the quantile coupling.
+def _quantile_coupling(c1: np.ndarray, c2: np.ndarray):
+    """The quantile coupling of two sorted sides, given by their cut points.
 
-    The merged cut points of both CDFs split [0, 1] into intervals on which
-    both quantile functions are constant; each interval couples one atom of
-    either side with the interval's length as mass.  The coupling stops where
-    the first side's total weight ends.
+    The merged cut points of both CDFs split the mass axis into intervals on
+    which both quantile functions are constant; each interval couples sorted
+    atom i of the first side with sorted atom j of the second, its length as
+    mass.  Returns (mass, i, j).  The coupling stops where the lighter side's
+    total weight ends.
     """
-    o1, o2 = np.argsort(z1, kind="stable"), np.argsort(z2, kind="stable")
-    z1, c1 = z1[o1], _cut_points(w1[o1])
-    z2, c2 = z2[o2], _cut_points(w2[o2])
     cuts = np.union1d(c1, c2)
     cuts = cuts[cuts <= min(c1[-1], c2[-1])]
     left = np.concatenate(([0.0], cuts[:-1]))
     i = np.searchsorted(c1, left, side="right")
     j = np.searchsorted(c2, left, side="right")
-    return float((cuts - left) @ (z1[i] - z2[j]) ** 2)
+    return cuts - left, i, j
+
+
+def _quantile_ot_sq(z1, w1, z2, w2) -> float:
+    """Exact squared 1-d W2 between weighted point sets via the quantile coupling."""
+    o1, o2 = np.argsort(z1, kind="stable"), np.argsort(z2, kind="stable")
+    mass, i, j = _quantile_coupling(_cut_points(w1[o1]), _cut_points(w2[o2]))
+    z1, z2 = z1[o1], z2[o2]
+    return float(mass @ (z1[i] - z2[j]) ** 2)
 
 
 def _sliced_w2(mu, nu, projections, seed) -> float:
+    """Sliced W2, one seeded projection at a time.
+
+    When both clouds are uniform the coupling depends only on the atom
+    counts, so it is solved once per call and each projection sorts values
+    in place: the sorted floats are those of a stable argsort, up to the
+    sign of a zero that is squared away.  The loop is per projection on
+    purpose: a (P, K) batch reads strided rows (S[:, i]) or takes a gemv,
+    either of which moves the last bit of the dot products, and it holds P
+    times the scratch.
+    """
     rng = np.random.default_rng(seed)
     n_nodes = mu.grid.steps + 1
     d = mu.dim
+    uniform = _uniform(mu.weights) and _uniform(nu.weights)
+    if uniform:
+        mass, i, j = _quantile_coupling(_cut_points(mu.weights), _cut_points(nu.weights))
     total = 0.0
     for _ in range(projections):
         profile = rng.dirichlet(np.ones(n_nodes))
@@ -321,7 +340,12 @@ def _sliced_w2(mu, nu, projections, seed) -> float:
         e /= np.linalg.norm(e)
         z_mu = np.einsum("njd,j,d->n", mu.atoms, profile, e)
         z_nu = np.einsum("njd,j,d->n", nu.atoms, profile, e)
-        total += _quantile_ot_sq(z_mu, mu.weights, z_nu, nu.weights)
+        if uniform:
+            z_mu.sort()
+            z_nu.sort()
+            total += float(mass @ (z_mu[i] - z_nu[j]) ** 2)
+        else:
+            total += _quantile_ot_sq(z_mu, mu.weights, z_nu, nu.weights)
     return float(np.sqrt(d * total / projections))
 
 

@@ -302,10 +302,12 @@ def _investment_objective(u, p, t, r, a2, c_diag, m_diag):
     )
 
 
-def _projected_gradient(p, t, r, a2, c_diag, m_diag, lo, hi, iters=4000):
-    disc = math.exp(-r * t)
+def _projected_gradient(p, disc, a2, c_diag, m_diag, lo, hi, iters=4000):
+    """Projected gradient ascent on rows of instances at once, step
+    1 / (4 disc max m) per row; every update is elementwise, so each row's
+    iterates are those of its own loop."""
     u = np.zeros_like(p)
-    step = 1.0 / (4.0 * disc * m_diag.max())
+    step = 1.0 / (4.0 * disc * m_diag.max(axis=1, keepdims=True))
     for _ in range(iters):
         grad = c_diag * p - disc * (a2 + 2.0 * m_diag * u)
         u = np.clip(u + step * grad, lo, hi)
@@ -315,7 +317,14 @@ def _projected_gradient(p, t, r, a2, c_diag, m_diag, lo, hi, iters=4000):
 def test_investment_matches_grid_and_projected_gradient():
     rng = np.random.default_rng(3)
     n_grid = 2001
-    for _ in range(100):
+    n_inst, m_max = 100, 3
+    # Instances padded to m_max coordinates for the batched projected
+    # gradient; a padded coordinate has zero gradient at u = 0 and stays there,
+    # and its zero curvature leaves the row's step as it was.
+    p_all, a2_all = np.zeros((n_inst, m_max)), np.zeros((n_inst, m_max))
+    c_all, m_all = np.zeros((n_inst, m_max)), np.zeros((n_inst, m_max))
+    disc_all, u_star = np.empty((n_inst, 1)), []
+    for k_inst in range(n_inst):
         m = int(rng.integers(1, 4))
         p = rng.normal(size=m)
         a2 = rng.normal(size=m)
@@ -347,8 +356,13 @@ def test_investment_matches_grid_and_projected_gradient():
         curvature_bound = float((math.exp(-r * t) * m_diag).sum()) * (du / 2) ** 2
         assert res.value >= v_grid - 1e-12
         assert res.value - v_grid <= curvature_bound + 1e-12
-        u_pg = _projected_gradient(p, t, r, a2, c_diag, m_diag, lo, hi)
-        assert np.abs(u_pg - res.u_star.coords).max() < 1e-8
+        p_all[k_inst, :m], a2_all[k_inst, :m] = p, a2
+        c_all[k_inst, :m], m_all[k_inst, :m] = c_diag, m_diag
+        disc_all[k_inst] = math.exp(-r * t)
+        u_star.append(res.u_star.coords)
+    u_pg = _projected_gradient(p_all, disc_all, a2_all, c_all, m_all, -2.0, 2.0)
+    for k_inst, us in enumerate(u_star):
+        assert np.abs(u_pg[k_inst, : len(us)] - us).max() < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -494,6 +494,110 @@ def test_sliced_w2_rejects_fewer_than_one_projection(projections):
         wasserstein2(mu, nu, mode="sliced", projections=projections)
 
 
+def per_projection_sliced_w2(mu, nu, projections, seed):
+    """Reference: sliced W2 that solves the weighted quantile coupling anew in
+    every projection, with the draws in the order `wasserstein2` makes them."""
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    for _ in range(projections):
+        profile = rng.dirichlet(np.ones(mu.grid.steps + 1))
+        e = rng.standard_normal(mu.dim)
+        e /= np.linalg.norm(e)
+        z_mu = np.einsum("njd,j,d->n", mu.atoms, profile, e)
+        z_nu = np.einsum("njd,j,d->n", nu.atoms, profile, e)
+        total += _quantile_ot_sq(z_mu, mu.weights, z_nu, nu.weights)
+    return float(np.sqrt(mu.dim * total / projections))
+
+
+def uniform_clouds(n, m, d, seed, kind="normal"):
+    """Two uniform clouds on an 8-step grid: independent Gaussian atoms,
+    atoms drawn with repeats from a few distinct paths ("duplicated"), or
+    0.0 and -0.0 paths mixed in ("signed_zeros"; the projections' sums turn
+    both into +0.0, so a sign of zero must never reach the value)."""
+    rng = np.random.default_rng(seed)
+    g = TimeGrid(1.0, 8)
+    a = rng.normal(size=(n, 9, d))
+    b = rng.normal(size=(m, 9, d)) + 0.3
+    if kind == "duplicated":
+        a = a[rng.integers(0, max(n // 3, 1), n)]
+        b = np.concatenate([a, b])[rng.integers(0, n + m, m)]
+    elif kind == "signed_zeros":
+        a[rng.random(n) < 0.5] = 0.0
+        b[rng.random(m) < 0.5] = -0.0
+        b[: m // 3] = 0.0
+    return EmpiricalPathMeasure(g, a, None), EmpiricalPathMeasure(g, b, None)
+
+
+UNIFORM_SLICED_CASES = [
+    (n, m, d, kind)
+    for n, m in [(1, 1), (1, 7), (7, 13), (300, 300), (250, 1000)]
+    for d in (1, 2, 3)
+    for kind in ("normal", "duplicated", "signed_zeros")
+]
+
+
+@pytest.mark.parametrize("n, m, d, kind", UNIFORM_SLICED_CASES)
+def test_uniform_sliced_w2_is_the_per_projection_float(n, m, d, kind):
+    # The uniform coupling is solved once per call and the projections sort
+    # values; every value must be the float of the per-projection coupling.
+    mu, nu = uniform_clouds(n, m, d, n + 7 * m + d, kind)
+    got = wasserstein2(mu, nu, mode="sliced", projections=64, seed=d)
+    assert got == per_projection_sliced_w2(mu, nu, 64, d)
+    assert wasserstein2(nu, mu, mode="sliced", projections=64, seed=d) == per_projection_sliced_w2(
+        nu, mu, 64, d
+    )
+
+
+@PROPERTY
+@given(
+    seed=SEEDS,
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    d=st.integers(1, 3),
+    kind=st.sampled_from(["normal", "duplicated", "signed_zeros"]),
+)
+def test_uniform_sliced_w2_is_the_per_projection_float_on_small_clouds(seed, n, m, d, kind):
+    mu, nu = uniform_clouds(n, m, d, seed, kind)
+    got = wasserstein2(mu, nu, mode="sliced", projections=32, seed=seed)
+    assert got == per_projection_sliced_w2(mu, nu, 32, seed)
+
+
+def test_near_uniform_and_mixed_pairs_take_the_weighted_sliced_path():
+    # Weights 1/n (1 +- 1e-12) are not uniform: their cut points are running
+    # sums, not k/n, so the pair must not take the once-per-call coupling.
+    rng = np.random.default_rng(17)
+    g = TimeGrid(1.0, 8)
+    n, m = 300, 450
+    a, b = rng.normal(size=(n, 9, 2)), rng.normal(size=(m, 9, 2))
+    near = (1.0 + 1e-12 * rng.choice([-1.0, 1.0], n)) / n
+    near /= near.sum()
+    weighted = rng.uniform(0.5, 1.5, m)
+    weighted /= weighted.sum()
+    uniform_mu = EmpiricalPathMeasure(g, a, None)
+    pairs = [
+        (EmpiricalPathMeasure(g, a, near), EmpiricalPathMeasure(g, b, None)),
+        (uniform_mu, EmpiricalPathMeasure(g, b, weighted)),
+        (EmpiricalPathMeasure(g, b, weighted), uniform_mu),
+    ]
+    for mu, nu in pairs:
+        got = wasserstein2(mu, nu, mode="sliced", projections=128, seed=5)
+        assert got == per_projection_sliced_w2(mu, nu, 128, 5)
+
+
+def test_uniform_sliced_w2_runs_in_bounded_memory():
+    # One projection at a time: a (projections, atoms) batch would need
+    # about 13 MB here, and it moves the last bit of the dot products.
+    mu, nu = uniform_clouds(1000, 4000, 1, 0)
+    tracemalloc.start()
+    try:
+        value = wasserstein2(mu, nu, mode="sliced", projections=128, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value) and value > 0.0
+    assert peak < 2 * 2**20
+
+
 AT_THE_CAP = """
 import json, resource, sys, time
 import numpy as np
