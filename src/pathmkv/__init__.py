@@ -33,7 +33,6 @@ from .control import (
     BoxActionSet,
     FeedbackPolicy,
     FiniteActionSet,
-    OpenLoopPolicy,
     RandomizedPolicy,
     ValueEstimate,
     dpp_check,

@@ -80,18 +80,29 @@ def build_model(cfg, grid=None):
     return models.build_model(spec["tag"], grid, **spec.get("params", {}))
 
 
+# Initial-law kind -> (constructor, the keys it reads with their defaults, in
+# the constructor's argument order).
+_INITIAL_LAWS = {
+    "constant": (constant_initial, {"value": [0.0]}),
+    "two_point": (two_point_initial, {"a": -1.0, "b": 1.0}),
+    "gaussian": (gaussian_initial, {"mean": 0.0, "std": 1.0}),
+    "ramp": (ramp_initial, {"scale": 1.0}),
+}
+
+
 def build_initial(cfg) -> InitialLaw:
     spec = cfg.get("initial", DEFAULT_CONFIG["initial"])
     kind = spec["kind"]
-    if kind == "constant":
-        return constant_initial(spec.get("value", [0.0]))
-    if kind == "two_point":
-        return two_point_initial(spec.get("a", -1.0), spec.get("b", 1.0))
-    if kind == "gaussian":
-        return gaussian_initial(spec.get("mean", 0.0), spec.get("std", 1.0))
-    if kind == "ramp":
-        return ramp_initial(spec.get("scale", 1.0))
-    raise ConfigurationError(f"unknown initial law kind {kind!r}")
+    if kind not in _INITIAL_LAWS:
+        raise ConfigurationError(f"unknown initial law kind {kind!r}")
+    make, defaults = _INITIAL_LAWS[kind]
+    for key in spec:
+        if key != "kind" and key not in defaults:
+            raise ConfigurationError(
+                f"config key 'initial.{key}' is not read by initial kind {kind!r}; "
+                f"it reads {sorted(defaults)}"
+            )
+    return make(*(spec.get(key, default) for key, default in defaults.items()))
 
 
 def build_policy(spec):
@@ -166,6 +177,12 @@ def yosida_oracle_gap(a, n, grid, s0, x0):
 
 
 def run_yosida(cfg, out_dir):
+    spec = cfg.get("initial", DEFAULT_CONFIG["initial"])
+    if spec["kind"] != "constant":
+        raise ConfigurationError(
+            f"config key 'initial.kind' must be 'constant' for yosida-converge, whose oracle "
+            f"starts from a deterministic x0; got {spec['kind']!r}"
+        )
     grid = build_grid(cfg)
     model = build_model(cfg, grid)
     init = build_initial(cfg)
@@ -183,7 +200,7 @@ def run_yosida(cfg, out_dir):
         del yos  # the next rung is run without this one's paths alive
     decreasing = all(a > b for a, b in zip(dists, dists[1:]))
     params = cfg.get("model", {}).get("params", {})
-    x0 = float(np.linalg.norm(cfg.get("initial", {}).get("value", [0.0])))
+    x0 = float(np.linalg.norm(spec.get("value", [0.0])))
     oracle = yosida_oracle_gap(
         float(params.get("a", -1.0)), ladder[-1], grid, float(params.get("s0", 0.5)), x0
     )
@@ -553,7 +570,7 @@ def _linear_value_model(grid, a, beta, s0, c, q):
         grid=grid,
         A=SpectralOperator([a], kind=GENERATOR),
         drift=lambda t, xs, mu, u, nu: np.full((xs.n, 1), beta),
-        diffusion=(lambda t, xs, mu, u, nu: np.full((xs.n, 1), s0)) if s0 else None,
+        diffusion=models._constant_diffusion(s0, 1),
         running_cost=lambda t, xs, mu, u, nu: c * xs.values_now[:, 0],
         terminal_cost=lambda xs, mu: q * xs.values_now[:, 0],
         lipschitz=max(abs(beta), abs(s0), 1e-12),
@@ -612,7 +629,6 @@ def _run_investment(cfg):
             HilbertVec(p),
             t,
             rr,
-            HilbertVec(np.zeros(m)),
             HilbertVec(a2),
             SpectralOperator(c_diag),
             SpectralOperator(m_diag),

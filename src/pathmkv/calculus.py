@@ -308,27 +308,17 @@ def _check_nonanticipative(phi, t, mu):
         )
 
 
-@dataclass
-class HorizontalDerivative:
-    value: float
-    analytic: float | None
-    t: float
-    delta: float
-
-
 def horizontal_derivative(
     phi: CylindricalFunctional,
     t: float,
     mu: EmpiricalPathMeasure,
     dt_fd: float | None = None,
-    with_diagnostics: bool = False,
-):
+) -> float:
     """Forward difference [phi(t + delta, mu stopped at t) - phi(t, mu)] / delta.
 
     delta is snapped to a multiple of the grid step.  At t = T the defining
     limit runs from the left: the difference quotient is evaluated on a
-    decreasing-t ladder and extrapolated linearly to T.  When the functional
-    carries an analytic time derivative it is reported alongside.
+    decreasing-t ladder and extrapolated linearly to T.
     """
     grid = mu.grid
     delta = grid.dt if dt_fd is None else max(1, round(dt_fd / grid.dt)) * grid.dt
@@ -338,14 +328,9 @@ def horizontal_derivative(
     if j == grid.steps:
         v1 = _fd_quotient(phi, grid.T - delta, frozen, delta)
         v2 = _fd_quotient(phi, grid.T - 2 * delta, frozen, delta)
-        value = 2 * v1 - v2
-    else:
-        delta = min(delta, grid.T - grid.time_at(j))
-        value = _fd_quotient(phi, grid.time_at(j), frozen, delta)
-    analytic = phi.dt(t, mu) if phi.dt_fn is not None else None
-    if with_diagnostics:
-        return HorizontalDerivative(value, analytic, t, delta)
-    return value
+        return 2 * v1 - v2
+    delta = min(delta, grid.T - grid.time_at(j))
+    return _fd_quotient(phi, grid.time_at(j), frozen, delta)
 
 
 def _fd_quotient(phi, t, mu, delta):

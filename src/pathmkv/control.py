@@ -91,22 +91,6 @@ class BoxActionSet:
         return rand.uniform(self.lo, self.hi, size=(n, self.m))
 
 
-class OpenLoopPolicy:
-    """The constant action u at every time and for every particle; a
-    time-dependent action is a FeedbackPolicy."""
-
-    needs_randomizer = False
-    square_integrable = True
-
-    def __init__(self, u):
-        self._u = np.atleast_1d(np.asarray(u, dtype=float))
-        self.tag = f"const{self._u.tolist()}"
-
-    def actions(self, t, xs: StoppedView, mu, randomizers) -> np.ndarray:
-        # read-only: the step kernel copies it into the run's controls
-        return np.broadcast_to(self._u, (xs.n, self._u.size))
-
-
 class FeedbackPolicy:
     """u = fn(t, stopped paths, stopped law), batched over particles."""
 
@@ -136,8 +120,15 @@ class RandomizedPolicy:
         return np.asarray(self._fn(t, xs, mu, randomizers), dtype=float)
 
 
-def constant_policy(u) -> OpenLoopPolicy:
-    return OpenLoopPolicy(u)
+def constant_policy(u) -> FeedbackPolicy:
+    """The constant action u at every time and for every particle."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+
+    def actions(t, xs, mu):
+        # read-only: the step kernel copies it into the run's controls
+        return np.broadcast_to(u, (xs.n, u.size))
+
+    return FeedbackPolicy(actions, tag=f"const{u.tolist()}")
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +284,17 @@ def dpp_check(
     s,
     n_particles: int,
     seed: int,
-    branching: int = 1,
     same_noise: bool = False,
 ):
     """Check the dynamic programming identity across the split time s.
 
     Uncontrolled (empty or singleton family): the identity degenerates to the
     tower property.  The ensemble is run once over [t0, T]; its stopped paths
-    at s seed `branching` fresh-noise continuations, and the paired gap
-    between the original tails and the restarted tails must vanish within
-    3 standard errors.  With same_noise=True the continuation replays the
-    original noise stream and the gap is exactly zero (the flow property),
-    which is a degenerate but useful control.
+    at s seed one fresh-noise continuation, and the paired gap between the
+    original tails and the restarted tails must vanish within 3 standard
+    errors.  With same_noise=True the continuation replays the original noise
+    stream and the gap is exactly zero (the flow property), which is a
+    degenerate but useful control.
 
     Controlled (family with several members): checks the sub-optimality
     inequality V_fam(t0) <= sup_alpha { E int f + V_fam(s, law) } + 3 SE.
@@ -312,9 +302,8 @@ def dpp_check(
     `s` is one split time, which gives one DppReport, or a sequence of split
     times, which gives their reports in order.  Every split is checked before
     anything is simulated.  The ensembles from t0 are run once for all
-    splits, and each Brownian block (the base one and one per continuation
-    branch, or, for a family, the one every continuation runs on) is drawn
-    once and shared by every run it drives.
+    splits, and each Brownian block (the base one and the one every
+    continuation runs on) is drawn once and shared by every run it drives.
     """
     single = np.ndim(s) == 0
     splits = [s] if single else list(s)
@@ -325,9 +314,7 @@ def dpp_check(
         raise DomainError("split time precedes start time")
     if not policy_family or len(policy_family) <= 1:
         policy = policy_family[0] if policy_family else None
-        reports = _dpp_tower(
-            model, init, policy, t0, splits, n_particles, seed, branching, same_noise
-        )
+        reports = _dpp_tower(model, init, policy, t0, splits, n_particles, seed, same_noise)
     else:
         reports = _dpp_family(model, init, policy_family, t0, splits, n_particles, seed)
     return reports[0] if single else reports
@@ -341,25 +328,27 @@ def _continuation_tail(model, cont_init, policy, s, n, seed, noise):
     return run_c + term_c
 
 
-def _dpp_tower(model, init, policy, t0, splits, n, seed, branching, same_noise):
-    """The base run draws its own block; once its rewards and paths are read
-    only its paths are kept, and its noise only when continuations replay it."""
-    ens = integrate(model, init, policy, t0, n, seed)
+def _dpp_tower(model, init, policy, t0, splits, n, seed, same_noise):
+    """The base run's block is kept past the run only when the continuation
+    replays it; of the run itself only the paths are kept once its rewards are
+    read.  Every other continuation runs on the block of
+    `_continuation_seed(seed, 0)`, the family's."""
+    noise = brownian_block(model, n, seed)
+    ens = integrate(model, init, policy, t0, n, seed, noise=noise)
     running_full, terminal, heads = _per_particle_reward(model, ens, t0, splits)
     cont_init = InitialLaw.from_values(ens.values)
-    replay = ens.noise if same_noise else None
     del ens
-    tails = [[] for _ in splits]
-    for b in range(branching):
-        cseed = seed if same_noise else _continuation_seed(seed, b)
-        cont_noise = replay if same_noise else brownian_block(model, n, cseed)
-        for s, split_tails in zip(splits, tails):
-            split_tails.append(_continuation_tail(model, cont_init, policy, s, n, cseed, cont_noise))
+    if same_noise:
+        cseed, cont_noise = seed, noise
+    else:
+        del noise
+        cseed = _continuation_seed(seed, 0)
+        cont_noise = brownian_block(model, n, cseed)
+    tails = [_continuation_tail(model, cont_init, policy, s, n, cseed, cont_noise) for s in splits]
     lhs = float((running_full + terminal).mean())
     reports = []
-    for s, running_head, split_tails in zip(splits, heads, tails):
+    for s, running_head, tail_cont in zip(splits, heads, tails):
         tail_orig = running_full - running_head + terminal
-        tail_cont = np.mean(split_tails, axis=0)
         diff = tail_orig - tail_cont
         gap = float(diff.mean())
         stderr = float(diff.std(ddof=1) / np.sqrt(n))
@@ -371,8 +360,8 @@ def _dpp_tower(model, init, policy, t0, splits, n, seed, branching, same_noise):
 
 def _dpp_family(model, init, family, t0, splits, n, seed):
     """Family-restricted inequality: LHS <= RHS + 3 SE at each split.  Every
-    continuation runs on one block, the one-branch tower's, and only paths
-    are kept of a member's run once its rewards are read."""
+    continuation runs on one block, the tower's, and only paths are kept of a
+    member's run once its rewards are read."""
     noise = brownian_block(model, n, seed)
     cseed = _continuation_seed(seed, 0)
     cont_noise = brownian_block(model, n, cseed)

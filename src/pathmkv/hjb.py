@@ -12,7 +12,8 @@ arranged, not hoped for: all three accumulate the same weighted addends in the
 same atom order, and float addition is monotone, so the per-atom-argmax map
 realizes the esssup sum bit for bit.  With a control-law argument the supremum
 needs measurable randomization; the randomized enumerator mixes per-atom
-actions over a finite grid of levels and dominates the deterministic forms.
+actions over a finite grid of levels and dominates the deterministic forms,
+and hands a nu-free integrand to the esssup.
 
 `hjb_residual` evaluates the master Bellman equation on a candidate solution,
 a `calculus.CylindricalFunctional` with analytic derivative fields; the A*
@@ -84,6 +85,12 @@ def _atom_action_values(F, mu, actions) -> np.ndarray:
     return vals
 
 
+def _esssup(F, mu, actions) -> float:
+    """sum_i p_i max_u F(x_i, u) over the rows of `actions`: the supremum of
+    a nu-free integrand over deterministic and randomized assignments alike."""
+    return _accumulate(_atom_action_values(F, mu, actions).max(axis=1))
+
+
 def hamiltonian_sup_finite(
     F: HamiltonianIntegrand,
     mu: EmpiricalPathMeasure,
@@ -110,10 +117,8 @@ def hamiltonian_sup_finite(
         raise DomainError(f"unknown Hamiltonian form {form!r}")
     actions = np.atleast_2d(np.asarray(action_set.points, dtype=float))
     k, q = mu.n_atoms, actions.shape[0]
-    vals = _atom_action_values(F, mu, actions)
-
     if form == "esssup":
-        value = _accumulate(vals.max(axis=1))
+        value = _esssup(F, mu, actions)
         return (value, None) if with_argmax else value
 
     if q**k > ENUMERATION_CAP:
@@ -121,6 +126,7 @@ def hamiltonian_sup_finite(
             f"map enumeration needs {q}^{k} evaluations",
             suggestion="use form='esssup'",
         )
+    vals = _atom_action_values(F, mu, actions)
     index_ranges = [range(q)] * k if form == "maps" else [range(q - 1, -1, -1)] * k
     best = -math.inf
     best_map = None
@@ -145,7 +151,9 @@ def hamiltonian_sup_randomized(
 
     The induced control law nu = sum_{i,g} p_i w_g delta_{a(i,g)} enters F, so
     this dominates the deterministic forms and is strictly better exactly when
-    randomizing the law pays (the Wasserstein-penalty integrands).
+    randomizing the law pays (the Wasserstein-penalty integrands).  A nu-free
+    integrand gains nothing from randomizing: its supremum is the per-atom
+    esssup, taken without enumerating.
     """
     actions = np.atleast_2d(np.asarray(action_set.points, dtype=float))
     k, q = mu.n_atoms, actions.shape[0]
@@ -154,6 +162,8 @@ def hamiltonian_sup_randomized(
     w = np.asarray(grid_weights, dtype=float)
     if abs(w.sum() - 1.0) > 1e-12 or np.any(w < 0):
         raise ConfigurationError("randomization grid weights must be a probability vector")
+    if not F.nu_dependent:
+        return _esssup(F, mu, actions)
     g = w.size
     if q ** (k * g) > ENUMERATION_CAP:
         raise CapacityError(
@@ -161,28 +171,14 @@ def hamiltonian_sup_randomized(
             suggestion="coarsen the randomization grid",
         )
     joint_w = np.outer(mu.weights, w)  # (k, g); its ravel is indexed i*g + gi
-
-    fast = not F.nu_dependent
-    vals = _atom_action_values(F, mu, actions) if fast else None
-
     best = -math.inf
     for assignment in itertools.product(range(q), repeat=k * g):
-        if fast:
-            value = _accumulate(
-                w[gi] * vals[i, assignment[i * g + gi]] for i in range(k) for gi in range(g)
-            )
-        else:
-            chosen = actions[list(assignment)]  # row i*g + gi: atom i at level gi
-            nu = EmpiricalControlMeasure(chosen, joint_w.ravel())
-            levels = np.stack([F(mu, chosen[gi::g], nu) for gi in range(g)], axis=1)
-            value = _accumulate((joint_w * levels).ravel())
+        chosen = actions[list(assignment)]  # row i*g + gi: atom i at level gi
+        nu = EmpiricalControlMeasure(chosen, joint_w.ravel())
+        levels = np.stack([F(mu, chosen[gi::g], nu) for gi in range(g)], axis=1)
+        value = _accumulate((joint_w * levels).ravel())
         if value > best:
             best = value
-    if fast:
-        # constant-in-r maps belong to the randomized class; folding in their
-        # exactly-accumulated values removes the rounding of the w_g split and
-        # pins randomized >= deterministic bitwise for nu-free integrands.
-        best = max(best, _accumulate(vals.max(axis=1)))
     return best
 
 
@@ -202,7 +198,6 @@ def investment_hamiltonian_closed_form(
     p: HilbertVec,
     t: float,
     r: float,
-    a1: HilbertVec,
     a2: HilbertVec,
     C: SpectralOperator,
     M: SpectralOperator,
@@ -213,8 +208,9 @@ def investment_hamiltonian_closed_form(
     With diagonal positive M the objective separates across coordinates, so
     the unconstrained maximizer u* = (1/2) M^{-1} (e^{rt} C* p - a2) projects
     onto the box coordinatewise.  When the projection is inactive the optimal
-    value equals e^{-rt} <M u*, u*>.  a1 is the state-linear reward weight of
-    the investment cost; it does not enter the maximization over u.
+    value equals e^{-rt} <M u*, u*>.  The state-linear reward weight of the
+    investment cost does not enter the maximization over u, so it is no
+    argument.
     """
     if np.any(M.eigenvalues <= 0):
         raise DomainError("M must have strictly positive eigenvalues")

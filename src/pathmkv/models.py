@@ -29,6 +29,18 @@ def generator_diag(lams) -> SpectralOperator:
     return SpectralOperator(np.atleast_1d(np.asarray(lams, dtype=float)), kind=GENERATOR)
 
 
+def _constant_diffusion(s0: float, d: int):
+    """The diffusion coefficient s0 on every one of d coordinates, or None
+    when s0 is 0 (the step then skips the noise term)."""
+    if s0 == 0.0:
+        return None
+
+    def diffusion(t, xs, mu, u, nu):
+        return np.full((xs.n, d), s0)
+
+    return diffusion
+
+
 def make_frozen(grid: TimeGrid, d: int = 1) -> ModelSpec:
     space = SpaceSpec(d)
     return ModelSpec(
@@ -42,15 +54,11 @@ def make_frozen(grid: TimeGrid, d: int = 1) -> ModelSpec:
 
 def make_ou(grid: TimeGrid, a: float = -1.0, s0: float = 0.5, d: int = 1) -> ModelSpec:
     space = SpaceSpec(d)
-
-    def diffusion(t, xs, mu, u, nu):
-        return np.full((xs.n, d), s0)
-
     return ModelSpec(
         space=space,
         grid=grid,
         A=generator_diag(np.full(d, a)),
-        diffusion=diffusion if s0 != 0.0 else None,
+        diffusion=_constant_diffusion(s0, d),
         lipschitz=abs(s0),
         tag="ou",
     )
@@ -62,15 +70,12 @@ def make_ou_drift(grid: TimeGrid, kappa: float = 1.0, s0: float = 0.1, d: int = 
     def drift(t, xs, mu, u, nu):
         return -kappa * xs.values_now
 
-    def diffusion(t, xs, mu, u, nu):
-        return np.full((xs.n, d), s0)
-
     return ModelSpec(
         space=space,
         grid=grid,
         A=generator_diag(np.zeros(d)),
         drift=drift,
-        diffusion=diffusion if s0 != 0.0 else None,
+        diffusion=_constant_diffusion(s0, d),
         lipschitz=max(kappa, abs(s0)),
         tag="ou_drift",
     )
@@ -84,15 +89,12 @@ def make_meanfield_ou(
     def drift(t, xs, mu, u, nu):
         return theta * (mu.mean_at(t).coords[None, :] - xs.values_now)
 
-    def diffusion(t, xs, mu, u, nu):
-        return np.full((xs.n, d), s0)
-
     return ModelSpec(
         space=space,
         grid=grid,
         A=generator_diag(np.zeros(d)),
         drift=drift,
-        diffusion=diffusion if s0 != 0.0 else None,
+        diffusion=_constant_diffusion(s0, d),
         lipschitz=max(theta, abs(s0)),
         tag="meanfield_ou",
     )
@@ -107,15 +109,12 @@ def make_meanfield_growth(grid: TimeGrid, theta: float = 1.0, s0: float = 0.0, d
     def drift(t, xs, mu, u, nu):
         return np.broadcast_to(theta * mu.mean_at(t).coords, (xs.n, d)).copy()
 
-    def diffusion(t, xs, mu, u, nu):
-        return np.full((xs.n, d), s0)
-
     return ModelSpec(
         space=space,
         grid=grid,
         A=generator_diag(np.zeros(d)),
         drift=drift,
-        diffusion=diffusion if s0 != 0.0 else None,
+        diffusion=_constant_diffusion(s0, d),
         lipschitz=max(abs(theta), abs(s0)),
         tag="meanfield_growth",
     )
@@ -140,9 +139,6 @@ def make_controlled_linear(
         out[:, : u.shape[1]] = c * u
         return out
 
-    def diffusion(t, xs, mu, u, nu):
-        return np.full((xs.n, d), s0)
-
     def terminal(xs, mu):
         return xs.values_now @ q
 
@@ -151,7 +147,7 @@ def make_controlled_linear(
         grid=grid,
         A=generator_diag(np.zeros(d)),
         drift=drift,
-        diffusion=diffusion if s0 != 0.0 else None,
+        diffusion=_constant_diffusion(s0, d),
         terminal_cost=terminal,
         lipschitz=abs(s0),
         actions=actions,
@@ -171,9 +167,6 @@ def make_quadratic_terminal(
     """Uncontrolled OU with g = -|X_T|^2 and optional running cost c |X_t|^2."""
     space = SpaceSpec(d)
 
-    def diffusion(t, xs, mu, u, nu):
-        return np.full((xs.n, d), s0)
-
     def running_cost(t, xs, mu, u, nu):
         return running * (xs.values_now**2).sum(axis=1)
 
@@ -184,7 +177,7 @@ def make_quadratic_terminal(
         space=space,
         grid=grid,
         A=generator_diag(np.full(d, a)),
-        diffusion=diffusion if s0 != 0.0 else None,
+        diffusion=_constant_diffusion(s0, d),
         running_cost=running_cost if running != 0.0 else None,
         terminal_cost=terminal,
         lipschitz=abs(s0),

@@ -361,13 +361,14 @@ def lipschitz_initial_constant(L: float, eta: float, T: float) -> float:
 
 @dataclass
 class ParticleEnsemble:
-    """N state paths with their noise, controls and the seed that reproduces them."""
+    """N state paths with their controls and the seed that reproduces them.
+    The noise is not kept: `brownian_block(model, N, seed)` redraws the block
+    of a run that drew its own."""
 
     grid: TimeGrid
     space: SpaceSpec
     t0: float
     values: np.ndarray  # (N, M+1, d), node-major; final when the ensemble is built
-    noise: np.ndarray  # (N, M, dK), node-major unless passed in as noise=
     controls: np.ndarray | None  # (N, M, m), node-major, or None
     seed: int
     model_tag: str = ""
@@ -548,7 +549,8 @@ def integrate(
     (N, M, dK) block, overrides the generated increments: Brownian-refinement
     ladders pass aggregated ones, and runs under common random numbers pass
     the one `brownian_block(model, N, seed)` they share, which is exactly
-    what each would have drawn.  Every block passed is shape-checked.
+    what each would have drawn.  Every block passed is shape-checked.  The
+    ensemble keeps no noise: a block the run drew itself is freed on return.
     """
     j0, values, noise, randomizers = _start(model, init, policy, t0, n_particles, seed, noise)
     grid = model.grid
@@ -566,9 +568,7 @@ def integrate(
     if j_end < grid.steps:
         values[:, j_end + 1 :, :] = values[:, j_end : j_end + 1, :]
 
-    ens = ParticleEnsemble(
-        grid, model.space, t0, values, noise, controls, seed, model_tag=model.tag
-    )
+    ens = ParticleEnsemble(grid, model.space, t0, values, controls, seed, model_tag=model.tag)
 
     c = apriori_constant(model.lipschitz, model.eta, grid.T)
     xi_norm = float(np.sqrt(sup_seminorm_sq_values(values, j0).mean()))
@@ -684,9 +684,7 @@ def integrate_picard(
         if not converged:
             raise NonConvergenceError(gaps, tol)
 
-    ens = ParticleEnsemble(
-        grid, model.space, t0, values, noise, controls, seed, model_tag=model.tag
-    )
+    ens = ParticleEnsemble(grid, model.space, t0, values, controls, seed, model_tag=model.tag)
     return PicardResult(ens, total_iters, all_gaps, windows=len(boundaries) - 1)
 
 

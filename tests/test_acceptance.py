@@ -424,7 +424,7 @@ def test_criterion_13_investment_hamiltonian():
         rr = float(r.uniform(0.0, 0.2))
         lo, hi = -2.0 * np.ones(m), 2.0 * np.ones(m)
         res = investment_hamiltonian_closed_form(
-            HilbertVec(p), t, rr, HilbertVec(np.zeros(m)), HilbertVec(a2),
+            HilbertVec(p), t, rr, HilbertVec(a2),
             SpectralOperator(c_diag), SpectralOperator(m_diag), BoxActionSet(lo, hi),
         )
         disc = math.exp(-rr * t)

@@ -160,7 +160,6 @@ def _reference_run_investment(cfg):
             HilbertVec(p),
             t,
             rr,
-            HilbertVec(np.zeros(m)),
             HilbertVec(a2),
             SpectralOperator(c_diag),
             SpectralOperator(m_diag),
@@ -476,6 +475,43 @@ def test_unknown_initial_law_kind_exits_2(tmp_path, capsys):
     path = write_cfg(tmp_path, {**tiny_cfg(), "initial": {"kind": "cauchy"}})
     assert run("simulate", path, str(tmp_path / "out")) == 2
     assert "unknown initial law kind 'cauchy'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "report.json")
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"kind": "constant", "value": [0.5], "std": 2.0}, "initial.std"),
+        ({"kind": "two_point", "a": -0.5, "value": [1.0]}, "initial.value"),
+        ({"kind": "gaussian", "mean": 0.3, "scale": 2.0}, "initial.scale"),
+        ({"kind": "ramp", "value": [2.0]}, "initial.value"),
+    ],
+    ids=["constant", "two_point", "gaussian", "ramp"],
+)
+def test_initial_keys_the_kind_does_not_read_exit_2(tmp_path, capsys, spec, key):
+    path = write_cfg(tmp_path, {**tiny_cfg(), "initial": spec})
+    assert run("simulate", path, str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"'{key}'" in err
+    assert not os.path.exists(tmp_path / "out" / "report.json")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "gaussian", "mean": 6.0, "std": 0.1},
+        {"kind": "two_point", "a": -1.0, "b": 1.0},
+        {"kind": "ramp", "scale": 1.0},
+    ],
+    ids=["gaussian", "two_point", "ramp"],
+)
+def test_yosida_refuses_a_random_start_its_oracle_cannot_score(tmp_path, capsys, spec):
+    # the oracle is the OU closed form from a deterministic start; a Gaussian
+    # start at mean 6 was scored as x0 = 0 and failed a correct run
+    path = write_cfg(tmp_path, {**tiny_cfg(), "initial": spec, "yosida": {"ladder": [2, 8]}})
+    assert run("yosida-converge", path, str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'initial.kind'" in err
     assert not os.path.exists(tmp_path / "out" / "report.json")
 
 

@@ -254,7 +254,6 @@ def test_investment_hamiltonian_trivial_zero():
         HilbertVec([0.0]),
         t=0.3,
         r=0.05,
-        a1=HilbertVec([1.0]),
         a2=HilbertVec([0.0]),
         C=diag_op([1.0]),
         M=diag_op([1.0]),
@@ -269,7 +268,6 @@ def test_investment_hamiltonian_scalar_case():
         HilbertVec([2.0]),
         t=0.0,
         r=0.0,
-        a1=HilbertVec([0.0]),
         a2=HilbertVec([0.0]),
         C=diag_op([1.0]),
         M=diag_op([1.0]),
@@ -287,7 +285,6 @@ def test_investment_rejects_nonpositive_m():
             HilbertVec([1.0]),
             0.0,
             0.0,
-            HilbertVec([0.0]),
             HilbertVec([0.0]),
             diag_op([1.0]),
             diag_op([0.0]),
@@ -337,7 +334,6 @@ def test_investment_matches_grid_and_projected_gradient():
             HilbertVec(p),
             t,
             r,
-            HilbertVec(np.zeros(m)),
             HilbertVec(a2),
             diag_op(c_diag),
             diag_op(m_diag),

@@ -23,6 +23,7 @@ from pathmkv.rng import brownian_increments, refine_increments
 from pathmkv.sde import (
     ModelSpec,
     apriori_constant,
+    brownian_block,
     constant_initial,
     flow_restart_check,
     gaussian_initial,
@@ -43,6 +44,21 @@ def test_frozen_dynamics_constant_paths():
     model = make_frozen(grid)
     ens = integrate(model, constant_initial([2.5]), n_particles=8, seed=0)
     assert np.all(ens.values == 2.5)
+
+
+def test_a_run_holds_its_paths_and_not_its_noise_after_it_returns():
+    # (4000, 1001, 1) paths are 30.5 MB; the (4000, 1000, 1) block the run
+    # draws for itself would be 30.5 MB more
+    import tracemalloc
+
+    model = make_ou(TimeGrid(1.0, 1000))
+    tracemalloc.start()
+    try:
+        ens = integrate(model, constant_initial([0.0]), None, 0.0, 4000, 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ens.values.nbytes <= held < 40 * 2**20
 
 
 def test_noise_increments_are_iid_gaussian():
@@ -310,7 +326,7 @@ def test_rectangular_noise_dimensions():
         tag="rect2",
     )
     ens2 = integrate(model2, constant_initial([0.0]), n_particles=64, seed=0)
-    assert ens2.noise.shape == (64, 100, 3)
+    assert brownian_block(model2, 64, 0).shape == (64, 100, 3)
     assert ens2.values[:, -1, 0].std() > 0.1
 
 
@@ -461,7 +477,6 @@ def test_particle_blocks_are_node_major():
     noise = brownian_block(model, 8, 1)
     for j in (0, 7, grid.steps - 1):
         assert ens.values[:, j, :].flags.c_contiguous
-        assert ens.noise[:, j, :].flags.c_contiguous
         assert noise[:, j, :].flags.c_contiguous
         assert ens.controls[:, j, :].flags.c_contiguous
     assert ens.values[:, grid.steps, :].flags.c_contiguous
@@ -530,7 +545,8 @@ def test_node_major_controlled_run_equals_path_major_run(path_major, d, t0, t_en
 
     ens, ref = run(), path_major(run)
     assert ref.controls.flags.c_contiguous and not ens.controls.flags.c_contiguous
-    assert np.array_equal(ens.noise, ref.noise)
+    noise = brownian_block(model, n, seed)
+    assert np.array_equal(noise, path_major(lambda: brownian_block(model, n, seed)))
     assert np.array_equal(ens.values, ref.values)
     assert np.array_equal(ens.controls, ref.controls)
     assert reward(model, ens, t0) == reward(model, ref, t0)
