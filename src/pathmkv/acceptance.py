@@ -177,6 +177,12 @@ def yosida_oracle_gap(a, n, grid, s0, x0):
 
 
 def run_yosida(cfg, out_dir):
+    tag = cfg.get("model", DEFAULT_CONFIG["model"])["tag"]
+    if tag != "ou":
+        raise ConfigurationError(
+            f"config key 'model.tag' must be 'ou' for yosida-converge, whose oracle is the "
+            f"OU closed form; got {tag!r}"
+        )
     spec = cfg.get("initial", DEFAULT_CONFIG["initial"])
     if spec["kind"] != "constant":
         raise ConfigurationError(
@@ -768,8 +774,10 @@ SUITE = {
     "ou_oracle": ou_oracle,
     "meanfield_oracle": meanfield_oracle,
     "weak_order": weak_order,
-    "yosida": lambda cfg, out_dir: run_yosida(  # 4. Yosida convergence
-        {**cfg, "initial": {"kind": "constant", "value": [1.0]}}, out_dir
+    "yosida": lambda cfg, out_dir: run_yosida(  # 4. Yosida convergence, on the
+        # default OU model (its closed form is the oracle), from a constant start
+        {**cfg, "model": DEFAULT_CONFIG["model"], "initial": {"kind": "constant", "value": [1.0]}},
+        out_dir,
     ),
     "flow_property": flow_property,
     "nonanticipativity": nonanticipativity,

@@ -53,7 +53,8 @@ SUBCOMMANDS = {
 }
 
 # Schema: key -> (type or nested dict, required).  Times are in model time
-# units; seeds are unsigned integers; particle counts are dimensionless.
+# units; seeds are integers in [0, SEED_LIMIT); particle counts are
+# dimensionless.
 CONFIG_SCHEMA = {
     "model": (
         {"tag": (str, True), "params": (dict, False)},
@@ -122,9 +123,14 @@ CONFIG_SCHEMA = {
     ),
 }
 
+# Seeds key the Philox streams as unsigned 64-bit words, and the runners derive
+# seeds up to seed + 1000 + n_seeds from the root one; below 2**63 all of them fit.
+SEED_LIMIT = 2**63
+
 # Lower bounds on numeric keys, by dotted path.
 CONFIG_MINIMA = {
     "particles": 1,
+    "seed": 0,
     "grid.steps": 1,
     "picard.max_iter": 1,
     "particles_converge.projections": 1,
@@ -157,6 +163,8 @@ def validate_config(cfg, schema=None, path="") -> None:
             )
         elif here in CONFIG_MINIMA and value < CONFIG_MINIMA[here]:
             raise ConfigurationError(f"config key {here!r} must be >= {CONFIG_MINIMA[here]}, got {value}")
+        elif here == "seed" and value >= SEED_LIMIT:
+            raise ConfigurationError(f"config key 'seed' must be < 2**63, got {value}")
     for key, (spec, required) in schema.items():
         if required and key not in cfg:
             raise ConfigurationError(f"missing required config key {path + '.' + key if path else key!r}")
@@ -190,6 +198,7 @@ def run(subcommand: str, config_path: str | None, out_dir: str = ".",
         cfg = load_config(config_path)
         if seed is not None:
             cfg["seed"] = int(seed)
+            validate_config(cfg)
         if subcommand not in SUBCOMMANDS:
             raise ConfigurationError(
                 f"unknown subcommand {subcommand!r}; known: {list(SUBCOMMANDS)}"

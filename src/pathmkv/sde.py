@@ -141,19 +141,11 @@ def two_point_mapped(a=-1.0, b=1.0, flipped=False) -> InitialLaw:
     return InitialLaw(sampler)
 
 
-def _initial_normals(seed, n, d) -> np.ndarray:
-    """(N, d) standard normals, row i drawn by particle i's initial stream."""
-    z = np.empty((n, d))
-    for i, g in enumerate(rng.particle_generators(seed, rng.STREAM_INITIAL, n)):
-        z[i] = g.standard_normal(d)
-    return z
-
-
 def gaussian_initial(mean=0.0, std=1.0) -> InitialLaw:
     """Constant paths at N(mean, std^2) per coordinate."""
 
     def sampler(seed, n, grid, d):
-        x0 = mean + std * _initial_normals(seed, n, d)
+        x0 = mean + std * rng.normals(seed, rng.STREAM_INITIAL, n, d)
         return np.broadcast_to(x0[:, None, :], (n, grid.steps + 1, d))
 
     return InitialLaw(sampler)
@@ -164,7 +156,7 @@ def ramp_initial(scale=1.0) -> InitialLaw:
 
     def sampler(seed, n, grid, d):
         times = grid.times[None, :, None]
-        return scale * times * _initial_normals(seed, n, d)[:, None, :]
+        return scale * times * rng.normals(seed, rng.STREAM_INITIAL, n, d)[:, None, :]
 
     return InitialLaw(sampler)
 
@@ -705,13 +697,16 @@ def flow_restart_check(
 ) -> dict:
     """Integrate over [t0, T]; separately integrate over [t0, s], restart at s
     from the stopped paths with the same residual noise stream, and report the
-    max particle gap, which the recursion makes exactly zero."""
+    max particle gap, which the recursion makes exactly zero.  The three runs
+    share one `brownian_block(model, N, seed)`, drawn once: it is what each
+    would have drawn."""
     grid = model.grid
     if grid.node(s) < grid.node(t0):
         raise DomainError(f"restart time {s} precedes start {t0}")
-    full = integrate(model, init, policy, t0, n_particles, seed)
-    head = integrate(model, init, policy, t0, n_particles, seed, t_end=s)
+    noise = brownian_block(model, n_particles, seed)
+    full = integrate(model, init, policy, t0, n_particles, seed, noise=noise)
+    head = integrate(model, init, policy, t0, n_particles, seed, t_end=s, noise=noise)
     restart_init = InitialLaw.from_values(head.values)
-    tail = integrate(model, restart_init, policy, s, n_particles, seed)
+    tail = integrate(model, restart_init, policy, s, n_particles, seed, noise=noise)
     gap = float(np.abs(full.values - tail.values).max())
     return {"split_time": s, "max_particle_gap": gap}

@@ -210,6 +210,23 @@ def test_small_suite_report_matches_the_golden_file(tmp_path):
     assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
+def test_suite_runs_its_yosida_criterion_on_the_default_ou_model_whatever_the_config_tag(tmp_path):
+    # yosida-converge refuses a non-OU tag; the suite pins the model of its
+    # Yosida criterion, as it pins the constant start, and writes a report
+    cfg = {
+        "model": {"tag": "ou_drift", "params": {"kappa": 1.0, "s0": 0.1}},
+        "grid": {"T": 1.0, "steps": 96},
+        "particles": 256,
+        "seed": 7,
+    }
+    out = str(tmp_path / "out")
+    assert run("suite", write_cfg(tmp_path, cfg), out) in (0, 1)
+    golden = os.path.join(os.path.dirname(__file__), "data", "suite_small.json")
+    with open(golden) as fh:
+        expected = json.load(fh)
+    assert read_report(out)["results"]["yosida"] == expected["results"]["yosida"]
+
+
 def test_bad_json_exits_2(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
@@ -513,6 +530,52 @@ def test_yosida_refuses_a_random_start_its_oracle_cannot_score(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error") and "'initial.kind'" in err
     assert not os.path.exists(tmp_path / "out" / "report.json")
+
+
+def test_yosida_refuses_a_model_other_than_ou(tmp_path, capsys):
+    # ou_drift has A = 0, so every rung equals the base run: the distances
+    # read [0, 0, 0] and failed against the OU oracle instead of being refused
+    cfg = {
+        "model": {"tag": "ou_drift", "params": {"kappa": 1.0, "s0": 0.1}},
+        "grid": {"T": 1.0, "steps": 200},
+        "particles": 400,
+        "seed": 5,
+        "initial": {"kind": "constant", "value": [3.0]},
+        "yosida": {"ladder": [2, 8, 32]},
+    }
+    path = write_cfg(tmp_path, cfg)
+    assert run("yosida-converge", path, str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'model.tag'" in err
+    assert not os.path.exists(tmp_path / "out" / "report.json")
+
+
+@pytest.mark.parametrize("seed", [-3, -1, 2**63, 2**64])
+def test_seed_outside_the_stream_key_range_exits_2_from_the_config(tmp_path, capsys, seed):
+    path = write_cfg(tmp_path, {**tiny_cfg(), "seed": seed})
+    with pytest.raises(ConfigurationError, match="seed"):
+        load_config(path)
+    assert run("simulate", path, str(tmp_path / "out")) == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "report.json")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63])
+def test_seed_outside_the_stream_key_range_exits_2_from_the_flag(tmp_path, capsys, seed):
+    path = write_cfg(tmp_path, tiny_cfg())
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", path, "--out", out, "--seed", str(seed)]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+    assert run("simulate", path, out, seed=seed) == 2
+
+
+def test_seeds_at_both_ends_of_the_range_run(tmp_path):
+    path = write_cfg(tmp_path, {**tiny_cfg(), "seed": 2**63 - 1})
+    assert run("simulate", path, str(tmp_path / "a")) == 0
+    assert read_report(str(tmp_path / "a"))["config"]["seed"] == 2**63 - 1
+    assert run("simulate", path, str(tmp_path / "b"), seed=0) == 0
+    assert read_report(str(tmp_path / "b"))["config"]["seed"] == 0
 
 
 def test_dpp_family_builds_constant_and_uncontrolled_policies(tmp_path):

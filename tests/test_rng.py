@@ -82,3 +82,62 @@ def test_particle_generators_yield_fresh_states_after_partial_draws():
     for i, g in enumerate(gens):
         assert g.random() == rng.particle_generator(SEED, rng.STREAM_POLICY, i).random()
         g.integers(0, 2**31, dtype=np.uint32)  # leaves a cached 32-bit half
+
+
+# in-place row fills at one and several values per particle, across two full
+# chunks and a partial one, every stream tag and both ends of the seed range
+N_CHUNKED = 2 * rng.CHUNK_ROWS + 37
+STREAMS = [rng.STREAM_BROWNIAN, rng.STREAM_INITIAL, rng.STREAM_POLICY]
+SEEDS = [0, 2**63 - 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize("count", [1, 3])
+def test_normals_and_uniforms_match_reference_generators(seed, stream, count):
+    want_z = reference_rows(seed, stream, N_CHUNKED, lambda g: g.standard_normal(count))
+    want_u = reference_rows(seed, stream, N_CHUNKED, lambda g: g.random(count))
+    assert np.array_equal(rng.normals(seed, stream, N_CHUNKED, count), want_z)
+    assert np.array_equal(rng.uniforms(seed, stream, N_CHUNKED, count), want_u)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_brownian_increments_at_both_ends_of_the_seed_range_match_reference_generators(seed):
+    n, m, dk, dt = N_CHUNKED, 4, 1, 0.25
+    got = rng.brownian_increments(seed, n, m, dk, dt)
+    want = reference_rows(seed, rng.STREAM_BROWNIAN, n, lambda g: np.sqrt(dt) * g.standard_normal((m, dk)))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_dimensional_initial_laws_match_reference_generators(seed):
+    grid = TimeGrid(1.0, 3)
+    z = reference_rows(seed, rng.STREAM_INITIAL, N_CHUNKED, lambda g: g.standard_normal(1))
+    got = gaussian_initial(0.5, 0.2).sample(seed, N_CHUNKED, grid, 1)
+    assert np.array_equal(got, np.repeat((0.5 + 0.2 * z)[:, None, :], grid.steps + 1, axis=1))
+    got = ramp_initial(1.5).sample(seed, N_CHUNKED, grid, 1)
+    assert np.array_equal(got, 1.5 * grid.times[None, :, None] * z[:, None, :])
+
+
+@pytest.mark.parametrize("n", [1, 7, N_CHUNKED])
+def test_each_bulk_sampler_call_constructs_one_philox(monkeypatch, n):
+    # constructing a Philox pulls OS entropy and costs far more than a re-key;
+    # the samplers build one bit generator per call, whatever N is
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    for draw in (
+        lambda: rng.brownian_increments(SEED, n, 3, 2, 0.1),
+        lambda: rng.uniforms(SEED, rng.STREAM_POLICY, n),
+        lambda: rng.uniforms(SEED, rng.STREAM_POLICY, n, 3),
+        lambda: rng.normals(SEED, rng.STREAM_INITIAL, n, 1),
+        lambda: rng.normals(SEED, rng.STREAM_INITIAL, n, 3),
+    ):
+        built.clear()
+        draw()
+        assert len(built) == 1

@@ -295,6 +295,26 @@ def test_flow_restart_gap_is_zero_on_builtin_models():
             assert report["max_particle_gap"] == 0.0
 
 
+def test_flow_restart_check_draws_its_noise_block_once(monkeypatch):
+    # the full, head and tail runs share one block: it is what each would draw
+    import pathmkv.rng
+
+    draws = []
+    draw = pathmkv.rng.brownian_increments
+
+    def counted(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(pathmkv.rng, "brownian_increments", counted)
+    grid = TimeGrid(1.0, 32)
+    report = flow_restart_check(
+        make_ou(grid, a=-1.0, s0=0.5), gaussian_initial(0.5, 0.2), s=0.5, n_particles=16, seed=11
+    )
+    assert report["max_particle_gap"] == 0.0
+    assert draws == [(11, 16, 32, 1, grid.dt)]
+
+
 def test_rectangular_noise_dimensions():
     # dK < d: only the first dK state coordinates are driven.
     grid = TimeGrid(1.0, 100)
