@@ -23,7 +23,6 @@ from scipy.optimize import linear_sum_assignment, linprog
 from .errors import CapacityError, ConfigurationError, DomainError
 from .hilbert import HilbertVec
 from .paths import (
-    REDUCE_ELEMENTS,
     PathGrid,
     TimeGrid,
     path_to_csv,
@@ -32,6 +31,10 @@ from .paths import (
 )
 
 EXACT_ATOM_CAP = 512
+
+# (row, node, column) entries per sup-cost tile: 512 kB, so that the two
+# scratch tiles of `_sup_cost_matrix` stay in a core's L2 cache.
+COST_TILE_ELEMENTS = 2**16
 
 
 class StoppedView:
@@ -179,32 +182,44 @@ def _sup_cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """c_ij = ||x_i - y_j||_T^2 = max over nodes of |x_i(s) - y_j(s)|^2 for
     path blocks x (n, nodes, d) and y (m, nodes, d); returns (n, m).
 
-    The grid is walked in node chunks of at most REDUCE_ELEMENTS elements
-    (n * m per node, one node at least), so the scratch beside the result is
-    two chunks and one (n, m) array: 6 MB at the 512-atom cap, whatever the
-    grid.  In a chunk the squared coordinate differences are added one
-    coordinate at a time, left to right, the order in which numpy sums a
-    contiguous axis shorter than 8, and a max is exact in any grouping: for
-    d <= 7 every entry is the float of the one-shot
+    The (row, node, column) entries are built in tiles of at most
+    COST_TILE_ELEMENTS: a span of nodes (all of them when one row of x fits,
+    else as many as fit, one at least) times as many rows of x as fit.  Per
+    node span, y's coordinate planes are copied once into a (d, span, m)
+    buffer and the rows of x are walked against it.  The scratch beside the
+    result is two tiles and those planes, about (d + 2) * 512 kB whatever the
+    grid, and a tile stays in a core's L2 cache.  In a tile the squared
+    coordinate differences are added one coordinate at a time, left to right,
+    the order in which numpy sums a contiguous axis shorter than 8, and a max
+    is exact in any grouping: for d <= 7 every entry is the float of the one-shot
     ((x[:, None] - y[None]) ** 2).sum(axis=3).max(axis=2).  For d >= 8 numpy
     sums that axis pairwise, and an entry may differ from it in the last bit.
     """
     n, nodes, d = x.shape
     m = y.shape[0]
-    step = max(1, REDUCE_ELEMENTS // (n * m))
-    buf = np.empty((2, min(step, nodes), n, m))
-    top = np.empty((n, m))
-    cost = np.full((n, m), -np.inf)
-    for c0 in range(0, nodes, step):
-        c1 = min(c0 + step, nodes)
-        total, sq = buf[:, : c1 - c0]
-        for k in range(d):
-            out = sq if k else total
-            np.subtract(x[:, c0:c1, k].T[:, :, None], y[:, c0:c1, k].T[:, None, :], out=out)
-            np.square(out, out=out)
-            if k:
-                np.add(total, sq, out=total)
-        np.maximum(cost, total.max(axis=0, out=top), out=cost)
+    span = max(1, min(nodes, COST_TILE_ELEMENTS // m))
+    rows = max(1, min(n, COST_TILE_ELEMENTS // (span * m)))
+    planes = np.empty((d, span, m))
+    buf = np.empty((2, rows, span, m))
+    top = np.empty((rows, m))
+    cost = np.empty((n, m))
+    for c0 in range(0, nodes, span):
+        c1 = min(c0 + span, nodes)
+        yc = planes[:, : c1 - c0]
+        yc[...] = y[:, c0:c1].transpose(2, 1, 0)
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            total, sq = buf[:, : r1 - r0, : c1 - c0]
+            for k in range(d):
+                out = sq if k else total
+                np.subtract(x[r0:r1, c0:c1, k, None], yc[k], out=out)
+                np.square(out, out=out)
+                if k:
+                    np.add(total, sq, out=total)
+            if c0:
+                np.maximum(cost[r0:r1], total.max(axis=1, out=top[: r1 - r0]), out=cost[r0:r1])
+            else:
+                total.max(axis=1, out=cost[r0:r1])
     return cost
 
 
@@ -220,7 +235,9 @@ def exact_ot_cost(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray) -> flo
     Equal uniform weights with a square matrix reduce to the assignment
     problem; anything else, near-uniform weights included, is solved as the
     transport LP over the coupling polytope (one marginal constraint dropped
-    as redundant).
+    as redundant) by HiGHS with presolve off.  With that constraint dropped
+    the polytope leaves presolve nothing to remove, and its pass over the
+    2nm nonzeros took about 40% of the solve at 160 x 184 atoms.
     """
     n, m = cost.shape
     if n == m and _uniform(w_row) and _uniform(w_col):
@@ -235,7 +252,10 @@ def exact_ot_cost(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray) -> flo
         format="csr",
     )
     b_eq = np.concatenate([w_row, w_col[: m - 1]])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(
+        cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+        options={"presolve": False},
+    )
     if not res.success:
         raise ConfigurationError(f"transport LP failed: {res.message}")
     return float(res.fun)

@@ -34,6 +34,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from .errors import DomainError
 from .paths import node_major
 
 STREAM_BROWNIAN = 0
@@ -46,6 +47,9 @@ CHUNK_ROWS = 256
 
 
 def _key(seed: int, stream: int, particle: int) -> np.ndarray:
+    """The Philox key [seed, (stream << 32) ^ particle]; a seed is one uint64."""
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
     return np.array([np.uint64(seed), np.uint64((stream << 32) ^ particle)], dtype=np.uint64)
 
 

@@ -426,7 +426,8 @@ def brownian_block(model: ModelSpec, n_particles: int, seed: int) -> np.ndarray:
 def _start(model: ModelSpec, init: InitialLaw, policy, t0, n_particles, seed, noise=None):
     """Begin a run at t0: validate the model and the policy, fill the paths up
     to node j0 with the initial segment, and take `noise` after the shape
-    check, or the run's own block when it is None.
+    check, or the run's own block when it is None.  A diffusion-free model
+    draws no block: its step never reads the noise, which stays None.
 
     Returns (j0, values, noise, randomizers); values is a node-major
     (N, M+1, d) block and only its first j0 + 1 nodes are set, copied from
@@ -446,7 +447,8 @@ def _start(model: ModelSpec, init: InitialLaw, policy, t0, n_particles, seed, no
     values = node_major(n_particles, grid.steps + 1, d)
     values[:, : j0 + 1] = init.sample(seed, n_particles, grid, d)[:, : j0 + 1]
     if noise is None:
-        noise = brownian_block(model, n_particles, seed)
+        if model.diffusion is not None:
+            noise = brownian_block(model, n_particles, seed)
     elif noise.shape != (n_particles, grid.steps, model.space.dK):
         raise ConfigurationError(
             f"noise override has shape {noise.shape}, "
@@ -699,11 +701,11 @@ def flow_restart_check(
     from the stopped paths with the same residual noise stream, and report the
     max particle gap, which the recursion makes exactly zero.  The three runs
     share one `brownian_block(model, N, seed)`, drawn once: it is what each
-    would have drawn."""
+    would have drawn.  A diffusion-free model draws none."""
     grid = model.grid
     if grid.node(s) < grid.node(t0):
         raise DomainError(f"restart time {s} precedes start {t0}")
-    noise = brownian_block(model, n_particles, seed)
+    noise = None if model.diffusion is None else brownian_block(model, n_particles, seed)
     full = integrate(model, init, policy, t0, n_particles, seed, noise=noise)
     head = integrate(model, init, policy, t0, n_particles, seed, t_end=s, noise=noise)
     restart_init = InitialLaw.from_values(head.values)

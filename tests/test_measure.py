@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pathmkv.errors import CapacityError, ConfigurationError, DomainError
 from pathmkv.measure import (
+    COST_TILE_ELEMENTS,
     EXACT_ATOM_CAP,
     EmpiricalControlMeasure,
     _sup_cost_matrix,
@@ -23,7 +24,7 @@ from pathmkv.measure import (
     wasserstein2,
     wasserstein2_controls,
 )
-from pathmkv.paths import REDUCE_ELEMENTS, PathGrid, TimeGrid, constant_path, stop, sup_norm
+from pathmkv.paths import PathGrid, TimeGrid, constant_path, stop, sup_norm
 
 # Reproducible property runs: a fixed example sequence, no example database.
 PROPERTY = settings(max_examples=20, derandomize=True, database=None, deadline=None)
@@ -260,24 +261,34 @@ def one_shot_sup_cost(x, y):
     return np.concatenate([(diff**2).sum(axis=3).max(axis=2) for diff in blocks])
 
 
-# (n, m, nodes): nodes per chunk is REDUCE_ELEMENTS // (n * m), at least one
+# (n, m, nodes).  A tile holds at most COST_TILE_ELEMENTS (row, node, column)
+# entries: all nodes of as many rows as fit, or, when one row's nodes x m do
+# not fit, a span of one row's nodes.
 SUP_COST_SHAPES = {
     "unequal_sizes_one_chunk": (7, 5, 13),
     "last_chunk_short": (100, 90, 51),
     "one_node_per_chunk": (EXACT_ATOM_CAP, EXACT_ATOM_CAP, 5),
     "tiny": (2, 3, 4),
     "one_node_paths": (9, 6, 1),
+    "node_span_short": (3, EXACT_ATOM_CAP, 300),
+    "wider_than_a_tile": (2, COST_TILE_ELEMENTS + 5, 3),
 }
 
 
 @pytest.mark.parametrize("shape", SUP_COST_SHAPES.values(), ids=SUP_COST_SHAPES.keys())
 def test_chunked_sup_cost_is_the_one_shot_float(shape):
     n, m, nodes = shape
-    step = max(1, REDUCE_ELEMENTS // (n * m))
-    if shape == SUP_COST_SHAPES["last_chunk_short"]:
-        assert step < nodes and nodes % step
-    if shape == SUP_COST_SHAPES["one_node_per_chunk"]:
-        assert n * m >= REDUCE_ELEMENTS
+    row = nodes * m
+    if shape == SUP_COST_SHAPES["unequal_sizes_one_chunk"]:
+        assert n * row <= COST_TILE_ELEMENTS
+    if shape in (SUP_COST_SHAPES["last_chunk_short"], SUP_COST_SHAPES["one_node_per_chunk"]):
+        # the row tile does not divide n
+        assert row <= COST_TILE_ELEMENTS < n * row and n % (COST_TILE_ELEMENTS // row)
+    if shape == SUP_COST_SHAPES["node_span_short"]:
+        # one row's nodes x m exceed a tile, and the node span does not divide the grid
+        assert row > COST_TILE_ELEMENTS and nodes % (COST_TILE_ELEMENTS // m)
+    if shape == SUP_COST_SHAPES["wider_than_a_tile"]:
+        assert m > COST_TILE_ELEMENTS  # one row at one node per tile
     rng = np.random.default_rng(n * m * nodes)
     for d in range(1, 8):
         x, y = rng.normal(size=(n, nodes, d)), rng.normal(size=(m, nodes, d))
@@ -291,17 +302,27 @@ def test_chunked_sup_cost_is_the_one_shot_float(shape):
         np.testing.assert_allclose(cost, one_shot_sup_cost(x, y), rtol=1e-15, atol=0)
 
 
-def test_sup_cost_at_the_atom_cap_peaks_below_12_mb():
-    # two one-node chunks, the chunk max and the result: 8 MB
+def sup_cost_peak(nodes):
     rng = np.random.default_rng(3)
-    x, y = (rng.normal(size=(EXACT_ATOM_CAP, 51, 2)) for _ in range(2))
+    x, y = (rng.normal(size=(EXACT_ATOM_CAP, nodes, 2)) for _ in range(2))
     tracemalloc.start()
     try:
         _sup_cost_matrix(x, y)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+
+
+def test_sup_cost_at_the_atom_cap_peaks_below_12_mb():
+    # the result (2 MB), two tiles and y's coordinate planes for one node
+    # span (0.5 MB each): 3.5 MB
+    assert sup_cost_peak(51) < 12 * 2**20
+
+
+def test_sup_cost_on_a_1001_node_grid_at_the_atom_cap_peaks_below_12_mb():
+    # one row's 1001 nodes x 512 columns exceed a tile, so nodes are split
+    # into spans too; a copy of y's planes alone would be 8 MB here
+    assert sup_cost_peak(1001) < 12 * 2**20
 
 
 def test_control_measure_and_w2():
@@ -349,6 +370,34 @@ def _dense_transport_lp(cost, w_row, w_col):
                   bounds=(0, None), method="highs")
     assert ref.success
     return ref.fun
+
+
+def lp_edge_cases():
+    rng = np.random.default_rng(17)
+    g = TimeGrid(1.0, 6)
+    mu, nu = random_measure(g, 2, 7, rng, weighted=True), random_measure(g, 2, 5, rng, weighted=True)
+    cost = _sup_cost_matrix(mu.atoms, nu.atoms)
+    zero_row, zero_col = mu.weights.copy(), nu.weights.copy()
+    zero_row[[1, 4]] = 0.0
+    zero_row /= zero_row.sum()
+    zero_col[2] = 0.0
+    zero_col /= zero_col.sum()
+    twice = np.concatenate([mu.atoms, mu.atoms[:3]])
+    w_twice = np.concatenate([mu.weights, mu.weights[:3]])
+    return {
+        "zero_weight_atoms": (cost, zero_row, zero_col),
+        "one_atom_row_side": (cost[:1], np.ones(1), nu.weights),
+        "one_atom_column_side": (cost[:, :1], mu.weights, np.ones(1)),
+        "constant_cost": (np.full((7, 5), 2.5), mu.weights, nu.weights),
+        "duplicated_atoms": (_sup_cost_matrix(twice, nu.atoms), w_twice / w_twice.sum(), nu.weights),
+    }
+
+
+@pytest.mark.parametrize("case", lp_edge_cases().keys())
+def test_transport_lp_matches_dense_linprog_on_degenerate_inputs(case):
+    cost, w_row, w_col = lp_edge_cases()[case]
+    ref = _dense_transport_lp(cost, w_row, w_col)
+    assert exact_ot_cost(cost, w_row, w_col) == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
 def test_near_uniform_weights_take_the_transport_lp():
@@ -634,10 +683,10 @@ def test_weighted_exact_w2_at_the_atom_cap_in_bounded_time_and_memory():
 
     Run alone in a fresh interpreter so that its peak RSS is its own.  On a
     2-core x86-64 Linux machine (Python 3.11, scipy's HiGHS, one BLAS
-    thread) the call took 4.1 to 5.2 s and raised the peak RSS by 241 MB
-    in three runs with the mmap threshold pinned as below (265 MB left
+    thread) the call took 3.0 to 3.5 s and raised the peak RSS by 190 MB
+    in three runs with the mmap threshold pinned as below (190 MB left
     dynamic); the bounds are 10 s and 400 MB.  The cost matrix and its
-    scratch take 8 MB of that; the rest is the LP."""
+    scratch take under 4 MB of that; the rest is the LP."""
     import json
     import os
     import subprocess

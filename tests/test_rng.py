@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from pathmkv import rng
+from pathmkv.errors import DomainError
+from pathmkv.models import make_ou
 from pathmkv.paths import TimeGrid
-from pathmkv.sde import gaussian_initial, ramp_initial
+from pathmkv.sde import constant_initial, gaussian_initial, integrate, ramp_initial
 
 SEED = 20240915
 
@@ -141,3 +143,18 @@ def test_each_bulk_sampler_call_constructs_one_philox(monkeypatch, n):
         built.clear()
         draw()
         assert len(built) == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_outside_uint64_is_a_domain_error(seed):
+    with pytest.raises(DomainError, match=r"\[0, 2\*\*64\)"):
+        rng.normals(seed, rng.STREAM_INITIAL, 3, 1)
+    model = make_ou(TimeGrid(1.0, 4))
+    with pytest.raises(DomainError, match=r"\[0, 2\*\*64\)"):
+        integrate(model, constant_initial([0.0]), None, 0.0, 4, seed)
+
+
+def test_the_largest_uint64_seed_is_a_key():
+    seed = 2**64 - 1
+    want = reference_rows(seed, rng.STREAM_INITIAL, 2, lambda g: g.standard_normal(1))
+    assert np.array_equal(rng.normals(seed, rng.STREAM_INITIAL, 2, 1), want)

@@ -719,3 +719,32 @@ def test_picard_gaps_equal_the_one_shot_pass(monkeypatch, window):
     monkeypatch.setattr(pathmkv.sde, "sup_seminorm_sq_distance", checked)
     res = integrate_picard(model, gaussian_initial(), n_particles=n, seed=4, window=window)
     assert res.gaps == want and len(want) == res.iterations
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda g: make_meanfield_ou(g, theta=1.0, s0=0.0), make_frozen],
+    ids=["meanfield_ou_s0_0", "frozen"],
+)
+def test_a_diffusion_free_run_draws_no_noise(make, monkeypatch):
+    # the step kernel reads the noise only through the diffusion
+    import pathmkv.rng
+
+    model = make(TimeGrid(1.0, 20))
+    init, n, seed = gaussian_initial(0.5, 0.2), 16, 11
+    block = brownian_block(model, n, seed)
+    explicit = integrate(model, init, None, 0.0, n, seed, noise=block)
+    draws = []
+    draw = pathmkv.rng.brownian_increments
+
+    def counted(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(pathmkv.rng, "brownian_increments", counted)
+    ens = integrate(model, init, None, 0.0, n, seed)
+    restart = flow_restart_check(model, init, None, 0.0, 0.5, n, seed)
+    integrate_picard(model, init, None, 0.0, n, seed)
+    assert draws == []
+    assert np.array_equal(ens.values, explicit.values)
+    assert restart["max_particle_gap"] == 0.0
