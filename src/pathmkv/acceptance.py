@@ -26,6 +26,7 @@ from .control import (
 from .errors import ConfigurationError
 from .hilbert import GENERATOR, HilbertVec, SpaceSpec, SpectralOperator
 from .hjb import (
+    ENUMERATION_CAP,
     HamiltonianIntegrand,
     hamiltonian_sup_finite,
     hamiltonian_sup_randomized,
@@ -67,6 +68,15 @@ DEFAULT_CONFIG = {
 
 # ---------------------------------------------------------------------------
 # Config -> object builders.
+
+
+def horizon_times(grid, key, times) -> list[float]:
+    """The config list `key` as floats: at least one, each a number in [0, T]."""
+    if not times:
+        raise ConfigurationError(f"config key {key!r} must list at least one time")
+    if any(isinstance(s, bool) or not isinstance(s, (int, float)) or not 0.0 <= s <= grid.T for s in times):
+        raise ConfigurationError(f"config key {key!r} must list numbers in [0, {grid.T}], got {times}")
+    return [float(s) for s in times]
 
 
 def build_grid(cfg) -> TimeGrid:
@@ -419,15 +429,9 @@ def run_dpp(cfg, out_dir):
     init = build_initial(cfg)
     dcfg = cfg.get("dpp", {})
     t0 = float(dcfg.get("t0", 0.0))
-    splits = [float(s) for s in dcfg.get("split_times", [0.25, 0.5, 0.75])]
     if not 0.0 <= t0 <= grid.T:
         raise ConfigurationError(f"config key 'dpp.t0' must lie in [0, {grid.T}], got {t0}")
-    if not splits:
-        raise ConfigurationError("config key 'dpp.split_times' must list at least one time")
-    if any(not 0.0 <= s <= grid.T for s in splits):
-        raise ConfigurationError(
-            f"config key 'dpp.split_times' must lie in [0, {grid.T}], got {splits}"
-        )
+    splits = horizon_times(grid, "dpp.split_times", dcfg.get("split_times", [0.25, 0.5, 0.75]))
     if any(s < t0 for s in splits):
         raise ConfigurationError(
             f"config key 'dpp.t0' ({t0}) must not be later than a split time, got {splits}"
@@ -483,10 +487,7 @@ def run_hjb(cfg, out_dir):
     model = _linear_value_model(grid, a, beta, s0, c, q)
     candidate = _feynman_kac_candidate(grid, a, beta, c, q)
     wrong = _feynman_kac_candidate(grid, a, beta, c, q, scale=2.0)
-    hcfg = cfg.get("hjb", {})
-    times = hcfg.get("times", [0.0, 0.3, 0.7])
-    if not times:
-        raise ConfigurationError("config key 'hjb.times' must list at least one time")
+    times = horizon_times(grid, "hjb.times", cfg.get("hjb", {}).get("times", [0.0, 0.3, 0.7]))
     actions = FiniteActionSet([[0.0]])
     rng = np.random.default_rng(cfg["seed"])
     mu = EmpiricalPathMeasure(grid, rng.normal(size=(6, grid.steps + 1, 1)), None)
@@ -496,8 +497,8 @@ def run_hjb(cfg, out_dir):
     checks = []
     ok = True
     for t in times:
-        rep = hjb_residual(candidate, model, float(t), mu, actions)
-        rep_wrong = hjb_residual(wrong, model, float(t), mu, actions)
+        rep = hjb_residual(candidate, model, t, mu, actions)
+        rep_wrong = hjb_residual(wrong, model, t, mu, actions)
         good = (
             abs(rep.residual) <= 1e-10
             and abs(rep_wrong.residual) > 1e-3
@@ -506,7 +507,7 @@ def run_hjb(cfg, out_dir):
         ok = ok and good
         checks.append(
             {
-                "t": float(t),
+                "t": t,
                 "residual": rep.residual,
                 "terminal_gap": rep.terminal_gap,
                 "wrong_candidate_residual": rep_wrong.residual,
@@ -521,6 +522,10 @@ def run_hamiltonian(cfg, out_dir):
     n_instances = int(hcfg.get("n_instances", 50))
     max_atoms = int(hcfg.get("max_atoms", 4))
     max_actions = int(hcfg.get("max_actions", 5))
+    if max_actions ** min(max_atoms, 64) > ENUMERATION_CAP:  # 2**64 is past any cap
+        raise ConfigurationError(
+            f"config key 'hamiltonian.max_atoms' gives {max_actions}**{max_atoms} maps, above {ENUMERATION_CAP}"
+        )
     grid = TimeGrid(1.0, 4)
     mismatches = 0
     for k_inst in range(n_instances):
@@ -538,11 +543,7 @@ def run_hamiltonian(cfg, out_dir):
             return table[np.arange(xs.n_atoms), l]
 
         F = HamiltonianIntegrand(F_fn, tag="table")
-        vals = [
-            hamiltonian_sup_finite(F, mu, actions, form=f)
-            for f in ("esssup", "maps", "mt")
-        ]
-        if not vals[0] == vals[1] == vals[2]:
+        if hamiltonian_sup_finite(F, mu, actions) != hamiltonian_sup_finite(F, mu, actions, form="maps"):
             mismatches += 1
 
     # randomized >= deterministic with a strict gap on the W2-penalty example
@@ -788,7 +789,7 @@ SUITE = {
         {**cfg, "initial": {"kind": "constant", "value": [0.5]}}, out_dir
     ),
     "law": run_law,  # 11. law invariance
-    "hamiltonian": run_hamiltonian,  # 12. three Hamiltonian forms, randomized
+    "hamiltonian": run_hamiltonian,  # 12. Hamiltonian forms, randomized
     "investment": lambda cfg, out_dir: _run_investment(cfg),  # 13. investment
     "hjb_residual": run_hjb,  # HJB residual of the closed-form candidate
 }

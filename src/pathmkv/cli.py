@@ -138,6 +138,7 @@ CONFIG_MINIMA = {
     "wasserstein.n_instances": 1,
     "wasserstein.max_atoms": 2,
     "deriv.n_atoms": 1,
+    "hamiltonian.n_instances": 1,
     "hamiltonian.max_atoms": 1,
     "hamiltonian.max_actions": 1,
 }

@@ -4,16 +4,16 @@ Integrands are batched over atoms like the model coefficients: F.fn(xs, u, nu)
 returns the (K,) values at the K atoms of the law xs under the (K, m) per-atom
 actions u, so each form calls it once per action or randomization level.
 
-On a finitely supported measure the Hamiltonian supremum admits three forms
-that must coincide for integrands without a control-law argument: a brute
-force over measurable control assignments, an enumeration over per-atom maps,
-and the per-atom essential supremum.  Floating-point equality across forms is
-arranged, not hoped for: all three accumulate the same weighted addends in the
-same atom order, and float addition is monotone, so the per-atom-argmax map
-realizes the esssup sum bit for bit.  With a control-law argument the supremum
-needs measurable randomization; the randomized enumerator mixes per-atom
-actions over a finite grid of levels and dominates the deterministic forms,
-and hands a nu-free integrand to the esssup.
+On a finitely supported measure the supremum of an integrand without a
+control-law argument has two forms that must coincide: an enumeration over
+per-atom maps and the per-atom essential supremum, taken on a box U at each
+atom's maximizer of a separable concave quadratic.  Floating-point equality
+is arranged, not hoped for: on a finite U both accumulate the same weighted
+addends in the same atom order, and float addition is monotone, so the
+per-atom-argmax map realizes the esssup sum bit for bit.  With a control-law
+argument the supremum needs measurable randomization; the randomized
+enumerator mixes per-atom actions over a finite grid of levels, dominates the
+deterministic forms, and hands a nu-free integrand to the esssup.
 
 `hjb_residual` evaluates the master Bellman equation on a candidate solution,
 a `calculus.CylindricalFunctional` with analytic derivative fields; the A*
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import CylindricalFunctional
+from .control import BoxActionSet, FiniteActionSet
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -85,10 +86,36 @@ def _atom_action_values(F, mu, actions) -> np.ndarray:
     return vals
 
 
-def _esssup(F, mu, actions) -> float:
-    """sum_i p_i max_u F(x_i, u) over the rows of `actions`: the supremum of
-    a nu-free integrand over deterministic and randomized assignments alike."""
-    return _accumulate(_atom_action_values(F, mu, actions).max(axis=1))
+def _box_argmax(lin, curv, box) -> np.ndarray:
+    """argmax over the box of the separable <lin, u> - <curv u, u>, curv >= 0:
+    coordinatewise the stationary point projected onto the box, or the vertex
+    on lin's side where curv == 0."""
+    flat = curv == 0
+    stationary = 0.5 * lin / np.where(flat, 1.0, curv)
+    return box.clip(np.where(flat, np.copysign(np.inf, lin), stationary))
+
+
+def _esssup(F, mu, action_set) -> float:
+    """sum_i p_i sup_u F(x_i, u) for a nu-free F, over deterministic and
+    randomized assignments alike: the max over a finite U, or on a box the
+    value at each atom's maximizer of the separable concave quadratic read off
+    F at u = 0 and u = +-e_k (a curvature within rounding of 0 is linear) and
+    checked at one action with no zero coordinate."""
+    if isinstance(action_set, FiniteActionSet):
+        return _accumulate(_atom_action_values(F, mu, action_set.points).max(axis=1))
+    if not isinstance(action_set, BoxActionSet):
+        raise ContractError(f"sup of {F.tag!r} needs a finite or a box U, got {type(action_set).__name__}")
+    k, m = mu.n_atoms, action_set.m
+    probes = np.concatenate([np.zeros((1, m)), np.eye(m), -np.eye(m), np.full((1, m), 0.5)])
+    vals = np.stack([F(mu, np.broadcast_to(u, (k, m))) for u in probes], axis=1)
+    f0, plus, minus = vals[:, :1], vals[:, 1 : m + 1], vals[:, m + 1 : 2 * m + 1]
+    lin, curv = 0.5 * (plus - minus), f0 - 0.5 * (plus + minus)
+    tol = 1e-12 * np.abs(vals).max(axis=1, keepdims=True)
+    miss = f0[:, 0] + (lin * probes[-1] - curv * probes[-1] ** 2).sum(axis=1) - vals[:, -1]
+    if np.any(curv < -tol) or np.any(np.abs(miss) > tol[:, 0]):
+        raise ContractError(f"integrand {F.tag!r} is not a separable concave quadratic in u on the box")
+    u_star = _box_argmax(lin, np.where(curv > tol, curv, 0.0), action_set)
+    return _accumulate(mu.weights * F(mu, u_star))
 
 
 def hamiltonian_sup_finite(
@@ -96,47 +123,37 @@ def hamiltonian_sup_finite(
     mu: EmpiricalPathMeasure,
     action_set,
     form: str = "esssup",
-    with_argmax: bool = False,
 ):
-    """sup over measurable control assignments of E[F(xi, a)] on a finite U.
+    """sup over measurable control assignments of E[F(xi, a)].
 
-    form="esssup": sum_i p_i max_u F(x_i, u).
-    form="maps":   enumerate all maps a: supp(mu) -> U (lex order, ties to the
-                   lexicographically smallest map).
-    form="mt":     brute force over the measurable-assignment class, realized
-                   as the same enumeration walked in reversed action order (on
-                   finite supports the class collapses to the maps).
-    All three coincide exactly.
+    form="esssup": sum_i p_i sup_u F(x_i, u), on a finite U or a box.
+    form="maps":   enumerate all maps a: supp(mu) -> U of a finite U, on a
+                   finite support all the measurable assignments.
+    Both coincide exactly.
     """
     if F.nu_dependent:
         raise ConfigurationError(
             "deterministic Hamiltonian forms need a nu-free integrand; "
             "use hamiltonian_sup_randomized"
         )
-    if form not in ("esssup", "maps", "mt"):
+    if form not in ("esssup", "maps"):
         raise DomainError(f"unknown Hamiltonian form {form!r}")
+    if form == "esssup":
+        return _esssup(F, mu, action_set)
+
     actions = np.atleast_2d(np.asarray(action_set.points, dtype=float))
     k, q = mu.n_atoms, actions.shape[0]
-    if form == "esssup":
-        value = _esssup(F, mu, actions)
-        return (value, None) if with_argmax else value
-
     if q**k > ENUMERATION_CAP:
         raise CapacityError(
             f"map enumeration needs {q}^{k} evaluations",
             suggestion="use form='esssup'",
         )
     vals = _atom_action_values(F, mu, actions)
-    index_ranges = [range(q)] * k if form == "maps" else [range(q - 1, -1, -1)] * k
     best = -math.inf
-    best_map = None
-    for assignment in itertools.product(*index_ranges):
+    for assignment in itertools.product(range(q), repeat=k):
         value = _accumulate(vals[i, assignment[i]] for i in range(k))
         if value > best:
             best = value
-            best_map = assignment
-    if with_argmax:
-        return best, [actions[l] for l in best_map]
     return best
 
 
@@ -155,15 +172,14 @@ def hamiltonian_sup_randomized(
     integrand gains nothing from randomizing: its supremum is the per-atom
     esssup, taken without enumerating.
     """
-    actions = np.atleast_2d(np.asarray(action_set.points, dtype=float))
-    k, q = mu.n_atoms, actions.shape[0]
-    if grid_weights is None:
-        grid_weights = np.full(q, 1.0 / q)
-    w = np.asarray(grid_weights, dtype=float)
-    if abs(w.sum() - 1.0) > 1e-12 or np.any(w < 0):
+    w = None if grid_weights is None else np.asarray(grid_weights, dtype=float)
+    if w is not None and (abs(w.sum() - 1.0) > 1e-12 or np.any(w < 0)):
         raise ConfigurationError("randomization grid weights must be a probability vector")
     if not F.nu_dependent:
-        return _esssup(F, mu, actions)
+        return _esssup(F, mu, action_set)
+    actions = np.atleast_2d(np.asarray(action_set.points, dtype=float))
+    k, q = mu.n_atoms, actions.shape[0]
+    w = np.full(q, 1.0 / q) if w is None else w
     g = w.size
     if q ** (k * g) > ENUMERATION_CAP:
         raise CapacityError(
@@ -190,8 +206,6 @@ def hamiltonian_sup_randomized(
 class InvestmentHamiltonian:
     u_star: HilbertVec
     value: float
-    interior: bool
-    unconstrained_value: float | None
 
 
 def investment_hamiltonian_closed_form(
@@ -207,8 +221,7 @@ def investment_hamiltonian_closed_form(
 
     With diagonal positive M the objective separates across coordinates, so
     the unconstrained maximizer u* = (1/2) M^{-1} (e^{rt} C* p - a2) projects
-    onto the box coordinatewise.  When the projection is inactive the optimal
-    value equals e^{-rt} <M u*, u*>.  The state-linear reward weight of the
+    onto the box coordinatewise.  The state-linear reward weight of the
     investment cost does not enter the maximization over u, so it is no
     argument.
     """
@@ -216,9 +229,7 @@ def investment_hamiltonian_closed_form(
         raise DomainError("M must have strictly positive eigenvalues")
     disc = math.exp(-r * t)
     q_vec = math.exp(r * t) * (C.eigenvalues * p.coords) - a2.coords
-    u_unc = 0.5 * q_vec / M.eigenvalues
-    u_star = box.clip(u_unc)
-    interior = bool(np.allclose(u_star, u_unc, atol=0.0, rtol=0.0))
+    u_star = _box_argmax(q_vec, M.eigenvalues, box)
 
     def objective(u):
         return float(
@@ -226,10 +237,7 @@ def investment_hamiltonian_closed_form(
             - disc * (np.dot(a2.coords, u) + np.dot(M.eigenvalues * u, u))
         )
 
-    unconstrained_value = (
-        disc * float(np.dot(M.eigenvalues * u_unc, u_unc)) if interior else None
-    )
-    return InvestmentHamiltonian(HilbertVec(u_star), objective(u_star), interior, unconstrained_value)
+    return InvestmentHamiltonian(HilbertVec(u_star), objective(u_star))
 
 
 # ---------------------------------------------------------------------------

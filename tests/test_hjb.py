@@ -28,6 +28,7 @@ from pathmkv.measure import (
     stopped_measure,
     wasserstein2_controls,
 )
+from pathmkv.models import make_controlled_linear
 from pathmkv.paths import TimeGrid, constant_path
 from pathmkv.sde import InitialLaw, ModelSpec, constant_initial, integrate
 from pathmkv.control import reward
@@ -60,7 +61,7 @@ def test_single_atom_all_forms_are_max():
     mu = measure_from_paths([constant_path(GRID, [2.0])])
     F = terminal_linear_integrand()
     actions = FiniteActionSet([[-1.0], [0.5], [1.0]])
-    for form in ("esssup", "maps", "mt"):
+    for form in ("esssup", "maps"):
         assert hamiltonian_sup_finite(F, mu, actions, form=form) == 2.0
 
 
@@ -69,11 +70,10 @@ def test_two_atom_per_atom_choice_beats_constant_control():
     F = terminal_linear_integrand()
     actions = FiniteActionSet([[-1.0], [1.0]])
     val_ess = hamiltonian_sup_finite(F, mu, actions, form="esssup")
-    val_maps, argmax = hamiltonian_sup_finite(F, mu, actions, form="maps", with_argmax=True)
+    val_maps = hamiltonian_sup_finite(F, mu, actions, form="maps")
     assert val_ess == 1.0
     assert val_maps == 1.0
     # per-atom signs differ; a single constant control only reaches 0
-    assert argmax[0][0] == 1.0 and argmax[1][0] == -1.0
     const_vals = [float(mu.weights @ F(mu, np.full((2, 1), u))) for u in (-1.0, 1.0)]
     assert max(const_vals) == 0.0
 
@@ -82,7 +82,7 @@ def test_constant_integrand_returns_constant():
     mu = two_sign_measure()
     F = HamiltonianIntegrand(lambda xs, u, nu: np.full(xs.n_atoms, 3.25), tag="const")
     actions = FiniteActionSet([[0.0], [1.0]])
-    for form in ("esssup", "maps", "mt"):
+    for form in ("esssup", "maps"):
         assert hamiltonian_sup_finite(F, mu, actions, form=form) == 3.25
 
 
@@ -99,9 +99,9 @@ def test_three_forms_exactly_equal_on_random_instances():
         F = table_integrand(rng.normal(size=(k, q)), actions)
         vals = [
             hamiltonian_sup_finite(F, mu, actions, form=f)
-            for f in ("esssup", "maps", "mt")
+            for f in ("esssup", "maps")
         ]
-        assert vals[0] == vals[1] == vals[2]
+        assert vals[0] == vals[1]
 
 
 def test_capacity_error_suggests_esssup():
@@ -191,7 +191,7 @@ def test_finite_forms_call_the_integrand_once_per_action_on_all_atoms():
         return xs.values_now[:, 0] * u[:, 0] - u[:, 1] ** 2
 
     F = HamiltonianIntegrand(F_fn)
-    for form in ("esssup", "maps", "mt"):
+    for form in ("esssup", "maps"):
         calls.clear()
         hamiltonian_sup_finite(F, mu, actions, form=form)
         assert len(calls) == q
@@ -275,8 +275,6 @@ def test_investment_hamiltonian_scalar_case():
     )
     assert res.u_star.coords[0] == pytest.approx(1.0)
     assert res.value == pytest.approx(1.0)
-    assert res.interior
-    assert res.unconstrained_value == pytest.approx(1.0)
 
 
 def test_investment_rejects_nonpositive_m():
@@ -359,6 +357,80 @@ def test_investment_matches_grid_and_projected_gradient():
     u_pg = _projected_gradient(p_all, disc_all, a2_all, c_all, m_all, -2.0, 2.0)
     for k_inst, us in enumerate(u_star):
         assert np.abs(u_pg[k_inst, : len(us)] - us).max() < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Box supremum
+
+
+def test_box_esssup_lies_within_the_grid_bound_on_random_concave_quadratics():
+    rng = np.random.default_rng(11)
+    n_grid = 2001
+    for _ in range(60):
+        m, k = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        const, lin = rng.normal(size=k), rng.normal(size=(k, m))
+        curv = rng.uniform(0.0, 2.0, (k, m))
+        curv[rng.random((k, m)) < 0.25] = 0.0  # coordinates linear in u
+        lo, hi = -rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, m)
+        w = rng.uniform(0.2, 1.0, k)
+        w /= w.sum()
+        mu = EmpiricalPathMeasure(GRID, rng.normal(size=(k, GRID.steps + 1, 1)), w)
+        F = HamiltonianIntegrand(
+            lambda xs, u, nu: const + (lin * u - curv * u**2).sum(axis=1), tag="quadratic"
+        )
+        got = hamiltonian_sup_finite(F, mu, BoxActionSet(lo, hi))
+        # separable: per atom and coordinate, the best of a 2001-point grid
+        g = np.linspace(lo, hi, n_grid)
+        per_coord = (lin[:, None, :] * g - curv[:, None, :] * g**2).max(axis=1)
+        v_grid = float(w @ (const + per_coord.sum(axis=1)))
+        du = (hi - lo) / (n_grid - 1)
+        curvature_bound = float(w @ (curv * (du / 2) ** 2).sum(axis=1))
+        assert got >= v_grid - 1e-12
+        assert got - v_grid <= curvature_bound + 1e-12
+
+
+@pytest.mark.parametrize(
+    "tag, fn",
+    [
+        ("cubic", lambda xs, u, nu: (u**3).sum(axis=1)),
+        ("convex", lambda xs, u, nu: (u**2).sum(axis=1)),
+        ("cross", lambda xs, u, nu: -(u**2).sum(axis=1) + u[:, 0] * u[:, 1]),
+    ],
+)
+def test_box_esssup_refuses_integrands_that_are_not_separable_concave_quadratics(tag, fn):
+    box = BoxActionSet([-1.0, -1.0], [1.0, 1.0])
+    with pytest.raises(ContractError, match=tag):
+        hamiltonian_sup_finite(HamiltonianIntegrand(fn, tag=tag), two_sign_measure(), box)
+
+
+def test_esssup_refuses_an_action_set_neither_finite_nor_a_box():
+    class Ball:
+        radius = 1.0
+
+    F = terminal_linear_integrand()
+    with pytest.raises(ContractError, match="Ball"):
+        hamiltonian_sup_finite(F, two_sign_measure(), Ball())
+    with pytest.raises(ContractError, match="Ball"):
+        hamiltonian_sup_randomized(F, two_sign_measure(), Ball())
+
+
+def test_box_esssup_of_an_investment_integrand_matches_the_closed_form():
+    rng = np.random.default_rng(5)
+    mu = measure_from_paths([constant_path(GRID, [0.0])])
+    for _ in range(50):
+        m = int(rng.integers(1, 4))
+        p, a2 = rng.normal(size=m), rng.normal(size=m)
+        c_diag, m_diag = rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, m)
+        t, r = rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.2)
+        box = BoxActionSet(-2.0 * np.ones(m), 2.0 * np.ones(m))
+        want = investment_hamiltonian_closed_form(
+            HilbertVec(p), t, r, HilbertVec(a2), diag_op(c_diag), diag_op(m_diag), box
+        ).value
+        F = HamiltonianIntegrand(
+            lambda xs, u, nu: _investment_objective(u[0], p, t, r, a2, c_diag, m_diag) * np.ones(1),
+            tag="investment",
+        )
+        assert hamiltonian_sup_finite(F, mu, box) == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -567,3 +639,9 @@ def test_hjb_reads_the_law_stopped_at_t_like_integrate():
     rep = hjb_residual(w, model, t, mu, FiniteActionSet([[0.0]]))
     assert rep.hamiltonian == pytest.approx(float(via_integrate.mean()), rel=1e-12)
     assert rep.residual == pytest.approx(float(via_integrate.mean()), rel=1e-12)
+
+
+def test_hjb_residual_takes_the_box_supremum_of_a_control_linear_model():
+    model = make_controlled_linear(GRID, c=1.0, s0=0.3)
+    rep = hjb_residual(linear_mean(1), model, 0.5, two_sign_measure(), BoxActionSet([-1.0], [1.0]))
+    assert rep.hamiltonian == 1.0  # F = u, so each atom takes u = 1
