@@ -4,9 +4,10 @@ The config is a JSON file validated against the schema below; unknown keys
 are rejected with their dotted path.  All times are in model time units, the
 horizon T and every split time included.  Each subcommand writes report.json
 (and any CSV exports) into the output directory and exits 0 iff every pass
-flag is true; schema violations exit 2 and numeric blow-ups exit 3.  All
-randomness flows from the single root seed, so rerunning a config reproduces
-every numeric field bit for bit (the wall_time_s field is the one exception).
+flag is true; schema and bound violations, and domain errors the runners
+raise, exit 2 and numeric blow-ups exit 3.  All randomness flows from the
+single root seed, so rerunning a config reproduces every numeric field bit for
+bit (the wall_time_s field is the one exception).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .acceptance import (
     run_yosida,
 )
 from .acceptance import _run_investment  # noqa: F401  bench/tracer.py resolves and wraps it here
-from .errors import ConfigurationError, IntegrationBlowupError, NonConvergenceError
+from .errors import ConfigurationError, DomainError, IntegrationBlowupError, NonConvergenceError
 
 # Subcommand -> runner; each runner returns a JSON-ready dict with a "pass" flag.
 SUBCOMMANDS = {
@@ -52,122 +53,138 @@ SUBCOMMANDS = {
     "suite": run_suite,
 }
 
-# Schema: key -> (type or nested dict, required).  Times are in model time
-# units; seeds are integers in [0, SEED_LIMIT); particle counts are
-# dimensionless.
+NUMBER = (int, float)
+
+
+def _is(value, types) -> bool:
+    """isinstance, except that a bool (an int subclass) passes only where
+    `types` names bool."""
+    types = types if isinstance(types, tuple) else (types,)
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+
+
+# Bounds: bound(value, cfg) returns what the value breaks, or None.
+
+
+def at_least(n):
+    return lambda v, cfg: None if v >= n else f"must be >= {n}"
+
+
+def positive(v, cfg):
+    return None if v > 0 else "must be > 0"
+
+
+def seed_range(v, cfg):
+    # Seeds key the Philox streams as uint64 words, and the runners derive
+    # seeds up to seed + 1000 + n_seeds from the root one: all fit below 2**63.
+    return None if 0 <= v < 2**63 else "must lie in [0, 2**63)"
+
+
+def in_horizon(v, cfg):
+    T = cfg.get("grid", DEFAULT_CONFIG["grid"])["T"]
+    return None if 0 <= v <= T else f"must lie in [0, {T}]"
+
+
+def entries(kind=None, bound=None, least=1):
+    """A list of at least `least` entries, each of type `kind` (any type when
+    None) within `bound`."""
+
+    def check(v, cfg):
+        if len(v) < least:
+            return f"must list {least} or more entries"
+        for x in v:
+            if kind is not None and not _is(x, kind):
+                return f"must list entries of type {kind}, got {x!r}"
+            if bound is not None and (broken := bound(x, cfg)):
+                return f"entry {x!r} {broken}"
+
+    return check
+
+
+# Schema: key -> nested dict, or (type, bound or None[, required]); "*" stands
+# for any key.  Times are in model time units and lie in [0, grid.T]; particle
+# counts are dimensionless.
 CONFIG_SCHEMA = {
-    "model": (
-        {"tag": (str, True), "params": (dict, False)},
-        False,
-    ),
-    "grid": ({"T": ((int, float), True), "steps": (int, True)}, False),
-    "particles": (int, False),
-    "seed": (int, False),
-    "initial": (
-        {
-            "kind": (str, True),
-            "value": (list, False),
-            "mean": ((int, float), False),
-            "std": ((int, float), False),
-            "a": ((int, float), False),
-            "b": ((int, float), False),
-            "scale": ((int, float), False),
+    "model": {
+        "tag": (str, None, True),
+        "params": {  # each a number or a list of numbers
+            "*": ((*NUMBER, list), lambda v, cfg: entries(NUMBER)(v, cfg) if isinstance(v, list) else None),
         },
-        False,
-    ),
-    "simulate": ({"t0": ((int, float), False), "export_paths": (bool, False)}, False),
-    "picard": (
-        {
-            "tol": ((int, float), False),
-            "max_iter": (int, False),
-            "window": ((int, float, type(None)), False),
-        },
-        False,
-    ),
-    "yosida": ({"ladder": (list, False)}, False),
-    "particles_converge": (
-        {"rungs": (list, False), "n_seeds": (int, False), "projections": (int, False)},
-        False,
-    ),
-    "wasserstein": (
-        {
-            "n_instances": (int, False),
-            "n_triples": (int, False),
-            "max_atoms": (int, False),
-        },
-        False,
-    ),
-    "ito": (
-        {
-            "t": ((int, float), False),
-            "s": ((int, float), False),
-            "dt_coeff": ((int, float), False),
-            "functionals": (list, False),
-        },
-        False,
-    ),
-    "deriv": ({"eps": ((int, float), False), "n_atoms": (int, False)}, False),
-    "dpp": (
-        {
-            "t0": ((int, float), False),
-            "split_times": (list, False),
-            "family": (list, False),
-        },
-        False,
-    ),
-    "law": ({"n_particles": (int, False), "families": (list, False)}, False),
-    "hjb": ({"times": (list, False)}, False),
-    "hamiltonian": (
-        {"n_instances": (int, False), "max_atoms": (int, False), "max_actions": (int, False)},
-        False,
-    ),
-}
-
-# Seeds key the Philox streams as unsigned 64-bit words, and the runners derive
-# seeds up to seed + 1000 + n_seeds from the root one; below 2**63 all of them fit.
-SEED_LIMIT = 2**63
-
-# Lower bounds on numeric keys, by dotted path.
-CONFIG_MINIMA = {
-    "particles": 1,
-    "seed": 0,
-    "grid.steps": 1,
-    "picard.max_iter": 1,
-    "particles_converge.projections": 1,
-    "particles_converge.n_seeds": 1,
-    "wasserstein.n_instances": 1,
-    "wasserstein.max_atoms": 2,
-    "deriv.n_atoms": 1,
-    "hamiltonian.n_instances": 1,
-    "hamiltonian.max_atoms": 1,
-    "hamiltonian.max_actions": 1,
+    },
+    "grid": {"T": (NUMBER, positive, True), "steps": (int, at_least(1), True)},
+    "particles": (int, at_least(1)),
+    "seed": (int, seed_range),
+    "initial": {
+        "kind": (str, None, True),
+        "value": (list, entries(NUMBER)),
+        "mean": (NUMBER, None),
+        "std": (NUMBER, None),
+        "a": (NUMBER, None),
+        "b": (NUMBER, None),
+        "scale": (NUMBER, None),
+    },
+    "simulate": {"t0": (NUMBER, in_horizon), "export_paths": (bool, None)},
+    "picard": {
+        "tol": (NUMBER, positive),
+        "max_iter": (int, at_least(1)),
+        "window": ((*NUMBER, type(None)), lambda v, cfg: None if v is None else positive(v, cfg)),
+    },
+    "yosida": {"ladder": (list, entries(NUMBER, positive))},
+    "particles_converge": {
+        "rungs": (list, entries(int, at_least(2), least=2)),  # the check compares successive rungs
+        "n_seeds": (int, at_least(1)),
+        "projections": (int, at_least(1)),
+    },
+    "wasserstein": {
+        "n_instances": (int, at_least(1)),
+        "n_triples": (int, at_least(1)),
+        "max_atoms": (int, at_least(2)),
+    },
+    "ito": {
+        "t": (NUMBER, in_horizon),
+        "s": (NUMBER, in_horizon),
+        "dt_coeff": (NUMBER, at_least(0)),
+        "functionals": (list, entries()),
+    },
+    "deriv": {"eps": (NUMBER, positive), "n_atoms": (int, at_least(1))},
+    "dpp": {
+        "t0": (NUMBER, in_horizon),
+        "split_times": (list, entries(NUMBER, in_horizon)),
+        "family": (list, None),
+    },
+    "law": {"n_particles": (int, at_least(2)), "families": (list, entries(list))},
+    "hjb": {"times": (list, entries(NUMBER, in_horizon))},
+    "hamiltonian": {
+        "n_instances": (int, at_least(1)),
+        "max_atoms": (int, at_least(1)),
+        "max_actions": (int, at_least(1)),
+    },
 }
 
 
-def validate_config(cfg, schema=None, path="") -> None:
+def validate_config(cfg, schema=None, path="", root=None) -> None:
+    """Check `cfg` against `schema`; bounds read the horizon from `root`, the
+    whole config.  Keys are checked in schema order, the grid before any time."""
     schema = CONFIG_SCHEMA if schema is None else schema
+    root = cfg if root is None else root
     if not isinstance(cfg, dict):
-        raise ConfigurationError(f"config{path or ' root'} must be an object")
-    for key, value in cfg.items():
+        raise ConfigurationError(f"config key {path!r} must be an object" if path else "config root must be an object")
+    order = list(schema)
+    for key in sorted(cfg, key=lambda k: order.index(k) if k in schema else len(order)):
         here = f"{path}.{key}" if path else key
-        if key not in schema:
+        spec = schema.get(key, schema.get("*"))
+        if spec is None:
             raise ConfigurationError(f"unknown config key {here!r}")
-        spec, _required = schema[key]
         if isinstance(spec, dict):
-            validate_config(value, spec, here)
-        elif not isinstance(value, spec) or (
-            # bool is an int subclass; it passes only where the schema names it
-            isinstance(value, bool) and bool not in (spec if isinstance(spec, tuple) else (spec,))
-        ):
+            validate_config(cfg[key], spec, here, root)
+        elif not _is(cfg[key], spec[0]):
             raise ConfigurationError(
-                f"config key {here!r} has type {type(value).__name__}, expected {spec}"
+                f"config key {here!r} has type {type(cfg[key]).__name__}, expected {spec[0]}"
             )
-        elif here in CONFIG_MINIMA and value < CONFIG_MINIMA[here]:
-            raise ConfigurationError(f"config key {here!r} must be >= {CONFIG_MINIMA[here]}, got {value}")
-        elif here == "seed" and value >= SEED_LIMIT:
-            raise ConfigurationError(f"config key 'seed' must be < 2**63, got {value}")
-    for key, (spec, required) in schema.items():
-        if required and key not in cfg:
+        elif spec[1] is not None and (broken := spec[1](cfg[key], root)):
+            raise ConfigurationError(f"config key {here!r} {broken}, got {cfg[key]}")
+    for key, spec in schema.items():
+        if isinstance(spec, tuple) and spec[2:] == (True,) and key not in cfg:
             raise ConfigurationError(f"missing required config key {path + '.' + key if path else key!r}")
 
 
@@ -204,18 +221,14 @@ def run(subcommand: str, config_path: str | None, out_dir: str = ".",
             raise ConfigurationError(
                 f"unknown subcommand {subcommand!r}; known: {list(SUBCOMMANDS)}"
             )
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    os.makedirs(out_dir, exist_ok=True)
-    t0 = time.perf_counter()
-    try:
+        os.makedirs(out_dir, exist_ok=True)
+        t0 = time.perf_counter()
         results = SUBCOMMANDS[subcommand](cfg, out_dir)
     except IntegrationBlowupError as exc:
         print(f"numeric blow-up: {exc}", file=sys.stderr)
         return 3
-    except ConfigurationError as exc:
+    # a runner's DomainError is a model-dependent domain, e.g. a Yosida n <= eta
+    except (ConfigurationError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:

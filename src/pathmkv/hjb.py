@@ -141,7 +141,9 @@ def hamiltonian_sup_finite(
     if form == "esssup":
         return _esssup(F, mu, action_set)
 
-    actions = np.atleast_2d(np.asarray(action_set.points, dtype=float))
+    if not isinstance(action_set, FiniteActionSet):
+        raise ContractError(f"the map enumeration of {F.tag!r} needs a finite U, got {type(action_set).__name__}")
+    actions = action_set.points
     k, q = mu.n_atoms, actions.shape[0]
     if q**k > ENUMERATION_CAP:
         raise CapacityError(
@@ -177,7 +179,9 @@ def hamiltonian_sup_randomized(
         raise ConfigurationError("randomization grid weights must be a probability vector")
     if not F.nu_dependent:
         return _esssup(F, mu, action_set)
-    actions = np.atleast_2d(np.asarray(action_set.points, dtype=float))
+    if not isinstance(action_set, FiniteActionSet):
+        raise ContractError(f"the randomized enumeration of {F.tag!r} needs a finite U, got {type(action_set).__name__}")
+    actions = action_set.points
     k, q = mu.n_atoms, actions.shape[0]
     w = np.full(q, 1.0 / q) if w is None else w
     g = w.size

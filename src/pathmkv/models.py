@@ -204,5 +204,5 @@ def build_model(tag: str, grid: TimeGrid, **params) -> ModelSpec:
         )
     try:
         return MODEL_FACTORIES[tag](grid, **params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # a param of the wrong shape for the model
         raise ConfigurationError(f"bad parameters for model {tag!r}: {exc}") from exc

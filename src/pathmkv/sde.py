@@ -54,7 +54,7 @@ from .errors import (
     IntegrationBlowupError,
     NonConvergenceError,
 )
-from .hilbert import GENERATOR, SpaceSpec, SpectralOperator
+from .hilbert import GENERATOR, SpaceSpec, SpectralOperator, yosida
 from .measure import (
     EmpiricalControlMeasure,
     EmpiricalPathMeasure,
@@ -532,7 +532,6 @@ def integrate(
     seed: int = 0,
     noise: np.ndarray | None = None,
     t_end: float | None = None,
-    semigroup: SpectralOperator | None = None,
 ) -> ParticleEnsemble:
     """Run the interacting particle system from t0 to T (or t_end); the
     paths stay constant after t_end.
@@ -553,8 +552,7 @@ def integrate(
         raise DomainError(f"t_end {t_end} precedes t0 {t0}")
     dt = grid.dt
 
-    gen = model.A if semigroup is None else semigroup
-    exp_dt = np.exp(gen.eigenvalues * dt)
+    exp_dt = np.exp(model.A.eigenvalues * dt)
     controls = _exp_euler_steps(
         model, values, values, noise, j0, j_end, exp_dt, policy, randomizers
     )
@@ -591,13 +589,9 @@ def integrate_yosida(
     seed: int = 0,
     noise: np.ndarray | None = None,
 ) -> ParticleEnsemble:
-    """Same recursion with e^{dt*A} replaced by the Yosida semigroup e^{dt*A_n}."""
-    from .hilbert import yosida
-
-    a_n = yosida(model.A, n)
-    return integrate(
-        model, init, policy, t0, n_particles, seed, noise=noise, semigroup=a_n
-    )
+    """`integrate` on a copy of the model whose generator is the Yosida
+    approximation A_n: the recursion with e^{dt*A_n} for e^{dt*A}."""
+    return integrate(replace(model, A=yosida(model.A, n)), init, policy, t0, n_particles, seed, noise=noise)
 
 
 @dataclass

@@ -681,3 +681,66 @@ def test_hjb_candidate_key_is_unknown(tmp_path, capsys):
     assert run("hjb-residual", path, str(tmp_path / "out")) == 2
     assert "hjb.candidate" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out" / "report.json")
+
+
+@pytest.mark.parametrize(
+    "subcommand, payload, key",
+    [
+        ("picard", {"picard": {"tol": 0}}, "picard.tol"),
+        ("picard", {"picard": {"tol": -1e-3}}, "picard.tol"),
+        ("picard", {"picard": {"window": 0}}, "picard.window"),
+        ("picard", {"picard": {"window": -0.5}}, "picard.window"),
+        ("deriv-check", {"deriv": {"eps": 0}}, "deriv.eps"),
+        ("deriv-check", {"deriv": {"eps": -1e-5}}, "deriv.eps"),
+        ("simulate", {"simulate": {"t0": 5.0}}, "simulate.t0"),
+        ("simulate", {"simulate": {"t0": -1.0}}, "simulate.t0"),
+        ("yosida-converge", {"yosida": {"ladder": [-2]}}, "yosida.ladder"),
+        ("yosida-converge", {"yosida": {"ladder": ["a"]}}, "yosida.ladder"),
+        ("particles-converge", {"particles_converge": {"rungs": []}}, "particles_converge.rungs"),
+        ("particles-converge", {"particles_converge": {"rungs": ["a"]}}, "particles_converge.rungs"),
+        ("simulate", {"initial": {"kind": "constant", "value": ["a"]}}, "initial.value"),
+        ("simulate", {"model": {"tag": "ou", "params": {"a": "x"}}}, "model.params.a"),
+        ("simulate", {"model": {"tag": "controlled_linear", "params": {"actions": 3}}}, "model.params.actions"),
+        ("dpp-check", {"dpp": {"family": [{"kind": "constant", "u": ["a"]}]}}, "dpp.family"),
+        ("law-check", {"law": {"families": [[{"kind": "constant", "u": []}]]}}, "law.families"),
+    ],
+)
+def test_values_outside_a_key_bound_exit_2_naming_the_key(tmp_path, capsys, subcommand, payload, key):
+    path = write_cfg(tmp_path, {**tiny_cfg(), **payload})
+    assert run(subcommand, path, str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"'{key}'" in err
+    assert not os.path.exists(tmp_path / "out" / "report.json")
+
+
+def test_a_domain_error_from_the_model_exits_2(tmp_path, capsys):
+    # OU with a = 1 has eta = 1, so the Yosida index n = 0.5 is outside its domain
+    cfg = {**tiny_cfg(), "model": {"tag": "ou", "params": {"a": 1.0}}, "yosida": {"ladder": [0.5]}}
+    assert run("yosida-converge", write_cfg(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("config error: Yosida index must exceed eta")
+    assert not os.path.exists(tmp_path / "out" / "report.json")
+
+
+def _schema_leaves(schema, path=""):
+    for key, spec in schema.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(spec, dict):
+            yield from _schema_leaves(spec, here)
+        elif key != "*":
+            yield here
+
+
+def test_readme_config_table_names_every_schema_key():
+    from pathmkv.cli import CONFIG_SCHEMA
+
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        rows = {
+            line.split("|")[1].strip().strip("`"): line
+            for line in fh
+            if line.startswith("| `")
+        }
+    for leaf in _schema_leaves(CONFIG_SCHEMA):
+        top, *rest = leaf.split(".")
+        assert top in rows, leaf
+        assert all(f'"{name}"' in rows[top] for name in rest), leaf

@@ -645,3 +645,19 @@ def test_hjb_residual_takes_the_box_supremum_of_a_control_linear_model():
     model = make_controlled_linear(GRID, c=1.0, s0=0.3)
     rep = hjb_residual(linear_mean(1), model, 0.5, two_sign_measure(), BoxActionSet([-1.0], [1.0]))
     assert rep.hamiltonian == 1.0  # F = u, so each atom takes u = 1
+
+
+def test_map_enumeration_on_a_box_raises_contract_error_naming_a_finite_u():
+    mu = measure_from_paths([constant_path(GRID, [0.0])])
+    F = HamiltonianIntegrand(lambda xs, u, nu: -u[:, 0] ** 2, tag="-u^2")
+    box = BoxActionSet([-1.0], [1.0])
+    assert hamiltonian_sup_finite(F, mu, box) == 0.0
+    with pytest.raises(ContractError, match=r"'-u\^2' needs a finite U, got BoxActionSet"):
+        hamiltonian_sup_finite(F, mu, box, form="maps")
+
+
+def test_randomized_nu_dependent_enumeration_on_a_box_raises_contract_error_naming_a_finite_u():
+    mu = measure_from_paths([constant_path(GRID, [0.0])])
+    F = HamiltonianIntegrand(lambda xs, u, nu: -u[:, 0] ** 2, nu_dependent=True, tag="-u^2")
+    with pytest.raises(ContractError, match=r"'-u\^2' needs a finite U, got BoxActionSet"):
+        hamiltonian_sup_randomized(F, mu, BoxActionSet([-1.0], [1.0]))
