@@ -15,7 +15,6 @@ from .paths import PathGrid, TimeGrid, bump, stop, sup_norm, sup_seminorm
 from .measure import (
     EmpiricalControlMeasure,
     EmpiricalPathMeasure,
-    mean_at,
     stopped_measure,
     wasserstein2,
 )

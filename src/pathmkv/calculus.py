@@ -19,7 +19,6 @@ which the generator term of the formula vanishes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -504,21 +503,6 @@ class ItoReport:
     residual: float
     stderr: float
     passed: bool
-    dt: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "functional": self.functional,
-                "model": self.model,
-                "lhs": self.lhs,
-                "rhs": self.rhs,
-                "residual": self.residual,
-                "stderr": self.stderr,
-                "pass": self.passed,
-            },
-            sort_keys=True,
-        )
 
 
 # Nodes per block of the Ito quadrature, deliberately not configurable.  At
@@ -660,7 +644,7 @@ def ito_verify(
         residual = [a - b for a, b in zip(lhs, rhs)]
         stderr = float(np.std(residual[1:], ddof=1) / np.sqrt(n_batches))
         passed = abs(residual[0]) <= 3.0 * stderr + dt_coeff * grid.dt
-        reports.append(ItoReport(p.tag, tag, lhs[0], rhs[0], residual[0], stderr, passed, grid.dt))
+        reports.append(ItoReport(p.tag, tag, lhs[0], rhs[0], residual[0], stderr, passed))
     return reports[0] if single else reports
 
 

@@ -70,6 +70,10 @@ def at_least(n):
     return lambda v, cfg: None if v >= n else f"must be >= {n}"
 
 
+def at_most(n):
+    return lambda v, cfg: None if v <= n else f"must be <= {n}"
+
+
 def positive(v, cfg):
     return None if v > 0 else "must be > 0"
 
@@ -138,7 +142,8 @@ CONFIG_SCHEMA = {
     "wasserstein": {
         "n_instances": (int, at_least(1)),
         "n_triples": (int, at_least(1)),
-        "max_atoms": (int, at_least(2)),
+        # the brute force enumerates max_atoms! permutations: 9! is within hjb.ENUMERATION_CAP
+        "max_atoms": (int, lambda v, cfg: at_least(2)(v, cfg) or at_most(9)(v, cfg)),
     },
     "ito": {
         "t": (NUMBER, in_horizon),

@@ -14,7 +14,6 @@ family-monotonicity exact rather than statistical.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -266,11 +265,6 @@ class DppReport:
     stderr: float
     passed: bool
 
-    def to_json(self):
-        out = {k: getattr(self, k) for k in ("mode", "t0", "split_time", "lhs", "rhs", "gap", "stderr")}
-        out["pass"] = self.passed
-        return json.dumps(out, sort_keys=True)
-
 
 def _continuation_seed(seed: int, salt: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + salt + 1) % (2**63)
@@ -411,19 +405,6 @@ class LawInvarianceReport:
     stderr: float
     moment_gaps: dict
     per_family: list = field(default_factory=list)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "status": self.status,
-                "value_a": self.value_a,
-                "value_b": self.value_b,
-                "gap": self.gap,
-                "stderr": self.stderr,
-                "moment_gaps": self.moment_gaps,
-            },
-            sort_keys=True,
-        )
 
 
 def _moment_guard(init_a, init_b, grid, d, n, seeds):

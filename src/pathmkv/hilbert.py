@@ -17,9 +17,8 @@ from .errors import ConfigurationError, DomainError
 
 GENERATOR = "generator"
 BOUNDED = "bounded"
-HILBERT_SCHMIDT = "hilbert_schmidt"
 
-_KINDS = (GENERATOR, BOUNDED, HILBERT_SCHMIDT)
+_KINDS = (GENERATOR, BOUNDED)
 
 
 @dataclass(frozen=True)

@@ -174,10 +174,6 @@ def stopped_measure(mu: StoppedView, t: float) -> EmpiricalPathMeasure:
     return EmpiricalPathMeasure(mu.grid, stop_values(view._values, view.node), view._weights)
 
 
-def mean_at(mu: StoppedView, t: float) -> HilbertVec:
-    return mu.mean_at(t)
-
-
 def _sup_cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """c_ij = ||x_i - y_j||_T^2 = max over nodes of |x_i(s) - y_j(s)|^2 for
     path blocks x (n, nodes, d) and y (m, nodes, d); returns (n, m).

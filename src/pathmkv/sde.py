@@ -266,10 +266,9 @@ def _validate_model(model):
     rand = np.random.default_rng(0)
     grid, d = model.grid, model.space.d
     n = 3
-    m_nodes = grid.steps
 
-    for _ in range(4):  # sampled (node, pair) spot checks
-        j = int(rand.integers(1, m_nodes))
+    for _ in range(4):  # sampled (node, pair) spot checks; node 0 on a one-step grid
+        j = int(rand.integers(1, grid.steps)) if grid.steps > 1 else 0
         t = grid.time_at(j)
         u = _sample_action(model, rand, n)
         nu = None if u is None else EmpiricalControlMeasure(u)
@@ -470,7 +469,7 @@ def _recorded_args(grid: TimeGrid, values: np.ndarray, controls, j: int):
 
 
 def _exp_euler_steps(
-    model, values, law, noise, j0, j_end, exp_dt, policy=None, randomizers=None, controls=None
+    model, values, law, noise, j0, j_end, policy=None, randomizers=None, controls=None
 ):
     """Advance `values` in place from node j0 to node j_end by
 
@@ -485,6 +484,7 @@ def _exp_euler_steps(
     row at node j the coefficients then read; returns it.
     """
     grid, dt = model.grid, model.grid.dt
+    exp_dt = np.exp(model.A.eigenvalues * dt)
     for j in range(j0, j_end):
         t = grid.time_at(j)
         xs = StoppedView(grid, values, j)
@@ -552,10 +552,7 @@ def integrate(
         raise DomainError(f"t_end {t_end} precedes t0 {t0}")
     dt = grid.dt
 
-    exp_dt = np.exp(model.A.eigenvalues * dt)
-    controls = _exp_euler_steps(
-        model, values, values, noise, j0, j_end, exp_dt, policy, randomizers
-    )
+    controls = _exp_euler_steps(model, values, values, noise, j0, j_end, policy, randomizers)
 
     if j_end < grid.steps:
         values[:, j_end + 1 :, :] = values[:, j_end : j_end + 1, :]
@@ -636,7 +633,6 @@ def integrate_picard(
         raise DomainError("window must be positive")
     j0, values, noise, randomizers = _start(model, init, policy, t0, n_particles, seed)
     grid = model.grid
-    exp_dt = np.exp(model.A.eigenvalues * grid.dt)
     boundaries = [j0, grid.steps]
     if window is not None:
         step_nodes = max(1, int(round(window / grid.dt)))
@@ -649,17 +645,17 @@ def integrate_picard(
     all_gaps = []
     for a, b_node in zip(boundaries[:-1], boundaries[1:]):
         # Seed the window's law sequence with the semigroup skeleton (b = sigma = 0).
-        _exp_euler_steps(skeleton, values, values, noise, a, b_node, exp_dt)
+        _exp_euler_steps(skeleton, values, values, noise, a, b_node)
         prev[...] = values
         controls = _exp_euler_steps(
-            model, values, prev, noise, a, b_node, exp_dt, policy, randomizers, controls
+            model, values, prev, noise, a, b_node, policy, randomizers, controls
         )
         prev[...] = values
         gaps = []
         converged = False
         for _ in range(max_iter):
             _exp_euler_steps(
-                model, values, prev, noise, a, b_node, exp_dt, policy, randomizers, controls
+                model, values, prev, noise, a, b_node, policy, randomizers, controls
             )
             gap = float(np.sqrt(sup_seminorm_sq_distance(values, prev, b_node, a).mean()))
             gaps.append(gap)

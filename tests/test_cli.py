@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 import pathmkv.rng
-from pathmkv.acceptance import FLOW_MODELS, SUITE
+from pathmkv.acceptance import FLOW_MODELS, SUITE, check_block
 from pathmkv.cli import (
     DEFAULT_CONFIG,
     SUBCOMMANDS,
@@ -617,7 +617,7 @@ def test_dpp_family_builds_constant_and_uncontrolled_policies(tmp_path):
     reps = dpp_check(model, constant_initial([0.5]), [constant_policy([0.5]), None], 0.0, [0.5], 64, 7)
     checks = read_report(out)["results"]["checks"]
     assert [c["mode"] for c in checks] == ["family_inequality"]
-    assert checks == [json.loads(r.to_json()) for r in reps]
+    assert checks == [check_block(r) for r in reps]
 
 
 def test_law_families_build_uncontrolled_and_constant_policies(tmp_path):
@@ -703,6 +703,10 @@ def test_hjb_candidate_key_is_unknown(tmp_path, capsys):
         ("simulate", {"model": {"tag": "controlled_linear", "params": {"actions": 3}}}, "model.params.actions"),
         ("dpp-check", {"dpp": {"family": [{"kind": "constant", "u": ["a"]}]}}, "dpp.family"),
         ("law-check", {"law": {"families": [[{"kind": "constant", "u": []}]]}}, "law.families"),
+        ("wasserstein", {"wasserstein": {"max_atoms": 10, "n_instances": 1}}, "wasserstein.max_atoms"),
+        # the suite's weak-order criterion coarsens the grid by 8, 4 and 2
+        ("suite", {"grid": {"T": 1.0, "steps": 4}}, "grid.steps"),
+        ("suite", {"grid": {"T": 1.0, "steps": 12}}, "grid.steps"),
     ],
 )
 def test_values_outside_a_key_bound_exit_2_naming_the_key(tmp_path, capsys, subcommand, payload, key):
@@ -719,6 +723,23 @@ def test_a_domain_error_from_the_model_exits_2(tmp_path, capsys):
     assert run("yosida-converge", write_cfg(tmp_path, cfg), str(tmp_path / "out")) == 2
     assert capsys.readouterr().err.startswith("config error: Yosida index must exceed eta")
     assert not os.path.exists(tmp_path / "out" / "report.json")
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "picard", "ito-check", "dpp-check", "law-check"])
+def test_subcommands_run_on_a_one_step_grid(tmp_path, subcommand):
+    cfg = {**tiny_cfg(), "grid": {"T": 1.0, "steps": 1}}
+    assert run(subcommand, write_cfg(tmp_path, cfg), str(tmp_path / "out")) == 0
+    assert read_report(str(tmp_path / "out"))["subcommand"] == subcommand
+
+
+def test_yosida_reads_a_list_valued_a_from_the_built_model(tmp_path):
+    results = []
+    for a in (-1.0, [-1.0]):
+        cfg = {**tiny_cfg(), "model": {"tag": "ou", "params": {"a": a, "s0": 0.5}}}
+        out = str(tmp_path / f"out{len(results)}")
+        assert run("yosida-converge", write_cfg(tmp_path, cfg), out) == 0
+        results.append(read_report(out)["results"])
+    assert results[0] == results[1]
 
 
 def _schema_leaves(schema, path=""):
