@@ -4,11 +4,11 @@ for controlled path-dependent McKean-Vlasov SDEs on truncated Hilbert spaces."""
 __version__ = "0.1.0"
 
 from .hilbert import (
-    HilbertVec,
     SpaceSpec,
     SpectralOperator,
     adjoint_apply,
     semigroup_apply,
+    vector,
     yosida,
 )
 from .paths import PathGrid, TimeGrid, bump, stop, sup_norm, sup_seminorm

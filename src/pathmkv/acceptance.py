@@ -23,7 +23,7 @@ from .control import (
     law_invariance_check,
 )
 from .errors import ConfigurationError
-from .hilbert import GENERATOR, HilbertVec, SpaceSpec, SpectralOperator
+from .hilbert import SpaceSpec, SpectralOperator
 from .hjb import (
     ENUMERATION_CAP,
     HamiltonianIntegrand,
@@ -312,8 +312,8 @@ def run_ito(cfg, out_dir):
     grid = build_grid(cfg)
     t = float(icfg.get("t", 0.0))
     s = float(icfg.get("s", grid.T))
-    if s < t:
-        raise ConfigurationError(f"config key 'ito.s' must not precede ito.t = {t}, got {s}")
+    if grid.node(s) <= grid.node(t):
+        raise ConfigurationError(f"config key 'ito.s' must lie on a later grid node than ito.t = {t}, got {s}")
     dt_coeff = float(icfg.get("dt_coeff", 10.0))
     n = cfg["particles"]
     n_batches = 8  # standard-error batches; each needs at least one particle
@@ -569,7 +569,7 @@ def _linear_value_model(grid, a, beta, s0, c, q):
     return ModelSpec(
         space=space,
         grid=grid,
-        A=SpectralOperator([a], kind=GENERATOR),
+        A=SpectralOperator([a]),
         drift=lambda t, xs, mu, u, nu: np.full((xs.n, 1), beta),
         diffusion=models._constant_diffusion(s0, 1),
         running_cost=lambda t, xs, mu, u, nu: c * xs.values_now[:, 0],
@@ -627,10 +627,10 @@ def _run_investment(cfg):
         rr = float(r.uniform(0.0, 0.2))
         lo, hi = -2.0 * np.ones(m), 2.0 * np.ones(m)
         res = investment_hamiltonian_closed_form(
-            HilbertVec(p),
+            p,
             t,
             rr,
-            HilbertVec(a2),
+            a2,
             SpectralOperator(c_diag),
             SpectralOperator(m_diag),
             BoxActionSet(lo, hi),
@@ -648,7 +648,7 @@ def _run_investment(cfg):
         bound = float((disc * m_diag).sum()) * (du / 2) ** 2
         worst_grid_excess = max(worst_grid_excess, abs(res.value - v_grid) - bound)
         step = 1.0 / (4.0 * disc * m_diag.max())
-        parts.append((p, a2, c_diag, m_diag, np.full(m, disc), np.full(m, step), res.u_star.coords))
+        parts.append((p, a2, c_diag, m_diag, np.full(m, disc), np.full(m, step), res.u_star))
     p, a2, c_diag, m_diag, disc, step, u_star = (np.concatenate(col) for col in zip(*parts))
     # projected gradient on the box [-2, 2]^m of every instance at once; each
     # update is elementwise, so every coordinate follows its own instance's run

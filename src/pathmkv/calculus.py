@@ -29,7 +29,7 @@ from .errors import (
     DomainError,
     UnsupportedFunctionalError,
 )
-from .hilbert import GENERATOR, HilbertVec, SpaceSpec, SpectralOperator
+from .hilbert import SpaceSpec, SpectralOperator, vector
 from .measure import EmpiricalPathMeasure, StoppedView, stopped_measure
 from .paths import PathGrid, bump
 from .sde import InitialLaw, ModelSpec, _recorded_args, integrate
@@ -119,9 +119,9 @@ class LiftedSample:
         # Phi(t, xi) = phi(t, P_xi) is structural and bit-exact.
         return phi.eval(t, self.measure)
 
-    def bumped(self, t: float, h: HilbertVec, scale: float = 1.0) -> "LiftedSample":
+    def bumped(self, t: float, h: np.ndarray, scale: float = 1.0) -> "LiftedSample":
         atom = self.measure.atom_path(self.index)
-        new = bump(atom, t, scale * h)
+        new = bump(atom, t, scale * vector(h, atom.dim))
         return LiftedSample(self.measure.replace_atom(self.index, new), self.index)
 
 
@@ -342,7 +342,7 @@ def measure_derivative_discrete(
     t: float,
     mu: EmpiricalPathMeasure,
     i: int,
-    h: HilbertVec,
+    h: np.ndarray,
     eps: float | None = None,
     richardson: bool = False,
 ) -> float:
@@ -354,7 +354,7 @@ def measure_derivative_discrete(
     if eps <= 0:
         raise DomainError("eps must be positive")
     base = phi.eval(t, mu)
-    p_i = mu.weights[i]
+    p_i, h = mu.weights[i], vector(h, mu.dim)
 
     def one_sided(e):
         bumped = bump(mu.atom_path(i), t, e * h)
@@ -378,9 +378,8 @@ def measure_derivative_field(
     out = np.empty((mu.n_atoms, d))
     for i in range(mu.n_atoms):
         for k in range(d):
-            e_k = HilbertVec(np.eye(d)[k])
             out[i, k] = measure_derivative_discrete(
-                phi, t, mu, i, e_k, eps=eps, richardson=richardson
+                phi, t, mu, i, np.eye(d)[k], eps=eps, richardson=richardson
             )
     return out
 
@@ -409,7 +408,7 @@ def second_derivative(
     def grad_at(measure):
         return np.array(
             [
-                measure_derivative_discrete(phi, t, measure, x_index, HilbertVec(basis[l]), eps=eps)
+                measure_derivative_discrete(phi, t, measure, x_index, basis[l], eps=eps)
                 for l in range(d)
             ]
         )
@@ -417,7 +416,7 @@ def second_derivative(
     g0 = grad_at(mu)
     mat = np.empty((d, d))
     for k in range(d):
-        bumped = bump(mu.atom_path(x_index), t, eps * HilbertVec(basis[k]))
+        bumped = bump(mu.atom_path(x_index), t, eps * basis[k])
         g1 = grad_at(mu.replace_atom(x_index, bumped))
         mat[:, k] = (g1 - g0) / eps
     return SecondDerivative(mat, 0.5 * (mat + mat.T))
@@ -442,7 +441,7 @@ def ito_process(grid, F=None, G=None, tag: str = "ito_process", d: int = 1) -> M
     return ModelSpec(
         space=SpaceSpec(d),
         grid=grid,
-        A=SpectralOperator(np.zeros(d), kind=GENERATOR),
+        A=SpectralOperator(np.zeros(d)),
         drift=lift(F),
         diffusion=lift(G),
         lipschitz=math.inf,

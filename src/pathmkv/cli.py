@@ -151,13 +151,14 @@ CONFIG_SCHEMA = {
         "dt_coeff": (NUMBER, at_least(0)),
         "functionals": (list, entries()),
     },
-    "deriv": {"eps": (NUMBER, positive), "n_atoms": (int, at_least(1))},
+    # one atom has p_i = 1, so the one-sided FD error eps * p_i of mean_squared meets the gate eps
+    "deriv": {"eps": (NUMBER, positive), "n_atoms": (int, at_least(2))},
     "dpp": {
         "t0": (NUMBER, in_horizon),
         "split_times": (list, entries(NUMBER, in_horizon)),
         "family": (list, None),
     },
-    "law": {"n_particles": (int, at_least(2)), "families": (list, entries(list))},
+    "law": {"n_particles": (int, at_least(2)), "families": (list, entries(list, entries()))},
     "hjb": {"times": (list, entries(NUMBER, in_horizon))},
     "hamiltonian": {
         "n_instances": (int, at_least(1)),

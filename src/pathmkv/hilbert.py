@@ -1,24 +1,21 @@
 """Truncated Hilbert-space linear algebra.
 
 The state space H and the noise space K are truncated to finite orthonormal
-bases (d and dK coordinates).  All operators are diagonal in the common basis,
-which keeps semigroup actions, adjoints and Yosida approximations exact and
-cheap: everything reduces to componentwise scalar arithmetic on eigenvalue
-vectors.
+bases (d and dK coordinates), so a point of H is its (d,) coordinate array.
+All operators are diagonal in the common basis, which keeps semigroup
+actions, adjoints and Yosida approximations exact and cheap: everything
+reduces to componentwise scalar arithmetic on eigenvalue vectors.  Every
+diagonal operator generates the semigroup e^{tA}, with pseudo-contraction
+bound eta = lambda_max.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-
-GENERATOR = "generator"
-BOUNDED = "bounded"
-
-_KINDS = (GENERATOR, BOUNDED)
 
 
 @dataclass(frozen=True)
@@ -35,90 +32,54 @@ class SpaceSpec:
             raise ConfigurationError(f"space dimensions must be >= 1, got d={self.d}, dK={self.dK}")
 
 
-@dataclass(frozen=True)
-class HilbertVec:
-    """Coordinate vector against the fixed orthonormal basis e_1..e_d."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
-        if self.coords.ndim != 1:
-            raise ConfigurationError("HilbertVec coordinates must be a 1-d array")
-        self.coords.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-    def __mul__(self, scalar: float) -> "HilbertVec":
-        return HilbertVec(self.coords * float(scalar))
-
-    __rmul__ = __mul__
-
-
-def _check_dim(da, db):
-    if da != db:
-        raise ConfigurationError(f"dimension mismatch: {da} vs {db}")
+def vector(x, d: int) -> np.ndarray:
+    """x as a point of the d-dimensional truncation: a float (d,) array."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (d,):
+        raise ConfigurationError(f"expected a vector of shape ({d},), got shape {x.shape}")
+    return x
 
 
 @dataclass(frozen=True)
 class SpectralOperator:
     """Diagonal operator given by its eigenvalue vector in the common basis.
 
-    kind = "generator" marks (possibly unbounded in spirit) generators of a
-    pseudo-contraction semigroup ||e^{tA}|| <= e^{eta t}; eta is stored and
-    validated against the eigenvalues rather than silently recomputed.
+    It generates e^{tA} with ||e^{tA}|| <= e^{eta t}, where eta is the largest
+    eigenvalue (0.0 for an empty spectrum).
     """
 
     eigenvalues: np.ndarray
-    kind: str = BOUNDED
-    eta: float | None = field(default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
         if self.eigenvalues.ndim != 1:
             raise ConfigurationError("eigenvalues must be a 1-d array")
-        if self.kind not in _KINDS:
-            raise ConfigurationError(f"unknown operator kind {self.kind!r}")
         self.eigenvalues.setflags(write=False)
-        if self.kind == GENERATOR:
-            lam_max = float(self.eigenvalues.max()) if self.eigenvalues.size else 0.0
-            if self.eta is None:
-                object.__setattr__(self, "eta", lam_max)
-            elif self.eta < lam_max - 1e-12:
-                raise ConfigurationError(
-                    f"declared pseudo-contraction bound eta={self.eta} is below "
-                    f"the largest eigenvalue {lam_max}"
-                )
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
+    @property
+    def eta(self) -> float:
+        return float(self.eigenvalues.max()) if self.eigenvalues.size else 0.0
+
     def hilbert_schmidt_norm(self) -> float:
         return float(np.linalg.norm(self.eigenvalues))
 
-    def apply(self, x: HilbertVec) -> HilbertVec:
-        _check_dim(self.dim, x.dim)
-        return HilbertVec(self.eigenvalues * x.coords)
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.eigenvalues * vector(x, self.dim)
 
 
-def semigroup_apply(A: SpectralOperator, t: float, x: HilbertVec) -> HilbertVec:
+def semigroup_apply(A: SpectralOperator, t: float, x: np.ndarray) -> np.ndarray:
     """Apply e^{tA} to x, componentwise exp(lambda_k t) * x_k.
 
     Exact for diagonal generators, so the semigroup law and the
     pseudo-contraction bound |e^{tA}x| <= e^{eta t}|x| hold to rounding.
     """
-    if A.kind != GENERATOR:
-        raise ConfigurationError("semigroup_apply requires a generator operator")
     if t < 0:
         raise DomainError(f"semigroup time must be nonnegative, got {t}")
-    _check_dim(A.dim, x.dim)
-    return HilbertVec(np.exp(A.eigenvalues * t) * x.coords)
+    return np.exp(A.eigenvalues * t) * vector(x, A.dim)
 
 
 def yosida(A: SpectralOperator, n: float) -> SpectralOperator:
@@ -127,16 +88,12 @@ def yosida(A: SpectralOperator, n: float) -> SpectralOperator:
     Requires n > eta so n is in the resolvent set of the (diagonal) generator.
     The result is a bounded generator with its own pseudo-contraction bound.
     """
-    if A.kind != GENERATOR:
-        raise ConfigurationError("yosida requires a generator operator")
-    eta = A.eta if A.eta is not None else float(A.eigenvalues.max())
-    if n <= eta:
-        raise DomainError(f"Yosida index must exceed eta={eta}, got n={n}")
+    if n <= A.eta:
+        raise DomainError(f"Yosida index must exceed eta={A.eta}, got n={n}")
     lam = A.eigenvalues
-    lam_n = n * lam / (n - lam)
-    return SpectralOperator(lam_n, kind=GENERATOR)
+    return SpectralOperator(n * lam / (n - lam))
 
 
-def adjoint_apply(F: SpectralOperator, x: HilbertVec) -> HilbertVec:
+def adjoint_apply(F: SpectralOperator, x: np.ndarray) -> np.ndarray:
     """Apply F* to x.  Diagonal real operators are self-adjoint: F* x = F x."""
     return F.apply(x)

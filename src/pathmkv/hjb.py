@@ -37,7 +37,7 @@ from .errors import (
     ContractError,
     DomainError,
 )
-from .hilbert import HilbertVec, SpectralOperator
+from .hilbert import SpectralOperator, vector
 from .measure import EmpiricalControlMeasure, EmpiricalPathMeasure, StoppedView
 from .sde import ModelSpec
 
@@ -208,15 +208,15 @@ def hamiltonian_sup_randomized(
 
 @dataclass
 class InvestmentHamiltonian:
-    u_star: HilbertVec
+    u_star: np.ndarray
     value: float
 
 
 def investment_hamiltonian_closed_form(
-    p: HilbertVec,
+    p: np.ndarray,
     t: float,
     r: float,
-    a2: HilbertVec,
+    a2: np.ndarray,
     C: SpectralOperator,
     M: SpectralOperator,
     box,
@@ -231,17 +231,18 @@ def investment_hamiltonian_closed_form(
     """
     if np.any(M.eigenvalues <= 0):
         raise DomainError("M must have strictly positive eigenvalues")
+    p, a2 = vector(p, C.dim), vector(a2, C.dim)
     disc = math.exp(-r * t)
-    q_vec = math.exp(r * t) * (C.eigenvalues * p.coords) - a2.coords
+    q_vec = math.exp(r * t) * (C.eigenvalues * p) - a2
     u_star = _box_argmax(q_vec, M.eigenvalues, box)
 
     def objective(u):
         return float(
-            np.dot(C.eigenvalues * u, p.coords)
-            - disc * (np.dot(a2.coords, u) + np.dot(M.eigenvalues * u, u))
+            np.dot(C.eigenvalues * u, p)
+            - disc * (np.dot(a2, u) + np.dot(M.eigenvalues * u, u))
         )
 
-    return InvestmentHamiltonian(HilbertVec(u_star), objective(u_star))
+    return InvestmentHamiltonian(u_star, objective(u_star))
 
 
 # ---------------------------------------------------------------------------

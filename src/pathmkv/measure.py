@@ -21,7 +21,6 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import CapacityError, ConfigurationError, DomainError
-from .hilbert import HilbertVec
 from .paths import (
     PathGrid,
     TimeGrid,
@@ -88,8 +87,8 @@ class StoppedView:
     def _average(self, a: np.ndarray):
         return a.mean(axis=0) if self._weights is None else self._weights @ a
 
-    def mean_at(self, t: float) -> HilbertVec:
-        return HilbertVec(self._average(self.values_at(t)))
+    def mean_at(self, t: float) -> np.ndarray:
+        return self._average(self.values_at(t))
 
     def second_moment(self) -> float:
         """Integral of ||x||_t^2 at the current time, the squared S2-type size of the law."""

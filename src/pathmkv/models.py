@@ -20,13 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .hilbert import GENERATOR, SpaceSpec, SpectralOperator
+from .hilbert import SpaceSpec, SpectralOperator
 from .paths import TimeGrid
 from .sde import ModelSpec
-
-
-def generator_diag(lams) -> SpectralOperator:
-    return SpectralOperator(np.atleast_1d(np.asarray(lams, dtype=float)), kind=GENERATOR)
 
 
 def _constant_diffusion(s0: float, d: int):
@@ -46,7 +42,7 @@ def make_frozen(grid: TimeGrid, d: int = 1) -> ModelSpec:
     return ModelSpec(
         space=space,
         grid=grid,
-        A=generator_diag(np.zeros(d)),
+        A=SpectralOperator(np.zeros(d)),
         lipschitz=0.0,
         tag="frozen",
     )
@@ -57,7 +53,7 @@ def make_ou(grid: TimeGrid, a: float = -1.0, s0: float = 0.5, d: int = 1) -> Mod
     return ModelSpec(
         space=space,
         grid=grid,
-        A=generator_diag(np.full(d, a)),
+        A=SpectralOperator(np.full(d, a)),
         diffusion=_constant_diffusion(s0, d),
         lipschitz=abs(s0),
         tag="ou",
@@ -73,7 +69,7 @@ def make_ou_drift(grid: TimeGrid, kappa: float = 1.0, s0: float = 0.1, d: int = 
     return ModelSpec(
         space=space,
         grid=grid,
-        A=generator_diag(np.zeros(d)),
+        A=SpectralOperator(np.zeros(d)),
         drift=drift,
         diffusion=_constant_diffusion(s0, d),
         lipschitz=max(kappa, abs(s0)),
@@ -87,12 +83,12 @@ def make_meanfield_ou(
     space = SpaceSpec(d)
 
     def drift(t, xs, mu, u, nu):
-        return theta * (mu.mean_at(t).coords[None, :] - xs.values_now)
+        return theta * (mu.mean_at(t)[None, :] - xs.values_now)
 
     return ModelSpec(
         space=space,
         grid=grid,
-        A=generator_diag(np.zeros(d)),
+        A=SpectralOperator(np.zeros(d)),
         drift=drift,
         diffusion=_constant_diffusion(s0, d),
         lipschitz=max(theta, abs(s0)),
@@ -107,12 +103,12 @@ def make_meanfield_growth(grid: TimeGrid, theta: float = 1.0, s0: float = 0.0, d
     space = SpaceSpec(d)
 
     def drift(t, xs, mu, u, nu):
-        return np.broadcast_to(theta * mu.mean_at(t).coords, (xs.n, d)).copy()
+        return np.broadcast_to(theta * mu.mean_at(t), (xs.n, d)).copy()
 
     return ModelSpec(
         space=space,
         grid=grid,
-        A=generator_diag(np.zeros(d)),
+        A=SpectralOperator(np.zeros(d)),
         drift=drift,
         diffusion=_constant_diffusion(s0, d),
         lipschitz=max(abs(theta), abs(s0)),
@@ -145,14 +141,14 @@ def make_controlled_linear(
     return ModelSpec(
         space=space,
         grid=grid,
-        A=generator_diag(np.zeros(d)),
+        A=SpectralOperator(np.zeros(d)),
         drift=drift,
         diffusion=_constant_diffusion(s0, d),
         terminal_cost=terminal,
         lipschitz=abs(s0),
         actions=actions,
         growth_h=lambda w: float(np.linalg.norm(q)) + 1.0,
-        control_growth=abs(c),
+        control_growth=True,
         tag="controlled_linear",
     )
 
@@ -176,7 +172,7 @@ def make_quadratic_terminal(
     return ModelSpec(
         space=space,
         grid=grid,
-        A=generator_diag(np.full(d, a)),
+        A=SpectralOperator(np.full(d, a)),
         diffusion=_constant_diffusion(s0, d),
         running_cost=running_cost if running != 0.0 else None,
         terminal_cost=terminal,

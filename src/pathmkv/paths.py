@@ -3,8 +3,8 @@
 A path lives on a uniform grid t_j = j*T/M.  Times passed to any operation are
 snapped to the nearest grid node, after which stopping, bumping and the running
 sup-seminorm are exact (no interpolation).  Bumped paths stand in for the
-cadlag objects needed by vertical derivatives: a bump at node j means the new
-value holds from node j on.
+cadlag objects needed by vertical derivatives: a bump by a (d,) direction
+array at node j means the new value holds from node j on.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .hilbert import HilbertVec
+from .hilbert import vector
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,12 @@ def stop_values(values: np.ndarray, j: int) -> np.ndarray:
     return out
 
 
-def bump(x: PathGrid, t: float, h: HilbertVec) -> PathGrid:
-    """Add h to every node from the node of t onward (direction of a vertical derivative)."""
-    if h.dim != x.dim:
-        raise ConfigurationError(f"bump direction has dim {h.dim}, path has dim {x.dim}")
+def bump(x: PathGrid, t: float, h: np.ndarray) -> PathGrid:
+    """Add the (d,) direction h to every node from the node of t onward (the
+    direction of a vertical derivative)."""
     j = x.grid.node(t)
     out = x.values.copy()
-    out[j:, :] += h.coords
+    out[j:, :] += vector(h, x.dim)
     return PathGrid(x.grid, out)
 
 

@@ -54,7 +54,7 @@ from .errors import (
     IntegrationBlowupError,
     NonConvergenceError,
 )
-from .hilbert import GENERATOR, SpaceSpec, SpectralOperator, yosida
+from .hilbert import SpaceSpec, SpectralOperator, yosida
 from .measure import (
     EmpiricalControlMeasure,
     EmpiricalPathMeasure,
@@ -191,8 +191,9 @@ class ModelSpec:
     lipschitz is the declared constant of the coefficient assumptions (checked
     on sampled pairs with 5% slack); growth_h, when given, is the declared
     envelope h such that |f|, |g| <= h(W2(mu, delta_0)) (1 + ||x||_t^2).
-    control_growth switches the boundedness-in-u requirement to the unbounded
-    variant L(1 + |u|), which is accepted only for square-integrable policies.
+    control_growth = True switches the boundedness-in-u requirement to the
+    unbounded variant L(1 + |u|), which is accepted only for square-integrable
+    policies, and adds the policies' squared L2 norm to the a-priori bound.
     """
 
     space: SpaceSpec
@@ -205,13 +206,11 @@ class ModelSpec:
     lipschitz: float = 0.0
     actions: object = None
     growth_h: object = None
-    control_growth: float | None = None
+    control_growth: bool = False
     tag: str = "custom"
     _validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.A.kind != GENERATOR:
-            raise ConfigurationError("model operator A must be a generator")
         if self.A.dim != self.space.d:
             raise ConfigurationError(
                 f"A has dimension {self.A.dim}, state space has {self.space.d}"
@@ -433,7 +432,7 @@ def _start(model: ModelSpec, init: InitialLaw, policy, t0, n_particles, seed, no
     the initial sample, which may be a read-only view.
     """
     model.validate()
-    if model.control_growth is not None and policy is not None:
+    if model.control_growth and policy is not None:
         if not getattr(policy, "square_integrable", True):
             raise ConfigurationError(
                 "model declares unbounded control growth; the policy must declare "
@@ -562,7 +561,7 @@ def integrate(
     c = apriori_constant(model.lipschitz, model.eta, grid.T)
     xi_norm = float(np.sqrt(sup_seminorm_sq_values(values, j0).mean()))
     bound = 3.0 * c * (1.0 + xi_norm)
-    if model.control_growth is not None:
+    if model.control_growth:
         control_sq_sum = 0.0
         if controls is not None:
             for j in range(j0, j_end):

@@ -22,7 +22,7 @@ from pathmkv.control import (
     dpp_check,
     law_invariance_check,
 )
-from pathmkv.hilbert import HilbertVec, SpectralOperator
+from pathmkv.hilbert import SpectralOperator
 from pathmkv.hjb import (
     HamiltonianIntegrand,
     hamiltonian_sup_finite,
@@ -424,7 +424,7 @@ def test_criterion_13_investment_hamiltonian():
         rr = float(r.uniform(0.0, 0.2))
         lo, hi = -2.0 * np.ones(m), 2.0 * np.ones(m)
         res = investment_hamiltonian_closed_form(
-            HilbertVec(p), t, rr, HilbertVec(a2),
+            p, t, rr, a2,
             SpectralOperator(c_diag), SpectralOperator(m_diag), BoxActionSet(lo, hi),
         )
         disc = math.exp(-rr * t)
@@ -443,7 +443,7 @@ def test_criterion_13_investment_hamiltonian():
         c_all[k_inst, :m], m_all[k_inst, :m] = c_diag, m_diag
         disc_all[k_inst] = disc
         step_all[k_inst] = 1.0 / (4.0 * disc * m_diag.max())
-        u_star.append(res.u_star.coords)
+        u_star.append(res.u_star)
     # Every update is elementwise, so each instance's iterates are those of
     # its own 4000-step loop.
     u = np.zeros((n_inst, m_max))

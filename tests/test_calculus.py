@@ -34,7 +34,6 @@ from pathmkv.errors import (
     DomainError,
     UnsupportedFunctionalError,
 )
-from pathmkv.hilbert import HilbertVec
 from pathmkv.measure import EmpiricalPathMeasure, StoppedView, stopped_measure
 from pathmkv.models import make_ou
 from pathmkv.paths import TimeGrid
@@ -128,7 +127,7 @@ def test_measure_derivative_linear_functional():
     for _ in range(10):
         i = int(rng.integers(0, 6))
         hp = rng.normal(size=2)
-        got = measure_derivative_discrete(phi, 0.5, mu, i, HilbertVec(hp), eps=1e-6)
+        got = measure_derivative_discrete(phi, 0.5, mu, i, hp, eps=1e-6)
         assert got == pytest.approx(float(h @ hp), abs=1e-5)
 
 
@@ -139,14 +138,14 @@ def test_measure_derivative_mean_squared_chain_rule():
     t = 0.5
     m = float(mu.weights @ (mu.values_at(t) @ h))
     hp = np.array([0.3, -0.7])
-    got = measure_derivative_discrete(phi, t, mu, 1, HilbertVec(hp), eps=1e-6)
+    got = measure_derivative_discrete(phi, t, mu, 1, hp, eps=1e-6)
     assert got == pytest.approx(2 * m * float(h @ hp), abs=1e-5)
 
 
 def test_measure_derivative_constant_functional_is_zero():
     mu = random_measure(GRID, 1, 4, 11)
     phi = CylindricalFunctional(tag="const", eval_fn=lambda t, mu: 3.25)
-    got = measure_derivative_discrete(phi, 0.2, mu, 0, HilbertVec([1.0]), eps=1e-5)
+    got = measure_derivative_discrete(phi, 0.2, mu, 0, [1.0], eps=1e-5)
     assert got == 0.0
 
 
@@ -156,7 +155,7 @@ def test_measure_derivative_zero_weight_atom_rejected():
     mu = EmpiricalPathMeasure(g, atoms, np.array([1.0, 0.0]))
     phi = linear_mean([1.0])
     with pytest.raises(DomainError):
-        measure_derivative_discrete(phi, 0.5, mu, 1, HilbertVec([1.0]), eps=1e-5)
+        measure_derivative_discrete(phi, 0.5, mu, 1, [1.0], eps=1e-5)
 
 
 def test_field_matches_analytic_within_eps_and_richardson_improves():
@@ -220,7 +219,7 @@ def test_running_sup_sq_refuses_derivatives():
     phi = running_sup_sq()
     assert phi.eval(0.5, mu) > 0
     with pytest.raises(UnsupportedFunctionalError):
-        measure_derivative_discrete(phi, 0.5, mu, 0, HilbertVec([1.0]), eps=1e-5)
+        measure_derivative_discrete(phi, 0.5, mu, 0, [1.0], eps=1e-5)
     with pytest.raises(UnsupportedFunctionalError):
         second_derivative(phi, 0.5, mu, 0)
 
@@ -409,7 +408,7 @@ def test_single_node_fields_match_their_closed_forms_bit_for_bit():
 def test_lifted_sample_bump_machinery():
     mu = random_measure(GRID, 1, 4, 24)
     sample = LiftedSample(mu, 1)
-    bumped = sample.bumped(0.5, HilbertVec([1.0]), scale=0.1)
+    bumped = sample.bumped(0.5, [1.0], scale=0.1)
     j = GRID.node(0.5)
     gap = bumped.measure.atoms[1] - mu.atoms[1]
     assert np.all(gap[:j] == 0.0)

@@ -142,7 +142,7 @@ def _reference_run_investment(cfg):
     import numpy as np
 
     from pathmkv.control import BoxActionSet
-    from pathmkv.hilbert import HilbertVec, SpectralOperator
+    from pathmkv.hilbert import SpectralOperator
     from pathmkv.hjb import investment_hamiltonian_closed_form
 
     n_grid = 2001
@@ -159,10 +159,10 @@ def _reference_run_investment(cfg):
         rr = float(r.uniform(0.0, 0.2))
         lo, hi = -2.0 * np.ones(m), 2.0 * np.ones(m)
         res = investment_hamiltonian_closed_form(
-            HilbertVec(p),
+            p,
             t,
             rr,
-            HilbertVec(a2),
+            a2,
             SpectralOperator(c_diag),
             SpectralOperator(m_diag),
             BoxActionSet(lo, hi),
@@ -184,7 +184,7 @@ def _reference_run_investment(cfg):
         for _ in range(4000):
             grad = c_diag * p - disc * (a2 + 2.0 * m_diag * u)
             u = np.clip(u + step * grad, lo, hi)
-        worst_pg = max(worst_pg, float(np.abs(u - res.u_star.coords).max()))
+        worst_pg = max(worst_pg, float(np.abs(u - res.u_star).max()))
     ok = worst_grid_excess <= 0.0 and worst_pg <= 1e-8
     return {
         "pass": bool(ok),
@@ -707,6 +707,9 @@ def test_hjb_candidate_key_is_unknown(tmp_path, capsys):
         # the suite's weak-order criterion coarsens the grid by 8, 4 and 2
         ("suite", {"grid": {"T": 1.0, "steps": 4}}, "grid.steps"),
         ("suite", {"grid": {"T": 1.0, "steps": 12}}, "grid.steps"),
+        ("ito-check", {"ito": {"t": 0.5, "s": 0.5}}, "ito.s"),
+        ("deriv-check", {"deriv": {"n_atoms": 1}}, "deriv.n_atoms"),
+        ("law-check", {"law": {"families": [[]]}}, "law.families"),
     ],
 )
 def test_values_outside_a_key_bound_exit_2_naming_the_key(tmp_path, capsys, subcommand, payload, key):

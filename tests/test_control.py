@@ -21,7 +21,7 @@ from pathmkv.control import (
     reward,
 )
 from pathmkv.errors import ConfigurationError, DomainError
-from pathmkv.hilbert import GENERATOR, SpaceSpec, SpectralOperator
+from pathmkv.hilbert import SpaceSpec, SpectralOperator
 from pathmkv.measure import EmpiricalControlMeasure, StoppedView
 from pathmkv.models import (
     make_controlled_linear,
@@ -48,7 +48,7 @@ def flat_model(grid, f_const=0.0, g_const=0.0):
     return ModelSpec(
         space=space,
         grid=grid,
-        A=SpectralOperator([0.0], kind=GENERATOR),
+        A=SpectralOperator([0.0]),
         running_cost=(lambda t, xs, mu, u, nu: np.full(xs.n, f_const))
         if f_const
         else None,
@@ -105,7 +105,7 @@ def test_growth_envelope_violation_warns():
     model = ModelSpec(
         space=space,
         grid=grid,
-        A=SpectralOperator([0.0], kind=GENERATOR),
+        A=SpectralOperator([0.0]),
         terminal_cost=lambda xs, mu: np.full(xs.n, 100.0),
         lipschitz=0.0,
         growth_h=lambda w: 1.0,  # declares |g| <= 1 + ||x||^2, violated

@@ -3,20 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from pathmkv.control import BoxActionSet
 from pathmkv.errors import ConfigurationError, DomainError
 from pathmkv.hilbert import (
-    GENERATOR,
-    HilbertVec,
     SpaceSpec,
     SpectralOperator,
     adjoint_apply,
     semigroup_apply,
     yosida,
 )
+from pathmkv.hjb import investment_hamiltonian_closed_form
+from pathmkv.paths import TimeGrid, bump, zero_path
 
 
 def gen(lams):
-    return SpectralOperator(np.atleast_1d(lams), kind=GENERATOR)
+    return SpectralOperator(np.atleast_1d(lams))
 
 
 def test_space_spec_defaults_and_bounds():
@@ -28,22 +29,22 @@ def test_space_spec_defaults_and_bounds():
 
 def test_semigroup_identity_when_a_zero():
     A = gen(np.zeros(4))
-    x = HilbertVec([1.0, -2.0, 3.0, 0.5])
+    x = [1.0, -2.0, 3.0, 0.5]
     y = semigroup_apply(A, 5.0, x)
-    assert np.array_equal(y.coords, x.coords)
+    assert np.array_equal(y, x)
 
 
 def test_semigroup_scalar_exponential():
     A = gen([-1.0])
-    y = semigroup_apply(A, 1.0, HilbertVec([2.0]))
-    assert y.coords[0] == pytest.approx(2.0 * math.exp(-1.0), abs=1e-15)
-    assert y.coords[0] == pytest.approx(0.7357588823428847, abs=1e-12)
+    y = semigroup_apply(A, 1.0, [2.0])
+    assert y[0] == pytest.approx(2.0 * math.exp(-1.0), abs=1e-15)
+    assert y[0] == pytest.approx(0.7357588823428847, abs=1e-12)
 
 
 def test_semigroup_componentwise():
     A = gen([-1.0, -4.0])
-    y = semigroup_apply(A, 0.5, HilbertVec([1.0, 1.0]))
-    assert y.coords == pytest.approx([math.exp(-0.5), math.exp(-2.0)], abs=1e-15)
+    y = semigroup_apply(A, 0.5, [1.0, 1.0])
+    assert y == pytest.approx([math.exp(-0.5), math.exp(-2.0)], abs=1e-15)
 
 
 def test_semigroup_law_and_contraction_bound():
@@ -52,27 +53,40 @@ def test_semigroup_law_and_contraction_bound():
         d = rng.integers(1, 6)
         lams = rng.uniform(-3.0, 0.5, d)
         A = gen(lams)
-        x = HilbertVec(rng.normal(size=d))
+        x = rng.normal(size=d)
         s, t = rng.uniform(0, 2, 2)
         once = semigroup_apply(A, s + t, x)
         twice = semigroup_apply(A, s, semigroup_apply(A, t, x))
-        assert np.allclose(once.coords, twice.coords, rtol=1e-13, atol=1e-15)
-        assert semigroup_apply(A, t, x).norm() <= math.exp(A.eta * t) * x.norm() * (1 + 1e-12)
+        assert np.allclose(once, twice, rtol=1e-13, atol=1e-15)
+        assert np.linalg.norm(semigroup_apply(A, t, x)) <= math.exp(A.eta * t) * np.linalg.norm(x) * (1 + 1e-12)
 
 
-def test_semigroup_rejects_negative_time_and_bad_kind():
+def test_semigroup_rejects_negative_time():
     A = gen([-1.0])
     with pytest.raises(DomainError):
-        semigroup_apply(A, -0.1, HilbertVec([1.0]))
-    B = SpectralOperator([0.5])
-    with pytest.raises(ConfigurationError):
-        semigroup_apply(B, 1.0, HilbertVec([1.0]))
+        semigroup_apply(A, -0.1, [1.0])
 
 
 def test_dimension_mismatch_is_configuration_error():
     A = gen([-1.0, -2.0])
     with pytest.raises(ConfigurationError):
-        semigroup_apply(A, 1.0, HilbertVec([1.0]))
+        semigroup_apply(A, 1.0, [1.0])
+
+
+def test_a_wrong_shape_vector_is_refused_where_it_meets_an_operator_or_a_path():
+    A = gen([-1.0, -2.0])
+    box = BoxActionSet([-1.0, -1.0], [1.0, 1.0])
+    for bad in (np.eye(2), np.ones(3)):
+        with pytest.raises(ConfigurationError):
+            bump(zero_path(TimeGrid(1.0, 4), 2), 0.5, bad)
+        with pytest.raises(ConfigurationError):
+            semigroup_apply(A, 1.0, bad)
+        with pytest.raises(ConfigurationError):
+            A.apply(bad)
+        with pytest.raises(ConfigurationError):
+            investment_hamiltonian_closed_form(bad, 0.0, 0.0, np.zeros(2), A, gen([1.0, 1.0]), box)
+        with pytest.raises(ConfigurationError):
+            investment_hamiltonian_closed_form(np.zeros(2), 0.0, 0.0, bad, A, gen([1.0, 1.0]), box)
 
 
 def test_yosida_zero_operator():
@@ -91,7 +105,6 @@ def test_yosida_requires_n_above_eta():
     with pytest.raises(DomainError):
         yosida(A, 0.5)
     An = yosida(A, 2.0)
-    assert An.kind == GENERATOR
     assert An.eta >= An.eigenvalues.max()
 
 
@@ -115,19 +128,17 @@ def test_yosida_pointwise_convergence_halves():
 
 def test_adjoint_is_identity_on_diagonal_operators():
     F = SpectralOperator([-1.0, -2.0])
-    y = adjoint_apply(F, HilbertVec([1.0, 1.0]))
-    assert np.array_equal(y.coords, [-1.0, -2.0])
+    y = adjoint_apply(F, [1.0, 1.0])
+    assert np.array_equal(y, [-1.0, -2.0])
     eye = SpectralOperator([1.0, 1.0, 1.0])
-    x = HilbertVec([0.3, -0.7, 2.0])
-    assert np.array_equal(adjoint_apply(eye, x).coords, x.coords)
-    z = adjoint_apply(SpectralOperator([3.0]), HilbertVec([0.0]))
-    assert z.coords[0] == 0.0
+    x = [0.3, -0.7, 2.0]
+    assert np.array_equal(adjoint_apply(eye, x), x)
+    z = adjoint_apply(SpectralOperator([3.0]), [0.0])
+    assert z[0] == 0.0
 
 
 def test_generator_eta_validation():
-    with pytest.raises(ConfigurationError):
-        SpectralOperator([1.0], kind=GENERATOR, eta=0.0)
-    A = SpectralOperator([-1.0, 0.2], kind=GENERATOR)
+    A = SpectralOperator([-1.0, 0.2])
     assert A.eta == pytest.approx(0.2)
 
 

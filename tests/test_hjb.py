@@ -12,7 +12,7 @@ from pathmkv.errors import (
     ContractError,
     DomainError,
 )
-from pathmkv.hilbert import GENERATOR, HilbertVec, SpaceSpec, SpectralOperator
+from pathmkv.hilbert import SpaceSpec, SpectralOperator
 from pathmkv.hjb import (
     HamiltonianIntegrand,
     hamiltonian_from_model,
@@ -251,39 +251,39 @@ def diag_op(v):
 
 def test_investment_hamiltonian_trivial_zero():
     res = investment_hamiltonian_closed_form(
-        HilbertVec([0.0]),
+        [0.0],
         t=0.3,
         r=0.05,
-        a2=HilbertVec([0.0]),
+        a2=[0.0],
         C=diag_op([1.0]),
         M=diag_op([1.0]),
         box=BoxActionSet([-1.0], [1.0]),
     )
-    assert np.all(res.u_star.coords == 0.0)
+    assert np.all(res.u_star == 0.0)
     assert res.value == 0.0
 
 
 def test_investment_hamiltonian_scalar_case():
     res = investment_hamiltonian_closed_form(
-        HilbertVec([2.0]),
+        [2.0],
         t=0.0,
         r=0.0,
-        a2=HilbertVec([0.0]),
+        a2=[0.0],
         C=diag_op([1.0]),
         M=diag_op([1.0]),
         box=BoxActionSet([-2.0], [2.0]),
     )
-    assert res.u_star.coords[0] == pytest.approx(1.0)
+    assert res.u_star[0] == pytest.approx(1.0)
     assert res.value == pytest.approx(1.0)
 
 
 def test_investment_rejects_nonpositive_m():
     with pytest.raises(DomainError):
         investment_hamiltonian_closed_form(
-            HilbertVec([1.0]),
+            [1.0],
             0.0,
             0.0,
-            HilbertVec([0.0]),
+            [0.0],
             diag_op([1.0]),
             diag_op([0.0]),
             BoxActionSet([-1.0], [1.0]),
@@ -329,10 +329,10 @@ def test_investment_matches_grid_and_projected_gradient():
         r = rng.uniform(0.0, 0.2)
         lo, hi = -2.0 * np.ones(m), 2.0 * np.ones(m)
         res = investment_hamiltonian_closed_form(
-            HilbertVec(p),
+            p,
             t,
             r,
-            HilbertVec(a2),
+            a2,
             diag_op(c_diag),
             diag_op(m_diag),
             BoxActionSet(lo, hi),
@@ -353,7 +353,7 @@ def test_investment_matches_grid_and_projected_gradient():
         p_all[k_inst, :m], a2_all[k_inst, :m] = p, a2
         c_all[k_inst, :m], m_all[k_inst, :m] = c_diag, m_diag
         disc_all[k_inst] = math.exp(-r * t)
-        u_star.append(res.u_star.coords)
+        u_star.append(res.u_star)
     u_pg = _projected_gradient(p_all, disc_all, a2_all, c_all, m_all, -2.0, 2.0)
     for k_inst, us in enumerate(u_star):
         assert np.abs(u_pg[k_inst, : len(us)] - us).max() < 1e-8
@@ -424,7 +424,7 @@ def test_box_esssup_of_an_investment_integrand_matches_the_closed_form():
         t, r = rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.2)
         box = BoxActionSet(-2.0 * np.ones(m), 2.0 * np.ones(m))
         want = investment_hamiltonian_closed_form(
-            HilbertVec(p), t, r, HilbertVec(a2), diag_op(c_diag), diag_op(m_diag), box
+            p, t, r, a2, diag_op(c_diag), diag_op(m_diag), box
         ).value
         F = HamiltonianIntegrand(
             lambda xs, u, nu: _investment_objective(u[0], p, t, r, a2, c_diag, m_diag) * np.ones(1),
@@ -457,7 +457,7 @@ def linear_value_model(grid, a, beta, s0, c, q):
     return ModelSpec(
         space=space,
         grid=grid,
-        A=SpectralOperator([a], kind=GENERATOR),
+        A=SpectralOperator([a]),
         drift=drift,
         diffusion=diffusion if s0 else None,
         running_cost=running,
@@ -539,7 +539,7 @@ def test_hjb_residual_trivial_constant_candidate():
     model = ModelSpec(
         space=space,
         grid=grid,
-        A=SpectralOperator([0.0], kind=GENERATOR),
+        A=SpectralOperator([0.0]),
         terminal_cost=lambda xs, mu: np.full(xs.n, g_const),
         lipschitz=0.0,
         tag="const_g",
@@ -603,7 +603,7 @@ def test_hjb_reads_the_law_stopped_at_t_like_integrate():
     calls = {"b": [], "f": []}
 
     def drift(s, xs, mu, u, nu):
-        out = 0.5 * (mu.mean_at(s).coords[None, :] - xs.values_now)
+        out = 0.5 * (mu.mean_at(s)[None, :] - xs.values_now)
         calls["b"].append(out)
         return out
 
@@ -615,7 +615,7 @@ def test_hjb_reads_the_law_stopped_at_t_like_integrate():
     model = ModelSpec(
         space=SpaceSpec(1),
         grid=grid,
-        A=SpectralOperator([0.0], kind=GENERATOR),
+        A=SpectralOperator([0.0]),
         drift=drift,
         running_cost=running,
         lipschitz=1.0,

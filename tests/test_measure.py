@@ -128,14 +128,14 @@ def test_mean_at():
     g = TimeGrid(1.0, 4)
     c = constant_path(g, [1.0])
     mu = measure_from_paths([c, constant_path(g, [-1.0])])
-    assert mu.mean_at(0.7).coords[0] == 0.0
-    assert dirac(c).mean_at(0.3).coords[0] == 1.0
+    assert mu.mean_at(0.7)[0] == 0.0
+    assert dirac(c).mean_at(0.3)[0] == 1.0
     w = EmpiricalPathMeasure(
         g,
         np.stack([constant_path(g, [0.0]).values, constant_path(g, [3.0]).values]),
         np.array([1 / 3, 2 / 3]),
     )
-    assert w.mean_at(0.5).coords[0] == pytest.approx(2.0)
+    assert w.mean_at(0.5)[0] == pytest.approx(2.0)
 
 
 def test_w2_identity_and_two_diracs():

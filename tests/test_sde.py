@@ -10,7 +10,7 @@ from pathmkv.errors import (
     IntegrationBlowupError,
     NonConvergenceError,
 )
-from pathmkv.hilbert import GENERATOR, SpaceSpec, SpectralOperator
+from pathmkv.hilbert import SpaceSpec, SpectralOperator
 from pathmkv.models import (
     make_frozen,
     make_meanfield_growth,
@@ -326,7 +326,7 @@ def test_rectangular_noise_dimensions():
     model = ModelSpec(
         space=space,
         grid=grid,
-        A=SpectralOperator([0.0, 0.0], kind=GENERATOR),
+        A=SpectralOperator([0.0, 0.0]),
         diffusion=diffusion,
         lipschitz=0.5,
         tag="rect",
@@ -340,7 +340,7 @@ def test_rectangular_noise_dimensions():
     model2 = ModelSpec(
         space=space2,
         grid=grid,
-        A=SpectralOperator([0.0], kind=GENERATOR),
+        A=SpectralOperator([0.0]),
         diffusion=lambda t, xs, mu, u, nu: np.full((xs.n, 1), 0.5),
         lipschitz=0.5,
         tag="rect2",
@@ -361,7 +361,7 @@ def test_blowup_detected_with_context():
     model = ModelSpec(
         space=space,
         grid=grid,
-        A=SpectralOperator([0.0], kind=GENERATOR),
+        A=SpectralOperator([0.0]),
         drift=drift,
         lipschitz=lam,
         tag="stiff",
@@ -383,7 +383,7 @@ def test_anticipative_model_rejected():
     model = ModelSpec(
         space=space,
         grid=grid,
-        A=SpectralOperator([0.0], kind=GENERATOR),
+        A=SpectralOperator([0.0]),
         drift=drift,
         lipschitz=1.0,
         tag="cheater",
