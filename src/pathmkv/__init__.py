@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .hilbert import (
     SpaceSpec,
     SpectralOperator,
-    adjoint_apply,
     semigroup_apply,
     vector,
     yosida,
@@ -32,7 +31,6 @@ from .control import (
     BoxActionSet,
     FeedbackPolicy,
     FiniteActionSet,
-    RandomizedPolicy,
     ValueEstimate,
     dpp_check,
     estimate_value,
@@ -41,7 +39,6 @@ from .control import (
 )
 from .calculus import (
     CylindricalFunctional,
-    LiftedSample,
     consistency_check,
     horizontal_derivative,
     ito_verify,

@@ -107,24 +107,6 @@ class CylindricalFunctional:
         return np.broadcast_to(out, law.now.shape + law.now.shape[-1:])[0]
 
 
-@dataclass(frozen=True)
-class LiftedSample:
-    """The pair (empirical measure, atom index): xi-hat under the empirical lifting."""
-
-    measure: EmpiricalPathMeasure
-    index: int
-
-    def lifted_eval(self, phi: CylindricalFunctional, t: float) -> float:
-        # The lifting is defined through the law, so the identity
-        # Phi(t, xi) = phi(t, P_xi) is structural and bit-exact.
-        return phi.eval(t, self.measure)
-
-    def bumped(self, t: float, h: np.ndarray, scale: float = 1.0) -> "LiftedSample":
-        atom = self.measure.atom_path(self.index)
-        new = bump(atom, t, scale * vector(h, atom.dim))
-        return LiftedSample(self.measure.replace_atom(self.index, new), self.index)
-
-
 # ---------------------------------------------------------------------------
 # Built-in zoo
 

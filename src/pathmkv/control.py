@@ -93,30 +93,14 @@ class BoxActionSet:
 class FeedbackPolicy:
     """u = fn(t, stopped paths, stopped law), batched over particles."""
 
-    needs_randomizer = False
     square_integrable = True
 
     def __init__(self, fn, tag="feedback"):
         self._fn = fn
         self.tag = tag
 
-    def actions(self, t, xs, mu, randomizers) -> np.ndarray:
+    def actions(self, t, xs, mu) -> np.ndarray:
         return np.asarray(self._fn(t, xs, mu), dtype=float)
-
-
-class RandomizedPolicy:
-    """u = fn(t, stopped paths, stopped law, r) with an independent uniform
-    randomizer r per particle (the measurable-randomization mechanism)."""
-
-    needs_randomizer = True
-    square_integrable = True
-
-    def __init__(self, fn, tag="randomized"):
-        self._fn = fn
-        self.tag = tag
-
-    def actions(self, t, xs, mu, randomizers) -> np.ndarray:
-        return np.asarray(self._fn(t, xs, mu, randomizers), dtype=float)
 
 
 def constant_policy(u) -> FeedbackPolicy:

@@ -3,7 +3,7 @@
 The state space H and the noise space K are truncated to finite orthonormal
 bases (d and dK coordinates), so a point of H is its (d,) coordinate array.
 All operators are diagonal in the common basis, which keeps semigroup
-actions, adjoints and Yosida approximations exact and cheap: everything
+actions and Yosida approximations exact and cheap: everything
 reduces to componentwise scalar arithmetic on eigenvalue vectors.  Every
 diagonal operator generates the semigroup e^{tA}, with pseudo-contraction
 bound eta = lambda_max.
@@ -64,12 +64,6 @@ class SpectralOperator:
     def eta(self) -> float:
         return float(self.eigenvalues.max()) if self.eigenvalues.size else 0.0
 
-    def hilbert_schmidt_norm(self) -> float:
-        return float(np.linalg.norm(self.eigenvalues))
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.eigenvalues * vector(x, self.dim)
-
 
 def semigroup_apply(A: SpectralOperator, t: float, x: np.ndarray) -> np.ndarray:
     """Apply e^{tA} to x, componentwise exp(lambda_k t) * x_k.
@@ -92,8 +86,3 @@ def yosida(A: SpectralOperator, n: float) -> SpectralOperator:
         raise DomainError(f"Yosida index must exceed eta={A.eta}, got n={n}")
     lam = A.eigenvalues
     return SpectralOperator(n * lam / (n - lam))
-
-
-def adjoint_apply(F: SpectralOperator, x: np.ndarray) -> np.ndarray:
-    """Apply F* to x.  Diagonal real operators are self-adjoint: F* x = F x."""
-    return F.apply(x)

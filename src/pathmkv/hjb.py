@@ -229,18 +229,16 @@ def investment_hamiltonian_closed_form(
     investment cost does not enter the maximization over u, so it is no
     argument.
     """
-    if np.any(M.eigenvalues <= 0):
+    # the box too: a bound of another length would broadcast over u
+    p, a2, m, _, _ = (vector(x, C.dim) for x in (p, a2, M.eigenvalues, box.lo, box.hi))
+    if np.any(m <= 0):
         raise DomainError("M must have strictly positive eigenvalues")
-    p, a2 = vector(p, C.dim), vector(a2, C.dim)
     disc = math.exp(-r * t)
     q_vec = math.exp(r * t) * (C.eigenvalues * p) - a2
-    u_star = _box_argmax(q_vec, M.eigenvalues, box)
+    u_star = _box_argmax(q_vec, m, box)
 
     def objective(u):
-        return float(
-            np.dot(C.eigenvalues * u, p)
-            - disc * (np.dot(a2, u) + np.dot(M.eigenvalues * u, u))
-        )
+        return float(np.dot(C.eigenvalues * u, p) - disc * (np.dot(a2, u) + np.dot(m * u, u)))
 
     return InvestmentHamiltonian(u_star, objective(u_star))
 

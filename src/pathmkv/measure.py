@@ -13,7 +13,6 @@ exactly by a vectorized quantile coupling on the merged CDF cut points.
 
 from __future__ import annotations
 
-import io
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +23,6 @@ from .errors import CapacityError, ConfigurationError, DomainError
 from .paths import (
     PathGrid,
     TimeGrid,
-    path_to_csv,
     stop_values,
     sup_seminorm_sq_values,
 )
@@ -90,10 +88,6 @@ class StoppedView:
     def mean_at(self, t: float) -> np.ndarray:
         return self._average(self.values_at(t))
 
-    def second_moment(self) -> float:
-        """Integral of ||x||_t^2 at the current time, the squared S2-type size of the law."""
-        return float(self._average(sup_seminorm_sq_values(self._values, self.node)))
-
 
 class EmpiricalPathMeasure(StoppedView):
     """Weighted atoms in C([0,T];H): the StoppedView at the last node whose
@@ -134,10 +128,6 @@ def measure_from_paths(paths, weights=None) -> EmpiricalPathMeasure:
     grid = paths[0].grid
     atoms = np.stack([p.values for p in paths])
     return EmpiricalPathMeasure(grid, atoms, weights)
-
-
-def dirac(path: PathGrid) -> EmpiricalPathMeasure:
-    return EmpiricalPathMeasure(path.grid, path.values[None, :, :], np.array([1.0]))
 
 
 class EmpiricalControlMeasure:
@@ -369,12 +359,3 @@ def wasserstein2_controls(nu1: EmpiricalControlMeasure, nu2: EmpiricalControlMea
     cost of one-node paths); diagnostics only."""
     cost = _sup_cost_matrix(nu1.atoms[:, None, :], nu2.atoms[:, None, :])
     return float(np.sqrt(exact_ot_cost(cost, nu1.weights, nu2.weights)))
-
-
-def measure_to_csv(mu: EmpiricalPathMeasure) -> str:
-    """Atom index and weight lines, each followed by the atom's path CSV block."""
-    buf = io.StringIO()
-    for i in range(mu.n_atoms):
-        buf.write(f"atom,{i},weight,{mu.weights[i]:.17g}\n")
-        buf.write(path_to_csv(mu.atom_path(i)))
-    return buf.getvalue()

@@ -57,7 +57,8 @@ class PathGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        # a read-only view: the caller's array stays writable, nothing is copied
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float).view())
         if self.values.ndim != 2:
             raise ConfigurationError("path values must have shape (M+1, d)")
         if self.values.shape[0] != self.grid.steps + 1:
@@ -70,20 +71,10 @@ class PathGrid:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def __add__(self, other: "PathGrid") -> "PathGrid":
-        return PathGrid(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "PathGrid") -> "PathGrid":
-        return PathGrid(self.grid, self.values - other.values)
-
 
 def constant_path(grid: TimeGrid, c) -> PathGrid:
     c = np.atleast_1d(np.asarray(c, dtype=float))
     return PathGrid(grid, np.tile(c, (grid.steps + 1, 1)))
-
-
-def zero_path(grid: TimeGrid, d: int) -> PathGrid:
-    return PathGrid(grid, np.zeros((grid.steps + 1, d)))
 
 
 def stop(x: PathGrid, t: float) -> PathGrid:
@@ -194,17 +185,3 @@ def path_to_csv(x: PathGrid) -> str:
         row = [f"{times[j]:.17g}"] + [f"{v:.17g}" for v in x.values[j]]
         buf.write(",".join(row) + "\n")
     return buf.getvalue()
-
-
-def path_from_csv(text: str) -> PathGrid:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    header = lines[0].split(",")
-    if header[0] != "t" or len(header) < 2:
-        raise ConfigurationError("path CSV must start with header t,c1..cd")
-    rows = [list(map(float, ln.split(","))) for ln in lines[1:]]
-    arr = np.asarray(rows, dtype=float)
-    times, values = arr[:, 0], arr[:, 1:]
-    if len(times) < 2:
-        raise ConfigurationError("path CSV needs at least two nodes")
-    grid = TimeGrid(T=float(times[-1]), steps=len(times) - 1)
-    return PathGrid(grid, values)

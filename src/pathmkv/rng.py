@@ -18,9 +18,13 @@ the bit generator's setter reads plain ints about twice as fast as uint64
 arrays.
 
 This module owns every per-particle draw: `brownian_increments` (the noise
-blocks), `normals` (initial laws) and `uniforms` (randomized policies and
-mapped initial laws).  Each fills particle i's row of its output in place
-from particle i's stream, whatever the count.
+blocks), `normals` (initial laws) and `uniforms` (mapped initial laws and
+policy randomizers).  Each fills particle i's row of its output in place
+from particle i's stream, whatever the count.  A randomized control, adapted
+to B and to an independent uniform per particle, is a feedback policy that
+closes over `uniforms(seed, STREAM_POLICY, N)`: that stream keeps its
+randomizers independent of the noise and the initial law drawn from the same
+seed.
 
 Increment blocks are stored node-major (`paths.node_major`): the (N, M, dK)
 block indexes as before and each particle's draw fills its steps in the same
@@ -120,7 +124,7 @@ def refine_increments(fine: np.ndarray, factor: int) -> np.ndarray:
     """
     n, m_fine, dk = fine.shape
     if m_fine % factor != 0:
-        raise ValueError(f"cannot coarsen {m_fine} steps by factor {factor}")
+        raise DomainError(f"cannot coarsen {m_fine} steps by factor {factor}")
     m = m_fine // factor
     out = node_major(n, m, dk)
     for i in range(0, n, CHUNK_ROWS):
@@ -144,5 +148,7 @@ def normals(seed: int, stream: int, n_particles: int, count: int) -> np.ndarray:
 
 
 def uniforms(seed: int, stream: int, n_particles: int, count: int = 1) -> np.ndarray:
-    """Per-particle uniforms on [0,1), shape (N, count); used by randomized policies."""
+    """Per-particle uniforms on [0,1), shape (N, count); used by mapped initial
+    laws (stream STREAM_INITIAL).  Policy randomizers are drawn once, as
+    `uniforms(seed, STREAM_POLICY, N)`, and closed over by the policy."""
     return _draw(seed, stream, n_particles, count, np.random.Generator.random)

@@ -427,7 +427,7 @@ def _start(model: ModelSpec, init: InitialLaw, policy, t0, n_particles, seed, no
     check, or the run's own block when it is None.  A diffusion-free model
     draws no block: its step never reads the noise, which stays None.
 
-    Returns (j0, values, noise, randomizers); values is a node-major
+    Returns (j0, values, noise); values is a node-major
     (N, M+1, d) block and only its first j0 + 1 nodes are set, copied from
     the initial sample, which may be a read-only view.
     """
@@ -452,10 +452,7 @@ def _start(model: ModelSpec, init: InitialLaw, policy, t0, n_particles, seed, no
             f"noise override has shape {noise.shape}, "
             f"expected {(n_particles, grid.steps, model.space.dK)}"
         )
-    randomizers = None
-    if policy is not None and getattr(policy, "needs_randomizer", False):
-        randomizers = rng.uniforms(seed, rng.STREAM_POLICY, n_particles)[:, 0]
-    return j0, values, noise, randomizers
+    return j0, values, noise
 
 
 def _recorded_args(grid: TimeGrid, values: np.ndarray, controls, j: int):
@@ -467,9 +464,7 @@ def _recorded_args(grid: TimeGrid, values: np.ndarray, controls, j: int):
     return grid.time_at(j), view, view, u, nu
 
 
-def _exp_euler_steps(
-    model, values, law, noise, j0, j_end, policy=None, randomizers=None, controls=None
-):
+def _exp_euler_steps(model, values, law, noise, j0, j_end, policy=None, controls=None):
     """Advance `values` in place from node j0 to node j_end by
 
         X_{j+1} = e^{dt*A} [ X_j + b_j dt + sigma_j dB_j ],
@@ -490,7 +485,7 @@ def _exp_euler_steps(
         mu = xs if law is values else StoppedView(grid, law, j)
         u = nu = None
         if policy is not None:
-            u = np.asarray(policy.actions(t, xs, mu, randomizers), dtype=float)
+            u = np.asarray(policy.actions(t, xs, mu), dtype=float)
             if u.ndim == 1:
                 u = u[:, None]
             if model.actions is not None and not model.actions.contains_batch(u):
@@ -544,14 +539,14 @@ def integrate(
     what each would have drawn.  Every block passed is shape-checked.  The
     ensemble keeps no noise: a block the run drew itself is freed on return.
     """
-    j0, values, noise, randomizers = _start(model, init, policy, t0, n_particles, seed, noise)
+    j0, values, noise = _start(model, init, policy, t0, n_particles, seed, noise)
     grid = model.grid
     j_end = grid.steps if t_end is None else grid.node(t_end)
     if j_end < j0:
         raise DomainError(f"t_end {t_end} precedes t0 {t0}")
     dt = grid.dt
 
-    controls = _exp_euler_steps(model, values, values, noise, j0, j_end, policy, randomizers)
+    controls = _exp_euler_steps(model, values, values, noise, j0, j_end, policy)
 
     if j_end < grid.steps:
         values[:, j_end + 1 :, :] = values[:, j_end : j_end + 1, :]
@@ -622,15 +617,15 @@ def integrate_picard(
     interval-splitting construction).  Raises NonConvergenceError with the gap
     history when max_iter is exhausted.
 
-    The run begins as `integrate`'s does, from the same initial segment, noise
-    block and policy randomizers.  The ensemble's controls are the actions
+    The run begins as `integrate`'s does, from the same initial segment and
+    noise block.  The ensemble's controls are the actions
     each window's final pass emitted (None without a policy).
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
     if window is not None and window <= 0:
         raise DomainError("window must be positive")
-    j0, values, noise, randomizers = _start(model, init, policy, t0, n_particles, seed)
+    j0, values, noise = _start(model, init, policy, t0, n_particles, seed)
     grid = model.grid
     boundaries = [j0, grid.steps]
     if window is not None:
@@ -646,16 +641,12 @@ def integrate_picard(
         # Seed the window's law sequence with the semigroup skeleton (b = sigma = 0).
         _exp_euler_steps(skeleton, values, values, noise, a, b_node)
         prev[...] = values
-        controls = _exp_euler_steps(
-            model, values, prev, noise, a, b_node, policy, randomizers, controls
-        )
+        controls = _exp_euler_steps(model, values, prev, noise, a, b_node, policy, controls)
         prev[...] = values
         gaps = []
         converged = False
         for _ in range(max_iter):
-            _exp_euler_steps(
-                model, values, prev, noise, a, b_node, policy, randomizers, controls
-            )
+            _exp_euler_steps(model, values, prev, noise, a, b_node, policy, controls)
             gap = float(np.sqrt(sup_seminorm_sq_distance(values, prev, b_node, a).mean()))
             gaps.append(gap)
             total_iters += 1

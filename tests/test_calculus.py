@@ -5,7 +5,6 @@ import pytest
 
 from pathmkv.calculus import (
     CylindricalFunctional,
-    LiftedSample,
     NodeRun,
     const_diffusion_spec,
     const_drift_spec,
@@ -59,9 +58,6 @@ def test_zoo_eval_nonanticipative_bitwise():
 def test_lifting_identity_bitwise_and_permutation_stability():
     mu = random_measure(GRID, 2, 5, 1)
     zoo = standard_zoo(2)
-    for phi in zoo.values():
-        sample = LiftedSample(mu, 2)
-        assert sample.lifted_eval(phi, 0.4) == phi.eval(0.4, mu)
     perm = np.random.default_rng(2).permutation(5)
     mu_perm = EmpiricalPathMeasure(GRID, mu.atoms[perm], None)
     for phi in zoo.values():
@@ -403,16 +399,6 @@ def test_single_node_fields_match_their_closed_forms_bit_for_bit():
                     assert got[0] == want[0] and type(got[0]) is float
                     for g, w in zip(got[1:], want[1:]):
                         assert g.shape == w.shape and g.tobytes() == w.tobytes(), (phi.tag, t)
-
-
-def test_lifted_sample_bump_machinery():
-    mu = random_measure(GRID, 1, 4, 24)
-    sample = LiftedSample(mu, 1)
-    bumped = sample.bumped(0.5, [1.0], scale=0.1)
-    j = GRID.node(0.5)
-    gap = bumped.measure.atoms[1] - mu.atoms[1]
-    assert np.all(gap[:j] == 0.0)
-    assert np.allclose(gap[j:], 0.1)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from pathmkv.control import (
     DppReport,
     FeedbackPolicy,
     FiniteActionSet,
-    RandomizedPolicy,
     _continuation_seed,
     constant_policy,
     dpp_check,
@@ -28,6 +27,7 @@ from pathmkv.models import (
     make_quadratic_terminal,
 )
 from pathmkv.paths import TimeGrid
+from pathmkv.rng import STREAM_POLICY, uniforms
 from pathmkv.sde import (
     InitialLaw,
     ModelSpec,
@@ -41,6 +41,13 @@ from pathmkv.sde import (
     stopped_initial,
     two_point_mapped,
 )
+
+
+def bernoulli_policy(p, seed, n):
+    """The randomized control u = 1{r < p}: a feedback policy over one
+    independent uniform r per particle, drawn once from the policy stream."""
+    r = uniforms(seed, STREAM_POLICY, n)[:, 0]
+    return FeedbackPolicy(lambda t, xs, mu: (r < p)[:, None].astype(float), tag=f"bern({p})")
 
 
 def flat_model(grid, f_const=0.0, g_const=0.0):
@@ -216,9 +223,7 @@ def test_feedback_and_randomized_policies_run():
     )
     ens = integrate(model, constant_initial([0.0]), fb, 0.0, 8, seed=8)
     assert ens.controls is not None
-    rp = RandomizedPolicy(
-        lambda t, xs, mu, r: (r < 0.25)[:, None].astype(float), tag="bern(0.25)"
-    )
+    rp = bernoulli_policy(0.25, seed=9, n=512)
     ens2 = integrate(model, constant_initial([0.0]), rp, 0.0, 512, seed=9)
     frac = ens2.controls[:, 0, 0].mean()
     assert abs(frac - 0.25) < 3 * math.sqrt(0.25 * 0.75 / 512)
@@ -343,9 +348,7 @@ def test_law_invariance_with_randomized_policy_family():
     )
     init_a = two_point_mapped(-1.0, 1.0, flipped=False)
     init_b = two_point_mapped(-1.0, 1.0, flipped=True)
-    randomized = RandomizedPolicy(
-        lambda t, xs, mu, r: (r < 0.5)[:, None].astype(float), tag="bern(0.5)"
-    )
+    randomized = bernoulli_policy(0.5, seed=31, n=2000)
     families = [[constant_policy([0.0]), constant_policy([1.0]), randomized]]
     rep = law_invariance_check(model, init_a, init_b, families, 0.0, 2000, seeds=(31, 32))
     assert rep.status == "pass"
@@ -481,11 +484,8 @@ def test_dpp_checks_every_split_before_simulating(monkeypatch):
         dpp_check(model, constant_initial([0.5]), [], 0.0, [], 64, seed=0)
 
 
-def _randomized_family():
-    randomized = RandomizedPolicy(
-        lambda t, xs, mu, r: (r < 0.5)[:, None].astype(float), tag="bern(0.5)"
-    )
-    return [constant_policy([0.0]), randomized, constant_policy([1.0])]
+def _randomized_family(seed, n):
+    return [constant_policy([0.0]), bernoulli_policy(0.5, seed, n), constant_policy([1.0])]
 
 
 def _reference_estimates(model, init, family, t0, n, seed):
@@ -495,7 +495,7 @@ def _reference_estimates(model, init, family, t0, n, seed):
 def test_estimate_value_on_one_block_matches_members_drawing_their_own():
     model = _controlled_with_running_cost(TimeGrid(1.0, 40))
     init = gaussian_initial(0.0, 0.5)
-    family = _randomized_family()
+    family = _randomized_family(41, 64)
     res = estimate_value(model, init, family, 0.0, 64, seed=41)
     ref = _reference_estimates(model, init, family, 0.0, 64, 41)
     assert res.all_estimates == ref
@@ -507,7 +507,7 @@ def test_law_invariance_on_one_block_per_side_matches_a_pinned_loop():
     model = _controlled_with_running_cost(TimeGrid(1.0, 40))
     init_a = two_point_mapped(-1.0, 1.0, flipped=False)
     init_b = two_point_mapped(-1.0, 1.0, flipped=True)
-    families = [[None], _randomized_family(), [constant_policy([0.5]), constant_policy([0.25])]]
+    families = [[None], _randomized_family(43, 256), [constant_policy([0.5]), constant_policy([0.25])]]
     rep = law_invariance_check(model, init_a, init_b, families, 0.0, 256, seeds=(43, 44))
     expected = []
     for family in families:

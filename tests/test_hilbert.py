@@ -8,12 +8,11 @@ from pathmkv.errors import ConfigurationError, DomainError
 from pathmkv.hilbert import (
     SpaceSpec,
     SpectralOperator,
-    adjoint_apply,
     semigroup_apply,
     yosida,
 )
 from pathmkv.hjb import investment_hamiltonian_closed_form
-from pathmkv.paths import TimeGrid, bump, zero_path
+from pathmkv.paths import TimeGrid, bump, constant_path
 
 
 def gen(lams):
@@ -78,15 +77,23 @@ def test_a_wrong_shape_vector_is_refused_where_it_meets_an_operator_or_a_path():
     box = BoxActionSet([-1.0, -1.0], [1.0, 1.0])
     for bad in (np.eye(2), np.ones(3)):
         with pytest.raises(ConfigurationError):
-            bump(zero_path(TimeGrid(1.0, 4), 2), 0.5, bad)
+            bump(constant_path(TimeGrid(1.0, 4), [0.0, 0.0]), 0.5, bad)
         with pytest.raises(ConfigurationError):
             semigroup_apply(A, 1.0, bad)
-        with pytest.raises(ConfigurationError):
-            A.apply(bad)
         with pytest.raises(ConfigurationError):
             investment_hamiltonian_closed_form(bad, 0.0, 0.0, np.zeros(2), A, gen([1.0, 1.0]), box)
         with pytest.raises(ConfigurationError):
             investment_hamiltonian_closed_form(np.zeros(2), 0.0, 0.0, bad, A, gen([1.0, 1.0]), box)
+    # M and the box are checked against C's dimension too: a 3-entry M would
+    # end in a numpy broadcasting error, a 1-coordinate box would broadcast
+    # over both coordinates of u
+    p = np.ones(2)
+    with pytest.raises(ConfigurationError):
+        investment_hamiltonian_closed_form(p, 0.0, 0.0, np.zeros(2), A, gen([1.0, 1.0, 1.0]), box)
+    with pytest.raises(ConfigurationError):
+        investment_hamiltonian_closed_form(
+            p, 0.0, 0.0, np.zeros(2), A, gen([1.0, 1.0]), BoxActionSet([-1.0], [1.0])
+        )
 
 
 def test_yosida_zero_operator():
@@ -126,22 +133,6 @@ def test_yosida_pointwise_convergence_halves():
         assert b < a
 
 
-def test_adjoint_is_identity_on_diagonal_operators():
-    F = SpectralOperator([-1.0, -2.0])
-    y = adjoint_apply(F, [1.0, 1.0])
-    assert np.array_equal(y, [-1.0, -2.0])
-    eye = SpectralOperator([1.0, 1.0, 1.0])
-    x = [0.3, -0.7, 2.0]
-    assert np.array_equal(adjoint_apply(eye, x), x)
-    z = adjoint_apply(SpectralOperator([3.0]), [0.0])
-    assert z[0] == 0.0
-
-
 def test_generator_eta_validation():
     A = SpectralOperator([-1.0, 0.2])
     assert A.eta == pytest.approx(0.2)
-
-
-def test_hilbert_schmidt_norm():
-    F = SpectralOperator([3.0, 4.0])
-    assert F.hilbert_schmidt_norm() == pytest.approx(5.0)

@@ -608,7 +608,7 @@ def test_hjb_reads_the_law_stopped_at_t_like_integrate():
         return out
 
     def running(s, xs, mu, u, nu):
-        out = mu.second_moment() + xs.values_now[:, 0]
+        out = mu.weights @ mu.seminorm_sq_at(s) + xs.values_now[:, 0]
         calls["f"].append(out)
         return out
 
@@ -631,7 +631,7 @@ def test_hjb_reads_the_law_stopped_at_t_like_integrate():
 
     mu = EmpiricalPathMeasure(grid, cloud, None)
     stopped_moment = calls["f"][0][0] - cloud[0, grid.node(t), 0]
-    assert mu.second_moment() > stopped_moment + 1.0  # stopping matters here
+    assert mu.weights @ mu.seminorm_sq_at(grid.T) > stopped_moment + 1.0  # stopping matters here
     w = linear_mean([1.0])  # d_mu w = 1, so F = f + b
     F = hamiltonian_from_model(model, w, t, mu)
     via_hjb = F(mu, None)

@@ -15,10 +15,8 @@ from pathmkv.measure import (
     _quantile_ot_sq,
     EmpiricalPathMeasure,
     StoppedView,
-    dirac,
     exact_ot_cost,
     measure_from_paths,
-    measure_to_csv,
     stopped_measure,
     wasserstein2,
     wasserstein2_controls,
@@ -80,7 +78,7 @@ def test_stopped_measure_at_zero_freezes_initial():
 def test_stopped_measure_idempotent_and_pushforward_of_dirac():
     g = TimeGrid(1.0, 10)
     lin = PathGrid(g, np.linspace(0, 1, 11)[:, None])
-    mu = dirac(lin)
+    mu = measure_from_paths([lin])
     s = stopped_measure(mu, 0.5)
     assert np.array_equal(s.atoms[0], stop(lin, 0.5).values)
     assert np.array_equal(stopped_measure(s, 0.5).atoms, s.atoms)
@@ -129,7 +127,7 @@ def test_mean_at():
     c = constant_path(g, [1.0])
     mu = measure_from_paths([c, constant_path(g, [-1.0])])
     assert mu.mean_at(0.7)[0] == 0.0
-    assert dirac(c).mean_at(0.3)[0] == 1.0
+    assert measure_from_paths([c]).mean_at(0.3)[0] == 1.0
     w = EmpiricalPathMeasure(
         g,
         np.stack([constant_path(g, [0.0]).values, constant_path(g, [3.0]).values]),
@@ -145,8 +143,8 @@ def test_w2_identity_and_two_diracs():
     assert wasserstein2(mu, mu) == pytest.approx(0.0, abs=1e-12)
     x = PathGrid(g, rng.normal(size=(9, 2)))
     y = PathGrid(g, rng.normal(size=(9, 2)))
-    d = wasserstein2(dirac(x), dirac(y))
-    assert d == pytest.approx(sup_norm(x - y), rel=1e-12)
+    d = wasserstein2(measure_from_paths([x]), measure_from_paths([y]))
+    assert d == pytest.approx(sup_norm(PathGrid(g, x.values - y.values)), rel=1e-12)
 
 
 def test_w2_two_atom_hand_case():
@@ -331,14 +329,6 @@ def test_control_measure_and_w2():
     nu3 = EmpiricalControlMeasure(np.array([[2.0], [3.0]]))
     assert wasserstein2_controls(nu1, nu3) == pytest.approx(2.0, rel=1e-9)
     assert nu1.mean() == pytest.approx([0.5])
-
-
-def test_measure_csv_dump():
-    g = TimeGrid(1.0, 2)
-    mu = measure_from_paths([constant_path(g, [1.0]), constant_path(g, [2.0])])
-    text = measure_to_csv(mu)
-    assert text.count("atom,") == 2
-    assert "weight,0.5" in text
 
 
 @PROPERTY

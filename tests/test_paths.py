@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -11,14 +12,12 @@ from pathmkv.paths import (
     bump,
     constant_path,
     node_major,
-    path_from_csv,
     path_to_csv,
     stop,
     sup_norm,
     sup_seminorm,
     sup_seminorm_sq_distance,
     sup_seminorm_sq_values,
-    zero_path,
 )
 
 
@@ -91,7 +90,7 @@ def test_bump_zero_is_identity():
 def test_bump_of_zero_path_is_step():
     g = TimeGrid(1.0, 5)
     h = [1.5]
-    y = bump(zero_path(g, 1), 0.0, h)
+    y = bump(constant_path(g, 0.0), 0.0, h)
     assert np.all(y.values == 1.5)
 
 
@@ -109,12 +108,12 @@ def test_bump_supnorm_is_direction_norm():
 def test_bump_dimension_mismatch():
     g = TimeGrid(1.0, 4)
     with pytest.raises(ConfigurationError):
-        bump(zero_path(g, 2), 0.5, [1.0])
+        bump(constant_path(g, [0.0, 0.0]), 0.5, [1.0])
 
 
 def test_seminorm_zero_and_constant():
     g = TimeGrid(1.0, 9)
-    assert sup_seminorm(zero_path(g, 3), 0.7) == 0.0
+    assert sup_seminorm(constant_path(g, np.zeros(3)), 0.7) == 0.0
     c = constant_path(g, [3.0, 4.0])
     for t in g.times:
         assert sup_seminorm(c, t) == pytest.approx(5.0)
@@ -141,7 +140,7 @@ def test_supnorm_triangle_inequality():
     rng = np.random.default_rng(5)
     for _ in range(100):
         x, y = random_path(g, 3, rng), random_path(g, 3, rng)
-        assert sup_norm(x + y) <= sup_norm(x) + sup_norm(y) + 1e-12
+        assert sup_norm(PathGrid(g, x.values + y.values)) <= sup_norm(x) + sup_norm(y) + 1e-12
 
 
 def test_bump_invisible_before_onset():
@@ -161,9 +160,19 @@ def test_csv_roundtrip():
     x = random_path(g, 2, rng)
     text = path_to_csv(x)
     assert text.splitlines()[0] == "t,c1,c2"
-    y = path_from_csv(text)
-    assert y.grid.steps == g.steps
-    assert np.array_equal(y.values, x.values)
+    table = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+    assert np.array_equal(table[:, 0], g.times)
+    assert np.array_equal(table[:, 1:], x.values)
+
+
+def test_path_is_read_only_and_leaves_the_callers_array_writable():
+    g = TimeGrid(1.0, 4)
+    a = np.zeros((5, 2))
+    x = PathGrid(g, a)
+    assert a.flags.writeable
+    assert np.shares_memory(x.values, a)  # a view: the values are not copied
+    with pytest.raises(ValueError):
+        x.values[0, 0] = 1.0
 
 
 def test_time_snapping():

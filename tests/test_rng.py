@@ -158,3 +158,10 @@ def test_the_largest_uint64_seed_is_a_key():
     seed = 2**64 - 1
     want = reference_rows(seed, rng.STREAM_INITIAL, 2, lambda g: g.standard_normal(1))
     assert np.array_equal(rng.normals(seed, rng.STREAM_INITIAL, 2, 1), want)
+
+
+def test_refining_by_a_factor_that_does_not_divide_the_steps_is_a_domain_error():
+    fine = rng.brownian_increments(SEED, 3, 6, 1, 0.1)
+    with pytest.raises(DomainError, match="cannot coarsen 6 steps by factor 4"):
+        rng.refine_increments(fine, 4)
+    assert rng.refine_increments(fine, 3).shape == (3, 2, 1)

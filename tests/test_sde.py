@@ -666,7 +666,7 @@ def test_runs_from_a_view_equal_runs_from_its_materialized_block(kind, t0):
     model = make_ou(grid, a=-1.0, s0=0.5, d=d)
     init = _constant_path_laws()[kind]
     block = np.array(init.sample(seed, n, grid, d))
-    j0, values, _, _ = _start(model, init, None, t0, n, seed)
+    j0, values, _ = _start(model, init, None, t0, n, seed)
     assert np.array_equal(values[:, : j0 + 1], block[:, : j0 + 1])
     ens = integrate(model, init, t0=t0, n_particles=n, seed=seed)
     ref = integrate(model, InitialLaw.from_values(block), t0=t0, n_particles=n, seed=seed)
