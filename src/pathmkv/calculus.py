@@ -414,8 +414,8 @@ def ito_process(grid, F=None, G=None, tag: str = "ito_process", d: int = 1) -> M
     (N, n_sigma) diagonal entries read the current node of the paths.
 
     No Lipschitz constant is declared (L = inf): the Lipschitz spot check
-    passes and the a-priori estimate does not apply, while the
-    non-anticipativity spot check runs as on every model."""
+    passes, while the non-anticipativity spot check runs as on every
+    model."""
 
     def lift(fn):
         return None if fn is None else (lambda t, xs, mu, u, nu: fn(t, xs.values_now))

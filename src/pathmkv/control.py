@@ -50,15 +50,15 @@ class FiniteActionSet:
         object.__setattr__(self, "points", pts)
 
     @property
-    def size(self) -> int:
-        return self.points.shape[0]
+    def m(self) -> int:
+        return self.points.shape[1]
 
     def contains_batch(self, u: np.ndarray) -> bool:
         dists = np.abs(u[:, None, :] - self.points[None, :, :]).max(axis=2)
         return bool(np.all(dists.min(axis=1) <= 1e-12))
 
     def sample(self, rand, n) -> np.ndarray:
-        return self.points[rand.integers(0, self.size, size=n)]
+        return self.points[rand.integers(0, len(self.points), size=n)]
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,6 @@ class BoxActionSet:
 
 class FeedbackPolicy:
     """u = fn(t, stopped paths, stopped law), batched over particles."""
-
-    square_integrable = True
 
     def __init__(self, fn, tag="feedback"):
         self._fn = fn
@@ -432,6 +430,8 @@ def law_invariance_check(
     policy_families is a list of families (each a list of policies); a single
     family may be passed as [family].
     """
+    if not policy_families:
+        raise ConfigurationError("law_invariance_check needs at least one policy family")
     grid, d = model.grid, model.space.d
     ok, moment_gaps = _moment_guard(init_a, init_b, grid, d, max(n_particles, 512), seeds)
     if not ok:

@@ -148,7 +148,6 @@ def make_controlled_linear(
         lipschitz=abs(s0),
         actions=actions,
         growth_h=lambda w: float(np.linalg.norm(q)) + 1.0,
-        control_growth=True,
         tag="controlled_linear",
     )
 

@@ -39,7 +39,6 @@ same order in either layout.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -49,7 +48,6 @@ import numpy as np
 from . import rng
 from .errors import (
     ConfigurationError,
-    ContractError,
     DomainError,
     IntegrationBlowupError,
     NonConvergenceError,
@@ -188,12 +186,12 @@ def shifted_initial(base: InitialLaw, delta) -> InitialLaw:
 class ModelSpec:
     """The model tuple (A, b, sigma, f, g, U, grid) plus its Lipschitz/growth metadata.
 
-    lipschitz is the declared constant of the coefficient assumptions (checked
-    on sampled pairs with 5% slack); growth_h, when given, is the declared
-    envelope h such that |f|, |g| <= h(W2(mu, delta_0)) (1 + ||x||_t^2).
-    control_growth = True switches the boundedness-in-u requirement to the
-    unbounded variant L(1 + |u|), which is accepted only for square-integrable
-    policies, and adds the policies' squared L2 norm to the a-priori bound.
+    lipschitz is the declared constant of the coefficient assumptions, which
+    `validate` spot-checks on sampled pairs with 5% slack; growth_h, when
+    given, is the declared envelope h such that
+    |f|, |g| <= h(W2(mu, delta_0)) (1 + ||x||_t^2), which the reward pass
+    checks with a `ContractWarning`.  `integrate` asserts no a-priori bound
+    on the solution.
     """
 
     space: SpaceSpec
@@ -206,7 +204,6 @@ class ModelSpec:
     lipschitz: float = 0.0
     actions: object = None
     growth_h: object = None
-    control_growth: bool = False
     tag: str = "custom"
     _validated: bool = field(default=False, init=False, repr=False, compare=False)
 
@@ -310,45 +307,6 @@ def _validate_model(model):
             )
 
 
-def apriori_constant(L: float, eta: float, T: float) -> float:
-    """Constant C of the a-priori estimate ||X||_S2 <= C (1 + ||xi||_S2).
-
-    Assembled from the contraction construction: a Gronwall bound for the
-    zero-initial solution plus the iterated per-window Lipschitz factor in the
-    initial datum.  Deliberately conservative; overflows saturate to inf,
-    which keeps the runtime assertion valid (if weak) for stiff inputs.
-    """
-    eta_p = max(eta, 0.0)
-    with np.errstate(over="ignore"):
-        c0 = 6.0 * L**2 * (math.exp(2 * eta * T) * T + 4.0 * math.exp(2 * eta_p * T))
-        try:
-            zero_part = math.sqrt(c0 * T) * math.exp(c0 * T)
-        except OverflowError:
-            return math.inf
-    # L = inf (no constant declared) stops here, before the window count
-    if not math.isfinite(zero_part):
-        return math.inf
-    lip = lipschitz_initial_constant(L, eta, T)
-    if not math.isfinite(lip):
-        return math.inf
-    return max(zero_part, lip, 1.0)
-
-
-def lipschitz_initial_constant(L: float, eta: float, T: float) -> float:
-    """Lipschitz constant of xi -> X^{t,xi,alpha}, iterated over contraction windows."""
-    eta_p = max(eta, 0.0)
-    c_contr = 2.0 * math.sqrt(2.0) * L * max(math.exp(eta * T) * math.sqrt(T), 2.0 * math.exp(eta_p * T))
-    if c_contr == 0.0:
-        return 2.0 * math.sqrt(1.0 + math.exp(eta * T))
-    eps = 1.0 / (4.0 * c_contr**2)
-    n_windows = max(1, math.ceil(T / eps))
-    per_window = 4.0 * math.sqrt(1.0 + math.exp(eta * T))
-    try:
-        return per_window**n_windows
-    except OverflowError:
-        return math.inf
-
-
 @dataclass
 class ParticleEnsemble:
     """N state paths with their controls and the seed that reproduces them.
@@ -421,10 +379,10 @@ def brownian_block(model: ModelSpec, n_particles: int, seed: int) -> np.ndarray:
     return noise
 
 
-def _start(model: ModelSpec, init: InitialLaw, policy, t0, n_particles, seed, noise=None):
-    """Begin a run at t0: validate the model and the policy, fill the paths up
-    to node j0 with the initial segment, and take `noise` after the shape
-    check, or the run's own block when it is None.  A diffusion-free model
+def _start(model: ModelSpec, init: InitialLaw, t0, n_particles, seed, noise=None):
+    """Begin a run at t0: validate the model, fill the paths up to node j0
+    with the initial segment, and take `noise` after the shape check, or the
+    run's own block when it is None.  A diffusion-free model
     draws no block: its step never reads the noise, which stays None.
 
     Returns (j0, values, noise); values is a node-major
@@ -432,12 +390,6 @@ def _start(model: ModelSpec, init: InitialLaw, policy, t0, n_particles, seed, no
     the initial sample, which may be a read-only view.
     """
     model.validate()
-    if model.control_growth and policy is not None:
-        if not getattr(policy, "square_integrable", True):
-            raise ConfigurationError(
-                "model declares unbounded control growth; the policy must declare "
-                "square-integrability"
-            )
     if n_particles < 2:
         raise ConfigurationError("need at least 2 particles for an empirical law")
     grid, d = model.grid, model.space.d
@@ -473,9 +425,9 @@ def _exp_euler_steps(model, values, law, noise, j0, j_end, policy=None, controls
     `law`, both stopped at node j.  `law is values` is the self-consistent
     scheme; a frozen block is one Picard pass.  The noise width is the
     diffusion's.  The actions the policy emits are checked against the
-    model's action set at every step and written into `controls`, a
-    node-major (N, M, m) block allocated on the first step when None, whose
-    row at node j the coefficients then read; returns it.
+    model's action set, width and values, at every step and written into
+    `controls`, a node-major (N, M, m) block allocated on the first step when
+    None, whose row at node j the coefficients then read; returns it.
     """
     grid, dt = model.grid, model.grid.dt
     exp_dt = np.exp(model.A.eigenvalues * dt)
@@ -488,11 +440,18 @@ def _exp_euler_steps(model, values, law, noise, j0, j_end, policy=None, controls
             u = np.asarray(policy.actions(t, xs, mu), dtype=float)
             if u.ndim == 1:
                 u = u[:, None]
-            if model.actions is not None and not model.actions.contains_batch(u):
-                raise ConfigurationError(
-                    f"policy {getattr(policy, 'tag', policy)!r} emitted actions "
-                    f"outside the declared action set at step {j} (t={t:.6g})"
-                )
+            if model.actions is not None:
+                if u.shape[1] != model.actions.m:
+                    raise ConfigurationError(
+                        f"policy {getattr(policy, 'tag', policy)!r} emitted actions of "
+                        f"width {u.shape[1]} at step {j}; the declared action set has "
+                        f"width {model.actions.m}"
+                    )
+                if not model.actions.contains_batch(u):
+                    raise ConfigurationError(
+                        f"policy {getattr(policy, 'tag', policy)!r} emitted actions "
+                        f"outside the declared action set at step {j} (t={t:.6g})"
+                    )
             if controls is None:
                 # nodes no step of this call writes hold zeros
                 controls = node_major(values.shape[0], grid.steps, u.shape[1])
@@ -539,35 +498,17 @@ def integrate(
     what each would have drawn.  Every block passed is shape-checked.  The
     ensemble keeps no noise: a block the run drew itself is freed on return.
     """
-    j0, values, noise = _start(model, init, policy, t0, n_particles, seed, noise)
     grid = model.grid
     j_end = grid.steps if t_end is None else grid.node(t_end)
-    if j_end < j0:
+    if j_end < grid.node(t0):
         raise DomainError(f"t_end {t_end} precedes t0 {t0}")
-    dt = grid.dt
-
+    j0, values, noise = _start(model, init, t0, n_particles, seed, noise)
     controls = _exp_euler_steps(model, values, values, noise, j0, j_end, policy)
 
     if j_end < grid.steps:
         values[:, j_end + 1 :, :] = values[:, j_end : j_end + 1, :]
 
-    ens = ParticleEnsemble(grid, model.space, t0, values, controls, seed, model_tag=model.tag)
-
-    c = apriori_constant(model.lipschitz, model.eta, grid.T)
-    xi_norm = float(np.sqrt(sup_seminorm_sq_values(values, j0).mean()))
-    bound = 3.0 * c * (1.0 + xi_norm)
-    if model.control_growth:
-        control_sq_sum = 0.0
-        if controls is not None:
-            for j in range(j0, j_end):
-                control_sq_sum += float((controls[:, j, :] ** 2).sum(axis=1).mean()) * dt
-        bound = 3.0 * c * (1.0 + xi_norm + control_sq_sum)
-    if math.isfinite(bound) and ens.s2_norm() > bound:
-        raise ContractError(
-            f"a-priori estimate violated: ||X||_S2 = {ens.s2_norm():.3g} "
-            f"exceeds 3*C*(1+||xi||) = {bound:.3g}"
-        )
-    return ens
+    return ParticleEnsemble(grid, model.space, t0, values, controls, seed, model_tag=model.tag)
 
 
 def integrate_yosida(
@@ -625,7 +566,7 @@ def integrate_picard(
         raise DomainError("tol must be positive")
     if window is not None and window <= 0:
         raise DomainError("window must be positive")
-    j0, values, noise = _start(model, init, policy, t0, n_particles, seed)
+    j0, values, noise = _start(model, init, t0, n_particles, seed)
     grid = model.grid
     boundaries = [j0, grid.steps]
     if window is not None:

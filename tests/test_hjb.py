@@ -214,7 +214,7 @@ def _brute_force_randomized(mu, actions, w, read=lambda u: u):
     u[i, g], one scalar evaluation per (atom, level).  The F terms read the
     table read(u): a transposing `read` models a pairing of atoms with the
     wrong levels' actions."""
-    k, g, q = mu.n_atoms, len(w), actions.size
+    k, g, q = mu.n_atoms, len(w), len(actions.points)
     x = mu.values_now[:, 0]
     best = -math.inf
     for assignment in itertools.product(range(q), repeat=k * g):

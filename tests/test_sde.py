@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from pathmkv.control import constant_policy
 from pathmkv.errors import (
     ConfigurationError,
     DomainError,
@@ -12,6 +13,7 @@ from pathmkv.errors import (
 )
 from pathmkv.hilbert import SpaceSpec, SpectralOperator
 from pathmkv.models import (
+    make_controlled_linear,
     make_frozen,
     make_meanfield_growth,
     make_meanfield_ou,
@@ -22,7 +24,6 @@ from pathmkv.paths import TimeGrid
 from pathmkv.rng import brownian_increments, refine_increments
 from pathmkv.sde import (
     ModelSpec,
-    apriori_constant,
     brownian_block,
     constant_initial,
     flow_restart_check,
@@ -30,7 +31,6 @@ from pathmkv.sde import (
     integrate,
     integrate_picard,
     integrate_yosida,
-    lipschitz_initial_constant,
     ramp_initial,
     s2_distance,
     shifted_initial,
@@ -151,9 +151,12 @@ def test_initial_datum_continuity():
     delta = 0.05
     a = integrate(model, init, n_particles=64, seed=3)
     b = integrate(model, shifted_initial(init, [delta]), n_particles=64, seed=3)
-    c_lip = lipschitz_initial_constant(model.lipschitz, model.eta, grid.T)
+    # synchronous coupling on one noise block: the scheme's step grows the
+    # sup-seminorm gap by at most e^{eta+ dt}(1 + 2L dt), so the S2 gap at T is
+    # at most e^{(eta+ + 2L) T} delta (0.369 here)
+    stability = math.exp((max(model.eta, 0.0) + 2.0 * model.lipschitz) * grid.T)
     gap = s2_distance(a, b)
-    assert gap <= 3.0 * c_lip * delta
+    assert gap <= stability * delta
     assert gap > 0.0
 
 
@@ -178,9 +181,34 @@ def test_weak_error_halves_with_dt():
         assert 0.3 <= fine / coarse <= 0.7
 
 
-def test_apriori_constant_is_infinite_without_a_declared_lipschitz_constant():
-    # L = inf is how a model declares no constant (the plain Ito process)
-    assert apriori_constant(math.inf, 0.0, 1.0) == math.inf
+def test_well_posed_models_with_a_large_drift_integrate():
+    # constant drift 100 with L = 0, and a control entering with c = 100:
+    # both are well posed, and X_T is 100 on a grid whose dt sums exactly
+    grid = TimeGrid(1.0, 16)
+    constant_drift = ModelSpec(
+        space=SpaceSpec(1),
+        grid=grid,
+        A=SpectralOperator([0.0]),
+        drift=lambda t, xs, mu, u, nu: np.full((xs.n, 1), 100.0),
+    )
+    ens = integrate(constant_drift, constant_initial([0.0]), n_particles=8, seed=0)
+    assert np.all(ens.values[:, -1, 0] == 100.0)
+    controlled = make_controlled_linear(grid, c=100.0)
+    ens = integrate(controlled, constant_initial([0.0]), constant_policy([1.0]), n_particles=8, seed=0)
+    assert np.all(ens.values[:, -1, 0] == 100.0)
+
+
+def test_a_t_end_before_t0_is_refused_before_any_noise_is_drawn(monkeypatch):
+    import pathmkv.rng
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew a noise block before checking t_end")
+
+    monkeypatch.setattr(pathmkv.rng, "brownian_increments", no_draws)
+    model = make_ou(TimeGrid(1.0, 20), a=-1.0, s0=0.5)
+    with pytest.raises(DomainError, match="precedes t0"):
+        integrate(model, constant_initial([0.0]), t0=0.5, n_particles=8, seed=0, t_end=0.25)
+    assert not model._validated
 
 
 def test_picard_converges_in_one_iteration_without_coupling():
@@ -666,7 +694,7 @@ def test_runs_from_a_view_equal_runs_from_its_materialized_block(kind, t0):
     model = make_ou(grid, a=-1.0, s0=0.5, d=d)
     init = _constant_path_laws()[kind]
     block = np.array(init.sample(seed, n, grid, d))
-    j0, values, _ = _start(model, init, None, t0, n, seed)
+    j0, values, _ = _start(model, init, t0, n, seed)
     assert np.array_equal(values[:, : j0 + 1], block[:, : j0 + 1])
     ens = integrate(model, init, t0=t0, n_particles=n, seed=seed)
     ref = integrate(model, InitialLaw.from_values(block), t0=t0, n_particles=n, seed=seed)
