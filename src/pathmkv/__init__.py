@@ -4,7 +4,6 @@ for controlled path-dependent McKean-Vlasov SDEs on truncated Hilbert spaces."""
 __version__ = "0.1.0"
 
 from .hilbert import (
-    SpaceSpec,
     SpectralOperator,
     semigroup_apply,
     vector,

@@ -23,7 +23,7 @@ from .control import (
     law_invariance_check,
 )
 from .errors import ConfigurationError
-from .hilbert import SpaceSpec, SpectralOperator
+from .hilbert import SpectralOperator
 from .hjb import (
     ENUMERATION_CAP,
     HamiltonianIntegrand,
@@ -565,9 +565,7 @@ def run_hamiltonian(cfg, out_dir):
 
 
 def _linear_value_model(grid, a, beta, s0, c, q):
-    space = SpaceSpec(1)
     return ModelSpec(
-        space=space,
         grid=grid,
         A=SpectralOperator([a]),
         drift=lambda t, xs, mu, u, nu: np.full((xs.n, 1), beta),

@@ -29,7 +29,7 @@ from .errors import (
     DomainError,
     UnsupportedFunctionalError,
 )
-from .hilbert import SpaceSpec, SpectralOperator, vector
+from .hilbert import SpectralOperator, vector
 from .measure import EmpiricalPathMeasure, StoppedView, stopped_measure
 from .paths import PathGrid, bump
 from .sde import InitialLaw, ModelSpec, _recorded_args, integrate
@@ -411,7 +411,8 @@ def second_derivative(
 def ito_process(grid, F=None, G=None, tag: str = "ito_process", d: int = 1) -> ModelSpec:
     """The plain Ito process X = xi + int F dr + int G dB as the state equation
     with A = 0, whose coefficients F(t, x_now) -> (N, d) and G(t, x_now) ->
-    (N, n_sigma) diagonal entries read the current node of the paths.
+    (N, d) diagonal entries read the current node of the paths; a zero column
+    of G leaves its coordinate undriven.
 
     No Lipschitz constant is declared (L = inf): the Lipschitz spot check
     passes, while the non-anticipativity spot check runs as on every
@@ -421,7 +422,6 @@ def ito_process(grid, F=None, G=None, tag: str = "ito_process", d: int = 1) -> M
         return None if fn is None else (lambda t, xs, mu, u, nu: fn(t, xs.values_now))
 
     return ModelSpec(
-        space=SpaceSpec(d),
         grid=grid,
         A=SpectralOperator(np.zeros(d)),
         drift=lift(F),
@@ -442,11 +442,11 @@ def const_drift_spec(grid, c) -> ModelSpec:
     )
 
 
-def const_diffusion_spec(grid, s0, d: int = 1, d_sigma=None) -> ModelSpec:
-    """F = 0, G = s0 on the first d_sigma (default d) noise coordinates."""
+def const_diffusion_spec(grid, s0, d: int = 1) -> ModelSpec:
+    """F = 0, G = s0 on every coordinate."""
     return ito_process(
         grid,
-        G=lambda t, x: np.full((x.shape[0], d_sigma or x.shape[1]), s0),
+        G=lambda t, x: np.full(x.shape, s0),
         tag=f"F=0,G={s0}",
         d=d,
     )
@@ -539,10 +539,8 @@ def _rhs_quadrature(phis, model, values, j0, j1, rows, controls, a_eigs):
                         dmu = phi.dmu_fn(run, run)
                     term = term + _row_means(f[:, r] * dmu)
                 if g is not None:
-                    g_now = g[:, r]
-                    ns = g_now.shape[-1]
-                    diag = np.diagonal(phi.dxdmu_fn(run, run)[..., :ns, :ns], axis1=-2, axis2=-1)
-                    term = term + 0.5 * _row_means(g_now**2 * diag)
+                    diag = np.diagonal(phi.dxdmu_fn(run, run), axis1=-2, axis2=-1)
+                    term = term + 0.5 * _row_means(g[:, r] ** 2 * diag)
                 # one node at a time: neither np.sum (pairwise) nor the
                 # builtin sum (compensated on Python >= 3.12) keeps the order
                 for v in (term * grid.dt).tolist():
@@ -579,7 +577,7 @@ def ito_verify(
     functionals, all checked on one simulated ensemble, which gives their
     reports in order.
 
-    `noise` has `integrate`'s meaning and shape check: an (N, M, dK) block
+    `noise` has `integrate`'s meaning and shape check: an (N, M, d) block
     that replaces the increments drawn from `seed`.  Checks that share one
     seed pass the block they share, and it stays referenced by the caller.
     """

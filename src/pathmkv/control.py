@@ -432,7 +432,7 @@ def law_invariance_check(
     """
     if not policy_families:
         raise ConfigurationError("law_invariance_check needs at least one policy family")
-    grid, d = model.grid, model.space.d
+    grid, d = model.grid, model.A.dim
     ok, moment_gaps = _moment_guard(init_a, init_b, grid, d, max(n_particles, 512), seeds)
     if not ok:
         return LawInvarianceReport(

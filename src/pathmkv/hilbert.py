@@ -1,7 +1,8 @@
 """Truncated Hilbert-space linear algebra.
 
-The state space H and the noise space K are truncated to finite orthonormal
-bases (d and dK coordinates), so a point of H is its (d,) coordinate array.
+The state space H and the noise space K are truncated to one common
+orthonormal basis of d coordinates, so a point of H is its (d,) coordinate
+array and the noise is d wide.
 All operators are diagonal in the common basis, which keeps semigroup
 actions and Yosida approximations exact and cheap: everything
 reduces to componentwise scalar arithmetic on eigenvalue vectors.  Every
@@ -16,20 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-
-
-@dataclass(frozen=True)
-class SpaceSpec:
-    """Truncation dimensions: d for the state space H, dK for the noise space K."""
-
-    d: int
-    dK: int | None = None
-
-    def __post_init__(self):
-        if self.dK is None:
-            object.__setattr__(self, "dK", self.d)
-        if self.d < 1 or self.dK < 1:
-            raise ConfigurationError(f"space dimensions must be >= 1, got d={self.d}, dK={self.dK}")
 
 
 def vector(x, d: int) -> np.ndarray:

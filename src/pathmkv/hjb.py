@@ -260,8 +260,10 @@ def hamiltonian_from_model(
     phi, which symmetrizing it would leave as is.
 
     mu is stopped at t: the coefficients receive StoppedView.of(mu, t) as xs
-    and mu, as in integrate, and the derivative fields are evaluated on it once."""
+    and mu, as in integrate, and the derivative fields are evaluated on it once.
+    The model is validated first, as every `integrate` run validates it."""
     _require_fields(phi)
+    model.validate()
     law = StoppedView.of(mu, t)
     dmu = np.ascontiguousarray(phi.dmu_field(t, law))[:, :, None]
     if model.diffusion is not None:
@@ -273,7 +275,7 @@ def hamiltonian_from_model(
         total = model.running_cost_at(t, law, law, u, nu) + (b[:, None, :] @ dmu)[:, 0, 0]
         if model.diffusion is not None:
             s = model.diffusion_at(t, law, law, u, nu)
-            total += 0.5 * (s**2 * d2_diag[:, : s.shape[1]]).sum(axis=1)
+            total += 0.5 * (s**2 * d2_diag).sum(axis=1)
         return total
 
     return HamiltonianIntegrand(fn, nu_dependent=False, tag=f"model:{model.tag}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .hilbert import SpaceSpec, SpectralOperator
+from .hilbert import SpectralOperator
 from .paths import TimeGrid
 from .sde import ModelSpec
 
@@ -38,9 +38,7 @@ def _constant_diffusion(s0: float, d: int):
 
 
 def make_frozen(grid: TimeGrid, d: int = 1) -> ModelSpec:
-    space = SpaceSpec(d)
     return ModelSpec(
-        space=space,
         grid=grid,
         A=SpectralOperator(np.zeros(d)),
         lipschitz=0.0,
@@ -49,9 +47,7 @@ def make_frozen(grid: TimeGrid, d: int = 1) -> ModelSpec:
 
 
 def make_ou(grid: TimeGrid, a: float = -1.0, s0: float = 0.5, d: int = 1) -> ModelSpec:
-    space = SpaceSpec(d)
     return ModelSpec(
-        space=space,
         grid=grid,
         A=SpectralOperator(np.full(d, a)),
         diffusion=_constant_diffusion(s0, d),
@@ -61,13 +57,11 @@ def make_ou(grid: TimeGrid, a: float = -1.0, s0: float = 0.5, d: int = 1) -> Mod
 
 
 def make_ou_drift(grid: TimeGrid, kappa: float = 1.0, s0: float = 0.1, d: int = 1) -> ModelSpec:
-    space = SpaceSpec(d)
 
     def drift(t, xs, mu, u, nu):
         return -kappa * xs.values_now
 
     return ModelSpec(
-        space=space,
         grid=grid,
         A=SpectralOperator(np.zeros(d)),
         drift=drift,
@@ -80,13 +74,11 @@ def make_ou_drift(grid: TimeGrid, kappa: float = 1.0, s0: float = 0.1, d: int = 
 def make_meanfield_ou(
     grid: TimeGrid, theta: float = 1.0, s0: float = 0.0, d: int = 1
 ) -> ModelSpec:
-    space = SpaceSpec(d)
 
     def drift(t, xs, mu, u, nu):
         return theta * (mu.mean_at(t)[None, :] - xs.values_now)
 
     return ModelSpec(
-        space=space,
         grid=grid,
         A=SpectralOperator(np.zeros(d)),
         drift=drift,
@@ -100,13 +92,11 @@ def make_meanfield_growth(grid: TimeGrid, theta: float = 1.0, s0: float = 0.0, d
     """dX = theta * mean(mu) dt: the mean obeys dm = theta m dt, so the Picard
     iterates on the law reproduce the Taylor partial sums of e^{theta t} (the
     textbook contraction stress case)."""
-    space = SpaceSpec(d)
 
     def drift(t, xs, mu, u, nu):
         return np.broadcast_to(theta * mu.mean_at(t), (xs.n, d)).copy()
 
     return ModelSpec(
-        space=space,
         grid=grid,
         A=SpectralOperator(np.zeros(d)),
         drift=drift,
@@ -125,12 +115,15 @@ def make_controlled_linear(
     actions=None,
 ) -> ModelSpec:
     """dX = c u dt + s0 dB, reward g = <q, X_T>; the control enters linearly."""
-    space = SpaceSpec(d)
     q = np.ones(d) if q is None else np.atleast_1d(np.asarray(q, dtype=float))
 
     def drift(t, xs, mu, u, nu):
         if u is None:
             return np.zeros((xs.n, d))
+        if u.shape[1] > d:
+            raise ConfigurationError(
+                f"controlled_linear: actions of width {u.shape[1]} exceed the state dimension {d}"
+            )
         out = np.zeros((xs.n, d))
         out[:, : u.shape[1]] = c * u
         return out
@@ -139,7 +132,6 @@ def make_controlled_linear(
         return xs.values_now @ q
 
     return ModelSpec(
-        space=space,
         grid=grid,
         A=SpectralOperator(np.zeros(d)),
         drift=drift,
@@ -160,7 +152,6 @@ def make_quadratic_terminal(
     d: int = 1,
 ) -> ModelSpec:
     """Uncontrolled OU with g = -|X_T|^2 and optional running cost c |X_t|^2."""
-    space = SpaceSpec(d)
 
     def running_cost(t, xs, mu, u, nu):
         return running * (xs.values_now**2).sum(axis=1)
@@ -169,7 +160,6 @@ def make_quadratic_terminal(
         return -(xs.values_now**2).sum(axis=1)
 
     return ModelSpec(
-        space=space,
         grid=grid,
         A=SpectralOperator(np.full(d, a)),
         diffusion=_constant_diffusion(s0, d),

@@ -18,7 +18,7 @@ object, which is what the contraction construction asserts.
 Coefficients are batched over particles:
 
     drift(t, xs, mu, u, nu)        -> (N, d)
-    diffusion(t, xs, mu, u, nu)    -> (N, n_sigma)   diagonal entries
+    diffusion(t, xs, mu, u, nu)    -> (N, d) diagonal entries, or a (d,) row
     running_cost(t, xs, mu, u, nu) -> (N,)
     terminal_cost(xs, mu)          -> (N,)
 
@@ -52,7 +52,7 @@ from .errors import (
     IntegrationBlowupError,
     NonConvergenceError,
 )
-from .hilbert import SpaceSpec, SpectralOperator, yosida
+from .hilbert import SpectralOperator, yosida
 from .measure import (
     EmpiricalControlMeasure,
     EmpiricalPathMeasure,
@@ -186,6 +186,9 @@ def shifted_initial(base: InitialLaw, delta) -> InitialLaw:
 class ModelSpec:
     """The model tuple (A, b, sigma, f, g, U, grid) plus its Lipschitz/growth metadata.
 
+    A fixes the state dimension d, which is also the width of the noise: the
+    state and the noise share one eigenbasis and sigma is diagonal in it.
+
     lipschitz is the declared constant of the coefficient assumptions, which
     `validate` spot-checks on sampled pairs with 5% slack; growth_h, when
     given, is the declared envelope h such that
@@ -194,7 +197,6 @@ class ModelSpec:
     on the solution.
     """
 
-    space: SpaceSpec
     grid: TimeGrid
     A: SpectralOperator
     drift: object = None
@@ -208,31 +210,33 @@ class ModelSpec:
     _validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.A.dim != self.space.d:
-            raise ConfigurationError(
-                f"A has dimension {self.A.dim}, state space has {self.space.d}"
-            )
+        if self.A.dim < 1:
+            raise ConfigurationError("A has no eigenvalue: the state dimension must be >= 1")
 
     @property
     def eta(self) -> float:
         return self.A.eta
 
-    @property
-    def n_sigma(self) -> int:
-        return min(self.space.d, self.space.dK)
+    def _checked(self, name, out, n) -> np.ndarray:
+        if out.shape != (n, self.A.dim):
+            raise ConfigurationError(
+                f"model {self.tag!r}: {name} returned shape {out.shape}, "
+                f"expected {(n, self.A.dim)}"
+            )
+        return out
 
     def drift_at(self, t, xs, mu, u, nu) -> np.ndarray:
         if self.drift is None:
-            return np.zeros((xs.n, self.space.d))
-        return np.asarray(self.drift(t, xs, mu, u, nu), dtype=float)
+            return np.zeros((xs.n, self.A.dim))
+        return self._checked("drift", np.asarray(self.drift(t, xs, mu, u, nu), dtype=float), xs.n)
 
     def diffusion_at(self, t, xs, mu, u, nu) -> np.ndarray:
         if self.diffusion is None:
-            return np.zeros((xs.n, self.n_sigma))
+            return np.zeros((xs.n, self.A.dim))
         out = np.asarray(self.diffusion(t, xs, mu, u, nu), dtype=float)
-        if out.ndim == 1:
-            out = np.broadcast_to(out, (xs.n, self.n_sigma))
-        return out
+        if out.shape == (self.A.dim,):
+            out = np.broadcast_to(out, (xs.n, self.A.dim))
+        return self._checked("diffusion", out, xs.n)
 
     def running_cost_at(self, t, xs, mu, u, nu) -> np.ndarray:
         if self.running_cost is None:
@@ -260,7 +264,7 @@ def _sample_action(model, rand, n):
 
 def _validate_model(model):
     rand = np.random.default_rng(0)
-    grid, d = model.grid, model.space.d
+    grid, d = model.grid, model.A.dim
     n = 3
 
     for _ in range(4):  # sampled (node, pair) spot checks; node 0 on a one-step grid
@@ -314,7 +318,6 @@ class ParticleEnsemble:
     of a run that drew its own."""
 
     grid: TimeGrid
-    space: SpaceSpec
     t0: float
     values: np.ndarray  # (N, M+1, d), node-major; final when the ensemble is built
     controls: np.ndarray | None  # (N, M, m), node-major, or None
@@ -366,15 +369,18 @@ class ParticleEnsemble:
             json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def brownian_block(model: ModelSpec, n_particles: int, seed: int) -> np.ndarray:
-    """The (N, M, dK) Brownian increments a run of `model` with N particles
-    from `seed` is driven by, read-only.
+def brownian_block(model: ModelSpec, n_particles: int, seed: int) -> np.ndarray | None:
+    """The (N, M, d) Brownian increments a run of `model` with N particles
+    from `seed` is driven by, read-only; None for a diffusion-free model,
+    whose step never reads the noise.
 
     Runs that compare values under common random numbers draw this block once
     and pass it to each run as `noise=`; being read-only, no run can change
     what the next one reads."""
+    if model.diffusion is None:
+        return None
     grid = model.grid
-    noise = rng.brownian_increments(seed, n_particles, grid.steps, model.space.dK, grid.dt)
+    noise = rng.brownian_increments(seed, n_particles, grid.steps, model.A.dim, grid.dt)
     noise.setflags(write=False)
     return noise
 
@@ -382,8 +388,7 @@ def brownian_block(model: ModelSpec, n_particles: int, seed: int) -> np.ndarray:
 def _start(model: ModelSpec, init: InitialLaw, t0, n_particles, seed, noise=None):
     """Begin a run at t0: validate the model, fill the paths up to node j0
     with the initial segment, and take `noise` after the shape check, or the
-    run's own block when it is None.  A diffusion-free model
-    draws no block: its step never reads the noise, which stays None.
+    run's own `brownian_block` when it is None.
 
     Returns (j0, values, noise); values is a node-major
     (N, M+1, d) block and only its first j0 + 1 nodes are set, copied from
@@ -392,17 +397,15 @@ def _start(model: ModelSpec, init: InitialLaw, t0, n_particles, seed, noise=None
     model.validate()
     if n_particles < 2:
         raise ConfigurationError("need at least 2 particles for an empirical law")
-    grid, d = model.grid, model.space.d
+    grid, d = model.grid, model.A.dim
     j0 = grid.node(t0)
     values = node_major(n_particles, grid.steps + 1, d)
     values[:, : j0 + 1] = init.sample(seed, n_particles, grid, d)[:, : j0 + 1]
     if noise is None:
-        if model.diffusion is not None:
-            noise = brownian_block(model, n_particles, seed)
-    elif noise.shape != (n_particles, grid.steps, model.space.dK):
+        noise = brownian_block(model, n_particles, seed)
+    elif noise.shape != (n_particles, grid.steps, d):
         raise ConfigurationError(
-            f"noise override has shape {noise.shape}, "
-            f"expected {(n_particles, grid.steps, model.space.dK)}"
+            f"noise override has shape {noise.shape}, expected {(n_particles, grid.steps, d)}"
         )
     return j0, values, noise
 
@@ -423,11 +426,11 @@ def _exp_euler_steps(model, values, law, noise, j0, j_end, policy=None, controls
 
     with b_j and sigma_j reading the paths of `values` and the law of the block
     `law`, both stopped at node j.  `law is values` is the self-consistent
-    scheme; a frozen block is one Picard pass.  The noise width is the
-    diffusion's.  The actions the policy emits are checked against the
-    model's action set, width and values, at every step and written into
-    `controls`, a node-major (N, M, m) block allocated on the first step when
-    None, whose row at node j the coefficients then read; returns it.
+    scheme; a frozen block is one Picard pass.  The actions the policy emits
+    are checked against the model's action set, width and values, at every
+    step and written into `controls`, a node-major (N, M, m) block allocated
+    on the first step when None, whose row at node j the coefficients then
+    read; returns it.
     """
     grid, dt = model.grid, model.grid.dt
     exp_dt = np.exp(model.A.eigenvalues * dt)
@@ -465,9 +468,7 @@ def _exp_euler_steps(model, values, law, noise, j0, j_end, policy=None, controls
         else:
             incr = values[:, j, :] + dt * model.drift_at(t, xs, mu, u, nu)
         if model.diffusion is not None:
-            s = model.diffusion_at(t, xs, mu, u, nu)
-            ns = s.shape[1]
-            incr[:, :ns] += s * noise[:, j, :ns]
+            incr += model.diffusion_at(t, xs, mu, u, nu) * noise[:, j]
         new = exp_dt * incr
         if not np.all(np.isfinite(new)):
             bad = int(np.where(~np.isfinite(new).all(axis=1))[0][0])
@@ -492,7 +493,7 @@ def integrate(
     The returned ensemble is bit-reproducible from (inputs, seed): noise is
     counter-based per particle, and all cross-particle reductions are plain
     numpy pairwise sums in fixed particle order.  Passing `noise`, an
-    (N, M, dK) block, overrides the generated increments: Brownian-refinement
+    (N, M, d) block, overrides the generated increments: Brownian-refinement
     ladders pass aggregated ones, and runs under common random numbers pass
     the one `brownian_block(model, N, seed)` they share, which is exactly
     what each would have drawn.  Every block passed is shape-checked.  The
@@ -508,7 +509,7 @@ def integrate(
     if j_end < grid.steps:
         values[:, j_end + 1 :, :] = values[:, j_end : j_end + 1, :]
 
-    return ParticleEnsemble(grid, model.space, t0, values, controls, seed, model_tag=model.tag)
+    return ParticleEnsemble(grid, t0, values, controls, seed, model_tag=model.tag)
 
 
 def integrate_yosida(
@@ -599,7 +600,7 @@ def integrate_picard(
         if not converged:
             raise NonConvergenceError(gaps, tol)
 
-    ens = ParticleEnsemble(grid, model.space, t0, values, controls, seed, model_tag=model.tag)
+    ens = ParticleEnsemble(grid, t0, values, controls, seed, model_tag=model.tag)
     return PicardResult(ens, total_iters, all_gaps, windows=len(boundaries) - 1)
 
 
@@ -622,11 +623,11 @@ def flow_restart_check(
     from the stopped paths with the same residual noise stream, and report the
     max particle gap, which the recursion makes exactly zero.  The three runs
     share one `brownian_block(model, N, seed)`, drawn once: it is what each
-    would have drawn.  A diffusion-free model draws none."""
+    would have drawn."""
     grid = model.grid
     if grid.node(s) < grid.node(t0):
         raise DomainError(f"restart time {s} precedes start {t0}")
-    noise = None if model.diffusion is None else brownian_block(model, n_particles, seed)
+    noise = brownian_block(model, n_particles, seed)
     full = integrate(model, init, policy, t0, n_particles, seed, noise=noise)
     head = integrate(model, init, policy, t0, n_particles, seed, t_end=s, noise=noise)
     restart_init = InitialLaw.from_values(head.values)

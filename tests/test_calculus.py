@@ -476,7 +476,7 @@ def _reference_ito_verify(phi, model, init, t, s, n_particles, seed, n_batches=8
     from pathmkv.calculus import ItoReport
     from pathmkv.sde import StoppedView, _exp_euler_steps, integrate
 
-    grid, d = model.grid, model.space.d
+    grid, d = model.grid, model.A.dim
     j0, j1 = grid.node(t), grid.node(s)
     if np.any(model.A.eigenvalues):
         ens = integrate(model, init, None, t0=t, n_particles=n_particles, seed=seed)
@@ -532,7 +532,10 @@ ITO_CASES = [pytest.param(0.0, 1.0, drive, id=drive.tag) for drive in ITO_DRIVES
     pytest.param(0.0, 1.0, drift_diffusion_spec(TimeGrid(1.0, 301), [0.4], 0.3), id="M=301"),
     pytest.param(0.225, 0.95, ITO_DRIVES[3], id="t=0.225,s=0.95"),
     pytest.param(0.0, 1.0, const_drift_spec(GRID_40, [0.7, -0.2]), id="d=2,F=const"),
-    pytest.param(0.0, 1.0, const_diffusion_spec(GRID_40, 0.5, d=2, d_sigma=1), id="d=2,G=0.5,d_sigma=1"),
+    pytest.param(
+        0.0, 1.0, ito_process(GRID_40, G=lambda t, x: np.array([0.5, 0.0]), tag="F=0,G=[0.5,0]", d=2),
+        id="d=2,G=[0.5,0]",
+    ),
     pytest.param(0.0, 1.0, drift_diffusion_spec(GRID_40, [0.7, -0.2], 0.3), id="d=2,F=const,G=0.3"),
 ]
 
@@ -541,7 +544,7 @@ ITO_CASES = [pytest.param(0.0, 1.0, drive, id=drive.tag) for drive in ITO_DRIVES
 @pytest.mark.parametrize("t, s, drive", ITO_CASES)
 def test_ito_single_pass_matches_pinned_per_batch_loop(t, s, drive, n_particles):
     init = gaussian_initial(0.0, 0.5)
-    zoo = ANALYTIC_ZOO if drive.space.d == 1 else ANALYTIC_ZOO_2
+    zoo = ANALYTIC_ZOO if drive.A.dim == 1 else ANALYTIC_ZOO_2
     common = dict(t=t, s=s, n_particles=n_particles, seed=31)
     reports = ito_verify(zoo, drive, init, **common)
     assert [rep.functional for rep in reports] == [phi.tag for phi in zoo]

@@ -20,10 +20,12 @@ from pathmkv.control import (
     reward,
 )
 from pathmkv.errors import ConfigurationError, DomainError
-from pathmkv.hilbert import SpaceSpec, SpectralOperator
+from pathmkv.hilbert import SpectralOperator
 from pathmkv.measure import EmpiricalControlMeasure, StoppedView
 from pathmkv.models import (
     make_controlled_linear,
+    make_frozen,
+    make_meanfield_ou,
     make_quadratic_terminal,
 )
 from pathmkv.paths import TimeGrid
@@ -50,9 +52,7 @@ def bernoulli_policy(p, seed, n):
 
 
 def flat_model(grid, f_const=0.0, g_const=0.0):
-    space = SpaceSpec(1)
     return ModelSpec(
-        space=space,
         grid=grid,
         A=SpectralOperator([0.0]),
         running_cost=(lambda t, xs, mu, u, nu: np.full(xs.n, f_const))
@@ -107,9 +107,7 @@ def test_reward_nonanticipative_in_initial_data():
 
 def test_growth_envelope_violation_warns():
     grid = TimeGrid(1.0, 10)
-    space = SpaceSpec(1)
     model = ModelSpec(
-        space=space,
         grid=grid,
         A=SpectralOperator([0.0]),
         terminal_cost=lambda xs, mu: np.full(xs.n, 100.0),
@@ -145,7 +143,7 @@ def test_actions_of_the_wrong_width_are_refused(actions, u):
     model = make_controlled_linear(grid, c=1.0, d=max(len(u), actions.m), actions=actions)
     width = f"width {len(u)} at step 0; the declared action set has width {actions.m}"
     with pytest.raises(ConfigurationError, match=width):
-        integrate(model, constant_initial(np.zeros(model.space.d)), constant_policy(u), 0.0, 8, 0)
+        integrate(model, constant_initial(np.zeros(model.A.dim)), constant_policy(u), 0.0, 8, 0)
 
 
 @pytest.mark.parametrize("run", [integrate, integrate_picard], ids=["integrate", "picard"])
@@ -553,6 +551,23 @@ def test_law_invariance_on_one_block_per_side_matches_a_pinned_loop():
     assert (rep.value_a, rep.value_b, rep.gap) == (
         expected[-1]["value_a"], expected[-1]["value_b"], expected[-1]["gap"]
     )
+
+
+def test_diffusion_free_models_draw_no_noise_block(monkeypatch):
+    import pathmkv.rng
+
+    draws = []
+    draw = pathmkv.rng.brownian_increments
+
+    def counted(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(pathmkv.rng, "brownian_increments", counted)
+    grid = TimeGrid(1.0, 100)
+    estimate_value(make_frozen(grid), constant_initial([0.5]), [None], 0.0, 1000, seed=0)
+    dpp_check(make_meanfield_ou(grid, s0=0.0), gaussian_initial(0.0, 0.5), [], 0.0, 0.5, 1000, seed=0)
+    assert draws == []
 
 
 def test_estimate_value_rejects_a_block_of_the_wrong_shape():

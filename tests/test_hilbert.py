@@ -6,7 +6,6 @@ import pytest
 from pathmkv.control import BoxActionSet
 from pathmkv.errors import ConfigurationError, DomainError
 from pathmkv.hilbert import (
-    SpaceSpec,
     SpectralOperator,
     semigroup_apply,
     yosida,
@@ -17,13 +16,6 @@ from pathmkv.paths import TimeGrid, bump, constant_path
 
 def gen(lams):
     return SpectralOperator(np.atleast_1d(lams))
-
-
-def test_space_spec_defaults_and_bounds():
-    s = SpaceSpec(3)
-    assert s.dK == 3
-    with pytest.raises(ConfigurationError):
-        SpaceSpec(0)
 
 
 def test_semigroup_identity_when_a_zero():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from pathmkv.errors import (
     ContractError,
     DomainError,
 )
-from pathmkv.hilbert import SpaceSpec, SpectralOperator
+from pathmkv.hilbert import SpectralOperator
 from pathmkv.hjb import (
     HamiltonianIntegrand,
     hamiltonian_from_model,
@@ -440,7 +441,6 @@ def test_box_esssup_of_an_investment_integrand_matches_the_closed_form():
 def linear_value_model(grid, a, beta, s0, c, q):
     """d=1 uncontrolled linear model: dX = (aX + beta) dt + s0 dB (mild form),
     f = c x_t, g = q x_T."""
-    space = SpaceSpec(1)
 
     def drift(t, xs, mu, u, nu):
         return np.full((xs.n, 1), beta)
@@ -455,7 +455,6 @@ def linear_value_model(grid, a, beta, s0, c, q):
         return q * xs.values_now[:, 0]
 
     return ModelSpec(
-        space=space,
         grid=grid,
         A=SpectralOperator([a]),
         drift=drift,
@@ -534,10 +533,8 @@ def test_hjb_candidate_agrees_with_monte_carlo_value():
 
 def test_hjb_residual_trivial_constant_candidate():
     grid = TimeGrid(1.0, 10)
-    space = SpaceSpec(1)
     g_const = 2.0
     model = ModelSpec(
-        space=space,
         grid=grid,
         A=SpectralOperator([0.0]),
         terminal_cost=lambda xs, mu: np.full(xs.n, g_const),
@@ -583,6 +580,23 @@ def test_hjb_residual_affine_in_derivative_fields():
     assert r2.residual - f_part == pytest.approx(2.0 * (r1.residual - f_part), abs=1e-10)
 
 
+def test_hjb_residual_refuses_an_anticipative_model():
+    # integrate refuses this drift; the residual validates the model as it does
+    grid = TimeGrid(1.0, 50)
+    a, beta, s0, c, q = -1.0, 0.4, 0.3, 0.5, 1.0
+    model = replace(
+        linear_value_model(grid, a, beta, s0, c, q),
+        drift=lambda t, xs, mu, u, nu: xs._values[:, -1],
+        tag="cheater",
+    )
+    w = feynman_kac_candidate(grid, a, beta, c, q)
+    mu = measure_from_paths([constant_path(grid, [1.0]), constant_path(grid, [-0.5])])
+    with pytest.raises(ConfigurationError, match="anticipative"):
+        hjb_residual(w, model, 0.4, mu, FiniteActionSet([[0.0]]))
+    with pytest.raises(ConfigurationError, match="anticipative"):
+        integrate(model, constant_initial([0.0]), n_particles=4, seed=0)
+
+
 def test_candidate_without_fields_rejected():
     grid = TimeGrid(1.0, 10)
     model = linear_value_model(grid, -1.0, 0.0, 0.0, 0.1, 1.0)
@@ -613,7 +627,6 @@ def test_hjb_reads_the_law_stopped_at_t_like_integrate():
         return out
 
     model = ModelSpec(
-        space=SpaceSpec(1),
         grid=grid,
         A=SpectralOperator([0.0]),
         drift=drift,

@@ -256,7 +256,6 @@ def traced_peak(fn):
 def test_seminorm_passes_at_suite_size_peak_below_8_mb():
     # one (4000, 1001, 1) block is 32 MB; the one-shot passes held two or
     # three temporaries that large
-    from pathmkv.hilbert import SpaceSpec
     from pathmkv.sde import ParticleEnsemble, s2_distance
 
     grid = TimeGrid(1.0, 1000)
@@ -265,6 +264,6 @@ def test_seminorm_passes_at_suite_size_peak_below_8_mb():
     for _ in range(2):
         values = node_major(4000, grid.steps + 1, 1)
         values[...] = r.normal(size=values.shape)
-        ens.append(ParticleEnsemble(grid, SpaceSpec(1), 0.0, values, None, 0))
+        ens.append(ParticleEnsemble(grid, 0.0, values, None, 0))
     assert traced_peak(lambda: ens[0].seminorm_sq) <= 8 * 2**20
     assert traced_peak(lambda: s2_distance(ens[0], ens[1])) <= 8 * 2**20

@@ -1,5 +1,7 @@
 import math
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from pathmkv.errors import (
     IntegrationBlowupError,
     NonConvergenceError,
 )
-from pathmkv.hilbert import SpaceSpec, SpectralOperator
+from pathmkv.hilbert import SpectralOperator
 from pathmkv.models import (
     make_controlled_linear,
     make_frozen,
@@ -186,7 +188,6 @@ def test_well_posed_models_with_a_large_drift_integrate():
     # both are well posed, and X_T is 100 on a grid whose dt sums exactly
     grid = TimeGrid(1.0, 16)
     constant_drift = ModelSpec(
-        space=SpaceSpec(1),
         grid=grid,
         A=SpectralOperator([0.0]),
         drift=lambda t, xs, mu, u, nu: np.full((xs.n, 1), 100.0),
@@ -344,50 +345,88 @@ def test_flow_restart_check_draws_its_noise_block_once(monkeypatch):
 
 
 def test_rectangular_noise_dimensions():
-    # dK < d: only the first dK state coordinates are driven.
+    # the noise is as wide as the state: a coordinate without noise is a zero
+    # column of the diffusion, and a narrower diffusion is refused
     grid = TimeGrid(1.0, 100)
-    space = SpaceSpec(2, dK=1)
 
-    def diffusion(t, xs, mu, u, nu):
-        return np.full((xs.n, 1), 0.5)
+    def model_with(diffusion):
+        return ModelSpec(
+            grid=grid,
+            A=SpectralOperator([0.0, 0.0]),
+            diffusion=diffusion,
+            lipschitz=0.5,
+            tag="rect",
+        )
 
-    model = ModelSpec(
-        space=space,
-        grid=grid,
-        A=SpectralOperator([0.0, 0.0]),
-        diffusion=diffusion,
-        lipschitz=0.5,
-        tag="rect",
-    )
-    ens = integrate(model, constant_initial([0.0, 0.0]), n_particles=64, seed=0)
+    half = model_with(lambda t, xs, mu, u, nu: np.tile([0.5, 0.0], (xs.n, 1)))
+    ens = integrate(half, constant_initial([0.0, 0.0]), n_particles=64, seed=0)
     assert ens.values[:, -1, 0].std() > 0.1
     assert np.all(ens.values[:, :, 1] == 0.0)
+    assert brownian_block(half, 64, 0).shape == (64, 100, 2)
 
-    # dK > d: extra noise coordinates exist but are never consumed.
-    space2 = SpaceSpec(1, dK=3)
-    model2 = ModelSpec(
-        space=space2,
+    narrow = model_with(lambda t, xs, mu, u, nu: np.full((xs.n, 1), 0.5))
+    with pytest.raises(ConfigurationError, match=r"model 'rect': diffusion returned shape \(3, 1\)"):
+        integrate(narrow, constant_initial([0.0, 0.0]), n_particles=4, seed=0)
+
+
+def test_a_diffusion_row_is_broadcast_over_the_particles():
+    grid = TimeGrid(1.0, 16)
+    row = ModelSpec(
         grid=grid,
-        A=SpectralOperator([0.0]),
-        diffusion=lambda t, xs, mu, u, nu: np.full((xs.n, 1), 0.5),
+        A=SpectralOperator([0.0, 0.0]),
+        diffusion=lambda t, xs, mu, u, nu: np.array([0.5, 0.0]),
         lipschitz=0.5,
-        tag="rect2",
     )
-    ens2 = integrate(model2, constant_initial([0.0]), n_particles=64, seed=0)
-    assert brownian_block(model2, 64, 0).shape == (64, 100, 3)
-    assert ens2.values[:, -1, 0].std() > 0.1
+    full = replace(row, diffusion=lambda t, xs, mu, u, nu: np.tile([0.5, 0.0], (xs.n, 1)))
+    init = constant_initial([0.0, 0.0])
+    a = integrate(row, init, n_particles=8, seed=3)
+    assert np.array_equal(a.values, integrate(full, init, n_particles=8, seed=3).values)
+
+
+@pytest.mark.parametrize(
+    "drift, shape",
+    [
+        (lambda t, xs, mu, u, nu: np.ones((xs.n, 1)), (3, 1)),
+        (lambda t, xs, mu, u, nu: np.ones(3), (3,)),
+    ],
+    ids=["one_column_on_d2", "flat"],
+)
+def test_a_drift_of_the_wrong_shape_is_refused(drift, shape):
+    # an (N, 1) drift would broadcast over both coordinates; a flat one would
+    # end in a numpy error inside the validation
+    model = ModelSpec(
+        grid=TimeGrid(1.0, 4), A=SpectralOperator([0.0, 0.0]), drift=drift, lipschitz=1.0, tag="bad_drift"
+    )
+    msg = re.escape(f"model 'bad_drift': drift returned shape {shape}, expected (3, 2)")
+    with pytest.raises(ConfigurationError, match=msg):
+        integrate(model, constant_initial([0.0, 0.0]), n_particles=4, seed=0)
+
+
+def test_a_model_whose_generator_has_no_eigenvalue_is_refused():
+    with pytest.raises(ConfigurationError, match="A has no eigenvalue"):
+        ModelSpec(grid=TimeGrid(1.0, 4), A=SpectralOperator(np.zeros(0)))
+    with pytest.raises(ConfigurationError, match="A has no eigenvalue"):
+        make_frozen(TimeGrid(1.0, 4), d=0)
+
+
+def test_controlled_linear_refuses_actions_wider_than_the_state():
+    with pytest.raises(ConfigurationError, match="actions of width 2 exceed the state dimension 1"):
+        integrate(
+            make_controlled_linear(TimeGrid(1.0, 4)),
+            constant_initial([0.0]),
+            constant_policy([1.0, 1.0]),
+            n_particles=4,
+        )
 
 
 def test_blowup_detected_with_context():
     grid = TimeGrid(1.0, 60)
-    space = SpaceSpec(1)
     lam = 5e7
 
     def drift(t, xs, mu, u, nu):
         return lam * xs.values_now
 
     model = ModelSpec(
-        space=space,
         grid=grid,
         A=SpectralOperator([0.0]),
         drift=drift,
@@ -402,14 +441,12 @@ def test_blowup_detected_with_context():
 
 def test_anticipative_model_rejected():
     grid = TimeGrid(1.0, 20)
-    space = SpaceSpec(1)
 
     def drift(t, xs, mu, u, nu):
         # peeks at the raw array beyond the current node
         return xs._values[:, -1, :]
 
     model = ModelSpec(
-        space=space,
         grid=grid,
         A=SpectralOperator([0.0]),
         drift=drift,
@@ -566,7 +603,7 @@ def test_node_major_paths_equal_path_major_paths(path_major, d, tag):
             t0=0.25,
             n_particles=n,
             seed=seed,
-            noise=np.ascontiguousarray(noise),
+            noise=None if noise is None else np.ascontiguousarray(noise),
         )
     )
     assert ref.values.flags.c_contiguous and not ens.values.flags.c_contiguous
