@@ -118,9 +118,11 @@ def build_policy(spec, key):
     if kind != "constant":
         raise ConfigurationError(f"config key {key!r}: unknown policy kind {kind!r}")
     u = spec.get("u")
-    if not isinstance(u, list) or not u or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in u):
+    if not isinstance(u, list) or not u or any(
+        isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x) for x in u
+    ):
         raise ConfigurationError(
-            f"config key {key!r}: constant policy needs a 'u' action vector, a non-empty list of numbers; got {u!r}"
+            f"config key {key!r}: constant policy needs a 'u' action vector, a non-empty list of finite numbers; got {u!r}"
         )
     return constant_policy(u)
 
@@ -482,7 +484,6 @@ def run_hjb(cfg, out_dir):
     candidate = _feynman_kac_candidate(grid, a, beta, c, q)
     wrong = _feynman_kac_candidate(grid, a, beta, c, q, scale=2.0)
     times = [float(t) for t in cfg.get("hjb", {}).get("times", [0.0, 0.3, 0.7])]
-    actions = FiniteActionSet([[0.0]])
     rng = np.random.default_rng(cfg["seed"])
     mu = EmpiricalPathMeasure(grid, rng.normal(size=(6, grid.steps + 1, 1)), None)
 
@@ -491,8 +492,8 @@ def run_hjb(cfg, out_dir):
     checks = []
     ok = True
     for t in times:
-        rep = hjb_residual(candidate, model, t, mu, actions)
-        rep_wrong = hjb_residual(wrong, model, t, mu, actions)
+        rep = hjb_residual(candidate, model, t, mu)
+        rep_wrong = hjb_residual(wrong, model, t, mu)
         good = (
             abs(rep.residual) <= 1e-10
             and abs(rep_wrong.residual) > 1e-3
@@ -573,6 +574,7 @@ def _linear_value_model(grid, a, beta, s0, c, q):
         running_cost=lambda t, xs, mu, u, nu: c * xs.values_now[:, 0],
         terminal_cost=lambda xs, mu: q * xs.values_now[:, 0],
         lipschitz=max(abs(beta), abs(s0), 1e-12),
+        actions=FiniteActionSet([[0.0]]),
         tag="linear_value",
     )
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -187,6 +188,9 @@ def validate_config(cfg, schema=None, path="", root=None) -> None:
             raise ConfigurationError(
                 f"config key {here!r} has type {type(cfg[key]).__name__}, expected {spec[0]}"
             )
+        elif any(isinstance(x, float) and not math.isfinite(x)
+                 for x in (cfg[key] if isinstance(cfg[key], list) else [cfg[key]])):
+            raise ConfigurationError(f"config key {here!r} must be finite, got {cfg[key]}")
         elif spec[1] is not None and (broken := spec[1](cfg[key], root)):
             raise ConfigurationError(f"config key {here!r} {broken}, got {cfg[key]}")
     for key, spec in schema.items():

@@ -41,12 +41,16 @@ class ContractWarning(UserWarning):
 
 @dataclass(frozen=True)
 class FiniteActionSet:
-    """U as a finite list of points in R^m; points has shape (q, m)."""
+    """U as a finite list of points in R^m; points has shape (q, m), q, m >= 1."""
 
     points: np.ndarray
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        if pts.ndim != 2 or pts.size == 0 or not np.isfinite(pts).all():
+            raise ConfigurationError(
+                f"action points must be a finite (q, m) array with q, m >= 1, got shape {pts.shape}"
+            )
         object.__setattr__(self, "points", pts)
 
     @property
@@ -71,8 +75,10 @@ class BoxActionSet:
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if lo.shape != hi.shape or np.any(lo > hi):
-            raise ConfigurationError("box bounds must satisfy lo <= hi componentwise")
+        if lo.ndim != 1 or lo.shape != hi.shape or not np.isfinite([lo, hi]).all() or np.any(lo > hi):
+            raise ConfigurationError(
+                f"box bounds must be finite vectors of one length with lo <= hi componentwise, got {lo} and {hi}"
+            )
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

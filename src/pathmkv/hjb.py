@@ -260,10 +260,8 @@ def hamiltonian_from_model(
     phi, which symmetrizing it would leave as is.
 
     mu is stopped at t: the coefficients receive StoppedView.of(mu, t) as xs
-    and mu, as in integrate, and the derivative fields are evaluated on it once.
-    The model is validated first, as every `integrate` run validates it."""
+    and mu, as in integrate, and the derivative fields are evaluated on it once."""
     _require_fields(phi)
-    model.validate()
     law = StoppedView.of(mu, t)
     dmu = np.ascontiguousarray(phi.dmu_field(t, law))[:, :, None]
     if model.diffusion is not None:
@@ -295,15 +293,15 @@ def hjb_residual(
     model: ModelSpec,
     t: float,
     mu: EmpiricalPathMeasure,
-    action_set,
 ) -> HjbResidualReport:
     """Evaluate the master-equation residual of a candidate solution phi at (t, mu):
 
         residual = dt phi + E<xi_t, A* d_mu phi(xi)> + sup-form Hamiltonian,
 
-    plus the terminal gap |phi(T, mu) - E g|.  Both are reported without a
-    pass/fail verdict; this is a verification tool for supplied candidates.
-    Every term reads mu stopped at its time, as in hamiltonian_from_model.
+    the supremum taken over the model's action set U, plus the terminal gap
+    |phi(T, mu) - E g|.  Both are reported without a pass/fail verdict; this
+    is a verification tool for supplied candidates.  Every term reads mu
+    stopped at its time, as in hamiltonian_from_model.
     """
     _require_fields(phi)
     grid = model.grid
@@ -313,7 +311,7 @@ def hjb_residual(
     xi_t = law.values_at(t)
     a_star_term = float(law.weights @ (xi_t * a_field).sum(axis=1))
     F = hamiltonian_from_model(model, phi, t, mu)
-    ham = hamiltonian_sup_finite(F, mu, action_set, form="esssup")
+    ham = hamiltonian_sup_finite(F, mu, model.actions, form="esssup")
     residual = dt_term + a_star_term + ham
 
     end = StoppedView.of(mu, grid.T)

@@ -1,6 +1,6 @@
 """Built-in model specifications used by the checkers, tests and the CLI.
 
-Every factory returns a fully validated-able ModelSpec with batched
+Every factory returns a ModelSpec, checked when it is built, with batched
 coefficients.  Tags:
 
   frozen          b = sigma = 0, A = 0: nothing moves.

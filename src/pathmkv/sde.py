@@ -24,9 +24,9 @@ Coefficients are batched over particles:
 
 where xs and mu are measure.StoppedView objects, the one law type on path
 space: the particle paths and their empirical law, stopped at the current
-node.  Every read clamps to that node,
-so coefficients built on the view's API are non-anticipative by construction;
-validation additionally spot-checks raw-array access.  The HJB residual hands
+node.  Every read clamps to that node, so coefficients built on the view's
+API are non-anticipative by construction; the check each model gets when it
+is built additionally spot-checks raw-array access.  The HJB residual hands
 coefficients and candidate derivative fields the same view, stopped at t.
 
 Path, noise and control blocks are indexed (N, nodes, width) but stored
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -182,16 +182,18 @@ def shifted_initial(base: InitialLaw, delta) -> InitialLaw:
     return InitialLaw(sampler)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
     """The model tuple (A, b, sigma, f, g, U, grid) plus its Lipschitz/growth metadata.
 
     A fixes the state dimension d, which is also the width of the noise: the
     state and the noise share one eigenbasis and sigma is diagonal in it.
 
-    lipschitz is the declared constant of the coefficient assumptions, which
-    `validate` spot-checks on sampled pairs with 5% slack; growth_h, when
-    given, is the declared envelope h such that
+    A model is frozen and checked once, when it is built (every `replace`
+    copy included): sampled pairs spot-check the coefficients for
+    non-anticipativity, finite output and `lipschitz`, the declared constant
+    of the coefficient assumptions, with 5% slack.  growth_h, when given, is
+    the declared envelope h such that
     |f|, |g| <= h(W2(mu, delta_0)) (1 + ||x||_t^2), which the reward pass
     checks with a `ContractWarning`.  `integrate` asserts no a-priori bound
     on the solution.
@@ -207,28 +209,24 @@ class ModelSpec:
     actions: object = None
     growth_h: object = None
     tag: str = "custom"
-    _validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.A.dim < 1:
             raise ConfigurationError("A has no eigenvalue: the state dimension must be >= 1")
+        _validate_model(self)
 
-    @property
-    def eta(self) -> float:
-        return self.A.eta
-
-    def _checked(self, name, out, n) -> np.ndarray:
-        if out.shape != (n, self.A.dim):
+    def _checked(self, name, out, shape) -> np.ndarray:
+        out = np.asarray(out, dtype=float)
+        if out.shape != shape:
             raise ConfigurationError(
-                f"model {self.tag!r}: {name} returned shape {out.shape}, "
-                f"expected {(n, self.A.dim)}"
+                f"model {self.tag!r}: {name} returned shape {out.shape}, expected {shape}"
             )
         return out
 
     def drift_at(self, t, xs, mu, u, nu) -> np.ndarray:
         if self.drift is None:
             return np.zeros((xs.n, self.A.dim))
-        return self._checked("drift", np.asarray(self.drift(t, xs, mu, u, nu), dtype=float), xs.n)
+        return self._checked("drift", self.drift(t, xs, mu, u, nu), (xs.n, self.A.dim))
 
     def diffusion_at(self, t, xs, mu, u, nu) -> np.ndarray:
         if self.diffusion is None:
@@ -236,33 +234,21 @@ class ModelSpec:
         out = np.asarray(self.diffusion(t, xs, mu, u, nu), dtype=float)
         if out.shape == (self.A.dim,):
             out = np.broadcast_to(out, (xs.n, self.A.dim))
-        return self._checked("diffusion", out, xs.n)
+        return self._checked("diffusion", out, (xs.n, self.A.dim))
 
     def running_cost_at(self, t, xs, mu, u, nu) -> np.ndarray:
         if self.running_cost is None:
             return np.zeros(xs.n)
-        return np.asarray(self.running_cost(t, xs, mu, u, nu), dtype=float)
+        return self._checked("running cost", self.running_cost(t, xs, mu, u, nu), (xs.n,))
 
     def terminal_cost_at(self, xs, mu) -> np.ndarray:
         if self.terminal_cost is None:
             return np.zeros(xs.n)
-        return np.asarray(self.terminal_cost(xs, mu), dtype=float)
-
-    def validate(self) -> None:
-        """Spot-check non-anticipativity and the declared Lipschitz constant."""
-        if self._validated:
-            return
-        _validate_model(self)
-        self._validated = True
-
-
-def _sample_action(model, rand, n):
-    if model.actions is None:
-        return None
-    return model.actions.sample(rand, n)
+        return self._checked("terminal cost", self.terminal_cost(xs, mu), (xs.n,))
 
 
 def _validate_model(model):
+    """Spot-check non-anticipativity, finite output and the declared Lipschitz constant."""
     rand = np.random.default_rng(0)
     grid, d = model.grid, model.A.dim
     n = 3
@@ -270,7 +256,7 @@ def _validate_model(model):
     for _ in range(4):  # sampled (node, pair) spot checks; node 0 on a one-step grid
         j = int(rand.integers(1, grid.steps)) if grid.steps > 1 else 0
         t = grid.time_at(j)
-        u = _sample_action(model, rand, n)
+        u = None if model.actions is None else model.actions.sample(rand, n)
         nu = None if u is None else EmpiricalControlMeasure(u)
         vals = rand.normal(size=(n, grid.steps + 1, d))
         perturbed = vals.copy()
@@ -285,7 +271,9 @@ def _validate_model(model):
                     model.running_cost_at(t, view, view, u, nu),
                 )
             )
-        for a, b in zip(outs[0], outs[1]):
+        for name, a, b in zip(("drift", "diffusion", "running cost"), *outs):
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                raise ConfigurationError(f"model {model.tag!r}: {name} returned a non-finite value")
             if not np.array_equal(a, b):
                 raise ConfigurationError(
                     "coefficients are anticipative: perturbing the path after t changed the output"
@@ -386,15 +374,14 @@ def brownian_block(model: ModelSpec, n_particles: int, seed: int) -> np.ndarray 
 
 
 def _start(model: ModelSpec, init: InitialLaw, t0, n_particles, seed, noise=None):
-    """Begin a run at t0: validate the model, fill the paths up to node j0
-    with the initial segment, and take `noise` after the shape check, or the
-    run's own `brownian_block` when it is None.
+    """Begin a run at t0 of a model checked when it was built: fill the
+    paths up to node j0 with the initial segment, and take `noise` after the
+    shape check, or the run's own `brownian_block` when it is None.
 
     Returns (j0, values, noise); values is a node-major
     (N, M+1, d) block and only its first j0 + 1 nodes are set, copied from
     the initial sample, which may be a read-only view.
     """
-    model.validate()
     if n_particles < 2:
         raise ConfigurationError("need at least 2 particles for an empirical law")
     grid, d = model.grid, model.A.dim

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 from collections import Counter
 
@@ -638,9 +639,10 @@ def test_law_families_build_uncontrolled_and_constant_policies(tmp_path):
     [
         ({"kind": "bang_bang"}, "unknown policy kind 'bang_bang'"),
         ({"kind": "constant"}, "constant policy needs a 'u' action vector"),
+        ({"kind": "constant", "u": [math.nan]}, "a non-empty list of finite numbers; got [nan]"),
         ("constant", "policy spec must be an object with a kind"),
     ],
-    ids=["unknown-kind", "missing-u", "not-an-object"],
+    ids=["unknown-kind", "missing-u", "non-finite-u", "not-an-object"],
 )
 @pytest.mark.parametrize("subcommand", ["dpp-check", "law-check"])
 def test_bad_policy_specs_exit_2(tmp_path, capsys, subcommand, spec, match):
@@ -710,6 +712,14 @@ def test_hjb_candidate_key_is_unknown(tmp_path, capsys):
         ("ito-check", {"ito": {"t": 0.5, "s": 0.5}}, "ito.s"),
         ("deriv-check", {"deriv": {"n_atoms": 1}}, "deriv.n_atoms"),
         ("law-check", {"law": {"families": [[]]}}, "law.families"),
+        # json reads NaN, Infinity and -Infinity; a bound fed one is vacuous
+        ("ito-check", {"ito": {"dt_coeff": math.inf}}, "ito.dt_coeff"),
+        ("picard", {"picard": {"tol": math.inf}}, "picard.tol"),
+        ("simulate", {"grid": {"T": math.inf, "steps": 10}}, "grid.T"),
+        ("picard", {"picard": {"window": math.inf}}, "picard.window"),
+        ("simulate", {"model": {"tag": "ou", "params": {"a": math.nan}}}, "model.params.a"),
+        ("simulate", {"initial": {"kind": "gaussian", "mean": math.nan}}, "initial.mean"),
+        ("simulate", {"initial": {"kind": "constant", "value": [math.inf]}}, "initial.value"),
     ],
 )
 def test_values_outside_a_key_bound_exit_2_naming_the_key(tmp_path, capsys, subcommand, payload, key):

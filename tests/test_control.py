@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -118,6 +119,43 @@ def test_growth_envelope_violation_warns():
     ens = integrate(model, constant_initial([0.0]), n_particles=4, seed=0)
     with pytest.warns(ContractWarning):
         reward(model, ens, 0.0)
+
+
+@pytest.mark.parametrize(
+    "field, name, cost, got, want",
+    [
+        ("running_cost", "running cost", lambda t, xs, mu, u, nu: np.ones((xs.n, 1)), (3, 1), (3,)),
+        ("running_cost", "running cost", lambda t, xs, mu, u, nu: np.ones(3), (3,), (4,)),
+        ("terminal_cost", "terminal cost", lambda xs, mu: np.ones((xs.n, 1)), (4, 1), (4,)),
+        ("terminal_cost", "terminal cost", lambda xs, mu: np.ones(3), (3,), (4,)),
+    ],
+    ids=["running_n_by_1", "running_flat_3", "terminal_n_by_1", "terminal_flat_3"],
+)
+def test_a_cost_of_the_wrong_shape_is_refused(field, name, cost, got, want):
+    # an (N, 1) terminal cost would broadcast to (N, N) in the reward; the
+    # check at build time sees 3 particles, the run 4
+    msg = re.escape(f"model 'bad_cost': {name} returned shape {got}, expected {want}")
+    with pytest.raises(ConfigurationError, match=msg):
+        model = ModelSpec(grid=TimeGrid(1.0, 4), A=SpectralOperator([0.0]), tag="bad_cost", **{field: cost})
+        reward(model, integrate(model, constant_initial([0.0]), n_particles=4, seed=0), 0.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BoxActionSet([[0.0, 0.0]], [[1.0, 1.0]]),
+        lambda: BoxActionSet([0.0], [math.nan]),
+        lambda: BoxActionSet([0.0, 0.0], [1.0]),
+        lambda: BoxActionSet([1.0], [0.0]),
+        lambda: FiniteActionSet(np.zeros((2, 2, 2))),
+        lambda: FiniteActionSet(np.zeros((0, 1))),
+        lambda: FiniteActionSet([[0.0], [math.inf]]),
+    ],
+    ids=["box_1_by_2", "box_nan", "box_lengths", "box_lo_above_hi", "points_2x2x2", "no_points", "point_inf"],
+)
+def test_a_malformed_action_set_is_refused_when_built(make):
+    with pytest.raises(ConfigurationError, match="box bounds must|action points must"):
+        make()
 
 
 def test_policy_outside_action_set_rejected():

@@ -462,6 +462,7 @@ def linear_value_model(grid, a, beta, s0, c, q):
         running_cost=running,
         terminal_cost=terminal,
         lipschitz=max(abs(beta), abs(s0), 1e-12),
+        actions=FiniteActionSet([[0.0]]),
         tag="linear_value",
     )
 
@@ -508,13 +509,12 @@ def test_hjb_residual_feynman_kac_candidate():
     a, beta, s0, c, q = -1.0, 0.4, 0.3, 0.5, 1.0
     model = linear_value_model(grid, a, beta, s0, c, q)
     w = feynman_kac_candidate(grid, a, beta, c, q)
-    actions = FiniteActionSet([[0.0]])
     rng = np.random.default_rng(4)
     mu = EmpiricalPathMeasure(grid, rng.normal(size=(6, grid.steps + 1, 1)), None)
     for t in (0.0, 0.3, 0.7):
-        rep = hjb_residual(w, model, t, mu, actions)
+        rep = hjb_residual(w, model, t, mu)
         assert abs(rep.residual) < 1e-12
-    rep_T = hjb_residual(w, model, 0.5, mu, actions)
+    rep_T = hjb_residual(w, model, 0.5, mu)
     assert rep_T.terminal_gap < 1e-12
 
 
@@ -539,6 +539,7 @@ def test_hjb_residual_trivial_constant_candidate():
         A=SpectralOperator([0.0]),
         terminal_cost=lambda xs, mu: np.full(xs.n, g_const),
         lipschitz=0.0,
+        actions=FiniteActionSet([[0.0]]),
         tag="const_g",
     )
     w = CylindricalFunctional(
@@ -549,7 +550,7 @@ def test_hjb_residual_trivial_constant_candidate():
         dxdmu_fn=lambda law, at: np.zeros(at.now.shape[:2] + (1, 1)),
     )
     mu = measure_from_paths([constant_path(grid, [0.3]), constant_path(grid, [-0.3])])
-    rep = hjb_residual(w, model, 0.5, mu, FiniteActionSet([[0.0]]))
+    rep = hjb_residual(w, model, 0.5, mu)
     assert rep.residual == 0.0
     assert rep.terminal_gap == 0.0
 
@@ -560,7 +561,7 @@ def test_hjb_residual_flags_wrong_candidate():
     model = linear_value_model(grid, a, beta, s0, c, q)
     wrong = feynman_kac_candidate(grid, a, beta, c, q, scale=2.0)
     mu = measure_from_paths([constant_path(grid, [1.0]), constant_path(grid, [-0.5])])
-    rep = hjb_residual(wrong, model, 0.4, mu, FiniteActionSet([[0.0]]))
+    rep = hjb_residual(wrong, model, 0.4, mu)
     assert abs(rep.residual) > 1e-3
 
 
@@ -574,27 +575,32 @@ def test_hjb_residual_affine_in_derivative_fields():
     w2 = feynman_kac_candidate(grid, a, beta, c, q, scale=2.0)
     mu = measure_from_paths([constant_path(grid, [1.0]), constant_path(grid, [-0.5])])
     t = 0.4
-    r1 = hjb_residual(w1, model, t, mu, FiniteActionSet([[0.0]]))
-    r2 = hjb_residual(w2, model, t, mu, FiniteActionSet([[0.0]]))
+    r1 = hjb_residual(w1, model, t, mu)
+    r2 = hjb_residual(w2, model, t, mu)
     f_part = float(mu.weights @ (c * mu.values_at(t)[:, 0]))
     assert r2.residual - f_part == pytest.approx(2.0 * (r1.residual - f_part), abs=1e-10)
 
 
 def test_hjb_residual_refuses_an_anticipative_model():
-    # integrate refuses this drift; the residual validates the model as it does
+    # the model is refused when it is built, before the residual or integrate
+    # can read it
+    grid = TimeGrid(1.0, 50)
+    with pytest.raises(ConfigurationError, match="anticipative"):
+        replace(
+            linear_value_model(grid, -1.0, 0.4, 0.3, 0.5, 1.0),
+            drift=lambda t, xs, mu, u, nu: xs._values[:, -1],
+            tag="cheater",
+        )
+
+
+def test_hjb_residual_refuses_a_model_without_an_action_set():
     grid = TimeGrid(1.0, 50)
     a, beta, s0, c, q = -1.0, 0.4, 0.3, 0.5, 1.0
-    model = replace(
-        linear_value_model(grid, a, beta, s0, c, q),
-        drift=lambda t, xs, mu, u, nu: xs._values[:, -1],
-        tag="cheater",
-    )
+    model = replace(linear_value_model(grid, a, beta, s0, c, q), actions=None)
     w = feynman_kac_candidate(grid, a, beta, c, q)
     mu = measure_from_paths([constant_path(grid, [1.0]), constant_path(grid, [-0.5])])
-    with pytest.raises(ConfigurationError, match="anticipative"):
-        hjb_residual(w, model, 0.4, mu, FiniteActionSet([[0.0]]))
-    with pytest.raises(ConfigurationError, match="anticipative"):
-        integrate(model, constant_initial([0.0]), n_particles=4, seed=0)
+    with pytest.raises(ContractError, match="sup of 'model:linear_value' needs a finite or a box U"):
+        hjb_residual(w, model, 0.4, mu)
 
 
 def test_candidate_without_fields_rejected():
@@ -603,7 +609,7 @@ def test_candidate_without_fields_rejected():
     bare = CylindricalFunctional(tag="bare", eval_fn=lambda t, mu: 0.0)
     mu = measure_from_paths([constant_path(grid, [0.0])])
     with pytest.raises(ContractError, match="candidate 'bare' lacks analytic derivative fields"):
-        hjb_residual(bare, model, 0.5, mu, FiniteActionSet([[0.0]]))
+        hjb_residual(bare, model, 0.5, mu)
     with pytest.raises(ContractError, match="candidate 'bare' lacks analytic derivative fields"):
         hamiltonian_from_model(model, bare, 0.5, mu)
 
@@ -632,9 +638,10 @@ def test_hjb_reads_the_law_stopped_at_t_like_integrate():
         drift=drift,
         running_cost=running,
         lipschitz=1.0,
+        actions=FiniteActionSet([[0.0]]),
         tag="law_reader",
     )
-    model.validate()
+    # drop the calls of the check the model got when it was built
     calls["b"].clear()
     calls["f"].clear()
     ens = integrate(model, InitialLaw.from_values(cloud), t0=t, n_particles=6, t_end=t + grid.dt)
@@ -649,14 +656,14 @@ def test_hjb_reads_the_law_stopped_at_t_like_integrate():
     F = hamiltonian_from_model(model, w, t, mu)
     via_hjb = F(mu, None)
     np.testing.assert_allclose(via_hjb, via_integrate, rtol=1e-12, atol=1e-12)
-    rep = hjb_residual(w, model, t, mu, FiniteActionSet([[0.0]]))
+    rep = hjb_residual(w, model, t, mu)
     assert rep.hamiltonian == pytest.approx(float(via_integrate.mean()), rel=1e-12)
     assert rep.residual == pytest.approx(float(via_integrate.mean()), rel=1e-12)
 
 
 def test_hjb_residual_takes_the_box_supremum_of_a_control_linear_model():
-    model = make_controlled_linear(GRID, c=1.0, s0=0.3)
-    rep = hjb_residual(linear_mean(1), model, 0.5, two_sign_measure(), BoxActionSet([-1.0], [1.0]))
+    model = make_controlled_linear(GRID, c=1.0, s0=0.3, actions=BoxActionSet([-1.0], [1.0]))
+    rep = hjb_residual(linear_mean(1), model, 0.5, two_sign_measure())
     assert rep.hamiltonian == 1.0  # F = u, so each atom takes u = 1
 
 
