@@ -45,6 +45,7 @@ from .sde import (
     ModelSpec,
     brownian_block,
     constant_initial,
+    draw_scope,
     flow_restart_check,
     gaussian_initial,
     integrate,
@@ -724,6 +725,7 @@ def weak_order(cfg, out_dir):
         coarse = refine_increments(noise_fine, factor)
         e = integrate(sub_model, constant_initial([4.0]), None, 0.0, n, seed + 3, noise=coarse)
         errors.append(abs(e.values[:, -1, 0].mean() - 4.0 * math.exp(-1.0)))
+        del coarse, e  # the next rung is drawn and run without this one's blocks alive
     ratios = [b / a for a, b in zip(errors, errors[1:])]
     weak_ok = all(0.3 <= r <= 0.7 for r in ratios)
     return {"pass": bool(weak_ok), "errors": errors, "ratios": ratios}
@@ -795,7 +797,10 @@ SUITE = {
 
 
 def run_suite(cfg, out_dir):
-    """The full acceptance battery: every criterion of SUITE, in order."""
-    results = {key: criterion(cfg, out_dir) for key, criterion in SUITE.items()}
+    """The full acceptance battery: every criterion of SUITE, in order, in one
+    `draw_scope`, so that criteria in a row that draw the block of one
+    (seed, grid) key draw it once; nothing drawn outlives the run."""
+    with draw_scope():
+        results = {key: criterion(cfg, out_dir) for key, criterion in SUITE.items()}
     results["pass"] = all(block["pass"] for block in results.values())
     return results

@@ -487,10 +487,13 @@ class ItoReport:
 
 
 # Nodes per block of the Ito quadrature, deliberately not configurable.  At
-# 4000 particles one (8, N, d = 1) temporary is 256 KB; temporaries of 512 KB
-# and more (16-node blocks) raised the peak RSS of a second suite round in
-# the same process from 358 to about 388 MB.
-NODE_BLOCK = 8
+# 4000 particles one (16, N, d = 1) temporary is 512 KB.  On a 2-core x86-64
+# machine the default `ito` criterion, drawing its own block, took 0.75-0.80 s
+# of CPU (median 0.78) with 16-node blocks against 0.80-0.90 s (0.84) with 8
+# and 0.81-0.90 s (0.86) with 32, each the median of three runs in 8 rounds
+# that alternated the lengths; two suite runs in one process peaked at 178.1,
+# 178.2 and 177.6 MB of RSS with 8, 16 and 32.
+NODE_BLOCK = 16
 
 
 def _block_coefficients(model, values, b0, b1, controls):
@@ -505,8 +508,11 @@ def _block_coefficients(model, values, b0, b1, controls):
 
 def _row_means(a):
     """Sum over the last axis, then the mean of each row of the (J, K) result;
-    a C-contiguous row's mean sums in the order of its own 1-d mean."""
-    return a.sum(axis=-1).mean(axis=-1)
+    a C-contiguous row's mean sums in the order of its own 1-d mean.  A sum
+    of one element is that element, so a last axis of length 1 is read, not
+    summed."""
+    rows = a[..., 0] if a.shape[-1] == 1 else a.sum(axis=-1)
+    return rows.mean(axis=-1)
 
 
 def _rhs_quadrature(phis, model, values, j0, j1, rows, controls, a_eigs):
@@ -515,10 +521,12 @@ def _rhs_quadrature(phis, model, values, j0, j1, rows, controls, a_eigs):
 
     One pass over blocks of NODE_BLOCK consecutive nodes serves every
     functional and set.  A block reads the paths node-major, a view of the
-    node-major block `integrate` returns (a copy for any other layout), and
-    evaluates each functional's fields once per set on the whole block, each
-    set against its own law; each node's term * dt is then added to the
-    set's total in node order."""
+    node-major block `integrate` returns (a copy for any other layout).  It
+    evaluates the coefficients and g ** 2 once, on the full ensemble, then
+    takes each set's slices of f, g ** 2 and now * a_eigs once for all
+    functionals, whose fields it evaluates once per set on the whole block,
+    each set against its own law.  Each node's term * dt is then added to
+    the set's total in node order."""
     grid = model.grid
     totals = [[0.0] * len(rows) for _ in phis]
     for b0 in range(j0, j1, NODE_BLOCK):
@@ -526,21 +534,25 @@ def _rhs_quadrature(phis, model, values, j0, j1, rows, controls, a_eigs):
         ts = np.arange(b0, b1) * grid.dt
         now = np.ascontiguousarray(values[:, b0:b1].transpose(1, 0, 2))
         f, g = _block_coefficients(model, values, b0, b1, controls)
-        runs = [NodeRun(StoppedView(grid, values[r], b1 - 1), ts, now[:, r]) for r in rows]
-        for phi, phi_totals in zip(phis, totals):
-            for k, (r, run) in enumerate(zip(rows, runs)):
+        g_sq = None if g is None else g**2
+        for k, r in enumerate(rows):
+            run = NodeRun(StoppedView(grid, values[r], b1 - 1), ts, now[:, r])
+            f_r = None if f is None else f[:, r]
+            g_sq_r = None if g_sq is None else g_sq[:, r]
+            now_a = None if a_eigs is None else run.now * a_eigs
+            for phi, phi_totals in zip(phis, totals):
                 term = phi.dt_fn(run)
                 dmu = None
-                if a_eigs is not None:
+                if now_a is not None:
                     dmu = phi.dmu_fn(run, run)
-                    term = term + _row_means((run.now * a_eigs) * dmu)
-                if f is not None:
+                    term = term + _row_means(now_a * dmu)
+                if f_r is not None:
                     if dmu is None:
                         dmu = phi.dmu_fn(run, run)
-                    term = term + _row_means(f[:, r] * dmu)
-                if g is not None:
+                    term = term + _row_means(f_r * dmu)
+                if g_sq_r is not None:
                     diag = np.diagonal(phi.dxdmu_fn(run, run), axis1=-2, axis2=-1)
-                    term = term + 0.5 * _row_means(g[:, r] ** 2 * diag)
+                    term = term + 0.5 * _row_means(g_sq_r * diag)
                 # one node at a time: neither np.sum (pairwise) nor the
                 # builtin sum (compensated on Python >= 3.12) keeps the order
                 for v in (term * grid.dt).tolist():

@@ -9,7 +9,9 @@ noise streams are keyed by (seed, particle, step) and never by the family
 index, so every member run from one seed is driven by the same Brownian
 block.  Each check draws that block once (`sde.brownian_block`, read-only)
 and passes it to every run that uses it; that is what makes
-family-monotonicity exact rather than statistical.
+family-monotonicity exact rather than statistical.  Inside a
+`sde.draw_scope`, as in a suite run, a check whose block the scope already
+holds takes it from the scope instead of drawing it.
 """
 
 from __future__ import annotations

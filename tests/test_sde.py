@@ -28,6 +28,7 @@ from pathmkv.sde import (
     ModelSpec,
     brownian_block,
     constant_initial,
+    draw_scope,
     flow_restart_check,
     gaussian_initial,
     integrate,
@@ -341,6 +342,66 @@ def test_flow_restart_check_draws_its_noise_block_once(monkeypatch):
     )
     assert report["max_particle_gap"] == 0.0
     assert draws == [(11, 16, 32, 1, grid.dt)]
+
+
+def _counted_draws(monkeypatch):
+    """Record (seed, N, M, dK) of every rng.brownian_increments call, and
+    whether a scope still held a block when the draw began."""
+    import pathmkv.rng
+    import pathmkv.sde
+
+    draws, held = [], []
+    draw = pathmkv.rng.brownian_increments
+
+    def counted(seed, n_particles, n_steps, dk, dt, **kwargs):
+        held.append(bool(pathmkv.sde._kept))
+        draws.append((seed, n_particles, n_steps, dk))
+        return draw(seed, n_particles, n_steps, dk, dt, **kwargs)
+
+    monkeypatch.setattr(pathmkv.rng, "brownian_increments", counted)
+    return draws, held
+
+
+def test_a_draw_scope_serves_each_key_from_one_draw_as_read_only_prefixes(monkeypatch):
+    grid = TimeGrid(1.0, 24)
+    model, other_grid = make_ou(grid, a=-1.0, s0=0.5), make_ou(TimeGrid(2.0, 24), a=-1.0, s0=0.5)
+    outside = brownian_block(model, 32, 5)
+    draws, held = _counted_draws(monkeypatch)
+    with draw_scope():
+        full = brownian_block(model, 100, 5)
+        prefix = brownian_block(model, 32, 5)
+        again = brownian_block(model, 100, 5)
+        # a new key, then a longer request of the old one: each draws, and
+        # the kept block is dropped before the draw begins
+        shifted = brownian_block(model, 100, 6)
+        longer = brownian_block(model, 120, 6)
+        other_dt = brownian_block(other_grid, 120, 6)
+    assert draws == [(5, 100, 24, 1), (6, 100, 24, 1), (6, 120, 24, 1), (6, 120, 24, 1)]
+    assert held == [False, False, False, False]
+    assert np.array_equal(prefix, outside) and np.array_equal(full[:32], outside)
+    assert np.array_equal(again, full) and np.array_equal(longer[:100], shifted)
+    assert not np.array_equal(other_dt, longer)
+    for block in (full, prefix, again, shifted, longer, other_dt):
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0, 0] = 0.0
+        assert block[:, 3].flags.c_contiguous  # node-major, as outside a scope
+    # the scope is gone on exit: every call draws again
+    brownian_block(model, 32, 5)
+    brownian_block(model, 32, 5)
+    assert draws[4:] == [(5, 32, 24, 1)] * 2
+
+
+def test_runs_in_a_draw_scope_equal_runs_that_draw_their_own_block():
+    grid = TimeGrid(1.0, 40)
+    model = make_ou(grid, a=-1.0, s0=0.5)
+    init = gaussian_initial(0.5, 0.2)
+    own = [integrate(model, init, None, 0.0, n, 9).values for n in (64, 16)]
+    with draw_scope():
+        scoped = [integrate(model, init, None, 0.0, n, 9).values for n in (64, 16)]
+        restart = flow_restart_check(model, init, None, 0.0, 0.5, 16, 9)
+    assert all(np.array_equal(a, b) for a, b in zip(own, scoped))
+    assert restart["max_particle_gap"] == 0.0
 
 
 def test_rectangular_noise_dimensions():
