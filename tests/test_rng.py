@@ -165,14 +165,3 @@ def test_refining_by_a_factor_that_does_not_divide_the_steps_is_a_domain_error()
     with pytest.raises(DomainError, match="cannot coarsen 6 steps by factor 4"):
         rng.refine_increments(fine, 4)
     assert rng.refine_increments(fine, 3).shape == (3, 2, 1)
-
-
-def test_brownian_increments_fill_a_given_block_in_place():
-    # across a chunk boundary, into a node-major view of a flat buffer
-    n, m, dk = 300, 5, 2
-    buf = np.empty(n * m * dk)
-    out = buf.reshape(m, n, dk).transpose(1, 0, 2)
-    assert rng.brownian_increments(3, n, m, dk, 0.1, out=out) is out
-    assert np.array_equal(out, rng.brownian_increments(3, n, m, dk, 0.1))
-    with pytest.raises(DomainError, match="out has shape"):
-        rng.brownian_increments(3, n, m + 1, dk, 0.1, out=out)

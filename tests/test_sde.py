@@ -353,10 +353,10 @@ def _counted_draws(monkeypatch):
     draws, held = [], []
     draw = pathmkv.rng.brownian_increments
 
-    def counted(seed, n_particles, n_steps, dk, dt, **kwargs):
+    def counted(seed, n_particles, n_steps, dk, dt):
         held.append(bool(pathmkv.sde._kept))
         draws.append((seed, n_particles, n_steps, dk))
-        return draw(seed, n_particles, n_steps, dk, dt, **kwargs)
+        return draw(seed, n_particles, n_steps, dk, dt)
 
     monkeypatch.setattr(pathmkv.rng, "brownian_increments", counted)
     return draws, held
