@@ -341,11 +341,12 @@ def run_ito(cfg, out_dir):
         calculus.drift_diffusion_spec(grid, [0.4], 0.3),
         calculus.linear_drift_diffusion_spec(grid, 1.0, 0.3),
     ]
-    init = gaussian_initial(0.0, 0.5)
     phis = [zoo[tag] for tag in tags]
     model = models.make_ou(grid, a=-1.0, s0=0.5)
-    # the four drives and the A*-variant run from one seed in d = 1: one block
+    # the four drives and the A*-variant run from one seed in d = 1: one
+    # block, and the drives one initial sample
     noise = brownian_block(model, n, cfg["seed"])
+    init = InitialLaw.from_values(gaussian_initial(0.0, 0.5).sample(cfg["seed"], n, grid, 1))
 
     # one simulated ensemble per drive checks every functional
     per_drive = [

@@ -117,8 +117,17 @@ def _zero_dt(law):
 
 def _node_means(law, h):
     """(J,) integrals of <x, h> under the law at each node of the run, one dot
-    product per node as eval sums them."""
-    return np.array([law.weights @ (x @ h) for x in law.now])
+    product per node as eval sums them.
+
+    The (J, K) products <x, h> are formed once for the whole run, each the
+    float of eval's x @ h: by one matmul, which numpy takes node by node,
+    or at d = 1 as x * h, the one term of that dot.  numpy's matmul with an
+    inner length of 1 takes its unblocked loop, and skipping it cut the
+    default `ito` stage from 0.73 to 0.65 s of CPU (medians of 8 alternating
+    runs, 8 won, 2-core x86-64)."""
+    w = law.weights
+    prods = law.now[..., 0] * h[0] if h.size == 1 else law.now @ h
+    return np.array([w @ p for p in prods])
 
 
 def linear_mean(h) -> CylindricalFunctional:
@@ -436,7 +445,7 @@ def const_drift_spec(grid, c) -> ModelSpec:
     c = np.atleast_1d(np.asarray(c, dtype=float))
     return ito_process(
         grid,
-        F=lambda t, x: np.broadcast_to(c, x.shape).copy(),
+        F=lambda t, x: np.full(x.shape, c),
         tag=f"F=const{c.tolist()},G=0",
         d=c.size,
     )
@@ -457,7 +466,7 @@ def drift_diffusion_spec(grid, c, s0) -> ModelSpec:
     c = np.atleast_1d(np.asarray(c, dtype=float))
     return ito_process(
         grid,
-        F=lambda t, x: np.broadcast_to(c, x.shape).copy(),
+        F=lambda t, x: np.full(x.shape, c),
         G=lambda t, x: np.full(x.shape, s0),
         tag=f"F=const{c.tolist()},G={s0}",
         d=c.size,
@@ -512,9 +521,10 @@ def _row_means(a):
     of one element is that element, so a last axis of length 1 is read, not
     summed: numpy's reduction over it cost the default `ito` stage about
     0.13 s of its 0.96 s CPU (medians of 10 alternating runs, 8 won, 2-core
-    x86-64)."""
-    rows = a[..., 0] if a.shape[-1] == 1 else a.sum(axis=-1)
-    return rows.mean(axis=-1)
+    x86-64).  The mean is taken as `ndarray.mean` takes it, np.add.reduce
+    then a division by the count, without its Python wrapper."""
+    rows = a[..., 0] if a.shape[-1] == 1 else np.add.reduce(a, axis=-1)
+    return np.add.reduce(rows, axis=-1) / rows.shape[-1]
 
 
 def _rhs_quadrature(phis, model, values, j0, j1, rows, controls, a_eigs):

@@ -112,10 +112,15 @@ class FeedbackPolicy:
 def constant_policy(u) -> FeedbackPolicy:
     """The constant action u at every time and for every particle."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
+    # one read-only (N, m) view of u per particle count, built on first use:
+    # the step kernel copies it into the run's controls
+    views = {}
 
     def actions(t, xs, mu):
-        # read-only: the step kernel copies it into the run's controls
-        return np.broadcast_to(u, (xs.n, u.size))
+        view = views.get(xs.n)
+        if view is None:
+            view = views[xs.n] = np.broadcast_to(u, (xs.n, u.size))
+        return view
 
     return FeedbackPolicy(actions, tag=f"const{u.tolist()}")
 
@@ -397,10 +402,10 @@ class LawInvarianceReport:
     per_family: list = field(default_factory=list)
 
 
-def _moment_guard(init_a, init_b, grid, d, n, seeds):
-    """First/second moments of the two initial laws must agree within 3 SE."""
-    xa = init_a.sample(seeds[0], n, grid, d)
-    xb = init_b.sample(seeds[1], n, grid, d)
+def _moment_guard(xa, xb, grid):
+    """First/second moments of two initial samples of n paths each must
+    agree within 3 SE."""
+    n = xa.shape[0]
     nodes = [0, grid.steps // 2, grid.steps]
     worst = {"first": 0.0, "second": 0.0}
     ok = True
@@ -431,7 +436,9 @@ def law_invariance_check(
 ) -> LawInvarianceReport:
     """Two initial data with the same declared law must give the same
     family-restricted value, up to Monte Carlo error with independent seeds.
-    Each side draws its seed's Brownian block once, for all its families.
+    Each side draws its seed's Brownian block and its initial sample once,
+    for all its families; the moment test's sample is that initial sample
+    when the test runs at n_particles paths.
 
     If the moment test detects that the laws actually differ, the check
     refuses to conclude and reports "inconclusive" instead of a failure.
@@ -441,11 +448,18 @@ def law_invariance_check(
     if not policy_families:
         raise ConfigurationError("law_invariance_check needs at least one policy family")
     grid, d = model.grid, model.A.dim
-    ok, moment_gaps = _moment_guard(init_a, init_b, grid, d, max(n_particles, 512), seeds)
+    sides = ((init_a, seeds[0]), (init_b, seeds[1]))
+    n_guard = max(n_particles, 512)
+    samples = [init.sample(seed, n_guard, grid, d) for init, seed in sides]
+    ok, moment_gaps = _moment_guard(*samples, grid)
     if not ok:
         return LawInvarianceReport(
             "inconclusive", np.nan, np.nan, np.nan, np.nan, moment_gaps
         )
+    if n_guard != n_particles:
+        samples = [init.sample(seed, n_particles, grid, d) for init, seed in sides]
+    # a sample is a function of (seed, N): every run of a side starts from this one
+    init_a, init_b = (InitialLaw.from_values(x) for x in samples)
     noise_a = brownian_block(model, n_particles, seeds[0])
     noise_b = brownian_block(model, n_particles, seeds[1])
     per_family = []

@@ -83,7 +83,10 @@ class StoppedView:
         return sup_seminorm_sq_values(self._values, min(self.grid.node(t), self.node))
 
     def _average(self, a: np.ndarray):
-        return a.mean(axis=0) if self._weights is None else self._weights @ a
+        if self._weights is None:
+            # the two steps of a.mean(axis=0), without its Python wrapper
+            return np.add.reduce(a, axis=0) / a.shape[0]
+        return self._weights @ a
 
     def mean_at(self, t: float) -> np.ndarray:
         return self._average(self.values_at(t))
@@ -105,7 +108,8 @@ class EmpiricalPathMeasure(StoppedView):
             weights = np.array(weights, dtype=float)
         if weights.shape != (n,):
             raise ConfigurationError("weights must have shape (N,)")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+        # stated positively, so that a NaN weight fails both tests
+        if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):
             raise ConfigurationError("weights must be nonnegative and sum to 1 within 1e-12")
         atoms.setflags(write=False)
         weights.setflags(write=False)
@@ -139,10 +143,10 @@ class EmpiricalControlMeasure:
         self.atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
         if weights is not None:
             weights = np.asarray(weights, dtype=float)
-            if (
-                weights.shape != (self.atoms.shape[0],)
-                or np.any(weights < 0)
-                or abs(weights.sum() - 1.0) > 1e-12
+            if not (
+                weights.shape == (self.atoms.shape[0],)
+                and np.all(weights >= 0)
+                and abs(weights.sum() - 1.0) <= 1e-12
             ):
                 raise ConfigurationError("control weights must be nonnegative and sum to 1")
         self._weights = weights

@@ -27,12 +27,18 @@ from .sde import ModelSpec
 
 def _constant_diffusion(s0: float, d: int):
     """The diffusion coefficient s0 on every one of d coordinates, or None
-    when s0 is 0 (the step then skips the noise term)."""
+    when s0 is 0 (the step then skips the noise term).
+
+    It returns one read-only (d,) row, built once: the step kernel multiplies
+    the row into the noise, and `ModelSpec.diffusion_at` broadcasts it to
+    (N, d) for the readers that need the block."""
     if s0 == 0.0:
         return None
+    row = np.full(d, float(s0))
+    row.setflags(write=False)
 
     def diffusion(t, xs, mu, u, nu):
-        return np.full((xs.n, d), s0)
+        return row
 
     return diffusion
 

@@ -151,7 +151,9 @@ def _sup_sq(values, other, lo, hi):
 
     Each chunk is squared into one reused buffer and summed over d there; the
     d axis is contiguous in the buffer as in the one-shot temporary, so each
-    node's sum is the same float, and a max is exact in any grouping.
+    node's sum is the same float, and a max is exact in any grouping.  A sum
+    of one element is that element, so a d axis of length 1 is read, not
+    summed, as in `calculus._row_means`.
     """
     n, _, d = values.shape
     nodes = hi + 1 - lo
@@ -171,7 +173,8 @@ def _sup_sq(values, other, lo, hi):
         else:
             np.subtract(values[chunk], other[chunk], out=part)
             np.square(part, out=part)
-        np.maximum(out[rows], part.sum(axis=2).max(axis=1), out=out[rows])
+        sq = part[:, :, 0] if d == 1 else part.sum(axis=2)
+        np.maximum(out[rows], sq.max(axis=1), out=out[rows])
     return out
 
 

@@ -230,11 +230,18 @@ class ModelSpec:
         return self._checked("drift", self.drift(t, xs, mu, u, nu), (xs.n, self.A.dim))
 
     def diffusion_at(self, t, xs, mu, u, nu) -> np.ndarray:
+        """The (N, d) diagonal entries of sigma; a (d,) row is broadcast
+        along the particles, read-only."""
         if self.diffusion is None:
             return np.zeros((xs.n, self.A.dim))
+        return np.broadcast_to(self._diffusion_entries(t, xs, mu, u, nu), (xs.n, self.A.dim))
+
+    def _diffusion_entries(self, t, xs, mu, u, nu) -> np.ndarray:
+        """sigma as the diffusion returns it, a (d,) row or an (N, d) block,
+        shape-checked; the step kernel multiplies either into the noise."""
         out = np.asarray(self.diffusion(t, xs, mu, u, nu), dtype=float)
         if out.shape == (self.A.dim,):
-            out = np.broadcast_to(out, (xs.n, self.A.dim))
+            return out
         return self._checked("diffusion", out, (xs.n, self.A.dim))
 
     def running_cost_at(self, t, xs, mu, u, nu) -> np.ndarray:
@@ -454,6 +461,12 @@ def _exp_euler_steps(model, values, law, noise, j0, j_end, policy=None, controls
     step and written into `controls`, a node-major (N, M, m) block allocated
     on the first step when None, whose row at node j the coefficients then
     read; returns it.
+
+    Each step builds node j + 1 in place.  sigma_j is multiplied into the
+    noise as the diffusion returns it, a (d,) row or an (N, d) block, with
+    no (N, d) broadcast; the product is elementwise, so the floats are those
+    of the broadcast.  Without a drift the step forms sigma_j dB_j and adds
+    X_j to it, which IEEE addition makes the float of X_j + sigma_j dB_j.
     """
     grid, dt = model.grid, model.grid.dt
     exp_dt = np.exp(model.A.eigenvalues * dt)
@@ -486,13 +499,18 @@ def _exp_euler_steps(model, values, law, noise, j0, j_end, policy=None, controls
             controls[:, j, :] = u
             u = controls[:, j, :]
             nu = EmpiricalControlMeasure(u)
-        if model.drift is None:
-            incr = values[:, j, :].copy()
-        else:
-            incr = values[:, j, :] + dt * model.drift_at(t, xs, mu, u, nu)
-        if model.diffusion is not None:
-            incr += model.diffusion_at(t, xs, mu, u, nu) * noise[:, j]
-        new = np.multiply(exp_dt, incr, out=values[:, j + 1, :])
+        drift = None if model.drift is None else model.drift_at(t, xs, mu, u, nu)
+        sigma = None if model.diffusion is None else model._diffusion_entries(t, xs, mu, u, nu)
+        incr, new = values[:, j, :], values[:, j + 1, :]
+        if drift is not None:
+            incr = np.add(incr, dt * drift, out=new)
+        if sigma is not None:
+            if drift is None:
+                # sigma dB + X_j, the floats of X_j + sigma dB: X_j is not copied
+                incr = np.add(np.multiply(sigma, noise[:, j], out=new), incr, out=new)
+            else:
+                incr += sigma * noise[:, j]
+        np.multiply(exp_dt, incr, out=new)
         if not np.isfinite(new).all():
             bad = int(np.where(~np.isfinite(new).all(axis=1))[0][0])
             raise IntegrationBlowupError(j + 1, grid.time_at(j + 1), bad)

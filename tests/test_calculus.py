@@ -575,6 +575,56 @@ def test_ito_single_pass_matches_pinned_loop_on_the_mild_variant():
             assert repr(rep) == repr(ref), (steps, t, phi.tag)
 
 
+@pytest.mark.parametrize(
+    "steps, t, s", [(40, 0.0, 1.0), (40, 0.225, 0.75), (301, 73 / 301, 0.75)]
+)
+def test_ito_single_pass_matches_pinned_loop_on_the_mild_variant_in_d2(steps, t, s):
+    # the generator term on two modes of different rates, with a row diffusion
+    from pathmkv.hilbert import SpectralOperator
+    from pathmkv.models import _constant_diffusion
+    from pathmkv.sde import ModelSpec
+
+    model = ModelSpec(
+        grid=TimeGrid(1.0, steps), A=SpectralOperator([-1.0, -0.4]),
+        diffusion=_constant_diffusion(0.5, 2), lipschitz=0.5, tag="ou2",
+    )
+    common = dict(t=t, s=s, n_particles=1003, seed=34, n_batches=7)
+    init = gaussian_initial(0.5, 1.0)
+    reports = ito_verify(ANALYTIC_ZOO_2, model, init, **common)
+    for phi, rep in zip(ANALYTIC_ZOO_2, reports):
+        ref = _reference_ito_verify(phi, model, init, **common)
+        assert repr(rep) == repr(ref), (steps, t, phi.tag)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_node_means_are_the_per_node_dot_products_of_eval(d):
+    # the full set and a strided batch, as the Ito quadrature reads them
+    from pathmkv.calculus import NodeRun, _node_means
+
+    grid = TimeGrid(1.0, 40)
+    rng = np.random.default_rng(d)
+    values = rng.normal(size=(41, 1003, d)).transpose(1, 0, 2)
+    h = rng.normal(size=d)
+    now = np.ascontiguousarray(values[:, 8:24].transpose(1, 0, 2))
+    for r in (slice(None), slice(3, None, 7)):
+        run = NodeRun(StoppedView(grid, values[r], 23), np.arange(8, 24) * grid.dt, now[:, r])
+        want = np.array([run.weights @ (x @ h) for x in run.now])
+        assert _node_means(run, h).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", list(range(1, 18)) + [4000])
+def test_row_means_is_the_float_of_ndarray_mean(n):
+    # N = 1..17 crosses numpy's unrolled 8-wide blocks; 4000 its pairwise split
+    from pathmkv.calculus import _row_means
+
+    rng = np.random.default_rng(n)
+    for d in (1, 2, 3):
+        a = rng.normal(size=(5, n, d))
+        want = a.sum(axis=-1).mean(axis=-1)
+        assert _row_means(a).tobytes() == want.tobytes()
+        assert _row_means(a[1:2]).tobytes() == want[1:2].tobytes()
+
+
 def test_ito_verify_at_suite_size_peaks_below_128_mb():
     # The suite's Ito call at N = 4000 on a 1000-step grid holds the paths
     # and the noise (32 MB each) and only one block of per-node drift and

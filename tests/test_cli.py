@@ -213,6 +213,19 @@ def test_small_suite_report_matches_the_golden_file(tmp_path):
     assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
+@pytest.mark.slow
+def test_default_suite_report_matches_the_golden_file(tmp_path):
+    # the benchmark's own config: N = 4000, M = 1000 at the default seed
+    out = str(tmp_path / "out")
+    assert run("suite", None, out) == 0
+    report = read_report(out)
+    del report["wall_time_s"]
+    golden = os.path.join(os.path.dirname(__file__), "data", "suite_default.json")
+    with open(golden) as fh:
+        expected = json.load(fh)
+    assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
 def test_suite_runs_its_yosida_criterion_on_the_default_ou_model_whatever_the_config_tag(tmp_path):
     # yosida-converge refuses a non-OU tag; the suite pins the model of its
     # Yosida criterion, as it pins the constant start, and writes a report
@@ -459,6 +472,35 @@ def test_each_stage_draws_each_brownian_block_once_and_shares_it_read_only(tmp_p
     assert len(per_stage["dpp"]) == 2
     # one block per side; the guard rail stops at its moment test and draws none
     assert sorted(args[0] for args, _ in per_stage["law"]) == [7, 7 + 77]
+
+
+@pytest.mark.parametrize("particles", [256, 2000])
+def test_the_law_and_ito_stages_draw_each_initial_sample_once(tmp_path, monkeypatch, particles):
+    # law: each side samples once for the moment test, at max(N, 512) paths,
+    # and once more for its six runs only when N differs; the guard rail
+    # stops at its moment test.  ito: one sample for the four drives.
+    seed = 7
+    path = write_cfg(tmp_path, {"grid": {"T": 1.0, "steps": 96}, "particles": particles, "seed": seed})
+    cfg = load_config(path)
+    calls = []
+    for name in ("uniforms", "normals"):
+        real = getattr(pathmkv.rng, name)
+
+        def counted(s, stream, n, count=1, name=name, real=real):
+            calls.append((name, s, n))
+            return real(s, stream, n, count)
+
+        monkeypatch.setattr(pathmkv.rng, name, counted)
+    guard = max(particles, 512)
+    law = [("uniforms", seed, guard), ("uniforms", seed + 77, guard)]
+    if guard != particles:
+        law += [("uniforms", seed, particles), ("uniforms", seed + 77, particles)]
+    law += [("normals", seed + 1, 512), ("normals", seed + 2, 512)]
+    SUITE["law"](cfg, str(tmp_path))
+    assert calls == law
+    calls.clear()
+    SUITE["ito"](cfg, str(tmp_path))
+    assert calls == [("normals", seed, particles)]
 
 
 def test_a_suite_run_draws_five_blocks_and_a_second_run_draws_them_again(tmp_path, monkeypatch):

@@ -60,6 +60,33 @@ def test_weights_must_sum_to_one():
         EmpiricalPathMeasure(g, atoms, np.array([0.5, 0.6]))
 
 
+@pytest.mark.parametrize(
+    "weights", [[np.nan, np.nan], [np.nan, 1.0], [0.5, np.nan]], ids=["both", "first", "second"]
+)
+def test_nan_weights_are_refused(weights):
+    # both nan < 0 and abs(nan - 1) > 1e-12 are False: the test must be
+    # stated positively for NaN to fail it
+    with pytest.raises(ConfigurationError, match="weights must be nonnegative"):
+        EmpiricalPathMeasure(TimeGrid(1.0, 2), np.zeros((2, 3, 1)), weights)
+    with pytest.raises(ConfigurationError, match="control weights must be nonnegative"):
+        EmpiricalControlMeasure(np.zeros((2, 1)), weights)
+
+
+@pytest.mark.parametrize("n", list(range(1, 18)) + [4000])
+def test_unweighted_mean_at_is_the_float_of_ndarray_mean(n):
+    # N = 1..17 crosses numpy's unrolled 8-wide blocks; 4000 its pairwise split
+    g = TimeGrid(1.0, 4)
+    values = np.random.default_rng(n).normal(size=(n, 5, 3))
+    for node in range(5):
+        view = StoppedView(g, values, node)
+        for t in (0.0, 0.5, 1.0):
+            want = values[:, min(g.node(t), node), :].mean(axis=0)
+            assert view.mean_at(t).tobytes() == want.tobytes()
+    # the node-major storage the step kernel reads
+    major = np.ascontiguousarray(values.transpose(1, 0, 2)).transpose(1, 0, 2)
+    assert StoppedView(g, major, 3).mean_at(1.0).tobytes() == values[:, 3].mean(axis=0).tobytes()
+
+
 def test_stopped_measure_constant_invariant():
     g = TimeGrid(1.0, 6)
     mu = measure_from_paths([constant_path(g, [1.0]), constant_path(g, [-2.0])])

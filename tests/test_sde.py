@@ -442,6 +442,115 @@ def test_a_diffusion_row_is_broadcast_over_the_particles():
     assert np.array_equal(a.values, integrate(full, init, n_particles=8, seed=3).values)
 
 
+def _row_and_block(model):
+    """The model, whose diffusion returns a (d,) row, and a copy whose
+    diffusion returns that row tiled into the (N, d) block."""
+    row = model.diffusion
+
+    def block(t, xs, mu, u, nu):
+        return np.tile(row(t, xs, mu, u, nu), (xs.n, 1))
+
+    return model, replace(model, diffusion=block)
+
+
+def _reference_run(model, init, policy, t0, n_particles, seed):
+    """The step as it was written before the kernel took the diffusion row:
+    X_j copied, then b dt and the (N, d) block sigma * dB added, then the
+    semigroup factor."""
+    from pathmkv.measure import EmpiricalControlMeasure, StoppedView
+
+    grid, d, dt = model.grid, model.A.dim, model.grid.dt
+    values = np.empty((n_particles, grid.steps + 1, d))
+    j0 = grid.node(t0)
+    values[:, : j0 + 1] = init.sample(seed, n_particles, grid, d)[:, : j0 + 1]
+    noise = brownian_increments(seed, n_particles, grid.steps, d, dt)
+    for j in range(j0, grid.steps):
+        t, xs = j * dt, StoppedView(grid, values, j)
+        u = None if policy is None else np.array(policy.actions(t, xs, xs))
+        nu = None if u is None else EmpiricalControlMeasure(u)
+        incr = values[:, j, :].copy()
+        if model.drift is not None:
+            incr = values[:, j, :] + dt * model.drift_at(t, xs, xs, u, nu)
+        incr += model.diffusion_at(t, xs, xs, u, nu) * noise[:, j]
+        values[:, j + 1, :] = np.exp(model.A.eigenvalues * dt) * incr
+    return values
+
+
+ROW_CASES = [
+    # (factory, uses a policy): no drift with A != 0, a mean-field drift, and
+    # a drift that reads the actions of a constant policy
+    pytest.param(lambda grid, d: make_ou(grid, a=-1.0, s0=0.4, d=d), False, id="no_drift"),
+    pytest.param(lambda grid, d: make_meanfield_ou(grid, theta=1.5, s0=0.4, d=d), False, id="drift"),
+    pytest.param(lambda grid, d: make_controlled_linear(grid, c=0.8, s0=0.4, d=d), True, id="policy"),
+]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("make, controlled", ROW_CASES)
+def test_a_diffusion_row_and_its_block_give_the_same_paths(make, controlled, d):
+    grid = TimeGrid(1.0, 40)
+    row, block = _row_and_block(make(grid, d))
+    out = row.diffusion(0.0, None, None, None, None)
+    assert out.shape == (d,) and not out.flags.writeable
+    policy = constant_policy(np.linspace(-0.5, 0.5, d)) if controlled else None
+    init = gaussian_initial(0.2, 1.0)
+    common = dict(n_particles=24, seed=5)
+    runs = [integrate(m, init, policy, 0.25, **common) for m in (row, block)]
+    assert np.array_equal(runs[0].values, runs[1].values)
+    assert np.array_equal(runs[0].values, _reference_run(row, init, policy, 0.25, **common))
+    if controlled:
+        assert np.array_equal(runs[0].controls, runs[1].controls)
+    picard = [integrate_picard(m, init, policy, window=0.5, **common) for m in (row, block)]
+    assert picard[0].gaps == picard[1].gaps
+    assert np.array_equal(picard[0].ensemble.values, picard[1].ensemble.values)
+    flows = [flow_restart_check(m, init, policy, 0.0, 0.5, **common) for m in (row, block)]
+    assert flows[0] == flows[1] == {"split_time": 0.5, "max_particle_gap": 0.0}
+
+
+@pytest.mark.parametrize(
+    "diffusion, shape",
+    [
+        (lambda t, xs, mu, u, nu: np.full(3, 0.5), (3,)),
+        (lambda t, xs, mu, u, nu: np.full(1, 0.5), (1,)),
+        (lambda t, xs, mu, u, nu: np.full((xs.n, 2, 1), 0.5), (3, 2, 1)),
+    ],
+    ids=["long_row", "short_row", "three_axes"],
+)
+def test_a_diffusion_of_the_wrong_shape_is_refused(diffusion, shape):
+    # an (N, 1) block is refused in test_rectangular_noise_dimensions
+    msg = re.escape(f"model 'bad_sigma': diffusion returned shape {shape}, expected (3, 2)")
+    with pytest.raises(ConfigurationError, match=msg):
+        ModelSpec(
+            grid=TimeGrid(1.0, 4), A=SpectralOperator([0.0, 0.0]), diffusion=diffusion,
+            lipschitz=1.0, tag="bad_sigma",
+        )
+
+
+def test_the_step_kernel_checks_the_shape_of_the_diffusion():
+    # three rows pass the check at build time, which samples three particles;
+    # a run of eight must refuse them, as the broadcast did
+    model = ModelSpec(
+        grid=TimeGrid(1.0, 4), A=SpectralOperator([0.0, 0.0]),
+        diffusion=lambda t, xs, mu, u, nu: np.full((3, 2), 0.5), lipschitz=1.0, tag="three_rows",
+    )
+    msg = re.escape("model 'three_rows': diffusion returned shape (3, 2), expected (8, 2)")
+    with pytest.raises(ConfigurationError, match=msg):
+        integrate(model, constant_initial([0.0, 0.0]), n_particles=8, seed=0)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_constant_policy_actions_are_read_only(n):
+    from pathmkv.measure import StoppedView
+
+    policy = constant_policy([0.25, -0.5])
+    xs = StoppedView(TimeGrid(1.0, 4), np.zeros((n, 5, 1)), 2)
+    for t in (0.0, 0.5):
+        u = policy.actions(t, xs, xs)
+        assert u.shape == (n, 2) and np.all(u == [0.25, -0.5])
+        with pytest.raises(ValueError):
+            u[0, 0] = 1.0
+
+
 @pytest.mark.parametrize(
     "drift, shape",
     [
