@@ -434,8 +434,7 @@ def run_dpp(cfg, out_dir):
         raise ConfigurationError(
             f"config key 'dpp.t0' ({t0}) must not be later than a split time, got {splits}"
         )
-    family = [build_policy(p, "dpp.family") for p in dcfg.get("family", [])]
-    reports = dpp_check(model, init, family, t0, splits, cfg["particles"], cfg["seed"])
+    reports = dpp_check(model, init, None, t0, splits, cfg["particles"], cfg["seed"])
     ok = all(r.passed for r in reports)
     return {"pass": bool(ok), "checks": [check_block(r) for r in reports]}
 

@@ -420,8 +420,9 @@ def second_derivative(
 def ito_process(grid, F=None, G=None, tag: str = "ito_process", d: int = 1) -> ModelSpec:
     """The plain Ito process X = xi + int F dr + int G dB as the state equation
     with A = 0, whose coefficients F(t, x_now) -> (N, d) and G(t, x_now) ->
-    (N, d) diagonal entries read the current node of the paths; a zero column
-    of G leaves its coordinate undriven.
+    (N, d) diagonal entries read the current node of the paths; G may also
+    return one (d,) row, shared by every particle.  A zero column of G leaves
+    its coordinate undriven.
 
     No Lipschitz constant is declared (L = inf): the Lipschitz spot check
     passes, while the non-anticipativity spot check runs as on every
@@ -440,6 +441,14 @@ def ito_process(grid, F=None, G=None, tag: str = "ito_process", d: int = 1) -> M
     )
 
 
+def _const_row(s0, d: int):
+    """G = s0 on every one of d coordinates, as one read-only (d,) row built
+    once, as the zoo's constant diffusion returns it."""
+    row = np.full(d, float(s0))
+    row.setflags(write=False)
+    return lambda t, x: row
+
+
 def const_drift_spec(grid, c) -> ModelSpec:
     """F = c, G = 0, in the dimension d = len(c)."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
@@ -455,7 +464,7 @@ def const_diffusion_spec(grid, s0, d: int = 1) -> ModelSpec:
     """F = 0, G = s0 on every coordinate."""
     return ito_process(
         grid,
-        G=lambda t, x: np.full(x.shape, s0),
+        G=_const_row(s0, d),
         tag=f"F=0,G={s0}",
         d=d,
     )
@@ -467,7 +476,7 @@ def drift_diffusion_spec(grid, c, s0) -> ModelSpec:
     return ito_process(
         grid,
         F=lambda t, x: np.full(x.shape, c),
-        G=lambda t, x: np.full(x.shape, s0),
+        G=_const_row(s0, c.size),
         tag=f"F=const{c.tolist()},G={s0}",
         d=c.size,
     )
@@ -478,7 +487,7 @@ def linear_drift_diffusion_spec(grid, kappa, s0, d: int = 1) -> ModelSpec:
     return ito_process(
         grid,
         F=lambda t, x: -kappa * x,
-        G=lambda t, x: np.full(x.shape, s0),
+        G=_const_row(s0, d),
         tag=f"F=-{kappa}x,G={s0}",
         d=d,
     )

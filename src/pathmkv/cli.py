@@ -157,7 +157,6 @@ CONFIG_SCHEMA = {
     "dpp": {
         "t0": (NUMBER, in_horizon),
         "split_times": (list, entries(NUMBER, in_horizon)),
-        "family": (list, None),
     },
     "law": {"n_particles": (int, at_least(2)), "families": (list, entries(list, entries()))},
     "hjb": {"times": (list, entries(NUMBER, in_horizon))},

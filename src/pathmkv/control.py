@@ -2,16 +2,16 @@
 the statistical checkers for dynamic programming and law invariance.
 
 Values are estimated only over declared policy families: the estimator is a
-lower bound on the true supremum, and every check below is phrased so that it
-is valid for a family-restricted value (or exact in the uncontrolled case).
+lower bound on the true supremum, and the law-invariance check compares such
+family-restricted values.  The dynamic programming check runs one policy and
+tests the tower identity for it.
 Family members are compared under common random numbers: the counter-based
 noise streams are keyed by (seed, particle, step) and never by the family
 index, so every member run from one seed is driven by the same Brownian
 block.  Each check draws that block once (`sde.brownian_block`, read-only)
-and passes it to every run that uses it; that is what makes
-family-monotonicity exact rather than statistical.  Inside a
-`sde.draw_scope`, as in a suite run, a check whose block the scope already
-holds takes it from the scope instead of drawing it.
+and passes it to every run that uses it, so members differ only through
+their policies.  Inside a `sde.draw_scope`, as in a suite run, a check whose
+block the scope already holds takes it from the scope instead of drawing it.
 """
 
 from __future__ import annotations
@@ -261,130 +261,61 @@ class DppReport:
     passed: bool
 
 
-def _continuation_seed(seed: int, salt: int) -> int:
-    return (seed * 0x9E3779B97F4A7C15 + salt + 1) % (2**63)
+def _continuation_seed(seed: int) -> int:
+    return (seed * 0x9E3779B97F4A7C15 + 1) % (2**63)
 
 
 def dpp_check(
     model: ModelSpec,
     init: InitialLaw,
-    policy_family,
+    policy,
     t0: float,
     s,
     n_particles: int,
     seed: int,
-    same_noise: bool = False,
 ):
-    """Check the dynamic programming identity across the split time s.
+    """Check the tower identity of the dynamic programming principle across
+    the split time s, under one policy (None for uncontrolled, as in
+    `integrate`).
 
-    Uncontrolled (empty or singleton family): the identity degenerates to the
-    tower property.  The ensemble is run once over [t0, T]; its stopped paths
-    at s seed one fresh-noise continuation, and the paired gap between the
-    original tails and the restarted tails must vanish within 3 standard
-    errors.  With same_noise=True the continuation replays the original noise
-    stream and the gap is exactly zero (the flow property), which is a
-    degenerate but useful control.
-
-    Controlled (family with several members): checks the sub-optimality
-    inequality V_fam(t0) <= sup_alpha { E int f + V_fam(s, law) } + 3 SE.
+    The ensemble is run once over [t0, T]; its stopped paths at s seed one
+    fresh-noise continuation, and the paired gap between the original tails
+    and the restarted tails must vanish within 3 standard errors.
 
     `s` is one split time, which gives one DppReport, or a sequence of split
     times, which gives their reports in order.  Every split is checked before
-    anything is simulated.  The ensembles from t0 are run once for all
-    splits, and each Brownian block (the base one and the one every
-    continuation runs on) is drawn once and shared by every run it drives.
+    anything is simulated.  The base run is made once for all splits and
+    keeps no block past its return; every continuation runs on the one block
+    of `_continuation_seed(seed)`, drawn once.
     """
     single = np.ndim(s) == 0
     splits = [s] if single else list(s)
     if not splits:
         raise ConfigurationError("dpp_check needs at least one split time")
-    grid = model.grid
+    grid, n = model.grid, n_particles
     if any(grid.node(x) < grid.node(t0) for x in splits):
         raise DomainError("split time precedes start time")
-    if not policy_family or len(policy_family) <= 1:
-        policy = policy_family[0] if policy_family else None
-        reports = _dpp_tower(model, init, policy, t0, splits, n_particles, seed, same_noise)
-    else:
-        reports = _dpp_family(model, init, policy_family, t0, splits, n_particles, seed)
-    return reports[0] if single else reports
-
-
-def _continuation_tail(model, cont_init, policy, s, n, seed, noise):
-    """Reward per particle of a run restarted at s; its paths are freed on
-    return, before the next continuation is run."""
-    cont = integrate(model, cont_init, policy, s, n, seed, noise=noise)
-    run_c, term_c, _ = _per_particle_reward(model, cont, s)
-    return run_c + term_c
-
-
-def _dpp_tower(model, init, policy, t0, splits, n, seed, same_noise):
-    """The base run's block is kept past the run only when the continuation
-    replays it; of the run itself only the paths are kept once its rewards are
-    read.  Every other continuation runs on the block of
-    `_continuation_seed(seed, 0)`, the family's."""
-    noise = brownian_block(model, n, seed)
-    ens = integrate(model, init, policy, t0, n, seed, noise=noise)
+    ens = integrate(model, init, policy, t0, n, seed, noise=brownian_block(model, n, seed))
     running_full, terminal, heads = _per_particle_reward(model, ens, t0, splits)
     cont_init = InitialLaw.from_values(ens.values)
     del ens
-    if same_noise:
-        cseed, cont_noise = seed, noise
-    else:
-        del noise
-        cseed = _continuation_seed(seed, 0)
-        cont_noise = brownian_block(model, n, cseed)
-    tails = [_continuation_tail(model, cont_init, policy, s, n, cseed, cont_noise) for s in splits]
+    cseed = _continuation_seed(seed)
+    cont_noise = brownian_block(model, n, cseed)
     lhs = float((running_full + terminal).mean())
     reports = []
-    for s, running_head, tail_cont in zip(splits, heads, tails):
-        tail_orig = running_full - running_head + terminal
-        diff = tail_orig - tail_cont
+    for s, running_head in zip(splits, heads):
+        # the continuation's paths are freed before the next one is run
+        cont = integrate(model, cont_init, policy, s, n, cseed, noise=cont_noise)
+        run_c, term_c, _ = _per_particle_reward(model, cont, s)
+        del cont
+        tail_cont = run_c + term_c
+        diff = running_full - running_head + terminal - tail_cont
         gap = float(diff.mean())
         stderr = float(diff.std(ddof=1) / np.sqrt(n))
         rhs = float(running_head.mean() + tail_cont.mean())
         passed = abs(gap) <= 3.0 * stderr or gap == 0.0
         reports.append(DppReport("exact_tower", t0, s, lhs, rhs, gap, stderr, passed))
-    return reports
-
-
-def _dpp_family(model, init, family, t0, splits, n, seed):
-    """Family-restricted inequality: LHS <= RHS + 3 SE at each split.  Every
-    continuation runs on one block, the tower's, and only paths are kept of a
-    member's run once its rewards are read."""
-    noise = brownian_block(model, n, seed)
-    cseed = _continuation_seed(seed, 0)
-    cont_noise = brownian_block(model, n, cseed)
-    lhs_vals, lhs_errs = [], []
-    rhs_vals = [[] for _ in splits]
-    rhs_errs = [[] for _ in splits]
-    for alpha in family:
-        ens = integrate(model, init, alpha, t0, n, seed, noise=noise)
-        running_full, terminal, heads = _per_particle_reward(model, ens, t0, splits)
-        full = running_full + terminal
-        lhs_vals.append(full.mean())
-        lhs_errs.append(full.std(ddof=1) / np.sqrt(n))
-        cont_init = InitialLaw.from_values(ens.values)
-        del ens
-        for k, (s, running_head) in enumerate(zip(splits, heads)):
-            best_tail, best_err = -np.inf, 0.0
-            for beta in family:
-                tail = _continuation_tail(model, cont_init, beta, s, n, cseed, cont_noise)
-                if tail.mean() > best_tail:
-                    best_tail = tail.mean()
-                    best_err = tail.std(ddof=1) / np.sqrt(n)
-            rhs_vals[k].append(running_head.mean() + best_tail)
-            rhs_errs[k].append(best_err)
-    i_lhs = int(np.argmax(lhs_vals))
-    lhs = float(lhs_vals[i_lhs])
-    reports = []
-    for s, vals, errs in zip(splits, rhs_vals, rhs_errs):
-        i_rhs = int(np.argmax(vals))
-        rhs = float(vals[i_rhs])
-        stderr = float(np.hypot(lhs_errs[i_lhs], errs[i_rhs]))
-        gap = lhs - rhs
-        passed = gap <= 3.0 * stderr
-        reports.append(DppReport("family_inequality", t0, s, lhs, rhs, gap, stderr, passed))
-    return reports
+    return reports[0] if single else reports
 
 
 # ---------------------------------------------------------------------------

@@ -307,7 +307,7 @@ def test_criterion_10_dpp_tower():
     model = models.make_quadratic_terminal(grid, a=-1.0, s0=0.5)
     init = constant_initial([0.5])
     reps = [
-        dpp_check(model, init, [], 0.0, s, 4000, SEED) for s in (0.25, 0.5, 0.75)
+        dpp_check(model, init, None, 0.0, s, 4000, SEED) for s in (0.25, 0.5, 0.75)
     ]
     ok = all(r.passed for r in reps)
     elapsed = time.perf_counter() - t0

@@ -2,12 +2,13 @@ import inspect
 import json
 import math
 import os
+import re
 from collections import Counter
 
 import pytest
 
 import pathmkv.rng
-from pathmkv.acceptance import FLOW_MODELS, SUITE, check_block
+from pathmkv.acceptance import FLOW_MODELS, SUITE
 from pathmkv.cli import (
     DEFAULT_CONFIG,
     SUBCOMMANDS,
@@ -523,7 +524,7 @@ def test_a_suite_run_draws_five_blocks_and_a_second_run_draws_them_again(tmp_pat
 
     monkeypatch.setattr(pathmkv.rng, "brownian_increments", counted)
     monkeypatch.setattr(pathmkv.acceptance, "brownian_increments", counted)
-    expected = [(7, 256, 96, 1), (10, 256, 96, 1), (_continuation_seed(7, 0), 256, 96, 1),
+    expected = [(7, 256, 96, 1), (10, 256, 96, 1), (_continuation_seed(7), 256, 96, 1),
                 (7, 256, 96, 1), (84, 256, 96, 1)]
     for _ in range(2):
         draws.clear()
@@ -722,27 +723,6 @@ def test_seeds_at_both_ends_of_the_range_run(tmp_path):
     assert read_report(str(tmp_path / "b"))["config"]["seed"] == 0
 
 
-def test_dpp_family_builds_constant_and_uncontrolled_policies(tmp_path):
-    from pathmkv.control import constant_policy, dpp_check
-    from pathmkv.models import build_model
-    from pathmkv.paths import TimeGrid
-    from pathmkv.sde import constant_initial
-
-    family = [{"kind": "constant", "u": [0.5]}, {"kind": "uncontrolled"}]
-    cfg = {
-        **tiny_cfg(),
-        "initial": {"kind": "constant", "value": [0.5]},
-        "dpp": {"split_times": [0.5], "family": family},
-    }
-    out = str(tmp_path / "out")
-    assert run("dpp-check", write_cfg(tmp_path, cfg), out) in (0, 1)
-    model = build_model("quadratic_terminal", TimeGrid(1.0, 16), a=-1.0, s0=0.5)
-    reps = dpp_check(model, constant_initial([0.5]), [constant_policy([0.5]), None], 0.0, [0.5], 64, 7)
-    checks = read_report(out)["results"]["checks"]
-    assert [c["mode"] for c in checks] == ["family_inequality"]
-    assert checks == [check_block(r) for r in reps]
-
-
 def test_law_families_build_uncontrolled_and_constant_policies(tmp_path):
     # the runner's first two default families are [None] and [constant 0]
     families = [[{"kind": "uncontrolled"}], [{"kind": "constant", "u": [0.0]}]]
@@ -766,13 +746,10 @@ def test_law_families_build_uncontrolled_and_constant_policies(tmp_path):
     ],
     ids=["unknown-kind", "missing-u", "non-finite-u", "not-an-object"],
 )
-@pytest.mark.parametrize("subcommand", ["dpp-check", "law-check"])
+# law.families is the one config key that holds policy specs
+@pytest.mark.parametrize("subcommand", ["law-check"])
 def test_bad_policy_specs_exit_2(tmp_path, capsys, subcommand, spec, match):
-    if subcommand == "dpp-check":
-        payload = {"dpp": {"family": [spec]}}
-    else:
-        payload = {"law": {"families": [[spec]]}}
-    path = write_cfg(tmp_path, {**tiny_cfg(), **payload})
+    path = write_cfg(tmp_path, {**tiny_cfg(), "law": {"families": [[spec]]}})
     assert run(subcommand, path, str(tmp_path / "out")) == 2
     assert match in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out" / "report.json")
@@ -825,7 +802,7 @@ def test_hjb_candidate_key_is_unknown(tmp_path, capsys):
         ("simulate", {"initial": {"kind": "constant", "value": ["a"]}}, "initial.value"),
         ("simulate", {"model": {"tag": "ou", "params": {"a": "x"}}}, "model.params.a"),
         ("simulate", {"model": {"tag": "controlled_linear", "params": {"actions": 3}}}, "model.params.actions"),
-        ("dpp-check", {"dpp": {"family": [{"kind": "constant", "u": ["a"]}]}}, "dpp.family"),
+        ("dpp-check", {"dpp": {"family": [{"kind": "uncontrolled"}]}}, "dpp.family"),
         ("law-check", {"law": {"families": [[{"kind": "constant", "u": []}]]}}, "law.families"),
         ("wasserstein", {"wasserstein": {"max_atoms": 10, "n_instances": 1}}, "wasserstein.max_atoms"),
         # the suite's weak-order criterion coarsens the grid by 8, 4 and 2
@@ -900,3 +877,8 @@ def test_readme_config_table_names_every_schema_key():
         top, *rest = leaf.split(".")
         assert top in rows, leaf
         assert all(f'"{name}"' in rows[top] for name in rest), leaf
+    # and back: a row that lists its keys as {"a", "b", ...} lists schema keys only
+    for top, line in rows.items():
+        for listed in re.findall(r'\{("[^"]+"(?:, "[^"]+")*)\}', line.split("|")[2]):
+            for name in re.findall(r'"([^"]+)"', listed):
+                assert name in CONFIG_SCHEMA[top], f"{top}.{name}"

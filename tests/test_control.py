@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -286,82 +285,23 @@ def test_dpp_degenerate_split_times():
     grid = TimeGrid(1.0, 40)
     model = make_quadratic_terminal(grid, a=-1.0, s0=0.5)
     init = constant_initial([0.5])
-    # s = t0: continuation replays the whole run
-    rep0 = dpp_check(model, init, [], 0.0, 0.0, 64, seed=10, same_noise=True)
-    assert rep0.gap == 0.0
+    # s = t0: the continuation is a whole run on the continuation seed
+    rep0 = dpp_check(model, init, None, 0.0, 0.0, 64, seed=10)
+    fresh = estimate_value(model, init, [None], 0.0, 64, seed=_continuation_seed(10))
+    assert rep0.rhs == fresh.estimate.mean
+    assert rep0.passed
     # s = T: V(T, mu) = E[g]; tower identity is the terminal condition
-    repT = dpp_check(model, init, [], 0.0, 1.0, 64, seed=10, same_noise=True)
-    assert repT.gap == 0.0
-
-
-def test_dpp_same_noise_replay_is_exact():
-    grid = TimeGrid(1.0, 64)
-    model = make_quadratic_terminal(grid, a=-1.0, s0=0.5)
-    rep = dpp_check(
-        model, constant_initial([0.5]), [], 0.0, 0.5, 64, seed=11, same_noise=True
-    )
-    assert rep.gap == 0.0
-    assert rep.passed
+    repT = dpp_check(model, init, None, 0.0, 1.0, 64, seed=10)
+    assert repT.gap == 0.0 and repT.stderr == 0.0
 
 
 def test_dpp_tower_statistical_gap():
     grid = TimeGrid(1.0, 200)
     model = make_quadratic_terminal(grid, a=-1.0, s0=0.5)
     for s in (0.25, 0.5, 0.75):
-        rep = dpp_check(model, constant_initial([0.5]), [], 0.0, s, 2000, seed=12)
+        rep = dpp_check(model, constant_initial([0.5]), None, 0.0, s, 2000, seed=12)
         assert rep.passed, f"split {s}: gap {rep.gap} vs stderr {rep.stderr}"
         assert rep.stderr > 0
-
-
-def test_dpp_family_inequality():
-    grid = TimeGrid(1.0, 50)
-    model = make_controlled_linear(
-        grid, c=1.0, s0=0.2, actions=FiniteActionSet([[0.0], [1.0]])
-    )
-    family = [constant_policy([0.0]), constant_policy([1.0])]
-    rep = dpp_check(model, gaussian_initial(0.0, 0.5), family, 0.0, 0.5, 256, seed=13)
-    assert rep.mode == "family_inequality"
-    assert rep.passed
-
-
-def test_dpp_family_of_equal_members_reads_the_tower_rhs():
-    # Every continuation of every member runs on the tower's continuation
-    # block, so two equal members give the singleton's numbers bit for bit.
-    grid = TimeGrid(1.0, 100)
-    model = make_controlled_linear(
-        grid, c=1.0, s0=0.2, actions=FiniteActionSet([[0.0], [1.0]])
-    )
-    init = gaussian_initial(0.0, 0.5)
-    tower = dpp_check(model, init, [constant_policy([1.0])], 0.0, 0.5, 256, seed=13)
-    family = [constant_policy([1.0]), constant_policy([1.0])]
-    rep = dpp_check(model, init, family, 0.0, 0.5, 256, seed=13)
-    assert rep.mode == "family_inequality" and tower.mode == "exact_tower"
-    assert rep.lhs == tower.lhs
-    assert rep.rhs == tower.rhs
-
-
-def test_dpp_family_peak_memory_does_not_grow_with_the_family():
-    # Two blocks are held at any time, whatever the number of members: the
-    # base block and the one every continuation runs on.
-    grid = TimeGrid(1.0, 200)
-    model = make_controlled_linear(
-        grid, c=1.0, s0=0.3, actions=FiniteActionSet([[0.0], [0.5], [1.0]])
-    )
-    n = 2000
-    block_bytes = n * grid.steps * 8
-    peaks = {}
-    for k in (2, 4):
-        family = [constant_policy([u]) for u in (0.0, 1.0, 0.5, 0.0)[:k]]
-        tracemalloc.start()
-        try:
-            dpp_check(model, gaussian_initial(0.0, 0.5), family, 0.0, 0.5, n, seed=3)
-            peaks[k] = tracemalloc.get_traced_memory()[1] / block_bytes
-        finally:
-            tracemalloc.stop()
-    # 6.4 blocks at both sizes: two blocks of noise, the member's and the
-    # continuation's paths and controls, and their temporaries
-    assert peaks[4] <= peaks[2] + 0.25, peaks
-    assert peaks[4] <= 7.0, peaks
 
 
 def test_law_invariance_relabeled_atoms_exact():
@@ -462,41 +402,17 @@ def _reference_tail(model, cont_init, policy, s, n, seed):
     return run_c + term_c
 
 
-def _reference_dpp(model, init, family, t0, s, n, seed, same_noise=False):
-    if len(family) <= 1:
-        policy = family[0] if family else None
-        ens = integrate(model, init, policy, t0, n, seed)
-        head, _ = _reference_reward(model, ens, t0, t_end=s)
-        full, terminal = _reference_reward(model, ens, t0)
-        cont_init = InitialLaw.from_values(ens.values)
-        tail_cont = _reference_tail(
-            model, cont_init, policy, s, n, seed if same_noise else _continuation_seed(seed, 0)
-        )
-        diff = full - head + terminal - tail_cont
-        gap, stderr = float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(n))
-        lhs, rhs = float((full + terminal).mean()), float(head.mean() + tail_cont.mean())
-        passed = abs(gap) <= 3.0 * stderr or gap == 0.0
-        return DppReport("exact_tower", t0, s, lhs, rhs, gap, stderr, passed)
-    lhs_vals, lhs_errs, rhs_vals, rhs_errs = [], [], [], []
-    for alpha in family:
-        ens = integrate(model, init, alpha, t0, n, seed)
-        head, _ = _reference_reward(model, ens, t0, t_end=s)
-        running, terminal = _reference_reward(model, ens, t0)
-        full = running + terminal
-        lhs_vals.append(full.mean())
-        lhs_errs.append(full.std(ddof=1) / np.sqrt(n))
-        cont_init = InitialLaw.from_values(ens.values)
-        tails = [
-            _reference_tail(model, cont_init, beta, s, n, _continuation_seed(seed, 0))
-            for beta in family
-        ]
-        best = int(np.argmax([tail.mean() for tail in tails]))
-        rhs_vals.append(head.mean() + tails[best].mean())
-        rhs_errs.append(tails[best].std(ddof=1) / np.sqrt(n))
-    i_lhs, i_rhs = int(np.argmax(lhs_vals)), int(np.argmax(rhs_vals))
-    lhs, rhs = float(lhs_vals[i_lhs]), float(rhs_vals[i_rhs])
-    stderr = float(np.hypot(lhs_errs[i_lhs], rhs_errs[i_rhs]))
-    return DppReport("family_inequality", t0, s, lhs, rhs, lhs - rhs, stderr, lhs - rhs <= 3.0 * stderr)
+def _reference_dpp(model, init, policy, t0, s, n, seed):
+    ens = integrate(model, init, policy, t0, n, seed)
+    head, _ = _reference_reward(model, ens, t0, t_end=s)
+    full, terminal = _reference_reward(model, ens, t0)
+    cont_init = InitialLaw.from_values(ens.values)
+    tail_cont = _reference_tail(model, cont_init, policy, s, n, _continuation_seed(seed))
+    diff = full - head + terminal - tail_cont
+    gap, stderr = float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(n))
+    lhs, rhs = float((full + terminal).mean()), float(head.mean() + tail_cont.mean())
+    passed = abs(gap) <= 3.0 * stderr or gap == 0.0
+    return DppReport("exact_tower", t0, s, lhs, rhs, gap, stderr, passed)
 
 
 def _controlled_with_running_cost(grid):
@@ -512,26 +428,21 @@ def _controlled_with_running_cost(grid):
 DPP_SPLITS = [0.75, 0.0, 0.5, 0.25, 1.0, 0.5]
 
 
-@pytest.mark.parametrize(
-    "case, kwargs",
-    [("tower", {}), ("tower", {"same_noise": True}), ("family", {})],
-    ids=["tower", "tower-same_noise", "family"],
-)
-def test_dpp_over_a_sequence_of_splits_matches_pinned_per_split_calls(case, kwargs):
+@pytest.mark.parametrize("case", ["tower", "controlled"])
+def test_dpp_over_a_sequence_of_splits_matches_pinned_per_split_calls(case):
     grid = TimeGrid(1.0, 40)
     if case == "tower":
         model = make_quadratic_terminal(grid, a=-1.0, s0=0.5, running=0.5)
-        family, init = [], constant_initial([0.5])
+        policy, init = None, constant_initial([0.5])
     else:
         model = _controlled_with_running_cost(grid)
-        family = [constant_policy([0.0]), constant_policy([1.0])]
-        init = gaussian_initial(0.0, 0.5)
-    reports = dpp_check(model, init, family, 0.0, DPP_SPLITS, 64, 19, **kwargs)
-    singles = [dpp_check(model, init, family, 0.0, s, 64, 19, **kwargs) for s in DPP_SPLITS]
-    refs = [_reference_dpp(model, init, family, 0.0, s, 64, 19, **kwargs) for s in DPP_SPLITS]
+        policy, init = constant_policy([1.0]), gaussian_initial(0.0, 0.5)
+    reports = dpp_check(model, init, policy, 0.0, DPP_SPLITS, 64, 19)
+    singles = [dpp_check(model, init, policy, 0.0, s, 64, 19) for s in DPP_SPLITS]
+    refs = [_reference_dpp(model, init, policy, 0.0, s, 64, 19) for s in DPP_SPLITS]
     assert repr(reports) == repr(singles)
     assert repr(reports) == repr(refs)
-    assert reports[0].mode == ("family_inequality" if family else "exact_tower")
+    assert reports[0].mode == "exact_tower"
 
 
 def test_dpp_checks_every_split_before_simulating(monkeypatch):
@@ -543,9 +454,9 @@ def test_dpp_checks_every_split_before_simulating(monkeypatch):
 
     monkeypatch.setattr(control, "integrate", no_runs)
     with pytest.raises(DomainError, match="precedes"):
-        dpp_check(model, constant_initial([0.5]), [], 0.5, [0.75, 0.25], 64, seed=0)
+        dpp_check(model, constant_initial([0.5]), None, 0.5, [0.75, 0.25], 64, seed=0)
     with pytest.raises(ConfigurationError, match="split time"):
-        dpp_check(model, constant_initial([0.5]), [], 0.0, [], 64, seed=0)
+        dpp_check(model, constant_initial([0.5]), None, 0.0, [], 64, seed=0)
 
 
 def _randomized_family(seed, n):
@@ -604,7 +515,7 @@ def test_diffusion_free_models_draw_no_noise_block(monkeypatch):
     monkeypatch.setattr(pathmkv.rng, "brownian_increments", counted)
     grid = TimeGrid(1.0, 100)
     estimate_value(make_frozen(grid), constant_initial([0.5]), [None], 0.0, 1000, seed=0)
-    dpp_check(make_meanfield_ou(grid, s0=0.0), gaussian_initial(0.0, 0.5), [], 0.0, 0.5, 1000, seed=0)
+    dpp_check(make_meanfield_ou(grid, s0=0.0), gaussian_initial(0.0, 0.5), None, 0.0, 0.5, 1000, seed=0)
     assert draws == []
 
 
