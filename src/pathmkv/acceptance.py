@@ -43,7 +43,6 @@ from .rng import brownian_increments, refine_increments
 from .sde import (
     InitialLaw,
     ModelSpec,
-    brownian_block,
     constant_initial,
     draw_scope,
     flow_restart_check,
@@ -213,13 +212,13 @@ def run_yosida(cfg, out_dir):
     ladder = cfg.get("yosida", {}).get("ladder", [2, 8, 32])
     n_particles, seed = cfg["particles"], cfg["seed"]
     # every rung is compared with the base run on the same Brownian paths
-    noise = brownian_block(model, n_particles, seed)
-    base = integrate(model, init, None, 0.0, n_particles, seed, noise=noise)
-    dists = []
-    for n in ladder:
-        yos = integrate_yosida(model, n, init, None, 0.0, n_particles, seed, noise=noise)
-        dists.append(s2_distance(yos, base))
-        del yos  # the next rung is run without this one's paths alive
+    with draw_scope():
+        base = integrate(model, init, None, 0.0, n_particles, seed)
+        dists = []
+        for n in ladder:
+            yos = integrate_yosida(model, n, init, None, 0.0, n_particles, seed)
+            dists.append(s2_distance(yos, base))
+            del yos  # the next rung is run without this one's paths alive
     decreasing = all(a > b for a, b in zip(dists, dists[1:]))
     params = cfg.get("model", {}).get("params", {})
     x0 = float(np.linalg.norm(spec.get("value", [0.0])))
@@ -344,33 +343,16 @@ def run_ito(cfg, out_dir):
     phis = [zoo[tag] for tag in tags]
     model = models.make_ou(grid, a=-1.0, s0=0.5)
     # the four drives and the A*-variant run from one seed in d = 1: one
-    # block, and the drives one initial sample
-    noise = brownian_block(model, n, cfg["seed"])
+    # scope draws their block, and the drives share one initial sample
     init = InitialLaw.from_values(gaussian_initial(0.0, 0.5).sample(cfg["seed"], n, grid, 1))
-
-    # one simulated ensemble per drive checks every functional
-    per_drive = [
-        calculus.ito_verify(
-            phis, drive, init, t=t, s=s, n_particles=n, seed=cfg["seed"],
-            dt_coeff=dt_coeff, n_batches=n_batches, noise=noise,
-        )
-        for drive in drives
-    ]
+    common = dict(t=t, s=s, n_particles=n, seed=cfg["seed"], dt_coeff=dt_coeff, n_batches=n_batches)
+    with draw_scope():
+        # one simulated ensemble per drive checks every functional
+        per_drive = [calculus.ito_verify(phis, drive, init, **common) for drive in drives]
+        # A*-variant on the OU model with the linear functional
+        rep = calculus.ito_verify(zoo["linear_mean"], model, constant_initial([2.0]), **common)
     # reports in tag-major order: every drive for the first functional, then the next
     reports = [per_drive[i][k] for k in range(len(phis)) for i in range(len(drives))]
-    # A*-variant on the OU model with the linear functional
-    rep = calculus.ito_verify(
-        zoo["linear_mean"],
-        model,
-        constant_initial([2.0]),
-        t=t,
-        s=s,
-        n_particles=n,
-        seed=cfg["seed"],
-        dt_coeff=dt_coeff,
-        n_batches=n_batches,
-        noise=noise,
-    )
     reports.append(rep)
     ok = all(r.passed for r in reports)
     return {"pass": bool(ok), "checks": [check_block(r) for r in reports]}

@@ -592,7 +592,6 @@ def ito_verify(
     policy=None,
     n_batches: int = 8,
     dt_coeff: float = 10.0,
-    noise: np.ndarray | None = None,
 ):
     """Check the functional Ito formula on a particle ensemble.
 
@@ -609,10 +608,6 @@ def ito_verify(
     `phi` is one functional, which gives one ItoReport, or a sequence of
     functionals, all checked on one simulated ensemble, which gives their
     reports in order.
-
-    `noise` has `integrate`'s meaning and shape check: an (N, M, d) block
-    that replaces the increments drawn from `seed`.  Checks that share one
-    seed pass the block they share, and it stays referenced by the caller.
     """
     single = isinstance(phi, CylindricalFunctional)
     phis = [phi] if single else list(phi)
@@ -636,9 +631,7 @@ def ito_verify(
         a_eigs, tag = None, model.tag
     grid = model.grid
     j0, j1 = grid.node(t), grid.node(s)
-    ens = integrate(
-        model, init, policy, t0=t, n_particles=n_particles, seed=seed, noise=noise, t_end=s
-    )
+    ens = integrate(model, init, policy, t0=t, n_particles=n_particles, seed=seed, t_end=s)
     values, controls = ens.values, ens.controls
 
     # the full ensemble, then batch b = particles b, b + n_batches, ...;

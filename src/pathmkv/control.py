@@ -8,10 +8,10 @@ tests the tower identity for it.
 Family members are compared under common random numbers: the counter-based
 noise streams are keyed by (seed, particle, step) and never by the family
 index, so every member run from one seed is driven by the same Brownian
-block.  Each check draws that block once (`sde.brownian_block`, read-only)
-and passes it to every run that uses it, so members differ only through
-their policies.  Inside a `sde.draw_scope`, as in a suite run, a check whose
-block the scope already holds takes it from the scope instead of drawing it.
+block.  Each check runs its runs in one `sde.draw_scope`, which draws that
+block once (`sde.brownian_block`, read-only) for every run that uses it, so
+members differ only through their policies.  Inside an outer scope, as in a
+suite run, a check whose block the scope already holds draws nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .sde import (
     ModelSpec,
     ParticleEnsemble,
     _recorded_args,
-    brownian_block,
+    draw_scope,
     integrate,
 )
 
@@ -221,25 +221,21 @@ def estimate_value(
     t0: float,
     n_particles: int,
     seed: int,
-    noise: np.ndarray | None = None,
 ) -> ValueSearchResult:
     """Argmax of the reward mean over a finite policy family, common random
     numbers across members.  This is a lower-bound estimator of the true value
     (the supremum runs over all admissible controls, the family is a subset).
     Ties break to the lowest family index, which is exact under common noise.
-
-    Every member runs on one Brownian block: `noise` (with `integrate`'s
-    meaning and shape check) or, when it is None, the block of `seed`, drawn
-    once.
+    Every member runs in one `draw_scope`, on the block of `seed`.
     """
     if not policy_family:
         raise ConfigurationError("policy family must be non-empty")
-    if noise is None:
-        noise = brownian_block(model, n_particles, seed)
-    estimates = []
-    for policy in policy_family:
-        ens = integrate(model, init, policy, t0, n_particles, seed, noise=noise)
-        estimates.append(reward(model, ens, t0))
+    with draw_scope():
+        # a member's paths are freed before the next member is run
+        estimates = [
+            reward(model, integrate(model, init, policy, t0, n_particles, seed), t0)
+            for policy in policy_family
+        ]
     means = np.array([e.mean for e in estimates])
     best = int(np.argmax(means))
     return ValueSearchResult(best, policy_family[best], estimates[best], estimates)
@@ -284,9 +280,9 @@ def dpp_check(
 
     `s` is one split time, which gives one DppReport, or a sequence of split
     times, which gives their reports in order.  Every split is checked before
-    anything is simulated.  The base run is made once for all splits and
-    keeps no block past its return; every continuation runs on the one block
-    of `_continuation_seed(seed)`, drawn once.
+    anything is simulated.  The base run is made once for all splits; every
+    continuation runs on the one block of `_continuation_seed(seed)`, which
+    the check's `draw_scope` draws once, in place of the base run's block.
     """
     single = np.ndim(s) == 0
     splits = [s] if single else list(s)
@@ -295,26 +291,26 @@ def dpp_check(
     grid, n = model.grid, n_particles
     if any(grid.node(x) < grid.node(t0) for x in splits):
         raise DomainError("split time precedes start time")
-    ens = integrate(model, init, policy, t0, n, seed, noise=brownian_block(model, n, seed))
-    running_full, terminal, heads = _per_particle_reward(model, ens, t0, splits)
-    cont_init = InitialLaw.from_values(ens.values)
-    del ens
-    cseed = _continuation_seed(seed)
-    cont_noise = brownian_block(model, n, cseed)
-    lhs = float((running_full + terminal).mean())
-    reports = []
-    for s, running_head in zip(splits, heads):
-        # the continuation's paths are freed before the next one is run
-        cont = integrate(model, cont_init, policy, s, n, cseed, noise=cont_noise)
-        run_c, term_c, _ = _per_particle_reward(model, cont, s)
-        del cont
-        tail_cont = run_c + term_c
-        diff = running_full - running_head + terminal - tail_cont
-        gap = float(diff.mean())
-        stderr = float(diff.std(ddof=1) / np.sqrt(n))
-        rhs = float(running_head.mean() + tail_cont.mean())
-        passed = abs(gap) <= 3.0 * stderr or gap == 0.0
-        reports.append(DppReport("exact_tower", t0, s, lhs, rhs, gap, stderr, passed))
+    with draw_scope():
+        ens = integrate(model, init, policy, t0, n, seed)
+        running_full, terminal, heads = _per_particle_reward(model, ens, t0, splits)
+        cont_init = InitialLaw.from_values(ens.values)
+        del ens
+        cseed = _continuation_seed(seed)
+        lhs = float((running_full + terminal).mean())
+        reports = []
+        for s, running_head in zip(splits, heads):
+            # the continuation's paths are freed before the next one is run
+            cont = integrate(model, cont_init, policy, s, n, cseed)
+            run_c, term_c, _ = _per_particle_reward(model, cont, s)
+            del cont
+            tail_cont = run_c + term_c
+            diff = running_full - running_head + terminal - tail_cont
+            gap = float(diff.mean())
+            stderr = float(diff.std(ddof=1) / np.sqrt(n))
+            rhs = float(running_head.mean() + tail_cont.mean())
+            passed = abs(gap) <= 3.0 * stderr or gap == 0.0
+            reports.append(DppReport("exact_tower", t0, s, lhs, rhs, gap, stderr, passed))
     return reports[0] if single else reports
 
 
@@ -367,9 +363,10 @@ def law_invariance_check(
 ) -> LawInvarianceReport:
     """Two initial data with the same declared law must give the same
     family-restricted value, up to Monte Carlo error with independent seeds.
-    Each side draws its seed's Brownian block and its initial sample once,
-    for all its families; the moment test's sample is that initial sample
-    when the test runs at n_particles paths.
+    Each side draws its initial sample once, and runs all its families in one
+    `draw_scope`, on its seed's block: side a's runs come first, so only one
+    side's block is alive at a time.  The moment test's sample is that
+    initial sample when the test runs at n_particles paths.
 
     If the moment test detects that the laws actually differ, the check
     refuses to conclude and reports "inconclusive" instead of a failure.
@@ -390,15 +387,15 @@ def law_invariance_check(
     if n_guard != n_particles:
         samples = [init.sample(seed, n_particles, grid, d) for init, seed in sides]
     # a sample is a function of (seed, N): every run of a side starts from this one
-    init_a, init_b = (InitialLaw.from_values(x) for x in samples)
-    noise_a = brownian_block(model, n_particles, seeds[0])
-    noise_b = brownian_block(model, n_particles, seeds[1])
+    runs = []
+    for x, seed in zip(samples, seeds):
+        init = InitialLaw.from_values(x)
+        with draw_scope():
+            runs.append([estimate_value(model, init, fam, t0, n_particles, seed) for fam in policy_families])
     per_family = []
     all_pass = True
     va_last = vb_last = gap = stderr = 0.0
-    for family in policy_families:
-        ra = estimate_value(model, init_a, family, t0, n_particles, seeds[0], noise=noise_a)
-        rb = estimate_value(model, init_b, family, t0, n_particles, seeds[1], noise=noise_b)
+    for ra, rb in zip(*runs):
         va_last, vb_last = ra.estimate.mean, rb.estimate.mean
         gap = va_last - vb_last
         stderr = float(np.hypot(ra.estimate.stderr, rb.estimate.stderr))

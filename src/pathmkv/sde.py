@@ -310,8 +310,8 @@ def _validate_model(model):
 @dataclass
 class ParticleEnsemble:
     """N state paths with their controls and the seed that reproduces them.
-    The noise is not kept: outside a `draw_scope`, `brownian_block(model, N,
-    seed)` redraws the block of a run that drew its own."""
+    The noise is not kept: `brownian_block(model, N, seed)` is the block
+    the run read, unless it was passed one drawn from no seed."""
 
     grid: TimeGrid
     t0: float
@@ -372,14 +372,19 @@ _kept: dict | None = None
 @contextmanager
 def draw_scope():
     """Inside the `with` body, `brownian_block` keeps the last block it drew
-    and serves every request of the same key from it; the block is released
-    on exit.  `acceptance.run_suite` runs its criteria in one scope."""
+    and serves every request of the same key from it.  A scope opened inside
+    another is that outer scope: the block is released when the outermost
+    scope exits.  Every check runs its runs in a scope, and
+    `acceptance.run_suite` runs its criteria in one."""
     global _kept
-    outer, _kept = _kept, {}
+    if _kept is not None:
+        yield
+        return
+    _kept = {}
     try:
         yield
     finally:
-        _kept = outer
+        _kept = None
 
 
 def brownian_block(model: ModelSpec, n_particles: int, seed: int) -> np.ndarray | None:
@@ -387,9 +392,9 @@ def brownian_block(model: ModelSpec, n_particles: int, seed: int) -> np.ndarray 
     from `seed` is driven by, read-only; None for a diffusion-free model,
     whose step never reads the noise.
 
-    Runs that compare values under common random numbers draw this block once
-    and pass it to each run as `noise=`; being read-only, no run can change
-    what the next one reads.
+    Runs that compare values under common random numbers run in one
+    `draw_scope`, which draws this block once for all of them; being
+    read-only, no run can change what the next one reads.
 
     Inside a `draw_scope` the scope keeps one block, keyed by
     (seed, steps, d, dt).  Particle i's increments do not depend on N, so a
@@ -532,13 +537,12 @@ def integrate(
 
     The returned ensemble is bit-reproducible from (inputs, seed): noise is
     counter-based per particle, and all cross-particle reductions are plain
-    numpy pairwise sums in fixed particle order.  Passing `noise`, an
-    (N, M, d) block, overrides the generated increments: Brownian-refinement
-    ladders pass aggregated ones, and runs under common random numbers pass
-    the one `brownian_block(model, N, seed)` they share, which is exactly
-    what each would have drawn.  Every block passed is shape-checked.  The
-    ensemble keeps no noise: outside a `draw_scope`, a block the run drew
-    itself is freed on return.
+    numpy pairwise sums in fixed particle order.  The run reads
+    `brownian_block(model, N, seed)`, which a `draw_scope` shares among runs
+    of one key.  Passing `noise`, an (N, M, d) block drawn from no seed,
+    overrides it: Brownian-refinement ladders pass aggregated increments.
+    Every block passed is shape-checked.  The ensemble keeps no noise:
+    outside a `draw_scope`, the block the run drew is freed on return.
     """
     grid = model.grid
     j_end = grid.steps if t_end is None else grid.node(t_end)
@@ -561,11 +565,10 @@ def integrate_yosida(
     t0: float = 0.0,
     n_particles: int = 2,
     seed: int = 0,
-    noise: np.ndarray | None = None,
 ) -> ParticleEnsemble:
     """`integrate` on a copy of the model whose generator is the Yosida
     approximation A_n: the recursion with e^{dt*A_n} for e^{dt*A}."""
-    return integrate(replace(model, A=yosida(model.A, n)), init, policy, t0, n_particles, seed, noise=noise)
+    return integrate(replace(model, A=yosida(model.A, n)), init, policy, t0, n_particles, seed)
 
 
 @dataclass
@@ -663,15 +666,14 @@ def flow_restart_check(
     """Integrate over [t0, T]; separately integrate over [t0, s], restart at s
     from the stopped paths with the same residual noise stream, and report the
     max particle gap, which the recursion makes exactly zero.  The three runs
-    share one `brownian_block(model, N, seed)`, drawn once: it is what each
-    would have drawn."""
+    share one `draw_scope`, which draws their block once."""
     grid = model.grid
     if grid.node(s) < grid.node(t0):
         raise DomainError(f"restart time {s} precedes start {t0}")
-    noise = brownian_block(model, n_particles, seed)
-    full = integrate(model, init, policy, t0, n_particles, seed, noise=noise)
-    head = integrate(model, init, policy, t0, n_particles, seed, t_end=s, noise=noise)
-    restart_init = InitialLaw.from_values(head.values)
-    tail = integrate(model, restart_init, policy, s, n_particles, seed, noise=noise)
+    with draw_scope():
+        full = integrate(model, init, policy, t0, n_particles, seed)
+        head = integrate(model, init, policy, t0, n_particles, seed, t_end=s)
+        restart_init = InitialLaw.from_values(head.values)
+        tail = integrate(model, restart_init, policy, s, n_particles, seed)
     gap = float(np.abs(full.values - tail.values).max())
     return {"split_time": s, "max_particle_gap": gap}

@@ -28,7 +28,6 @@ from pathmkv.calculus import (
     time_quadratic_mean,
 )
 from pathmkv.errors import (
-    ConfigurationError,
     ContractError,
     DomainError,
     UnsupportedFunctionalError,
@@ -36,7 +35,7 @@ from pathmkv.errors import (
 from pathmkv.measure import EmpiricalPathMeasure, StoppedView, stopped_measure
 from pathmkv.models import make_ou
 from pathmkv.paths import TimeGrid
-from pathmkv.sde import brownian_block, constant_initial, gaussian_initial
+from pathmkv.sde import constant_initial, draw_scope, gaussian_initial
 
 
 def random_measure(grid, d, n, seed):
@@ -644,22 +643,29 @@ def test_ito_verify_at_suite_size_peaks_below_128_mb():
     assert peak < 128 * 2**20, peak / 2**20
 
 
-def test_ito_verify_on_a_shared_block_matches_its_own_draw():
-    # the ito stage passes one block to the four drives and the A*-variant;
-    # each must report what it reports when it draws the block itself
+def test_ito_verify_on_a_shared_block_matches_its_own_draw(monkeypatch):
+    # the ito stage runs the four drives and the A*-variant in one draw
+    # scope; each must report what it reports when it draws the block itself
+    import pathmkv.rng
+
     model = make_ou(GRID_40, a=-1.0, s0=0.5)
-    init = gaussian_initial(0.0, 0.5)
+    runs = [(drive, gaussian_initial(0.0, 0.5)) for drive in ITO_DRIVES]
+    runs.append((model, constant_initial([2.0])))
     common = dict(t=0.0, s=1.0, n_particles=203, seed=33)
-    block = brownian_block(model, 203, 33)
-    for drive in ITO_DRIVES:
-        own = ito_verify(ANALYTIC_ZOO, drive, init, **common)
-        shared = ito_verify(ANALYTIC_ZOO, drive, init, noise=block, **common)
-        assert repr(shared) == repr(own), drive.tag
-    init = constant_initial([2.0])
-    own = ito_verify(ANALYTIC_ZOO, model, init, **common)
-    shared = ito_verify(ANALYTIC_ZOO, model, init, noise=block, **common)
-    assert repr(shared) == repr(own)
-    assert not block.flags.writeable
+    own = [ito_verify(ANALYTIC_ZOO, drive, init, **common) for drive, init in runs]
+    draws = []
+    draw = pathmkv.rng.brownian_increments
+
+    def counted(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(pathmkv.rng, "brownian_increments", counted)
+    with draw_scope():
+        shared = [ito_verify(ANALYTIC_ZOO, drive, init, **common) for drive, init in runs]
+    for (drive, _), a, b in zip(runs, shared, own):
+        assert repr(a) == repr(b), drive.tag
+    assert draws == [(33, 203, 40, 1, GRID_40.dt)]
 
 
 def test_both_ito_routes_run_one_integrate_from_t_to_s(monkeypatch):
@@ -682,14 +688,3 @@ def test_both_ito_routes_run_one_integrate_from_t_to_s(monkeypatch):
     assert runs == [(ITO_DRIVES[2].tag, 0.25, 0.75), ("ou", 0.25, 0.75)]
     assert plain.model == ITO_DRIVES[2].tag
     assert rep.model == "mild:ou"
-
-
-@pytest.mark.parametrize("shape", [(203, 39, 1), (202, 40, 1), (203, 40, 2)])
-@pytest.mark.parametrize("branch", ["process", "model"])
-def test_ito_verify_rejects_a_block_of_the_wrong_shape(branch, shape):
-    drive = {"process": ITO_DRIVES[2], "model": make_ou(GRID_40, a=-1.0, s0=0.5)}[branch]
-    with pytest.raises(ConfigurationError, match="noise override has shape"):
-        ito_verify(
-            linear_mean([1.0]), drive, constant_initial([0.0]), t=0.0, s=1.0,
-            n_particles=203, seed=33, noise=np.zeros(shape),
-        )

@@ -392,6 +392,30 @@ def test_a_draw_scope_serves_each_key_from_one_draw_as_read_only_prefixes(monkey
     assert draws[4:] == [(5, 32, 24, 1)] * 2
 
 
+def test_a_draw_scope_opened_inside_another_is_that_scope(monkeypatch):
+    model = make_ou(TimeGrid(1.0, 24), a=-1.0, s0=0.5)
+    draws, _ = _counted_draws(monkeypatch)
+    with draw_scope():
+        outer = brownian_block(model, 64, 5)
+        with draw_scope():
+            inner = brownian_block(model, 64, 5)
+        after = brownian_block(model, 64, 5)
+    assert draws == [(5, 64, 24, 1)]
+    assert np.shares_memory(inner, outer) and np.shares_memory(after, outer)
+    # the outermost exit releases the block: every call draws again
+    brownian_block(model, 64, 5)
+    brownian_block(model, 64, 5)
+    assert draws[1:] == [(5, 64, 24, 1)] * 2
+
+
+@pytest.mark.parametrize("shape", [(203, 39, 1), (202, 40, 1), (203, 40, 2)])
+def test_integrate_rejects_a_block_of_the_wrong_shape(shape):
+    # one step short, one particle short, and d + 1 wide
+    model = make_ou(TimeGrid(1.0, 40), a=-1.0, s0=0.5)
+    with pytest.raises(ConfigurationError, match=r"noise override has shape \(%d, %d, %d\)" % shape):
+        integrate(model, constant_initial([0.0]), None, 0.0, 203, 33, noise=np.zeros(shape))
+
+
 def test_runs_in_a_draw_scope_equal_runs_that_draw_their_own_block():
     grid = TimeGrid(1.0, 40)
     model = make_ou(grid, a=-1.0, s0=0.5)
