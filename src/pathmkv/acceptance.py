@@ -7,6 +7,7 @@ run is serial.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -39,7 +40,7 @@ from .measure import (
     wasserstein2_controls,
 )
 from .paths import PathGrid, TimeGrid, sup_norm
-from .rng import brownian_increments, refine_increments
+from .rng import refine_increments
 from .sde import (
     InitialLaw,
     ModelSpec,
@@ -258,6 +259,21 @@ def run_particles_converge(cfg, out_dir):
     return {"pass": bool(ok), "rungs": list(rungs), "avg_distances": averages}
 
 
+def _min_assignment_cost(cost: np.ndarray) -> float:
+    """min over permutations p of sum_i cost[i, p[i]] / n, by enumeration:
+    criterion 7's brute-force oracle.
+
+    All n! sums are formed at once from one gather, whose row i holds
+    cost[i, p[i]] for every p.  The rows are added one at a time, left to
+    right, the order of the builtin sum over one permutation for any n;
+    numpy's sum along 8 or more terms would add them pairwise.
+    """
+    n = cost.shape[0]
+    perms = np.array(list(itertools.permutations(range(n))))
+    sums = functools.reduce(np.add, cost[np.arange(n)[:, None], perms.T])
+    return float((sums / n).min())
+
+
 def run_wasserstein(cfg, out_dir):
     wcfg = cfg.get("wasserstein", {})
     n_instances = int(wcfg.get("n_instances", 100))
@@ -272,11 +288,7 @@ def run_wasserstein(cfg, out_dir):
         for i in range(n):
             for j in range(n):
                 cost[i, j] = sup_norm(PathGrid(grid, mu.atoms[i] - nu.atoms[j])) ** 2
-        best = min(
-            sum(cost[i, p[i]] for i in range(n)) / n
-            for p in itertools.permutations(range(n))
-        )
-        return math.sqrt(best)
+        return math.sqrt(_min_assignment_cost(cost))
 
     def one_instance(k):
         r = np.random.default_rng(cfg["seed"] + k)
@@ -698,16 +710,18 @@ def weak_order(cfg, out_dir):
             f"config key 'grid.steps' must be a multiple of 8 for the suite, whose weak-order "
             f"criterion coarsens the grid by 8, 4 and 2; got {fine_steps}"
         )
-    noise_fine = brownian_increments(seed + 3, n, fine_steps, 1, grid.T / fine_steps)
+    factors = (8, 4, 2)
+    # the fine block's Brownian paths on each rung's grid, drawn in one pass
+    rungs = refine_increments(seed + 3, n, fine_steps, 1, grid.T / fine_steps, factors)
     errors = []
-    for factor in (8, 4, 2):
+    for factor in factors:
         steps = fine_steps // factor
         sub_grid = TimeGrid(grid.T, steps)
         sub_model = models.make_ou_drift(sub_grid, kappa=1.0, s0=0.1)
-        coarse = refine_increments(noise_fine, factor)
+        coarse = rungs.pop(0)
         e = integrate(sub_model, constant_initial([4.0]), None, 0.0, n, seed + 3, noise=coarse)
         errors.append(abs(e.values[:, -1, 0].mean() - 4.0 * math.exp(-1.0)))
-        del coarse, e  # the next rung is drawn and run without this one's blocks alive
+        del coarse, e  # the next rung runs without this one's blocks alive
     ratios = [b / a for a, b in zip(errors, errors[1:])]
     weak_ok = all(0.3 <= r <= 0.7 for r in ratios)
     return {"pass": bool(weak_ok), "errors": errors, "ratios": ratios}

@@ -544,10 +544,10 @@ def _rhs_quadrature(phis, model, values, j0, j1, rows, controls, a_eigs):
     functional and set.  A block reads the paths node-major, a view of the
     node-major block `integrate` returns (a copy for any other layout).  It
     evaluates the coefficients and g ** 2 once, on the full ensemble, then
-    takes each set's slices of f, g ** 2 and now * a_eigs once for all
-    functionals, whose fields it evaluates once per set on the whole block,
-    each set against its own law.  Each node's term * dt is then added to
-    the set's total in node order."""
+    takes each set's slices of now, f and g ** 2, as contiguous arrays, and
+    now * a_eigs once for all functionals, whose fields it evaluates once
+    per set on the whole block, each set against its own law.  Each node's
+    term * dt is then added to the set's total in node order."""
     grid = model.grid
     totals = [[0.0] * len(rows) for _ in phis]
     for b0 in range(j0, j1, NODE_BLOCK):
@@ -557,9 +557,11 @@ def _rhs_quadrature(phis, model, values, j0, j1, rows, controls, a_eigs):
         f, g = _block_coefficients(model, values, b0, b1, controls)
         g_sq = None if g is None else g**2
         for k, r in enumerate(rows):
-            run = NodeRun(StoppedView(grid, values[r], b1 - 1), ts, now[:, r])
-            f_r = None if f is None else f[:, r]
-            g_sq_r = None if g_sq is None else g_sq[:, r]
+            # contiguous copies of a batch's strided rows (the full set's are
+            # views), so that no product below reads a stride of n_batches
+            run = NodeRun(StoppedView(grid, values[r], b1 - 1), ts, np.ascontiguousarray(now[:, r]))
+            f_r = None if f is None else np.ascontiguousarray(f[:, r])
+            g_sq_r = None if g_sq is None else np.ascontiguousarray(g_sq[:, r])
             now_a = None if a_eigs is None else run.now * a_eigs
             for phi, phi_totals in zip(phis, totals):
                 term = phi.dt_fn(run)

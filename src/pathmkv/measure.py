@@ -102,15 +102,19 @@ class EmpiricalPathMeasure(StoppedView):
         if atoms.ndim != 3 or atoms.shape[1] != grid.steps + 1:
             raise ConfigurationError("atoms must have shape (N, M+1, d) matching the grid")
         n = atoms.shape[0]
+        if n == 0:
+            raise ConfigurationError(
+                f"a path measure needs at least one atom, got atoms of shape {atoms.shape}"
+            )
         if weights is None:
-            weights = np.full(n, 1.0 / n)
+            weights = np.full(n, 1.0 / n)  # valid by construction
         else:
             weights = np.array(weights, dtype=float)
-        if weights.shape != (n,):
-            raise ConfigurationError("weights must have shape (N,)")
-        # stated positively, so that a NaN weight fails both tests
-        if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):
-            raise ConfigurationError("weights must be nonnegative and sum to 1 within 1e-12")
+            if weights.shape != (n,):
+                raise ConfigurationError("weights must have shape (N,)")
+            # stated positively, so that a NaN weight fails both tests
+            if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):
+                raise ConfigurationError("weights must be nonnegative and sum to 1 within 1e-12")
         atoms.setflags(write=False)
         weights.setflags(write=False)
         super().__init__(grid, atoms, grid.steps, weights)
@@ -141,6 +145,10 @@ class EmpiricalControlMeasure:
 
     def __init__(self, atoms, weights=None):
         self.atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+        if self.atoms.shape[0] == 0:
+            raise ConfigurationError(
+                f"a control law needs at least one atom, got atoms of shape {self.atoms.shape}"
+            )
         if weights is not None:
             weights = np.asarray(weights, dtype=float)
             if not (
@@ -215,7 +223,7 @@ def _sup_cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _uniform(w: np.ndarray) -> bool:
     """Whether all weights are equal, exactly: near-uniform weights are not
     uniform and have a different transport value."""
-    return bool(np.all(w == w[0]))
+    return bool(np.logical_and.reduce(w == w[0]))  # np.all without its Python wrapper
 
 
 def exact_ot_cost(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray) -> float:
@@ -226,9 +234,15 @@ def exact_ot_cost(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray) -> flo
     transport LP over the coupling polytope (one marginal constraint dropped
     as redundant) by HiGHS with presolve off.  With that constraint dropped
     the polytope leaves presolve nothing to remove, and its pass over the
-    2nm nonzeros took about 40% of the solve at 160 x 184 atoms.
+    2nm nonzeros took about 40% of the solve at 160 x 184 atoms.  A cost
+    with a non-finite entry is refused on both paths.
     """
     n, m = cost.shape
+    if not np.logical_and.reduce(np.isfinite(cost), axis=None):
+        i, j = np.argwhere(~np.isfinite(cost))[0]
+        raise ConfigurationError(
+            f"transport cost must be finite, got {cost[i, j]} at entry ({i}, {j})"
+        )
     if n == m and _uniform(w_row) and _uniform(w_col):
         rows, cols = linear_sum_assignment(cost)
         return float(cost[rows, cols].sum() / n)

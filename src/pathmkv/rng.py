@@ -18,13 +18,14 @@ the bit generator's setter reads plain ints about twice as fast as uint64
 arrays.
 
 This module owns every per-particle draw: `brownian_increments` (the noise
-blocks), `normals` (initial laws) and `uniforms` (mapped initial laws and
-policy randomizers).  Each fills particle i's row of its output in place
-from particle i's stream, whatever the count.  A randomized control, adapted
-to B and to an independent uniform per particle, is a feedback policy that
-closes over `uniforms(seed, STREAM_POLICY, N)`: that stream keeps its
-randomizers independent of the noise and the initial law drawn from the same
-seed.
+blocks), `refine_increments` (a noise block coarsened onto coarser grids in
+the pass that draws it, without the block itself), `normals` (initial laws)
+and `uniforms` (mapped initial laws and policy randomizers).  Each fills
+particle i's row of its output in place from particle i's stream, whatever
+the count.  A randomized control, adapted to B and to an independent uniform
+per particle, is a feedback policy that closes over
+`uniforms(seed, STREAM_POLICY, N)`: that stream keeps its randomizers
+independent of the noise and the initial law drawn from the same seed.
 
 Increment blocks are stored node-major (`paths.node_major`): the (N, M, dK)
 block indexes as before and each particle's draw fills its steps in the same
@@ -34,7 +35,7 @@ that the step kernel reads one step of all particles contiguously.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -45,8 +46,8 @@ STREAM_BROWNIAN = 0
 STREAM_INITIAL = 1
 STREAM_POLICY = 2
 
-# Particles per C-contiguous chunk in brownian_increments and
-# refine_increments: 2 MB at 1000 steps.
+# Particles per C-contiguous chunk of the Brownian draw loop: 2 MB at 1000
+# steps.
 CHUNK_ROWS = 256
 
 
@@ -87,17 +88,22 @@ def particle_generators(seed: int, stream: int, n_particles: int) -> Iterator[np
         yield gen
 
 
-def brownian_increments(seed: int, n_particles: int, n_steps: int, dk: int, dt: float) -> np.ndarray:
-    """iid N(0, dt) increments, shape (N, M, dK), keyed by (seed, particle);
-    a node-major block.
+def _root_dt(dt: float) -> float:
+    """sqrt(dt), the scale of an N(0, dt) increment; dt must be positive."""
+    if not dt > 0:  # stated positively, so that a NaN step fails too
+        raise DomainError(f"a Brownian step dt must be positive, got {dt}")
+    return np.sqrt(dt)
 
-    Each particle draws its (M, dK) normals into a row of one reused
-    C-ordered chunk; a full chunk is scaled and scattered into the block by
-    one multiply, which is elementwise, so every value is root * draw as if
-    written particle by particle.
+
+def _normal_chunks(
+    seed: int, n_particles: int, n_steps: int, dk: int
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The one particle-chunk draw loop of the Brownian stream.
+
+    Yields (start, stop, chunk): particles start..stop-1's (M, dK) standard
+    normals, each particle's row of one reused C-ordered chunk filled in place
+    by its own generator.  Read or overwrite a chunk before advancing.
     """
-    out = node_major(n_particles, n_steps, dk)
-    root = np.sqrt(dt)
     chunk = np.empty((min(CHUNK_ROWS, n_particles), n_steps, dk))
     rows = list(chunk)  # the row views, built once
     gens = particle_generators(seed, STREAM_BROWNIAN, n_particles)
@@ -106,31 +112,51 @@ def brownian_increments(seed: int, n_particles: int, n_steps: int, dk: int, dt: 
         # rows first: zip stops on them without advancing the generators
         for row, g in zip(rows[: stop - start], gens):
             g.standard_normal(out=row)
-        np.multiply(chunk[: stop - start], root, out=out[start:stop])
-    return out
+        yield start, stop, chunk[: stop - start]
 
 
-def refine_increments(fine: np.ndarray, factor: int) -> np.ndarray:
-    """Aggregate fine-step increments into coarse ones (Brownian refinement).
+def brownian_increments(seed: int, n_particles: int, n_steps: int, dk: int, dt: float) -> np.ndarray:
+    """iid N(0, dt) increments, shape (N, M, dK), keyed by (seed, particle);
+    a node-major block.
 
-    fine has shape (N, M_fine, dK) with M_fine divisible by factor; the result
-    has shape (N, M_fine // factor, dK) and represents the same Brownian path
-    sampled on the coarser grid, as a node-major block.
-
-    Each coarse increment sums its fine ones in the order numpy reduces a
-    C-ordered block (pairwise from 8 terms on), whatever the layout of fine:
-    reduced in place, a node-major block would be summed term by term, which
-    rounds differently.  Rows are made C-contiguous a few at a time.
+    A full chunk of normals is scaled and scattered into the block by one
+    multiply, which is elementwise, so every value is root * draw as if
+    written particle by particle.
     """
-    n, m_fine, dk = fine.shape
-    if m_fine % factor != 0:
-        raise DomainError(f"cannot coarsen {m_fine} steps by factor {factor}")
-    m = m_fine // factor
-    out = node_major(n, m, dk)
-    for i in range(0, n, CHUNK_ROWS):
-        rows = np.ascontiguousarray(fine[i : i + CHUNK_ROWS])
-        out[i : i + CHUNK_ROWS] = rows.reshape(-1, m, factor, dk).sum(axis=2)
+    root = _root_dt(dt)
+    out = node_major(n_particles, n_steps, dk)
+    for start, stop, chunk in _normal_chunks(seed, n_particles, n_steps, dk):
+        np.multiply(chunk, root, out=out[start:stop])
     return out
+
+
+def refine_increments(
+    seed: int, n_particles: int, n_steps: int, dk: int, dt: float, factors: Iterable[int]
+) -> list[np.ndarray]:
+    """The block `brownian_increments(seed, n_particles, n_steps, dk, dt)`
+    aggregated onto coarser grids (Brownian refinement), without building it.
+
+    Returns one node-major block per factor, shape (N, M // factor, dK): the
+    same Brownian paths sampled every factor fine steps.  Every factor must
+    be at least 1 and divide M.  The normals are drawn and scaled chunk by
+    chunk, as `brownian_increments` draws them, and each coarse increment is
+    the sum of its fine ones in the order numpy reduces the C-ordered chunk
+    (pairwise from 8 terms on): the floats of
+    `np.ascontiguousarray(fine).reshape(N, M // factor, factor, dK).sum(axis=2)`.
+    """
+    factors = list(factors)
+    for factor in factors:
+        if factor < 1:
+            raise DomainError(f"a coarsening factor must be at least 1, got {factor}")
+        if n_steps % factor != 0:
+            raise DomainError(f"cannot coarsen {n_steps} steps by factor {factor}")
+    root = _root_dt(dt)
+    outs = [node_major(n_particles, n_steps // factor, dk) for factor in factors]
+    for start, stop, chunk in _normal_chunks(seed, n_particles, n_steps, dk):
+        np.multiply(chunk, root, out=chunk)
+        for factor, out in zip(factors, outs):
+            out[start:stop] = chunk.reshape(stop - start, n_steps // factor, factor, dk).sum(axis=2)
+    return outs
 
 
 def _draw(seed: int, stream: int, n_particles: int, count: int, method) -> np.ndarray:

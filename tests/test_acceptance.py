@@ -36,7 +36,7 @@ from pathmkv.measure import (
     wasserstein2_controls,
 )
 from pathmkv.paths import PathGrid, TimeGrid, sup_norm
-from pathmkv.rng import brownian_increments, refine_increments
+from pathmkv.rng import refine_increments
 from pathmkv.sde import (
     constant_initial,
     flow_restart_check,
@@ -108,9 +108,10 @@ def test_criterion_02_meanfield_coupling_oracle():
 def test_criterion_03_weak_order():
     t0 = time.perf_counter()
     n, fine_steps = 4000, 400
-    noise_fine = brownian_increments(SEED + 3, n, fine_steps, 1, 1.0 / fine_steps)
+    factors = (8, 4, 2)
+    rungs = refine_increments(SEED + 3, n, fine_steps, 1, 1.0 / fine_steps, factors)
     errors = []
-    for factor in (8, 4, 2):
+    for factor, noise in zip(factors, rungs):
         grid = TimeGrid(1.0, fine_steps // factor)
         model = models.make_ou_drift(grid, kappa=1.0, s0=0.1)
         ens = integrate(
@@ -120,7 +121,7 @@ def test_criterion_03_weak_order():
             0.0,
             n,
             SEED + 3,
-            noise=refine_increments(noise_fine, factor),
+            noise=noise,
         )
         errors.append(abs(ens.values[:, -1, 0].mean() - 4.0 * math.exp(-1.0)))
     ratios = [b / a for a, b in zip(errors, errors[1:])]

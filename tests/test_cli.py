@@ -5,6 +5,7 @@ import os
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import pathmkv.rng
@@ -299,6 +300,23 @@ def test_reports_identical_modulo_wall_time(tmp_path):
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_brute_force_w2_oracle_is_the_float_of_the_per_permutation_sum(n):
+    # n = 2..7 is criterion 7's default range; at n = 8 numpy would sum a
+    # row of the gather pairwise, which the row-by-row adds avoid
+    from itertools import permutations
+
+    from pathmkv.acceptance import _min_assignment_cost
+
+    rng = np.random.default_rng(100 + n)
+    for _ in range(5):
+        # entries of one magnitude, so that a sum in another order would
+        # round differently (at n = 8 pairwise sums moved 2 of these 5 minima)
+        cost = rng.uniform(1.0, 2.0, size=(n, n))
+        want = min(sum(cost[i, p[i]] for i in range(n)) / n for p in permutations(range(n)))
+        assert _min_assignment_cost(cost) == want
+
+
 def test_bench_call_form_with_threads_matches_the_plain_call(tmp_path):
     # bench/workloads.py calls run(..., threads=1); the keyword is ignored
     path = write_cfg(tmp_path, {**small_cfg(), "wasserstein": {"n_instances": 12, "n_triples": 10}})
@@ -507,8 +525,9 @@ def test_the_law_and_ito_stages_draw_each_initial_sample_once(tmp_path, monkeypa
 def test_a_suite_run_draws_five_blocks_and_a_second_run_draws_them_again(tmp_path, monkeypatch):
     # One scope per run keeps one block: ou_oracle's (seed, N) block serves
     # yosida, ito, the DPP base run and the 32-particle flow and
-    # non-anticipativity runs.  weak_order draws its own block, DPP's
-    # continuation block replaces the kept one, and each law side draws.
+    # non-anticipativity runs.  weak_order draws and coarsens its own block
+    # in one pass, DPP's continuation block replaces the kept one, and each
+    # law side draws.
     import pathmkv.acceptance
     from pathmkv.acceptance import run_suite
     from pathmkv.control import _continuation_seed
@@ -516,14 +535,18 @@ def test_a_suite_run_draws_five_blocks_and_a_second_run_draws_them_again(tmp_pat
     with open(os.path.join(os.path.dirname(__file__), "data", "suite_small.json")) as fh:
         cfg = load_config(write_cfg(tmp_path, json.load(fh)["config"]))
     draws = []
-    draw = pathmkv.rng.brownian_increments
+    draw, refine = pathmkv.rng.brownian_increments, pathmkv.rng.refine_increments
 
     def counted(seed, n_particles, n_steps, dk, dt):
         draws.append((seed, n_particles, n_steps, dk))
         return draw(seed, n_particles, n_steps, dk, dt)
 
+    def counted_refine(seed, n_particles, n_steps, dk, dt, factors):
+        draws.append((seed, n_particles, n_steps, dk))
+        return refine(seed, n_particles, n_steps, dk, dt, factors)
+
     monkeypatch.setattr(pathmkv.rng, "brownian_increments", counted)
-    monkeypatch.setattr(pathmkv.acceptance, "brownian_increments", counted)
+    monkeypatch.setattr(pathmkv.acceptance, "refine_increments", counted_refine)
     expected = [(7, 256, 96, 1), (10, 256, 96, 1), (_continuation_seed(7), 256, 96, 1),
                 (7, 256, 96, 1), (84, 256, 96, 1)]
     for _ in range(2):
@@ -569,9 +592,9 @@ def test_two_default_suite_runs_in_one_process_peak_below_190_mb(tmp_path):
 
 
 def test_weak_order_at_the_default_config_peaks_below_64_mb(tmp_path):
-    # the fine block is 32 MB; the finest rung's coarse block and paths are
-    # 16 MB each.  A rung's blocks still alive while the next one is built
-    # would pass 64 MB.
+    # the three coarse blocks are 28 MB together and drawn in one pass, with
+    # no 32 MB fine block: the criterion peaked at 30.6 MB under tracemalloc
+    # on x86-64 Linux, against 61.1 MB when it built the fine block first.
     import tracemalloc
 
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))

@@ -737,3 +737,43 @@ def test_uniform_control_law_gives_the_floats_of_explicit_uniform_weights():
     assert wasserstein2_controls(lazy_a, lazy_b) == wasserstein2_controls(eager_a, eager_b)
     with pytest.raises(ConfigurationError):
         EmpiricalControlMeasure(a, np.full(9, 0.1))
+
+
+def test_a_path_measure_without_atoms_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match=r"at least one atom, got atoms of shape \(0, 3, 1\)"):
+        EmpiricalPathMeasure(TimeGrid(1.0, 2), np.zeros((0, 3, 1)), None)
+
+
+def test_a_control_law_without_atoms_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match=r"at least one atom, got atoms of shape \(0, 1\)"):
+        EmpiricalControlMeasure(np.zeros((0, 1))).weights
+
+
+def test_built_uniform_weights_are_the_validated_ones():
+    # the 1/n weights a measure builds are not validated; they must still
+    # be those a caller could pass, and read-only
+    atoms = np.random.default_rng(3).normal(size=(7, 3, 2))
+    built = EmpiricalPathMeasure(TimeGrid(1.0, 2), atoms, None)
+    passed = EmpiricalPathMeasure(TimeGrid(1.0, 2), atoms, np.full(7, 1.0 / 7))
+    assert np.array_equal(built.weights, passed.weights)
+    assert not built.weights.flags.writeable
+    assert np.array_equal(built.mean_at(1.0), passed.mean_at(1.0))
+
+
+NON_FINITE_COSTS = {
+    "inf_uniform": ([[np.inf, 1.0], [1.0, 0.0]], [0.5, 0.5]),
+    "inf_weighted": ([[np.inf, 1.0], [1.0, 0.0]], [0.3, 0.7]),
+    "nan_uniform": ([[0.0, 1.0], [np.nan, 0.0]], [0.5, 0.5]),
+    "nan_weighted": ([[0.0, 1.0], [np.nan, 0.0]], [0.3, 0.7]),
+    "minus_inf_rectangular": ([[0.0, 1.0, -np.inf], [1.0, 0.0, 2.0]], [0.2, 0.3, 0.5]),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_COSTS.values(), ids=NON_FINITE_COSTS.keys())
+def test_a_non_finite_transport_cost_is_refused_on_both_solver_paths(case):
+    # the assignment path used to return 1.0 for the inf cost, the LP path
+    # raised scipy's ValueError
+    cost, w_col = (np.array(a) for a in case)
+    w_row = np.full(cost.shape[0], 1.0 / cost.shape[0])
+    with pytest.raises(ConfigurationError, match="transport cost must be finite"):
+        exact_ot_cost(cost, w_row, w_col)

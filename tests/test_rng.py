@@ -135,6 +135,7 @@ def test_each_bulk_sampler_call_constructs_one_philox(monkeypatch, n):
     monkeypatch.setattr(np.random, "Philox", counting)
     for draw in (
         lambda: rng.brownian_increments(SEED, n, 3, 2, 0.1),
+        lambda: rng.refine_increments(SEED, n, 4, 2, 0.1, [2, 4]),
         lambda: rng.uniforms(SEED, rng.STREAM_POLICY, n),
         lambda: rng.uniforms(SEED, rng.STREAM_POLICY, n, 3),
         lambda: rng.normals(SEED, rng.STREAM_INITIAL, n, 1),
@@ -161,7 +162,22 @@ def test_the_largest_uint64_seed_is_a_key():
 
 
 def test_refining_by_a_factor_that_does_not_divide_the_steps_is_a_domain_error():
-    fine = rng.brownian_increments(SEED, 3, 6, 1, 0.1)
     with pytest.raises(DomainError, match="cannot coarsen 6 steps by factor 4"):
-        rng.refine_increments(fine, 4)
-    assert rng.refine_increments(fine, 3).shape == (3, 2, 1)
+        rng.refine_increments(SEED, 3, 6, 1, 0.1, [3, 4])
+    [coarse] = rng.refine_increments(SEED, 3, 6, 1, 0.1, [3])
+    assert coarse.shape == (3, 2, 1)
+
+
+@pytest.mark.parametrize("factor", [0, -2])
+def test_refining_by_a_factor_below_one_is_a_domain_error(factor):
+    with pytest.raises(DomainError, match=f"at least 1, got {factor}"):
+        rng.refine_increments(SEED, 3, 6, 1, 0.1, [2, factor])
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, float("nan")])
+def test_a_step_that_is_not_positive_is_a_domain_error(dt):
+    # sqrt of a negative step made an all-NaN block with only a RuntimeWarning
+    with pytest.raises(DomainError, match="dt must be positive"):
+        rng.brownian_increments(1, 2, 4, 1, dt)
+    with pytest.raises(DomainError, match="dt must be positive"):
+        rng.refine_increments(1, 2, 4, 1, dt, [2])

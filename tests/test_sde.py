@@ -77,7 +77,7 @@ def test_noise_increments_are_iid_gaussian():
 
 def test_refine_increments_preserves_brownian_path():
     noise = brownian_increments(seed=1, n_particles=4, n_steps=16, dk=1, dt=1.0 / 16)
-    coarse = refine_increments(noise, 4)
+    [coarse] = refine_increments(1, 4, 16, 1, 1.0 / 16, [4])
     assert coarse.shape == (4, 4, 1)
     assert np.allclose(coarse.sum(axis=1), noise.sum(axis=1))
 
@@ -168,13 +168,13 @@ def test_weak_error_halves_with_dt():
     x0, kappa, s0 = 4.0, 1.0, 0.1
     n = 4000
     fine_steps = 400
-    noise_fine = brownian_increments(71, n, fine_steps, 1, 1.0 / fine_steps)
+    factors = (8, 4, 2)
+    rungs = refine_increments(71, n, fine_steps, 1, 1.0 / fine_steps, factors)
     errors = []
-    for factor in (8, 4, 2):
+    for factor, noise in zip(factors, rungs):
         steps = fine_steps // factor
         grid = TimeGrid(1.0, steps)
         model = make_ou_drift(grid, kappa=kappa, s0=s0)
-        noise = refine_increments(noise_fine, factor)
         ens = integrate(
             model, constant_initial([x0]), n_particles=n, seed=71, noise=noise
         )
@@ -857,13 +857,15 @@ def test_refine_increments_is_layout_free(dk, factor):
     # 300 particles: more than one C-contiguous chunk of rows
     n, m_fine = 300, 400
     fine = brownian_increments(11, n, m_fine, dk, 1.0 / m_fine)
-    c_fine = np.ascontiguousarray(fine)
-    coarse = refine_increments(fine, factor)
-    # the C-ordered reduction, pairwise over 8 or more terms
-    ref = c_fine.reshape(n, m_fine // factor, factor, dk).sum(axis=2)
+    # the C-ordered reduction of the drawn block, pairwise over 8 or more terms
+    ref = np.ascontiguousarray(fine).reshape(n, m_fine // factor, factor, dk).sum(axis=2)
+    [coarse] = refine_increments(11, n, m_fine, dk, 1.0 / m_fine, [factor])
     assert np.array_equal(coarse, ref)
-    assert np.array_equal(refine_increments(c_fine, factor), ref)
     assert coarse[:, 0, :].flags.c_contiguous
+    # one pass for several factors gives each factor's block of its own pass
+    both = refine_increments(11, n, m_fine, dk, 1.0 / m_fine, [factor, 1])
+    assert np.array_equal(both[0], ref)
+    assert np.array_equal(both[1], fine)
 
 
 def test_constant_initial_is_a_read_only_view_of_its_value():
