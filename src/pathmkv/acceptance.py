@@ -1,8 +1,8 @@
 """Acceptance criteria: the runner behind every subcommand, and `SUITE`, which
 maps each block of the `pathmkv suite` report to its criterion in criterion
-order.  Each is called as f(cfg, out_dir) on a validated config and returns a
-JSON-ready dict with a "pass" flag; all randomness flows from cfg["seed"].  Every
-run is serial.
+order.  Each is called as f(cfg, out_dir) on a config that cli.resolve_config
+filled with every default, and returns a JSON-ready dict with a "pass" flag;
+all randomness flows from cfg["seed"].  Every run is serial.
 """
 
 from __future__ import annotations
@@ -58,14 +58,6 @@ from .sde import (
     two_point_mapped,
 )
 
-DEFAULT_CONFIG = {
-    "model": {"tag": "ou", "params": {"a": -1.0, "s0": 0.5}},
-    "grid": {"T": 1.0, "steps": 1000},
-    "particles": 4000,
-    "seed": 20240915,
-    "initial": {"kind": "constant", "value": [0.0]},
-}
-
 # ---------------------------------------------------------------------------
 # Config -> object builders.
 
@@ -77,7 +69,7 @@ def build_grid(cfg) -> TimeGrid:
 
 def build_model(cfg, grid=None):
     grid = build_grid(cfg) if grid is None else grid
-    spec = cfg.get("model", DEFAULT_CONFIG["model"])
+    spec = cfg["model"]
     if "actions" in spec.get("params", {}):
         raise ConfigurationError("config key 'model.params.actions' cannot be set: an action set has no config form")
     return models.build_model(spec["tag"], grid, **spec.get("params", {}))
@@ -94,7 +86,7 @@ _INITIAL_LAWS = {
 
 
 def build_initial(cfg) -> InitialLaw:
-    spec = cfg.get("initial", DEFAULT_CONFIG["initial"])
+    spec = cfg["initial"]
     kind = spec["kind"]
     if kind not in _INITIAL_LAWS:
         raise ConfigurationError(f"unknown initial law kind {kind!r}")
@@ -145,9 +137,9 @@ def run_simulate(cfg, out_dir):
     grid = build_grid(cfg)
     model = build_model(cfg, grid)
     init = build_initial(cfg)
-    t0 = float(cfg.get("simulate", {}).get("t0", 0.0))
+    t0 = float(cfg["simulate"]["t0"])
     ens = integrate(model, init, None, t0, cfg["particles"], cfg["seed"])
-    if cfg.get("simulate", {}).get("export_paths", False):
+    if cfg["simulate"]["export_paths"]:
         ens.export(os.path.join(out_dir, "paths"))
     return {"pass": True, "moments": ens.summary_moments(), "model": model.tag}
 
@@ -156,8 +148,8 @@ def run_picard(cfg, out_dir):
     grid = build_grid(cfg)
     model = build_model(cfg, grid)
     init = build_initial(cfg)
-    pcfg = cfg.get("picard", {})
-    tol = float(pcfg.get("tol", 1e-10))
+    pcfg = cfg["picard"]
+    tol = float(pcfg["tol"])
     res = integrate_picard(
         model,
         init,
@@ -166,8 +158,8 @@ def run_picard(cfg, out_dir):
         cfg["particles"],
         cfg["seed"],
         tol=tol,
-        max_iter=int(pcfg.get("max_iter", 40)),
-        window=pcfg.get("window"),
+        max_iter=int(pcfg["max_iter"]),
+        window=pcfg["window"],
     )
     direct = integrate(model, init, None, 0.0, cfg["particles"], cfg["seed"])
     agreement = s2_distance(res.ensemble, direct)
@@ -195,13 +187,13 @@ def yosida_oracle_gap(a, n, grid, s0, x0):
 
 
 def run_yosida(cfg, out_dir):
-    tag = cfg.get("model", DEFAULT_CONFIG["model"])["tag"]
+    tag = cfg["model"]["tag"]
     if tag != "ou":
         raise ConfigurationError(
             f"config key 'model.tag' must be 'ou' for yosida-converge, whose oracle is the "
             f"OU closed form; got {tag!r}"
         )
-    spec = cfg.get("initial", DEFAULT_CONFIG["initial"])
+    spec = cfg["initial"]
     if spec["kind"] != "constant":
         raise ConfigurationError(
             f"config key 'initial.kind' must be 'constant' for yosida-converge, whose oracle "
@@ -210,7 +202,7 @@ def run_yosida(cfg, out_dir):
     grid = build_grid(cfg)
     model = build_model(cfg, grid)
     init = build_initial(cfg)
-    ladder = cfg.get("yosida", {}).get("ladder", [2, 8, 32])
+    ladder = cfg["yosida"]["ladder"]
     n_particles, seed = cfg["particles"], cfg["seed"]
     # every rung is compared with the base run on the same Brownian paths
     with draw_scope():
@@ -221,11 +213,10 @@ def run_yosida(cfg, out_dir):
             dists.append(s2_distance(yos, base))
             del yos  # the next rung is run without this one's paths alive
     decreasing = all(a > b for a, b in zip(dists, dists[1:]))
-    params = cfg.get("model", {}).get("params", {})
-    x0 = float(np.linalg.norm(spec.get("value", [0.0])))
-    oracle = yosida_oracle_gap(
-        float(model.A.eigenvalues[0]), ladder[-1], grid, float(params.get("s0", 0.5)), x0
-    )
+    # |sigma| of the built model (its diffusion is one constant row) and x0 of the built initial law
+    sigma = 0.0 if model.diffusion is None else abs(float(model.diffusion(0.0, None, None, None, None)[0]))
+    x0 = float(np.linalg.norm(init.sample(seed, 1, grid, model.A.dim)[0, 0]))
+    oracle = yosida_oracle_gap(float(model.A.eigenvalues[0]), ladder[-1], grid, sigma, x0)
     within_oracle = dists[-1] <= 10.0 * oracle if oracle > 0 else True
     return {
         "pass": bool(decreasing and within_oracle),
@@ -239,10 +230,10 @@ def run_particles_converge(cfg, out_dir):
     grid = build_grid(cfg)
     model = build_model(cfg, grid)
     init = build_initial(cfg)
-    pcfg = cfg.get("particles_converge", {})
-    rungs = pcfg.get("rungs", [250, 1000])
-    n_seeds = int(pcfg.get("n_seeds", 4))
-    projections = int(pcfg.get("projections", 128))
+    pcfg = cfg["particles_converge"]
+    rungs = pcfg["rungs"]
+    n_seeds = int(pcfg["n_seeds"])
+    projections = int(pcfg["projections"])
     averages = []
     for n in rungs:
         dists = []
@@ -275,10 +266,10 @@ def _min_assignment_cost(cost: np.ndarray) -> float:
 
 
 def run_wasserstein(cfg, out_dir):
-    wcfg = cfg.get("wasserstein", {})
-    n_instances = int(wcfg.get("n_instances", 100))
-    n_triples = int(wcfg.get("n_triples", 1000))
-    max_atoms = int(wcfg.get("max_atoms", 6))
+    wcfg = cfg["wasserstein"]
+    n_instances = int(wcfg["n_instances"])
+    n_triples = int(wcfg["n_triples"])
+    max_atoms = int(wcfg["max_atoms"])
     grid = TimeGrid(1.0, 5)
     rng = np.random.default_rng(cfg["seed"])
 
@@ -322,19 +313,19 @@ def run_wasserstein(cfg, out_dir):
 
 
 def run_ito(cfg, out_dir):
-    icfg = cfg.get("ito", {})
+    icfg = cfg["ito"]
     grid = build_grid(cfg)
-    t = float(icfg.get("t", 0.0))
-    s = float(icfg.get("s", grid.T))
+    t = float(icfg["t"])
+    s = float(icfg["s"])
     if grid.node(s) <= grid.node(t):
         raise ConfigurationError(f"config key 'ito.s' must lie on a later grid node than ito.t = {t}, got {s}")
-    dt_coeff = float(icfg.get("dt_coeff", 10.0))
+    dt_coeff = float(icfg["dt_coeff"])
     n = cfg["particles"]
     n_batches = 8  # standard-error batches; each needs at least one particle
     if n < n_batches:
         raise ConfigurationError(f"config key 'particles' must be >= {n_batches} for the Ito check, got {n}")
     zoo = calculus.standard_zoo(1)
-    tags = icfg.get("functionals", ["linear_mean", "mean_squared", "quadratic_form"])
+    tags = icfg["functionals"]
     unknown = [tag for tag in tags if not isinstance(tag, str) or tag not in zoo]
     if unknown:
         raise ConfigurationError(
@@ -371,9 +362,8 @@ def run_ito(cfg, out_dir):
 
 
 def run_deriv(cfg, out_dir):
-    dcfg = cfg.get("deriv", {})
-    eps = float(dcfg.get("eps", 1e-5))
-    n_atoms = int(dcfg.get("n_atoms", 6))
+    eps = float(cfg["deriv"]["eps"])
+    n_atoms = int(cfg["deriv"]["n_atoms"])
     grid = TimeGrid(1.0, 20)
     rng = np.random.default_rng(cfg["seed"])
     mu = EmpiricalPathMeasure(grid, rng.normal(size=(n_atoms, 21, 2)), None)
@@ -421,9 +411,8 @@ def run_dpp(cfg, out_dir):
     grid = build_grid(cfg)
     model = models.build_model("quadratic_terminal", grid, a=-1.0, s0=0.5)
     init = build_initial(cfg)
-    dcfg = cfg.get("dpp", {})
-    t0 = float(dcfg.get("t0", 0.0))
-    splits = [float(s) for s in dcfg.get("split_times", [0.25, 0.5, 0.75])]
+    t0 = float(cfg["dpp"]["t0"])
+    splits = [float(s) for s in cfg["dpp"]["split_times"]]
     if any(s < t0 for s in splits):
         raise ConfigurationError(
             f"config key 'dpp.t0' ({t0}) must not be later than a split time, got {splits}"
@@ -436,19 +425,10 @@ def run_dpp(cfg, out_dir):
 def run_law(cfg, out_dir):
     grid = build_grid(cfg)
     model = models.build_model("quadratic_terminal", grid, a=-1.0, s0=0.5)
-    lcfg = cfg.get("law", {})
-    n = int(lcfg.get("n_particles", min(cfg["particles"], 2000)))
+    n = int(cfg["law"]["n_particles"])
     init_a = two_point_mapped(-1.0, 1.0, flipped=False)
     init_b = two_point_mapped(-1.0, 1.0, flipped=True)
-    if "families" in lcfg:
-        families = [[build_policy(p, "law.families") for p in fam] for fam in lcfg["families"]]
-    else:
-        families = [
-            [None],
-            [constant_policy([0.0])],
-            [constant_policy([0.0]), constant_policy([0.5])],
-            [constant_policy([0.25]), constant_policy([0.75])],
-        ]
+    families = [[build_policy(p, "law.families") for p in fam] for fam in cfg["law"]["families"]]
     rep = law_invariance_check(
         model, init_a, init_b, families, 0.0, n, seeds=(cfg["seed"], cfg["seed"] + 77)
     )
@@ -478,7 +458,7 @@ def run_hjb(cfg, out_dir):
     model = _linear_value_model(grid, a, beta, s0, c, q)
     candidate = _feynman_kac_candidate(grid, a, beta, c, q)
     wrong = _feynman_kac_candidate(grid, a, beta, c, q, scale=2.0)
-    times = [float(t) for t in cfg.get("hjb", {}).get("times", [0.0, 0.3, 0.7])]
+    times = [float(t) for t in cfg["hjb"]["times"]]
     rng = np.random.default_rng(cfg["seed"])
     mu = EmpiricalPathMeasure(grid, rng.normal(size=(6, grid.steps + 1, 1)), None)
 
@@ -508,10 +488,10 @@ def run_hjb(cfg, out_dir):
 
 
 def run_hamiltonian(cfg, out_dir):
-    hcfg = cfg.get("hamiltonian", {})
-    n_instances = int(hcfg.get("n_instances", 50))
-    max_atoms = int(hcfg.get("max_atoms", 4))
-    max_actions = int(hcfg.get("max_actions", 5))
+    hcfg = cfg["hamiltonian"]
+    n_instances = int(hcfg["n_instances"])
+    max_atoms = int(hcfg["max_atoms"])
+    max_actions = int(hcfg["max_actions"])
     if max_actions ** min(max_atoms, 64) > ENUMERATION_CAP:  # 2**64 is past any cap
         raise ConfigurationError(
             f"config key 'hamiltonian.max_atoms' gives {max_actions}**{max_atoms} maps, above {ENUMERATION_CAP}"
@@ -766,6 +746,9 @@ def nonanticipativity(cfg, out_dir):
     return {"pass": bool(na_ok)}
 
 
+# criterion 4's model, whatever the config's: the OU closed form is its oracle
+SUITE_YOSIDA_MODEL = {"tag": "ou", "params": {"a": -1.0, "s0": 0.5}}
+
 # Report key -> criterion, in criterion order.  Lambdas adapt a runner and look
 # it up by its module-level name when called.
 SUITE = {
@@ -773,8 +756,8 @@ SUITE = {
     "meanfield_oracle": meanfield_oracle,
     "weak_order": weak_order,
     "yosida": lambda cfg, out_dir: run_yosida(  # 4. Yosida convergence, on the
-        # default OU model (its closed form is the oracle), from a constant start
-        {**cfg, "model": DEFAULT_CONFIG["model"], "initial": {"kind": "constant", "value": [1.0]}},
+        # OU model above, from a constant start
+        {**cfg, "model": SUITE_YOSIDA_MODEL, "initial": {"kind": "constant", "value": [1.0]}},
         out_dir,
     ),
     "flow_property": flow_property,

@@ -1,13 +1,13 @@
 """Experiment orchestration: config ingestion, subcommand dispatch, reports.
 
-The config is a JSON file validated against the schema below; unknown keys
-are rejected with their dotted path.  All times are in model time units, the
-horizon T and every split time included.  Each subcommand writes report.json
-(and any CSV exports) into the output directory and exits 0 iff every pass
-flag is true; schema and bound violations, and domain errors the runners
-raise, exit 2 and numeric blow-ups exit 3.  All randomness flows from the
-single root seed, so rerunning a config reproduces every numeric field bit for
-bit (the wall_time_s field is the one exception).
+The config is a JSON file validated against the schema below, which holds each
+key's default too; unknown keys are rejected with their dotted path.  Times
+are in model time units.  Each subcommand runs on the resolved config, writes
+report.json (and any CSV exports) into the output directory and exits 0 iff
+every pass flag is true; schema and bound violations, and domain errors the
+runners raise, exit 2 and numeric blow-ups exit 3.  All randomness flows from
+the single root seed, so rerunning a config reproduces every numeric field bit
+for bit (the wall_time_s field is the one exception).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import time
 
 from . import __version__
 from .acceptance import (
-    DEFAULT_CONFIG,
     run_deriv,
     run_dpp,
     run_hamiltonian,
@@ -86,7 +85,7 @@ def seed_range(v, cfg):
 
 
 def in_horizon(v, cfg):
-    T = cfg.get("grid", DEFAULT_CONFIG["grid"])["T"]
+    T = cfg["grid"]["T"]
     return None if 0 <= v <= T else f"must lie in [0, {T}]"
 
 
@@ -106,64 +105,82 @@ def entries(kind=None, bound=None, least=1):
     return check
 
 
-# Schema: key -> nested dict, or (type, bound or None[, required]); "*" stands
-# for any key.  Times are in model time units and lie in [0, grid.T]; particle
-# counts are dimensionless.
+# The config a run starts from: a user config replaces its top-level keys whole.
+DEFAULT_CONFIG = {
+    "model": {"tag": "ou", "params": {"a": -1.0, "s0": 0.5}},
+    "grid": {"T": 1.0, "steps": 1000},
+    "particles": 4000,
+    "seed": 20240915,
+    "initial": {"kind": "constant", "value": [0.0]},
+}
+
+# Default markers: a key every config gives, and a key read only where given (a
+# model param or an initial key: its default sits with its factory or its kind).
+REQUIRED, UNSET = object(), object()
+
+# Schema: key -> nested dict, or (type, bound or None, default); "*" stands for
+# any key.  A default is a value, a marker or default(cfg) of the whole config.
+# Times are in model time units and lie in [0, grid.T]; counts are dimensionless.
 CONFIG_SCHEMA = {
     "model": {
-        "tag": (str, None, True),
+        "tag": (str, None, REQUIRED),
         "params": {  # each a number or a list of numbers
-            "*": ((*NUMBER, list), lambda v, cfg: entries(NUMBER)(v, cfg) if isinstance(v, list) else None),
+            "*": ((*NUMBER, list), lambda v, cfg: entries(NUMBER)(v, cfg) if isinstance(v, list) else None, UNSET),
         },
     },
-    "grid": {"T": (NUMBER, positive, True), "steps": (int, at_least(1), True)},
-    "particles": (int, at_least(1)),
-    "seed": (int, seed_range),
+    "grid": {"T": (NUMBER, positive, REQUIRED), "steps": (int, at_least(1), REQUIRED)},
+    "particles": (int, at_least(1), DEFAULT_CONFIG["particles"]),
+    "seed": (int, seed_range, DEFAULT_CONFIG["seed"]),
     "initial": {
-        "kind": (str, None, True),
-        "value": (list, entries(NUMBER)),
-        "mean": (NUMBER, None),
-        "std": (NUMBER, None),
-        "a": (NUMBER, None),
-        "b": (NUMBER, None),
-        "scale": (NUMBER, None),
+        "kind": (str, None, REQUIRED),
+        "value": (list, entries(NUMBER), UNSET),
+        "mean": (NUMBER, None, UNSET),
+        "std": (NUMBER, None, UNSET),
+        "a": (NUMBER, None, UNSET),
+        "b": (NUMBER, None, UNSET),
+        "scale": (NUMBER, None, UNSET),
     },
-    "simulate": {"t0": (NUMBER, in_horizon), "export_paths": (bool, None)},
+    "simulate": {"t0": (NUMBER, in_horizon, 0.0), "export_paths": (bool, None, False)},
     "picard": {
-        "tol": (NUMBER, positive),
-        "max_iter": (int, at_least(1)),
-        "window": ((*NUMBER, type(None)), lambda v, cfg: None if v is None else positive(v, cfg)),
+        "tol": (NUMBER, positive, 1e-10),
+        "max_iter": (int, at_least(1), 40),
+        "window": ((*NUMBER, type(None)), lambda v, cfg: None if v is None else positive(v, cfg), None),
     },
-    "yosida": {"ladder": (list, entries(NUMBER, positive))},
+    "yosida": {"ladder": (list, entries(NUMBER, positive), [2, 8, 32])},
     "particles_converge": {
-        "rungs": (list, entries(int, at_least(2), least=2)),  # the check compares successive rungs
-        "n_seeds": (int, at_least(1)),
-        "projections": (int, at_least(1)),
+        "rungs": (list, entries(int, at_least(2), least=2), [250, 1000]),  # the check compares successive rungs
+        "n_seeds": (int, at_least(1), 4),
+        "projections": (int, at_least(1), 128),
     },
     "wasserstein": {
-        "n_instances": (int, at_least(1)),
-        "n_triples": (int, at_least(1)),
+        "n_instances": (int, at_least(1), 100),
+        "n_triples": (int, at_least(1), 1000),
         # the brute force enumerates max_atoms! permutations: 9! is within hjb.ENUMERATION_CAP
-        "max_atoms": (int, lambda v, cfg: at_least(2)(v, cfg) or at_most(9)(v, cfg)),
+        "max_atoms": (int, lambda v, cfg: at_least(2)(v, cfg) or at_most(9)(v, cfg), 6),
     },
     "ito": {
-        "t": (NUMBER, in_horizon),
-        "s": (NUMBER, in_horizon),
-        "dt_coeff": (NUMBER, at_least(0)),
-        "functionals": (list, entries()),
+        "t": (NUMBER, in_horizon, 0.0),
+        "s": (NUMBER, in_horizon, lambda cfg: cfg["grid"]["T"]),
+        "dt_coeff": (NUMBER, at_least(0), 10.0),
+        "functionals": (list, entries(), ["linear_mean", "mean_squared", "quadratic_form"]),
     },
     # one atom has p_i = 1, so the one-sided FD error eps * p_i of mean_squared meets the gate eps
-    "deriv": {"eps": (NUMBER, positive), "n_atoms": (int, at_least(2))},
+    "deriv": {"eps": (NUMBER, positive, 1e-5), "n_atoms": (int, at_least(2), 6)},
     "dpp": {
-        "t0": (NUMBER, in_horizon),
-        "split_times": (list, entries(NUMBER, in_horizon)),
+        "t0": (NUMBER, in_horizon, 0.0),
+        "split_times": (list, entries(NUMBER, in_horizon), [0.25, 0.5, 0.75]),
     },
-    "law": {"n_particles": (int, at_least(2)), "families": (list, entries(list, entries()))},
-    "hjb": {"times": (list, entries(NUMBER, in_horizon))},
+    "law": {
+        "n_particles": (int, at_least(2), lambda cfg: min(cfg["particles"], 2000)),
+        "families": (list, entries(list, entries()), [[{"kind": "uncontrolled"}], [{"kind": "constant", "u": [0.0]}],
+                     [{"kind": "constant", "u": [0.0]}, {"kind": "constant", "u": [0.5]}],
+                     [{"kind": "constant", "u": [0.25]}, {"kind": "constant", "u": [0.75]}]]),
+    },
+    "hjb": {"times": (list, entries(NUMBER, in_horizon), [0.0, 0.3, 0.7])},
     "hamiltonian": {
-        "n_instances": (int, at_least(1)),
-        "max_atoms": (int, at_least(1)),
-        "max_actions": (int, at_least(1)),
+        "n_instances": (int, at_least(1), 50),
+        "max_atoms": (int, at_least(1), 4),
+        "max_actions": (int, at_least(1), 5),
     },
 }
 
@@ -193,7 +210,7 @@ def validate_config(cfg, schema=None, path="", root=None) -> None:
         elif spec[1] is not None and (broken := spec[1](cfg[key], root)):
             raise ConfigurationError(f"config key {here!r} {broken}, got {cfg[key]}")
     for key, spec in schema.items():
-        if isinstance(spec, tuple) and spec[2:] == (True,) and key not in cfg:
+        if isinstance(spec, tuple) and spec[2] is REQUIRED and key not in cfg:
             raise ConfigurationError(f"missing required config key {path + '.' + key if path else key!r}")
 
 
@@ -207,10 +224,25 @@ def load_config(path: str | None) -> dict:
             raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
         except OSError as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-        validate_config(user)
-        cfg.update(user)
+        cfg = {**cfg, **user} if isinstance(user, dict) else user  # validate_config refuses a non-object
     validate_config(cfg)
     return cfg
+
+
+def _with_defaults(cfg, schema, root):
+    out = dict(cfg)
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            out[key] = _with_defaults(cfg.get(key, {}), spec, root)
+        elif key not in cfg and spec[2] not in (REQUIRED, UNSET):
+            out[key] = spec[2](root) if callable(spec[2]) else spec[2]
+    return out
+
+
+def resolve_config(cfg: dict) -> dict:
+    """A deep copy of the validated config `cfg` with every schema default
+    filled in, the config every runner reads; `cfg` is left as it is."""
+    return json.loads(json.dumps(_with_defaults(cfg, CONFIG_SCHEMA, cfg)))
 
 
 def run(subcommand: str, config_path: str | None, out_dir: str = ".",
@@ -232,7 +264,7 @@ def run(subcommand: str, config_path: str | None, out_dir: str = ".",
             )
         os.makedirs(out_dir, exist_ok=True)
         t0 = time.perf_counter()
-        results = SUBCOMMANDS[subcommand](cfg, out_dir)
+        results = SUBCOMMANDS[subcommand](resolve_config(cfg), out_dir)
     except IntegrationBlowupError as exc:
         print(f"numeric blow-up: {exc}", file=sys.stderr)
         return 3

@@ -13,8 +13,12 @@ from pathmkv.acceptance import FLOW_MODELS, SUITE
 from pathmkv.cli import (
     DEFAULT_CONFIG,
     SUBCOMMANDS,
+    CONFIG_SCHEMA,
+    REQUIRED,
+    UNSET,
     load_config,
     main,
+    resolve_config,
     run,
     validate_config,
 )
@@ -251,6 +255,13 @@ def test_bad_json_exits_2(tmp_path):
     assert run("simulate", str(p), str(tmp_path / "out")) == 2
 
 
+def test_a_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2]")
+    assert run("simulate", str(p), str(tmp_path / "out")) == 2
+    assert "config root must be an object" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2(tmp_path):
     assert run("frobnicate", None, str(tmp_path / "out")) == 2
 
@@ -464,7 +475,7 @@ def test_hamiltonian_forms_refuses_the_enumeration_cap_before_any_instance(tmp_p
 def test_each_stage_draws_each_brownian_block_once_and_shares_it_read_only(tmp_path, monkeypatch):
     # the config of tests/data/suite_small.json
     path = write_cfg(tmp_path, {"grid": {"T": 1.0, "steps": 96}, "particles": 256, "seed": 7})
-    cfg = load_config(path)
+    cfg = resolve_config(load_config(path))
     draws = []
     draw = pathmkv.rng.brownian_increments
 
@@ -500,7 +511,7 @@ def test_the_law_and_ito_stages_draw_each_initial_sample_once(tmp_path, monkeypa
     # stops at its moment test.  ito: one sample for the four drives.
     seed = 7
     path = write_cfg(tmp_path, {"grid": {"T": 1.0, "steps": 96}, "particles": particles, "seed": seed})
-    cfg = load_config(path)
+    cfg = resolve_config(load_config(path))
     calls = []
     for name in ("uniforms", "normals"):
         real = getattr(pathmkv.rng, name)
@@ -533,7 +544,7 @@ def test_a_suite_run_draws_five_blocks_and_a_second_run_draws_them_again(tmp_pat
     from pathmkv.control import _continuation_seed
 
     with open(os.path.join(os.path.dirname(__file__), "data", "suite_small.json")) as fh:
-        cfg = load_config(write_cfg(tmp_path, json.load(fh)["config"]))
+        cfg = resolve_config(load_config(write_cfg(tmp_path, json.load(fh)["config"])))
     draws = []
     draw, refine = pathmkv.rng.brownian_increments, pathmkv.rng.refine_increments
 
@@ -558,9 +569,9 @@ def test_a_suite_run_draws_five_blocks_and_a_second_run_draws_them_again(tmp_pat
 SUITE_TWICE = """
 import json, sys
 from pathmkv.acceptance import run_suite
-from pathmkv.cli import load_config
+from pathmkv.cli import load_config, resolve_config
 
-cfg = load_config(None)
+cfg = resolve_config(load_config(None))
 passed = [run_suite(cfg, sys.argv[1])["pass"] for _ in range(2)]
 with open("/proc/self/status") as fh:
     peak_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
@@ -615,7 +626,7 @@ def test_yosida_and_dpp_at_the_default_config_peak_below_112_mb(tmp_path, stage)
     # large as one, would pass 112 MB (3.5 blocks).
     import tracemalloc
 
-    cfg = json.loads(json.dumps(DEFAULT_CONFIG))
+    cfg = resolve_config(DEFAULT_CONFIG)
     tracemalloc.start()
     try:
         report = SUITE[stage](cfg, str(tmp_path))
@@ -883,12 +894,10 @@ def _schema_leaves(schema, path=""):
         if isinstance(spec, dict):
             yield from _schema_leaves(spec, here)
         elif key != "*":
-            yield here
+            yield here, spec
 
 
 def test_readme_config_table_names_every_schema_key():
-    from pathmkv.cli import CONFIG_SCHEMA
-
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
         rows = {
@@ -896,7 +905,7 @@ def test_readme_config_table_names_every_schema_key():
             for line in fh
             if line.startswith("| `")
         }
-    for leaf in _schema_leaves(CONFIG_SCHEMA):
+    for leaf, _ in _schema_leaves(CONFIG_SCHEMA):
         top, *rest = leaf.split(".")
         assert top in rows, leaf
         assert all(f'"{name}"' in rows[top] for name in rest), leaf
@@ -905,3 +914,85 @@ def test_readme_config_table_names_every_schema_key():
         for listed in re.findall(r'\{("[^"]+"(?:, "[^"]+")*)\}', line.split("|")[2]):
             for name in re.findall(r'"([^"]+)"', listed):
                 assert name in CONFIG_SCHEMA[top], f"{top}.{name}"
+    # the default column: a top-level default is the cell's first code span
+    defaults = {top: line.split("|")[4] for top, line in rows.items()}
+    for top, default in DEFAULT_CONFIG.items():
+        assert json.loads(re.search(r"`([^`]+)`", defaults[top]).group(1)) == default, top
+    # a stage key's is a `name = value` span, the value as JSON, or an
+    # expression for a default computed from the config
+    for leaf, (_, _, default) in _schema_leaves(CONFIG_SCHEMA):
+        top, *rest = leaf.split(".")
+        if top in DEFAULT_CONFIG:
+            assert default in (REQUIRED, UNSET, DEFAULT_CONFIG[top]), leaf
+            continue
+        documented = dict(re.findall(r"`(\w+) = ([^`]+)`", defaults[top]))
+        assert rest[-1] in documented, leaf
+        if not callable(default):
+            assert json.loads(documented[rest[-1]]) == default, leaf
+
+
+# ---------------------------------------------------------------------------
+# The resolved config: every default filled in, the config every runner reads.
+
+
+def test_the_resolved_default_config_is_valid_and_holds_every_default():
+    cfg = load_config(None)
+    resolved = resolve_config(cfg)
+    validate_config(resolved)
+    for leaf, (_, _, default) in _schema_leaves(CONFIG_SCHEMA):
+        top, *rest = leaf.split(".")
+        block = resolved[top] if rest else resolved
+        if default is not UNSET:
+            assert (rest[-1] if rest else top) in block, leaf
+    assert resolved["ito"]["s"] == cfg["grid"]["T"]
+    assert resolved["law"]["n_particles"] == min(cfg["particles"], 2000)
+
+
+def test_resolve_config_leaves_its_input_and_hands_out_no_shared_default():
+    cfg = load_config(None)
+    before = json.dumps(cfg, sort_keys=True)
+    first = resolve_config(cfg)
+    assert json.dumps(cfg, sort_keys=True) == before
+    first["yosida"]["ladder"].append(64)
+    first["law"]["families"][0].append({"kind": "uncontrolled"})
+    first["model"]["params"]["a"] = -2.0
+    second = resolve_config(cfg)
+    assert second["yosida"]["ladder"] == CONFIG_SCHEMA["yosida"]["ladder"][2] == [2, 8, 32]
+    assert second["law"]["families"] == CONFIG_SCHEMA["law"]["families"][2]
+    assert len(second["law"]["families"][0]) == 1
+    assert second["model"] == DEFAULT_CONFIG["model"] == cfg["model"]
+
+
+def small_stage_cfg():
+    # every subcommand in a second or less; the keys left out resolve to defaults
+    return {
+        **tiny_cfg(),
+        "particles_converge": {"rungs": [8, 16], "n_seeds": 1, "projections": 8},
+        "wasserstein": {"n_instances": 5, "n_triples": 10},
+        "hamiltonian": {"n_instances": 5},
+    }
+
+
+@pytest.mark.parametrize("subcommand", list(SUBCOMMANDS))
+def test_a_resolved_config_written_out_reruns_to_the_same_results(tmp_path, subcommand):
+    path = write_cfg(tmp_path, small_stage_cfg())
+    resolved = write_cfg(tmp_path, resolve_config(load_config(path)), "resolved.json")
+    out_user, out_resolved = str(tmp_path / "user"), str(tmp_path / "resolved")
+    assert run(subcommand, path, out_user) in (0, 1)
+    assert run(subcommand, resolved, out_resolved) in (0, 1)
+    results = [json.dumps(read_report(out)["results"], sort_keys=True) for out in (out_user, out_resolved)]
+    assert results[0] == results[1]
+
+
+def test_the_yosida_oracle_reads_the_size_of_s0_not_its_sign(tmp_path):
+    # s0 = -0.5 drives noise of the same law as s0 = 0.5, so the distances
+    # agree; the oracle read the signed config value, went negative, and the
+    # run passed without checking its bound
+    results = []
+    for s0 in (0.5, -0.5):
+        cfg = {**tiny_cfg(), "model": {"tag": "ou", "params": {"a": -1.0, "s0": s0}}}
+        out = str(tmp_path / f"out{len(results)}")
+        assert run("yosida-converge", write_cfg(tmp_path, cfg), out) in (0, 1)
+        results.append(read_report(out)["results"])
+    assert results[0]["oracle_bound_x10"] > 0.0
+    assert results[0] == results[1]
