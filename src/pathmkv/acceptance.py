@@ -569,10 +569,10 @@ def _feynman_kac_candidate(grid, a, beta, c, q, scale=1.0):
         m = float(mu.weights @ mu.values_at(t)[:, 0])
         return scale * (kappa0(t) + kappa1(t) * m)
 
-    def dt_fn(law):
+    def dt_fn(run):
         out = []
-        for t, x in zip(law.ts.tolist(), law.now):
-            m = float(law.weights @ x[:, 0])
+        for t, x in zip(run.ts.tolist(), run.now):
+            m = float(run.weights @ x[:, 0])
             e = math.exp(a * (T - t))
             out.append(scale * (beta * (-(q + c / a) * e + c / a) - (a * q + c) * e * m))
         return np.array(out)
@@ -581,8 +581,8 @@ def _feynman_kac_candidate(grid, a, beta, c, q, scale=1.0):
         tag=f"feynman_kac(x{scale})",
         eval_fn=ev,
         dt_fn=dt_fn,
-        dmu_fn=lambda law, at: np.array([[[scale * kappa1(t)]] for t in at.ts.tolist()]),
-        dxdmu_fn=lambda law, at: np.zeros((1, 1)),
+        dmu_fn=lambda run: np.array([[[scale * kappa1(t)]] for t in run.ts.tolist()]),
+        dxdmu_fn=lambda run: np.zeros((1, 1)),
     )
 
 

@@ -65,16 +65,16 @@ class NodeRun:
 class CylindricalFunctional:
     """A test functional phi(t, mu) with optional closed-form derivatives.
 
-    The derivative callables take runs of nodes (NodeRun): dt_fn(law) returns
-    the (J,) horizontal derivatives of the law's run, and dmu_fn(law, at) and
-    dxdmu_fn(law, at) return the fields at the query paths `at`, a run over
-    the same nodes, as arrays that broadcast to (J, K, d) resp. (J, K, d, d),
-    so a field constant in x may return its (d,) or (d, d) value.  The Ito
-    quadrature calls them on blocks of nodes; dt, dmu_field and dxdmu_field
-    are the run of one node, J = 1, at full shape.
-    differentiable=False marks members (the running sup-norm square) whose
-    eval is fine but whose vertical derivative falls outside the admissible
-    class; derivative operations on them raise UnsupportedFunctionalError.
+    The derivative callables take the run of nodes (NodeRun) they are
+    evaluated on: dt_fn(run) returns the (J,) horizontal derivatives, and
+    dmu_fn(run) and dxdmu_fn(run) the fields at the run's paths, as arrays
+    that broadcast to (J, K, d) resp. (J, K, d, d), so a field constant in x
+    may return its (d,) or (d, d) value.  The Ito quadrature calls them on
+    blocks of nodes; dt, dmu_field and dxdmu_field are the run of one node,
+    J = 1, at full shape.  Derivative operations raise
+    UnsupportedFunctionalError on members without the three callables and
+    on those marked differentiable=False (the running sup-norm square, whose
+    vertical derivative falls outside the admissible class).
     """
 
     tag: str
@@ -92,30 +92,33 @@ class CylindricalFunctional:
         return self.dt_fn is not None and self.dmu_fn is not None and self.dxdmu_fn is not None
 
     def dt(self, t: float, mu) -> float:
+        _require_fields(self)
         return float(self.dt_fn(NodeRun.at(mu, t))[0])
 
     def dmu_field(self, t: float, mu) -> np.ndarray:
         """d_mu phi(t, mu) at mu's own support, shape (K, d)."""
-        law = NodeRun.at(mu, t)
-        out = np.asarray(self.dmu_fn(law, law), dtype=float)
-        return np.broadcast_to(out, law.now.shape)[0]
+        _require_fields(self)
+        run = NodeRun.at(mu, t)
+        out = np.asarray(self.dmu_fn(run), dtype=float)
+        return np.broadcast_to(out, run.now.shape)[0]
 
     def dxdmu_field(self, t: float, mu) -> np.ndarray:
         """The mixed second derivative at mu's own support, shape (K, d, d)."""
-        law = NodeRun.at(mu, t)
-        out = np.asarray(self.dxdmu_fn(law, law), dtype=float)
-        return np.broadcast_to(out, law.now.shape + law.now.shape[-1:])[0]
+        _require_fields(self)
+        run = NodeRun.at(mu, t)
+        out = np.asarray(self.dxdmu_fn(run), dtype=float)
+        return np.broadcast_to(out, run.now.shape + run.now.shape[-1:])[0]
 
 
 # ---------------------------------------------------------------------------
 # Built-in zoo
 
 
-def _zero_dt(law):
-    return np.zeros(len(law.ts))
+def _zero_dt(run):
+    return np.zeros(len(run.ts))
 
 
-def _node_means(law, h):
+def _node_means(run, h):
     """(J,) integrals of <x, h> under the law at each node of the run, one dot
     product per node as eval sums them.
 
@@ -125,8 +128,8 @@ def _node_means(law, h):
     inner length of 1 takes its unblocked loop, and skipping it cut the
     default `ito` stage from 0.73 to 0.65 s of CPU (medians of 8 alternating
     runs, 8 won, 2-core x86-64)."""
-    w = law.weights
-    prods = law.now[..., 0] * h[0] if h.size == 1 else law.now @ h
+    w = run.weights
+    prods = run.now[..., 0] * h[0] if h.size == 1 else run.now @ h
     return np.array([w @ p for p in prods])
 
 
@@ -141,8 +144,8 @@ def linear_mean(h) -> CylindricalFunctional:
         tag="linear_mean",
         eval_fn=ev,
         dt_fn=_zero_dt,
-        dmu_fn=lambda law, at: h,
-        dxdmu_fn=lambda law, at: np.zeros((h.size, h.size)),
+        dmu_fn=lambda run: h,
+        dxdmu_fn=lambda run: np.zeros((h.size, h.size)),
     )
 
 
@@ -153,15 +156,15 @@ def mean_squared(h) -> CylindricalFunctional:
     def _mean(t, mu):
         return mu.weights @ (mu.values_at(t) @ h)
 
-    def dmu(law, at):
-        return ((2.0 * _node_means(law, h))[:, None] * h)[:, None, :]
+    def dmu(run):
+        return ((2.0 * _node_means(run, h))[:, None] * h)[:, None, :]
 
     return CylindricalFunctional(
         tag="mean_squared",
         eval_fn=lambda t, mu: _mean(t, mu) ** 2,
         dt_fn=_zero_dt,
         dmu_fn=dmu,
-        dxdmu_fn=lambda law, at: np.zeros((h.size, h.size)),
+        dxdmu_fn=lambda run: np.zeros((h.size, h.size)),
     )
 
 
@@ -188,8 +191,8 @@ def quadratic_form(q) -> CylindricalFunctional:
         tag="quadratic_form",
         eval_fn=ev,
         dt_fn=_zero_dt,
-        dmu_fn=lambda law, at: 2.0 * at.now * q,
-        dxdmu_fn=lambda law, at: 2.0 * np.diag(q),
+        dmu_fn=lambda run: 2.0 * run.now * q,
+        dxdmu_fn=lambda run: 2.0 * np.diag(q),
     )
 
 
@@ -205,8 +208,8 @@ def quadratic_form_dense(Q) -> CylindricalFunctional:
         tag="quadratic_form_dense",
         eval_fn=ev,
         dt_fn=_zero_dt,
-        dmu_fn=lambda law, at: at.now @ (Q + Q.T),
-        dxdmu_fn=lambda law, at: Q + Q.T,
+        dmu_fn=lambda run: run.now @ (Q + Q.T),
+        dxdmu_fn=lambda run: Q + Q.T,
     )
 
 
@@ -230,9 +233,9 @@ def time_linear_mean(h) -> CylindricalFunctional:
     return CylindricalFunctional(
         tag="time_linear_mean",
         eval_fn=lambda t, mu: t * base.eval_fn(t, mu),
-        dt_fn=lambda law: _node_means(law, h),
-        dmu_fn=lambda law, at: at.ts[:, None, None] * h,
-        dxdmu_fn=lambda law, at: np.zeros((h.size, h.size)),
+        dt_fn=lambda run: _node_means(run, h),
+        dmu_fn=lambda run: run.ts[:, None, None] * h,
+        dxdmu_fn=lambda run: np.zeros((h.size, h.size)),
     )
 
 
@@ -241,17 +244,17 @@ def time_quadratic_mean(h) -> CylindricalFunctional:
     base = linear_mean(h)
     h = np.atleast_1d(np.asarray(h, dtype=float))
 
-    def dmu(law, at):
+    def dmu(run):
         # Python's float power, as eval squares t; numpy's square can round differently
-        t_sq = np.array([t**2 for t in at.ts.tolist()])
+        t_sq = np.array([t**2 for t in run.ts.tolist()])
         return t_sq[:, None, None] * h
 
     return CylindricalFunctional(
         tag="time_quadratic_mean",
         eval_fn=lambda t, mu: t**2 * base.eval_fn(t, mu),
-        dt_fn=lambda law: 2.0 * law.ts * _node_means(law, h),
+        dt_fn=lambda run: 2.0 * run.ts * _node_means(run, h),
         dmu_fn=dmu,
-        dxdmu_fn=lambda law, at: np.zeros((h.size, h.size)),
+        dxdmu_fn=lambda run: np.zeros((h.size, h.size)),
     )
 
 
@@ -282,6 +285,11 @@ def default_eps(x: PathGrid) -> float:
     from .paths import sup_norm
 
     return 1e-5 * (1.0 + sup_norm(x))
+
+
+def _require_fields(phi):
+    if not phi.has_analytic:
+        raise UnsupportedFunctionalError(f"functional {phi.tag!r} has no analytic derivative fields")
 
 
 def _require_differentiable(phi):
@@ -567,14 +575,14 @@ def _rhs_quadrature(phis, model, values, j0, j1, rows, controls, a_eigs):
                 term = phi.dt_fn(run)
                 dmu = None
                 if now_a is not None:
-                    dmu = phi.dmu_fn(run, run)
+                    dmu = phi.dmu_fn(run)
                     term = term + _row_means(now_a * dmu)
                 if f_r is not None:
                     if dmu is None:
-                        dmu = phi.dmu_fn(run, run)
+                        dmu = phi.dmu_fn(run)
                     term = term + _row_means(f_r * dmu)
                 if g_sq_r is not None:
-                    diag = np.diagonal(phi.dxdmu_fn(run, run), axis1=-2, axis2=-1)
+                    diag = np.diagonal(phi.dxdmu_fn(run), axis1=-2, axis2=-1)
                     term = term + 0.5 * _row_means(g_sq_r * diag)
                 # one node at a time: neither np.sum (pairwise) nor the
                 # builtin sum (compensated on Python >= 3.12) keeps the order
@@ -614,10 +622,7 @@ def ito_verify(
     single = isinstance(phi, CylindricalFunctional)
     phis = [phi] if single else list(phi)
     for p in phis:
-        if not p.has_analytic:
-            raise UnsupportedFunctionalError(
-                f"ito_verify needs analytic derivatives; functional {p.tag!r} has none"
-            )
+        _require_fields(p)
         _require_differentiable(p)
     if n_batches < 2:
         raise DomainError(f"n_batches must be at least 2 for a standard error, got {n_batches}")

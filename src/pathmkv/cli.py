@@ -129,7 +129,7 @@ CONFIG_SCHEMA = {
         },
     },
     "grid": {"T": (NUMBER, positive, REQUIRED), "steps": (int, at_least(1), REQUIRED)},
-    "particles": (int, at_least(1), DEFAULT_CONFIG["particles"]),
+    "particles": (int, at_least(2), DEFAULT_CONFIG["particles"]),
     "seed": (int, seed_range, DEFAULT_CONFIG["seed"]),
     "initial": {
         "kind": (str, None, REQUIRED),

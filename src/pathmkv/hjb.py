@@ -247,11 +247,6 @@ def investment_hamiltonian_closed_form(
 # HJB residual for candidate classical solutions
 
 
-def _require_fields(phi: CylindricalFunctional) -> None:
-    if not phi.has_analytic:
-        raise ContractError(f"candidate {phi.tag!r} lacks analytic derivative fields")
-
-
 def hamiltonian_from_model(
     model: ModelSpec, phi: CylindricalFunctional, t: float, mu: EmpiricalPathMeasure
 ) -> HamiltonianIntegrand:
@@ -261,7 +256,6 @@ def hamiltonian_from_model(
 
     mu is stopped at t: the coefficients receive StoppedView.of(mu, t) as xs
     and mu, as in integrate, and the derivative fields are evaluated on it once."""
-    _require_fields(phi)
     law = StoppedView.of(mu, t)
     dmu = np.ascontiguousarray(phi.dmu_field(t, law))[:, :, None]
     if model.diffusion is not None:
@@ -303,7 +297,6 @@ def hjb_residual(
     is a verification tool for supplied candidates.  Every term reads mu
     stopped at its time, as in hamiltonian_from_model.
     """
-    _require_fields(phi)
     grid = model.grid
     law = StoppedView.of(mu, t)
     dt_term = phi.dt(t, law)

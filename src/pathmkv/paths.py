@@ -10,6 +10,8 @@ array at node j means the new value holds from node j on.
 from __future__ import annotations
 
 import io
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +28,10 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ConfigurationError(f"horizon must be positive, got T={self.T}")
-        if self.steps < 1:
-            raise ConfigurationError(f"need at least one step, got {self.steps}")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ConfigurationError(f"horizon must be positive and finite, got T={self.T}")
+        if not isinstance(self.steps, numbers.Integral) or self.steps < 1:
+            raise ConfigurationError(f"need a whole number of steps, at least one, got {self.steps!r}")
 
     @property
     def dt(self) -> float:

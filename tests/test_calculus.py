@@ -5,7 +5,6 @@ import pytest
 
 from pathmkv.calculus import (
     CylindricalFunctional,
-    NodeRun,
     const_diffusion_spec,
     const_drift_spec,
     linear_drift_diffusion_spec,
@@ -32,10 +31,12 @@ from pathmkv.errors import (
     DomainError,
     UnsupportedFunctionalError,
 )
+from pathmkv.control import constant_policy
+from pathmkv.hjb import hamiltonian_from_model, hjb_residual
 from pathmkv.measure import EmpiricalPathMeasure, StoppedView, stopped_measure
-from pathmkv.models import make_ou
+from pathmkv.models import make_controlled_linear, make_ou
 from pathmkv.paths import TimeGrid
-from pathmkv.sde import constant_initial, draw_scope, gaussian_initial
+from pathmkv.sde import InitialLaw, constant_initial, draw_scope, gaussian_initial
 
 
 def random_measure(grid, d, n, seed):
@@ -349,36 +350,24 @@ def test_consistency_rejects_different_functionals():
         consistency_check(linear_mean([1.0]), mean_squared([1.0]), [(0.5, mu)])
 
 
-def _closed_form_fields(tag, t, mu, at):
+def _closed_form_fields(tag, t, mu):
     """(dt, d_mu field, d_x d_mu field) of the d = 2 members below at the node
-    of t, written out: mu's values x and weights w, the query values y."""
-    x, w, y = mu.values_at(t), mu.weights, at.values_at(t)
-    k, h, q, Q = y.shape[0], np.array(H2), np.array([0.25, 0.5]), np.array(Q2)
+    of t, written out from mu's values x and weights w."""
+    x, w = mu.values_at(t), mu.weights
+    k, h, q, Q = x.shape[0], np.array(H2), np.array([0.25, 0.5]), np.array(Q2)
     zero2 = np.zeros((k, 2, 2))
     if tag == "linear_mean":
-        return 0.0, np.broadcast_to(h, y.shape), zero2
+        return 0.0, np.broadcast_to(h, x.shape), zero2
     if tag == "mean_squared":
-        return 0.0, np.broadcast_to(2.0 * (w @ (x @ h)) * h, y.shape), zero2
+        return 0.0, np.broadcast_to(2.0 * (w @ (x @ h)) * h, x.shape), zero2
     if tag == "quadratic_form":
-        return 0.0, 2.0 * y * q, np.broadcast_to(2.0 * np.diag(q), (k, 2, 2))
+        return 0.0, 2.0 * x * q, np.broadcast_to(2.0 * np.diag(q), (k, 2, 2))
     if tag == "quadratic_form_dense":
-        return 0.0, y @ (Q + Q.T), np.broadcast_to(Q + Q.T, (k, 2, 2))
+        return 0.0, x @ (Q + Q.T), np.broadcast_to(Q + Q.T, (k, 2, 2))
     if tag == "time_linear_mean":
-        return float(w @ (x @ h)), t * np.broadcast_to(h, y.shape), zero2
+        return float(w @ (x @ h)), t * np.broadcast_to(h, x.shape), zero2
     assert tag == "time_quadratic_mean"
-    return 2.0 * t * float(w @ (x @ h)), t**2 * np.broadcast_to(h, y.shape), zero2
-
-
-def _fields_at(phi, t, mu, at):
-    """The fields at mu's support (the library's one-node helpers), or at the
-    query paths `at` through the run callables themselves."""
-    if at is None:
-        return phi.dmu_field(t, mu), phi.dxdmu_field(t, mu)
-    law, query = NodeRun.at(mu, t), NodeRun.at(at, t)
-    shape = query.now.shape
-    dmu = np.broadcast_to(np.asarray(phi.dmu_fn(law, query), dtype=float), shape)[0]
-    d2 = np.broadcast_to(np.asarray(phi.dxdmu_fn(law, query), dtype=float), shape + shape[-1:])[0]
-    return dmu, d2
+    return 2.0 * t * float(w @ (x @ h)), t**2 * np.broadcast_to(h, x.shape), zero2
 
 
 def test_single_node_fields_match_their_closed_forms_bit_for_bit():
@@ -386,18 +375,16 @@ def test_single_node_fields_match_their_closed_forms_bit_for_bit():
     rng = np.random.default_rng(41)
     weighted = EmpiricalPathMeasure(grid, rng.normal(size=(7, 21, 2)), rng.dirichlet(np.ones(7)))
     uniform = StoppedView(grid, rng.normal(size=(9, 21, 2)), 12)
-    query = StoppedView(grid, rng.normal(size=(3, 21, 2)), 20)
     for phi in ANALYTIC_ZOO_2:
         # on and off the grid nodes, past the uniform view's node 12, and at
         # a t where glibc's pow(t, 2) and t * t round differently
         for t in (0.0, 0.35, 0.37, 0.4753220153197895, 0.6, 0.85, 1.0):
             for mu in (weighted, uniform):
-                for at in (None, query):
-                    want = _closed_form_fields(phi.tag, t, mu, mu if at is None else at)
-                    got = (phi.dt(t, mu), *_fields_at(phi, t, mu, at))
-                    assert got[0] == want[0] and type(got[0]) is float
-                    for g, w in zip(got[1:], want[1:]):
-                        assert g.shape == w.shape and g.tobytes() == w.tobytes(), (phi.tag, t)
+                want = _closed_form_fields(phi.tag, t, mu)
+                got = (phi.dt(t, mu), phi.dmu_field(t, mu), phi.dxdmu_field(t, mu))
+                assert got[0] == want[0] and type(got[0]) is float
+                for g, w in zip(got[1:], want[1:]):
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes(), (phi.tag, t)
 
 
 @pytest.mark.parametrize(
@@ -420,6 +407,50 @@ def test_ito_sequence_checks_every_functional_before_simulating():
         ito_verify(
             phis, const_drift_spec(GRID, [1.0]), constant_initial([0.0]), t=0.0, s=1.0,
             n_particles=16, seed=0,
+        )
+
+
+# every entry point that reads a functional's derivative fields, called on
+# (phi, mu, model)
+FIELD_READERS = {
+    "dt": lambda phi, mu, model: phi.dt(0.5, mu),
+    "dmu_field": lambda phi, mu, model: phi.dmu_field(0.5, mu),
+    "dxdmu_field": lambda phi, mu, model: phi.dxdmu_field(0.5, mu),
+    "ito_verify": lambda phi, mu, model: ito_verify(
+        phi, model, constant_initial([0.0]), t=0.0, s=1.0, n_particles=16, seed=0
+    ),
+    "hjb_residual": lambda phi, mu, model: hjb_residual(phi, model, 0.5, mu),
+    "hamiltonian_from_model": lambda phi, mu, model: hamiltonian_from_model(model, phi, 0.5, mu),
+}
+
+
+@pytest.mark.parametrize("tag", ["mean_squared_double", "running_sup_sq", "bare"])
+@pytest.mark.parametrize("entry", list(FIELD_READERS))
+def test_every_field_reader_refuses_a_functional_without_fields(entry, tag):
+    grid = TimeGrid(1.0, 4)
+    mu = EmpiricalPathMeasure(grid, np.random.default_rng(0).normal(size=(3, 5, 1)), None)
+    zoo = {**standard_zoo(1), "bare": CylindricalFunctional(tag="bare", eval_fn=lambda t, mu: 0.0)}
+    model = make_controlled_linear(grid, c=1.0, s0=0.3)
+    with pytest.raises(UnsupportedFunctionalError, match=f"functional '{tag}' has no analytic derivative fields"):
+        FIELD_READERS[entry](zoo[tag], mu, model)
+
+
+def test_ito_under_a_constant_policy_equals_the_same_drift_written_into_the_model():
+    # c * u = 0.7 under the policy is the drift F = 0.7 of the plain Ito
+    # process; both runs start from one sample on one seed
+    grid = TimeGrid(1.0, 200)
+    init = InitialLaw.from_values(gaussian_initial(0.2, 0.5).sample(3, 800, grid, 1))
+    phis = [phi for phi in standard_zoo(1).values() if phi.has_analytic]
+    args = dict(t=0.0, s=1.0, n_particles=800, seed=11)
+    controlled = ito_verify(
+        phis, make_controlled_linear(grid, c=1.0, s0=0.3), init, policy=constant_policy([0.7]), **args
+    )
+    written = ito_verify(phis, drift_diffusion_spec(grid, [0.7], 0.3), init, **args)
+    assert len(controlled) == 5
+    for a, b in zip(controlled, written):
+        assert a.model != b.model
+        assert (a.functional, a.lhs, a.rhs, a.residual, a.stderr, a.passed) == (
+            b.functional, b.lhs, b.rhs, b.residual, b.stderr, b.passed
         )
 
 

@@ -92,6 +92,8 @@ def test_particles_converge_rejects_counts_below_one(tmp_path, key, value):
         ({"picard": {"max_iter": 0}}, "picard.max_iter"),
         ({"hamiltonian": {"n_instances": -3}}, "hamiltonian.n_instances"),
         ({"hamiltonian": {"n_instances": 0}}, "hamiltonian.n_instances"),
+        # law.n_particles defaults to min(particles, 2000), whose bound is 2
+        ({"particles": 1}, "particles"),
     ],
 )
 def test_counts_below_one_and_booleans_for_numbers_exit_2(tmp_path, payload, key):
@@ -982,6 +984,12 @@ def test_a_resolved_config_written_out_reruns_to_the_same_results(tmp_path, subc
     assert run(subcommand, resolved, out_resolved) in (0, 1)
     results = [json.dumps(read_report(out)["results"], sort_keys=True) for out in (out_user, out_resolved)]
     assert results[0] == results[1]
+    # the whole report at the user config, pinned across versions
+    report = read_report(out_user)
+    del report["wall_time_s"]
+    with open(os.path.join(os.path.dirname(__file__), "data", "subcommands_small.json")) as fh:
+        expected = json.load(fh)[subcommand]
+    assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_the_yosida_oracle_reads_the_size_of_s0_not_its_sign(tmp_path):

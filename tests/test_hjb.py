@@ -12,6 +12,7 @@ from pathmkv.errors import (
     ConfigurationError,
     ContractError,
     DomainError,
+    UnsupportedFunctionalError,
 )
 from pathmkv.hilbert import SpectralOperator
 from pathmkv.hjb import (
@@ -483,10 +484,10 @@ def feynman_kac_candidate(grid, a, beta, c, q, scale=1.0):
         m = float(mu.weights @ mu.values_at(t)[:, 0])
         return scale * (kappa0(t) + kappa1(t) * m)
 
-    def dt_fn(law):
+    def dt_fn(run):
         out = []
-        for t, x in zip(law.ts.tolist(), law.now):
-            m = float(law.weights @ x[:, 0])
+        for t, x in zip(run.ts.tolist(), run.now):
+            m = float(run.weights @ x[:, 0])
             e = math.exp(a * (T - t))
             k0p = beta * (-(q + c / a) * e + c / a)
             k1p = -(a * q + c) * e
@@ -497,10 +498,10 @@ def feynman_kac_candidate(grid, a, beta, c, q, scale=1.0):
         tag=f"feynman_kac(x{scale})",
         eval_fn=ev,
         dt_fn=dt_fn,
-        dmu_fn=lambda law, at: np.stack(
-            [np.full((at.now.shape[1], 1), scale * kappa1(t)) for t in at.ts.tolist()]
+        dmu_fn=lambda run: np.stack(
+            [np.full((run.now.shape[1], 1), scale * kappa1(t)) for t in run.ts.tolist()]
         ),
-        dxdmu_fn=lambda law, at: np.zeros(at.now.shape[:2] + (1, 1)),
+        dxdmu_fn=lambda run: np.zeros(run.now.shape[:2] + (1, 1)),
     )
 
 
@@ -545,9 +546,9 @@ def test_hjb_residual_trivial_constant_candidate():
     w = CylindricalFunctional(
         tag="const",
         eval_fn=lambda t, mu: g_const,
-        dt_fn=lambda law: np.zeros(len(law.ts)),
-        dmu_fn=lambda law, at: np.zeros(at.now.shape[:2] + (1,)),
-        dxdmu_fn=lambda law, at: np.zeros(at.now.shape[:2] + (1, 1)),
+        dt_fn=lambda run: np.zeros(len(run.ts)),
+        dmu_fn=lambda run: np.zeros(run.now.shape[:2] + (1,)),
+        dxdmu_fn=lambda run: np.zeros(run.now.shape[:2] + (1, 1)),
     )
     mu = measure_from_paths([constant_path(grid, [0.3]), constant_path(grid, [-0.3])])
     rep = hjb_residual(w, model, 0.5, mu)
@@ -608,9 +609,9 @@ def test_candidate_without_fields_rejected():
     model = linear_value_model(grid, -1.0, 0.0, 0.0, 0.1, 1.0)
     bare = CylindricalFunctional(tag="bare", eval_fn=lambda t, mu: 0.0)
     mu = measure_from_paths([constant_path(grid, [0.0])])
-    with pytest.raises(ContractError, match="candidate 'bare' lacks analytic derivative fields"):
+    with pytest.raises(UnsupportedFunctionalError, match="functional 'bare' has no analytic derivative fields"):
         hjb_residual(bare, model, 0.5, mu)
-    with pytest.raises(ContractError, match="candidate 'bare' lacks analytic derivative fields"):
+    with pytest.raises(UnsupportedFunctionalError, match="functional 'bare' has no analytic derivative fields"):
         hamiltonian_from_model(model, bare, 0.5, mu)
 
 

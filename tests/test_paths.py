@@ -39,8 +39,10 @@ def test_grid_basics():
     assert g.node(0.76) == 2
     with pytest.raises(DomainError):
         g.node(2.5)
-    with pytest.raises(ConfigurationError):
-        TimeGrid(-1.0, 4)
+    for T, steps in ((-1.0, 4), (float("nan"), 4), (float("inf"), 4), (1.0, 2.5), (1.0, 0)):
+        with pytest.raises(ConfigurationError):
+            TimeGrid(T, steps)
+    assert TimeGrid(1.0, np.int64(4)).dt == 0.25
 
 
 def test_stop_at_horizon_is_identity():
