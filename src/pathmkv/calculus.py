@@ -319,6 +319,8 @@ def horizontal_derivative(
     decreasing-t ladder and extrapolated linearly to T.
     """
     grid = mu.grid
+    if dt_fd is not None and not (math.isfinite(dt_fd) and dt_fd > 0):
+        raise DomainError(f"dt_fd must be positive and finite, got {dt_fd}")
     delta = grid.dt if dt_fd is None else max(1, round(dt_fd / grid.dt)) * grid.dt
     _check_nonanticipative(phi, t, mu)
     j = grid.node(t)
@@ -350,8 +352,8 @@ def measure_derivative_discrete(
     if mu.weights[i] <= 0.0:
         raise DomainError(f"atom {i} has zero weight; the formula divides by p_i")
     eps = default_eps(mu.atom_path(i)) if eps is None else eps
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise DomainError(f"eps must be positive and finite, got {eps}")
     base = phi.eval(t, mu)
     p_i, h = mu.weights[i], vector(h, mu.dim)
 

@@ -12,6 +12,7 @@ bound eta = lambda_max.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ class SpectralOperator:
         object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
         if self.eigenvalues.ndim != 1:
             raise ConfigurationError("eigenvalues must be a 1-d array")
+        if not np.isfinite(self.eigenvalues).all():
+            raise ConfigurationError(f"eigenvalues must be finite, got {self.eigenvalues.tolist()}")
         self.eigenvalues.setflags(write=False)
 
     @property
@@ -58,7 +61,7 @@ def semigroup_apply(A: SpectralOperator, t: float, x: np.ndarray) -> np.ndarray:
     Exact for diagonal generators, so the semigroup law and the
     pseudo-contraction bound |e^{tA}x| <= e^{eta t}|x| hold to rounding.
     """
-    if t < 0:
+    if not t >= 0:
         raise DomainError(f"semigroup time must be nonnegative, got {t}")
     return np.exp(A.eigenvalues * t) * vector(x, A.dim)
 
@@ -69,7 +72,7 @@ def yosida(A: SpectralOperator, n: float) -> SpectralOperator:
     Requires n > eta so n is in the resolvent set of the (diagonal) generator.
     The result is a bounded generator with its own pseudo-contraction bound.
     """
-    if n <= A.eta:
-        raise DomainError(f"Yosida index must exceed eta={A.eta}, got n={n}")
+    if not (math.isfinite(n) and n > A.eta):
+        raise DomainError(f"Yosida index must exceed eta={A.eta} and be finite, got n={n}")
     lam = A.eigenvalues
     return SpectralOperator(n * lam / (n - lam))

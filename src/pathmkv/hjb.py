@@ -38,7 +38,7 @@ from .errors import (
     DomainError,
 )
 from .hilbert import SpectralOperator, vector
-from .measure import EmpiricalControlMeasure, EmpiricalPathMeasure, StoppedView
+from .measure import EmpiricalControlMeasure, EmpiricalPathMeasure, StoppedView, probability_weights
 from .sde import ModelSpec
 
 ENUMERATION_CAP = 10**6
@@ -174,9 +174,7 @@ def hamiltonian_sup_randomized(
     integrand gains nothing from randomizing: its supremum is the per-atom
     esssup, taken without enumerating.
     """
-    w = None if grid_weights is None else np.asarray(grid_weights, dtype=float)
-    if w is not None and (abs(w.sum() - 1.0) > 1e-12 or np.any(w < 0)):
-        raise ConfigurationError("randomization grid weights must be a probability vector")
+    w = None if grid_weights is None else probability_weights(grid_weights, np.size(grid_weights), "grid weights")
     if not F.nu_dependent:
         return _esssup(F, mu, action_set)
     if not isinstance(action_set, FiniteActionSet):

@@ -34,6 +34,17 @@ EXACT_ATOM_CAP = 512
 COST_TILE_ELEMENTS = 2**16
 
 
+def probability_weights(w, n: int, what: str) -> np.ndarray:
+    """w as a fresh float (n,) array of nonnegative weights summing to 1 within 1e-12, or
+    ConfigurationError naming `what`.  Stated positively, so that a NaN fails it."""
+    w = np.array(w, dtype=float)
+    if not (w.shape == (n,) and np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):
+        raise ConfigurationError(
+            f"{what} must be nonnegative and sum to 1 within 1e-12 with shape ({n},), got shape {w.shape}"
+        )
+    return w
+
+
 class StoppedView:
     """Paths and their empirical law, stopped at grid node `node`: the one law
     type on path space.
@@ -106,15 +117,8 @@ class EmpiricalPathMeasure(StoppedView):
             raise ConfigurationError(
                 f"a path measure needs at least one atom, got atoms of shape {atoms.shape}"
             )
-        if weights is None:
-            weights = np.full(n, 1.0 / n)  # valid by construction
-        else:
-            weights = np.array(weights, dtype=float)
-            if weights.shape != (n,):
-                raise ConfigurationError("weights must have shape (N,)")
-            # stated positively, so that a NaN weight fails both tests
-            if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):
-                raise ConfigurationError("weights must be nonnegative and sum to 1 within 1e-12")
+        # 1/N weights are valid by construction
+        weights = np.full(n, 1.0 / n) if weights is None else probability_weights(weights, n, "weights")
         atoms.setflags(write=False)
         weights.setflags(write=False)
         super().__init__(grid, atoms, grid.steps, weights)
@@ -145,18 +149,12 @@ class EmpiricalControlMeasure:
 
     def __init__(self, atoms, weights=None):
         self.atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-        if self.atoms.shape[0] == 0:
+        if self.atoms.ndim != 2 or self.atoms.shape[0] == 0:
             raise ConfigurationError(
-                f"a control law needs at least one atom, got atoms of shape {self.atoms.shape}"
+                f"a control law needs (N, m) atoms, at least one atom, got atoms of shape {self.atoms.shape}"
             )
         if weights is not None:
-            weights = np.asarray(weights, dtype=float)
-            if not (
-                weights.shape == (self.atoms.shape[0],)
-                and np.all(weights >= 0)
-                and abs(weights.sum() - 1.0) <= 1e-12
-            ):
-                raise ConfigurationError("control weights must be nonnegative and sum to 1")
+            weights = probability_weights(weights, self.atoms.shape[0], "control weights")
         self._weights = weights
 
     @cached_property
@@ -298,6 +296,9 @@ def wasserstein2(
     if mode == "sliced":
         if projections < 1:
             raise DomainError(f"sliced W2 needs at least one projection, got {projections}")
+        for side, law in (("mu", mu), ("nu", nu)):
+            if not np.isfinite(law.atoms).all():
+                raise ConfigurationError(f"sliced W2 needs finite atoms; {side} has a non-finite atom")
         return _sliced_w2(mu, nu, projections, seed)
     raise DomainError(f"unknown W2 mode {mode!r}")
 
@@ -375,5 +376,7 @@ def _sliced_w2(mu, nu, projections, seed) -> float:
 def wasserstein2_controls(nu1: EmpiricalControlMeasure, nu2: EmpiricalControlMeasure) -> float:
     """Exact W2 between control laws on U (Euclidean ground cost, the sup
     cost of one-node paths); diagnostics only."""
+    if nu1.atoms.shape[1] != nu2.atoms.shape[1]:
+        raise ConfigurationError("control laws have different action dimensions")
     cost = _sup_cost_matrix(nu1.atoms[:, None, :], nu2.atoms[:, None, :])
     return float(np.sqrt(exact_ot_cost(cost, nu1.weights, nu2.weights)))

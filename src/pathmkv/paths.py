@@ -43,7 +43,7 @@ class TimeGrid:
 
     def node(self, t: float) -> int:
         """Index of the grid node nearest to t; t must lie in [0, T] up to rounding."""
-        if t < -1e-12 * self.T or t > self.T * (1 + 1e-12):
+        if not -1e-12 * self.T <= t <= self.T * (1 + 1e-12):
             raise DomainError(f"time {t} outside [0, {self.T}]")
         return int(round(min(max(t, 0.0), self.T) / self.dt))
 
@@ -147,36 +147,29 @@ REDUCE_ELEMENTS = 2**18
 
 def _sup_sq(values, other, lo, hi):
     """max over nodes lo..hi of |values_s - other_s|^2 (|values_s|^2 when
-    other is None) per particle, reduced chunk by chunk along the block's
-    outer memory axis: nodes for node-major blocks, particles for C-ordered
-    ones.
+    other is None) per particle, reduced chunk by chunk along the nodes,
+    whatever the block's memory order.
 
-    Each chunk is squared into one reused buffer and summed over d there; the
-    d axis is contiguous in the buffer as in the one-shot temporary, so each
-    node's sum is the same float, and a max is exact in any grouping.  A sum
-    of one element is that element, so a d axis of length 1 is read, not
-    summed, as in `calculus._row_means`.
+    Each chunk is squared into one reused node-major buffer and summed over d
+    there; the d axis is contiguous in the buffer as in the one-shot
+    temporary, so each node's sum is the same float, and a max is exact in
+    any grouping.  A sum of one element is that element, so a d axis of
+    length 1 is read, not summed, as in `calculus._row_means`.
     """
     n, _, d = values.shape
-    nodes = hi + 1 - lo
-    by_node = abs(values.strides[1]) > abs(values.strides[0])
-    outer, inner = (nodes, n) if by_node else (n, nodes)
-    step = max(1, REDUCE_ELEMENTS // max(1, inner * d))
-    buf = node_major(n, min(step, nodes), d) if by_node else np.empty((min(step, n), nodes, d))
+    step = max(1, REDUCE_ELEMENTS // max(1, n * d))
+    buf = node_major(n, min(step, hi + 1 - lo), d)
     out = np.full(n, -np.inf)
-    for c0 in range(0, outer, step):
-        c1 = min(c0 + step, outer)
-        if by_node:
-            rows, part, chunk = np.s_[:], buf[:, : c1 - c0], np.s_[:, lo + c0 : lo + c1]
-        else:
-            rows, part, chunk = np.s_[c0:c1], buf[: c1 - c0], np.s_[c0:c1, lo : hi + 1]
+    for c0 in range(lo, hi + 1, step):
+        c1 = min(c0 + step, hi + 1)
+        part = buf[:, : c1 - c0]
         if other is None:
-            np.square(values[chunk], out=part)
+            np.square(values[:, c0:c1], out=part)
         else:
-            np.subtract(values[chunk], other[chunk], out=part)
+            np.subtract(values[:, c0:c1], other[:, c0:c1], out=part)
             np.square(part, out=part)
         sq = part[:, :, 0] if d == 1 else part.sum(axis=2)
-        np.maximum(out[rows], sq.max(axis=1), out=out[rows])
+        np.maximum(out, sq.max(axis=1), out=out)
     return out
 
 

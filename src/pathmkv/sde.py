@@ -39,6 +39,7 @@ same order in either layout.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -607,10 +608,10 @@ def integrate_picard(
     noise block.  The ensemble's controls are the actions
     each window's final pass emitted (None without a policy).
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    if window is not None and window <= 0:
-        raise DomainError("window must be positive")
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    if window is not None and not (math.isfinite(window) and window > 0):
+        raise DomainError(f"window must be positive and finite, got {window}")
     j0, values, noise = _start(model, init, t0, n_particles, seed)
     grid = model.grid
     boundaries = [j0, grid.steps]

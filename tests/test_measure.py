@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pathmkv.control import FiniteActionSet
 from pathmkv.errors import CapacityError, ConfigurationError, DomainError
+from pathmkv.hjb import HamiltonianIntegrand, hamiltonian_sup_randomized
 from pathmkv.measure import (
     COST_TILE_ELEMENTS,
     EXACT_ATOM_CAP,
@@ -70,6 +72,30 @@ def test_nan_weights_are_refused(weights):
         EmpiricalPathMeasure(TimeGrid(1.0, 2), np.zeros((2, 3, 1)), weights)
     with pytest.raises(ConfigurationError, match="control weights must be nonnegative"):
         EmpiricalControlMeasure(np.zeros((2, 1)), weights)
+    with pytest.raises(ConfigurationError, match="grid weights must be nonnegative"):
+        hamiltonian_sup_randomized(*_two_level_problem(), grid_weights=weights)
+
+
+def _two_level_problem():
+    mu = measure_from_paths([constant_path(TimeGrid(1.0, 2), [0.0])])
+    F = HamiltonianIntegrand(lambda xs, u, nu: -u[:, 0] ** 2, nu_dependent=True)
+    return F, mu, FiniteActionSet([[0.0], [1.0]])
+
+
+def test_randomization_grid_weights_of_the_wrong_shape_are_refused():
+    # a (1, 2) block sums to 1 and used to pass
+    with pytest.raises(ConfigurationError, match=r"grid weights .* got shape \(1, 2\)"):
+        hamiltonian_sup_randomized(*_two_level_problem(), grid_weights=[[0.5, 0.5]])
+
+
+def test_control_atoms_must_be_one_row_per_atom():
+    with pytest.raises(ConfigurationError, match=r"\(N, m\) atoms.*\(2, 2, 2\)"):
+        EmpiricalControlMeasure(np.zeros((2, 2, 2)))
+
+
+def test_control_w2_refuses_laws_of_different_widths():
+    with pytest.raises(ConfigurationError, match="different action dimensions"):
+        wasserstein2_controls(EmpiricalControlMeasure(np.zeros((2, 1))), EmpiricalControlMeasure(np.zeros((2, 2))))
 
 
 @pytest.mark.parametrize("n", list(range(1, 18)) + [4000])
@@ -777,3 +803,16 @@ def test_a_non_finite_transport_cost_is_refused_on_both_solver_paths(case):
     w_row = np.full(cost.shape[0], 1.0 / cost.shape[0])
     with pytest.raises(ConfigurationError, match="transport cost must be finite"):
         exact_ot_cost(cost, w_row, w_col)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("side", ["mu", "nu"])
+def test_a_non_finite_atom_is_refused_by_exact_and_sliced_w2(side, bad):
+    # sliced mode used to return nan where exact mode refuses the cost
+    atoms = np.random.default_rng(3).normal(size=(2, 4, 5, 1))
+    atoms[["mu", "nu"].index(side), 1, 2, 0] = bad
+    mu, nu = (EmpiricalPathMeasure(TimeGrid(1.0, 4), a, None) for a in atoms)
+    with pytest.raises(ConfigurationError, match="transport cost must be finite"):
+        wasserstein2(mu, nu, mode="exact")
+    with pytest.raises(ConfigurationError, match=f"{side} has a non-finite atom"):
+        wasserstein2(mu, nu, mode="sliced", projections=4)

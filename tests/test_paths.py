@@ -255,16 +255,19 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_seminorm_passes_at_suite_size_peak_below_8_mb():
+@pytest.mark.parametrize("order", ["node_major", "c"])
+def test_seminorm_passes_at_suite_size_peak_below_8_mb(order):
     # one (4000, 1001, 1) block is 32 MB; the one-shot passes held two or
-    # three temporaries that large
+    # three temporaries that large.  A C-ordered block is reduced in the
+    # same node chunks as a node-major one.
     from pathmkv.sde import ParticleEnsemble, s2_distance
 
     grid = TimeGrid(1.0, 1000)
     r = np.random.default_rng(1)
     ens = []
     for _ in range(2):
-        values = node_major(4000, grid.steps + 1, 1)
+        shape = (4000, grid.steps + 1, 1)
+        values = node_major(*shape) if order == "node_major" else np.empty(shape)
         values[...] = r.normal(size=values.shape)
         ens.append(ParticleEnsemble(grid, 0.0, values, None, 0))
     assert traced_peak(lambda: ens[0].seminorm_sq) <= 8 * 2**20

@@ -290,6 +290,43 @@ def test_yosida_rejects_small_index():
         integrate_yosida(model, -2.0, constant_initial([0.0]), n_particles=4, seed=0)
 
 
+def _domain_cases():
+    from pathmkv.calculus import horizontal_derivative, linear_mean, measure_derivative_discrete
+    from pathmkv.control import dpp_check
+    from pathmkv.hilbert import semigroup_apply, yosida
+    from pathmkv.measure import EmpiricalPathMeasure
+
+    grid = TimeGrid(1.0, 10)
+    model = make_ou(grid, a=-1.0, s0=0.1)
+    init = constant_initial([0.0])
+    mu = EmpiricalPathMeasure(grid, np.random.default_rng(0).normal(size=(3, 11, 1)), None)
+    phi, nan = linear_mean([1.0]), math.nan
+    return {
+        "node": (DomainError, lambda: grid.node(nan)),
+        "integrate_t0": (DomainError, lambda: integrate(model, init, t0=nan, n_particles=4)),
+        "integrate_t_end": (DomainError, lambda: integrate(model, init, n_particles=4, t_end=nan)),
+        "dpp_check_s": (DomainError, lambda: dpp_check(model, init, None, 0.0, nan, 4, 0)),
+        "picard_window": (DomainError, lambda: integrate_picard(model, init, n_particles=4, window=nan)),
+        "picard_tol": (DomainError, lambda: integrate_picard(model, init, n_particles=4, tol=nan)),
+        "semigroup_time": (DomainError, lambda: semigroup_apply(model.A, nan, [1.0])),
+        "yosida": (DomainError, lambda: yosida(model.A, nan)),
+        "integrate_yosida": (DomainError, lambda: integrate_yosida(model, nan, init, n_particles=4)),
+        "eps": (DomainError, lambda: measure_derivative_discrete(phi, 0.5, mu, 0, [1.0], eps=nan)),
+        "dt_fd": (DomainError, lambda: horizontal_derivative(phi, 0.5, mu, dt_fd=nan)),
+        "dt_fd_negative": (DomainError, lambda: horizontal_derivative(phi, 0.5, mu, dt_fd=-0.1)),
+        "eigenvalues": (ConfigurationError, lambda: SpectralOperator([nan])),
+    }
+
+
+@pytest.mark.parametrize("case", list(_domain_cases()))
+def test_nan_and_other_arguments_outside_the_domain_are_refused(case):
+    # each check is stated positively: NaN fails every comparison, so a
+    # check stated as "refuse if x <= 0" let it through
+    error, call = _domain_cases()[case]
+    with pytest.raises(error):
+        call()
+
+
 def test_s2_distance_properties():
     grid = TimeGrid(1.0, 40)
     model = make_ou(grid, a=-1.0, s0=0.5)
